@@ -40,23 +40,13 @@
 //! ```
 
 use crate::landscape::EnergySink;
-use crate::mixers::Mixer;
-use crate::simulator::{FurSimulator, InitialState, QaoaSimulator};
-use qokit_statevec::exec::{Backend, ExecPolicy, ProblemShape};
+use crate::simulator::{FurSimulator, QaoaSimulator};
+use qokit_statevec::exec::{Backend, ExecPolicy};
 use qokit_statevec::StateVec;
-use qokit_tensornet::{TnEngine, TnError, TnOptions};
 use rayon::prelude::*;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Largest qubit count a sweep will route through the tensor-network
-/// engine. The TN energy entry point sums `2^n` amplitude contractions per
-/// point, so beyond this the state-vector path always wins — even when the
-/// crossover heuristic likes the contraction width.
-pub const TN_SWEEP_MAX_QUBITS: usize = 16;
 
 /// One evaluation point of a sweep: the `p`-layer angle schedules.
 #[derive(Clone, Debug, PartialEq)]
@@ -476,95 +466,10 @@ impl SweepRunner {
 
     /// Per-point energies with per-point failure: slot `i` is `Err` iff
     /// point `i` panicked.
-    ///
-    /// When the sweep policy's backend is [`Backend::TensorNet`] (or
-    /// [`Backend::Auto`] and the crossover heuristic prefers it), energies
-    /// are computed by contracting amplitude tensor networks instead of
-    /// evolving state vectors (one `TnEngine` per distinct depth, points
-    /// as pool lanes). Incompatible configurations (no stored
-    /// polynomial, non-X mixer, too many qubits, contraction width
-    /// unsliceable) degrade gracefully to the state-vector path; both
-    /// routes return the same energies on the overlapping regime.
     pub fn energies_checked(&self, points: &[SweepPoint]) -> Vec<Result<f64, SweepError>> {
-        if let Some(routed) = self.tn_energies(points) {
-            return routed;
-        }
         self.evaluate_with(points, |sim, state, policy| {
             sim.cost_diagonal().expectation(state.amplitudes(), policy)
         })
-    }
-
-    /// The tensor-network sweep route: builds one [`TnEngine`] per distinct
-    /// circuit depth in the batch (the plan is a function of the network
-    /// *structure* only, so every point at the same depth replays the same
-    /// contraction plan — the TN mirror of the paper's precompute
-    /// amortization) and evaluates points as pool tasks with serial
-    /// contraction inside each, keeping energies bit-identical across pool
-    /// sizes exactly like [`SweepNesting::PointsParallel`].
-    ///
-    /// Returns `None` when the sweep must stay on the state-vector path:
-    ///
-    /// * the backend is an executor choice (`Serial`/`Rayon`), or `Auto`
-    ///   resolves to one via [`ProblemShape::prefers_tensornet`];
-    /// * the simulator has no stored polynomial (built
-    ///   [`FurSimulator::from_cost_vector`]) — the diagonal alone cannot be
-    ///   factored back into a sparse network;
-    /// * the mixer is not `X` or the initial state is not `|+⟩^{⊗n}` — the
-    ///   amplitude network encodes exactly that circuit family;
-    /// * `n >` [`TN_SWEEP_MAX_QUBITS`] — the TN energy sums `2^n`
-    ///   amplitudes per point;
-    /// * slicing cannot bring the planned width under the cap
-    ///   ([`TnError::WidthExceeded`]).
-    fn tn_energies(&self, points: &[SweepPoint]) -> Option<Vec<Result<f64, SweepError>>> {
-        if !matches!(self.opts.exec.backend, Backend::TensorNet | Backend::Auto) {
-            return None;
-        }
-        let poly = self.sim.polynomial()?;
-        let opts = self.sim.options();
-        let uniform_initial = matches!(
-            (&opts.initial, opts.mixer),
-            (InitialState::Auto, Mixer::X) | (InitialState::UniformSuperposition, Mixer::X)
-        );
-        let n = self.sim.n_qubits();
-        if !uniform_initial || n > TN_SWEEP_MAX_QUBITS {
-            return None;
-        }
-        let max_depth = points.iter().map(SweepPoint::depth).max().unwrap_or(0);
-        let shape = ProblemShape::new(n, max_depth, poly.num_terms(), poly.degree() as usize);
-        if !matches!(self.opts.exec.backend.resolve(&shape), Backend::TensorNet) {
-            return None;
-        }
-        // One plan per distinct depth, shared by every point at that depth.
-        let mut engines: HashMap<usize, TnEngine> = HashMap::new();
-        for point in points {
-            if let Entry::Vacant(slot) = engines.entry(point.depth()) {
-                let tn_opts = TnOptions {
-                    exec: ExecPolicy::serial(),
-                    ..TnOptions::default()
-                };
-                match TnEngine::new(poly, point.depth(), tn_opts) {
-                    Ok(engine) => {
-                        slot.insert(engine);
-                    }
-                    // Slicing exhausted at this depth: the whole batch
-                    // degrades to the state-vector path.
-                    Err(TnError::WidthExceeded { .. }) => return None,
-                }
-            }
-        }
-        let eval_one = |i: usize| {
-            let point = &points[i];
-            let engine = &engines[&point.depth()];
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                engine.energy(&point.gammas, &point.betas)
-            }))
-            .map_err(|payload| SweepError::PointPanicked {
-                index: i,
-                message: panic_message(payload),
-            })
-        };
-        let exec = self.opts.exec;
-        Some(exec.install(|| rayon::strided_lanes(points.len(), points.len(), 0, eval_one)))
     }
 
     /// Depth-1 convenience: energies over `(γ, β)` pairs — the shape grid
@@ -1226,155 +1131,5 @@ mod tests {
         assert_eq!(a.sum().to_bits(), b.sum().to_bits());
         assert_eq!(a.argmin(), b.argmin());
         assert_eq!(a.top_k(), b.top_k());
-    }
-
-    // ---- tensor-network routing (Backend::TensorNet / Backend::Auto) ----
-
-    fn ring_sim(n: usize, backend: Backend) -> SweepRunner {
-        let poly = qokit_terms::maxcut::maxcut_polynomial(&qokit_terms::Graph::ring(n, 1.0));
-        SweepRunner::with_options(
-            FurSimulator::new(&poly),
-            SweepOptions {
-                exec: backend.into(),
-                nested: SweepNesting::Auto,
-            },
-        )
-    }
-
-    #[test]
-    fn auto_routes_sparse_shallow_sweep_through_tn() {
-        // Ring n = 10, p = 1: interaction density 2 → estimated width 4,
-        // 4 + margin ≤ 10 → the crossover heuristic prefers the TN engine.
-        let runner = ring_sim(10, Backend::Auto);
-        let pts = vec![SweepPoint::p1(0.3, 0.7), SweepPoint::p1(0.1, 0.2)];
-        assert!(runner.tn_energies(&pts).is_some(), "Auto must pick TN here");
-    }
-
-    #[test]
-    fn auto_keeps_dense_deep_sweep_on_statevec() {
-        // LABS n = 8 at p = 8: density ~10 saturates the width estimate at
-        // n, so est + margin > n → statevec.
-        let runner = SweepRunner::with_options(
-            FurSimulator::new(&labs_terms(8)),
-            SweepOptions {
-                exec: Backend::Auto.into(),
-                nested: SweepNesting::Auto,
-            },
-        );
-        let pt = SweepPoint::new(vec![0.05; 8], vec![0.3; 8]);
-        assert!(
-            runner.tn_energies(std::slice::from_ref(&pt)).is_none(),
-            "Auto must keep deep dense LABS on the state-vector path"
-        );
-        // ...and the sweep still evaluates (through the statevec route).
-        assert!(runner.energies(&[pt])[0].is_finite());
-    }
-
-    #[test]
-    fn tn_route_matches_statevec_route_on_overlapping_regime() {
-        let pts: Vec<SweepPoint> = (0..4)
-            .map(|i| SweepPoint::new(vec![0.1 + 0.07 * i as f64], vec![0.6 - 0.05 * i as f64]))
-            .collect();
-        let tn = ring_sim(10, Backend::TensorNet);
-        let routed = tn.tn_energies(&pts).expect("explicit TensorNet routes");
-        let sv = ring_sim(10, Backend::Serial).energies(&pts);
-        for (got, want) in routed.into_iter().zip(sv) {
-            assert!(
-                (got.unwrap() - want).abs() < 1e-9,
-                "TN and statevec energies must agree"
-            );
-        }
-    }
-
-    #[test]
-    fn tn_route_is_pool_invariant() {
-        let pts: Vec<SweepPoint> = (0..5)
-            .map(|i| SweepPoint::p1(0.05 * i as f64, 0.4))
-            .collect();
-        let reference: Vec<u64> = ring_sim(8, Backend::TensorNet)
-            .energies(&pts)
-            .iter()
-            .map(|e| e.to_bits())
-            .collect();
-        for workers in [1usize, 2, 4] {
-            let runner = SweepRunner::with_options(
-                FurSimulator::new(&qokit_terms::maxcut::maxcut_polynomial(
-                    &qokit_terms::Graph::ring(8, 1.0),
-                )),
-                SweepOptions {
-                    exec: ExecPolicy::from(Backend::TensorNet).with_threads(workers),
-                    nested: SweepNesting::Auto,
-                },
-            );
-            let got: Vec<u64> = runner.energies(&pts).iter().map(|e| e.to_bits()).collect();
-            assert_eq!(reference, got, "TN sweep diverged at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn tn_route_contains_point_panics() {
-        let runner = ring_sim(8, Backend::TensorNet);
-        let pts = vec![
-            SweepPoint::p1(0.2, 0.5),
-            SweepPoint::new(vec![0.1, 0.2], vec![0.3]), // mismatched lengths
-            SweepPoint::p1(0.4, 0.1),
-        ];
-        let checked = runner.energies_checked(&pts);
-        assert!(checked[0].is_ok());
-        assert!(matches!(
-            checked[1],
-            Err(SweepError::PointPanicked { index: 1, .. })
-        ));
-        assert!(checked[2].is_ok());
-    }
-
-    #[test]
-    fn cost_vector_only_simulator_stays_on_statevec() {
-        // Built from a bare diagonal: no polynomial → no network → the
-        // explicit TensorNet request degrades to the statevec path.
-        let poly = labs_terms(6);
-        let costs = qokit_costvec::CostVec::from_polynomial(
-            &poly,
-            qokit_costvec::PrecomputeMethod::Direct,
-            Backend::Serial,
-        );
-        let sim = FurSimulator::from_cost_vector(
-            costs,
-            SimOptions {
-                exec: ExecPolicy::from(Backend::TensorNet),
-                ..SimOptions::default()
-            },
-        );
-        let runner = SweepRunner::with_options(
-            sim,
-            SweepOptions {
-                exec: Backend::TensorNet.into(),
-                nested: SweepNesting::Auto,
-            },
-        );
-        let pts = vec![SweepPoint::p1(0.2, 0.5)];
-        assert!(runner.tn_energies(&pts).is_none());
-        let sv = SweepRunner::new(serial_sim(6)).energies(&pts);
-        for (a, b) in runner.energies(&pts).iter().zip(sv) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn non_x_mixer_sweep_stays_on_statevec() {
-        let runner = SweepRunner::with_options(
-            FurSimulator::with_options(
-                &labs_terms(6),
-                SimOptions {
-                    mixer: Mixer::XyRing,
-                    ..SimOptions::default()
-                },
-            ),
-            SweepOptions {
-                exec: Backend::Auto.into(),
-                nested: SweepNesting::Auto,
-            },
-        );
-        assert!(runner.tn_energies(&[SweepPoint::p1(0.2, 0.5)]).is_none());
     }
 }

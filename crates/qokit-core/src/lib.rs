@@ -34,13 +34,11 @@ pub mod mixers;
 pub mod sampling;
 pub mod simulator;
 
-pub use batch::{
-    SweepError, SweepNesting, SweepOptions, SweepPoint, SweepRunner, TN_SWEEP_MAX_QUBITS,
-};
+pub use batch::{SweepError, SweepNesting, SweepOptions, SweepPoint, SweepRunner};
 pub use landscape::{EnergySink, Histogram2d, HistogramSpec, LandscapeAggregator};
 pub use lightcone::{
-    cone_zz, cone_zz_tn, ConePlan, LightConeError, LightConeEvaluator, LightConeOptions,
-    LightConeRun, LightConeStats, PlannedCone, TN_CONE_MAX_QUBITS,
+    cone_zz, ConePlan, LightConeError, LightConeEvaluator, LightConeOptions, LightConeRun,
+    LightConeStats, PlannedCone,
 };
 pub use mixers::{ring_edges, Mixer};
 pub use sampling::{best_sampled_cost, evolve_with_observer, sample_bitstrings, LayerSnapshot};

@@ -52,8 +52,7 @@ use std::panic::{self, AssertUnwindSafe};
 use crate::mixers::Mixer;
 use crate::simulator::{FurSimulator, InitialState, QaoaSimulator, SimOptions};
 use qokit_costvec::PrecomputeMethod;
-use qokit_statevec::exec::{Backend, ExecPolicy, ProblemShape};
-use qokit_tensornet::{TnEngine, TnError, TnOptions};
+use qokit_statevec::exec::{Backend, ExecPolicy};
 use qokit_terms::graphs::{Adjacency, EgoNet, Graph};
 use qokit_terms::{SpinPolynomial, Term};
 
@@ -312,26 +311,15 @@ impl LightConeEvaluator {
     /// Simulates every unique cone of `plan` and returns its `⟨Z_u Z_v⟩`,
     /// indexed like [`ConePlan::cones`]. A panicking cone poisons only
     /// this call ([`LightConeError::ConePanicked`] with the cone's
-    /// representative edge); sibling cones still complete.
-    /// The configured [`LightConeOptions::exec`] backend picks the
-    /// per-cone engine: [`Backend::TensorNet`] contracts each cone's
-    /// amplitude network ([`cone_zz_tn`]), [`Backend::Auto`] decides per
-    /// cone via the Fig. 3 crossover, and the executor backends run the
-    /// state-vector cone simulation ([`cone_zz`]). All routes agree to
-    /// ≤1e-10 — the differential suite pins this.
+    /// representative edge); sibling cones still complete. Each cone runs
+    /// the state-vector simulation [`cone_zz`].
     pub fn try_zz_values(
         &self,
         plan: &ConePlan,
         gammas: &[f64],
         betas: &[f64],
     ) -> Result<Vec<f64>, LightConeError> {
-        let configured = self.options.exec.backend;
-        self.try_zz_values_with(plan, |_, ego| {
-            match cone_backend(configured, ego, gammas.len()) {
-                Backend::TensorNet => cone_zz_tn(ego, gammas, betas),
-                _ => cone_zz(ego, gammas, betas),
-            }
-        })
+        self.try_zz_values_with(plan, |_, ego| cone_zz(ego, gammas, betas))
     }
 
     /// As [`try_zz_values`](Self::try_zz_values), but with an injectable
@@ -411,30 +399,8 @@ impl LightConeEvaluator {
         let exec = self.options.exec;
         match exec.backend {
             Backend::Serial => (0..n).map(body).collect(),
-            // Rayon, TensorNet and Auto all fan cones out as pool tasks —
-            // the engine variants change what runs *inside* a cone, not how
-            // cones are scheduled.
-            _ => exec.install(|| rayon::strided_lanes(n, n, 0, body)),
+            Backend::Rayon => exec.install(|| rayon::strided_lanes(n, n, 0, body)),
         }
-    }
-}
-
-/// Ceiling on cone qubits for routing a cone through the tensor-network
-/// engine: TN energies enumerate `2^q` amplitudes, so beyond this the
-/// state-vector cone simulation is always the better tool.
-pub const TN_CONE_MAX_QUBITS: usize = 16;
-
-/// Decides the engine for one cone: the configured backend, with
-/// [`Backend::Auto`] resolved through the cone's [`ProblemShape`] (qubits,
-/// depth, edge count, 2-local) — the per-cone form of the Fig. 3
-/// crossover. Cones wider than [`TN_CONE_MAX_QUBITS`] never route to TN.
-fn cone_backend(configured: Backend, ego: &EgoNet, depth: usize) -> Backend {
-    let n = ego.n_qubits();
-    let shape = ProblemShape::new(n, depth, ego.graph().edges().len(), 2);
-    match configured.resolve(&shape) {
-        Backend::TensorNet if n <= TN_CONE_MAX_QUBITS => Backend::TensorNet,
-        Backend::TensorNet => Backend::auto(),
-        other => other,
     }
 }
 
@@ -477,42 +443,6 @@ pub fn cone_zz(ego: &EgoNet, gammas: &[f64], betas: &[f64]) -> f64 {
             }
         })
         .sum()
-}
-
-/// Evaluates one cone's `⟨Z_0 Z_1⟩` through the tensor-network engine:
-/// plan the cone's amplitude network once, then sum
-/// `|⟨x|ψ⟩|²·(−1)^{x_{s0}⊕x_{s1}}` over the cone basis. The cone
-/// polynomial carries the same `½·w` coefficients as [`cone_zz`], so the
-/// two engines agree to ≤1e-10. Contraction stays strictly serial inside
-/// the cone (the fan-out over cones is the parallel axis), so values are
-/// bit-identical wherever the cone runs. A cone whose plan exceeds the
-/// width cap even after slicing falls back to the state-vector path.
-///
-/// # Panics
-/// If `gammas.len() != betas.len()`.
-pub fn cone_zz_tn(ego: &EgoNet, gammas: &[f64], betas: &[f64]) -> f64 {
-    assert_eq!(gammas.len(), betas.len(), "gamma/beta length mismatch");
-    let terms: Vec<Term> = ego
-        .graph()
-        .edges()
-        .iter()
-        .map(|&(a, b, w)| Term::new(0.5 * w, &[a, b]))
-        .collect();
-    let poly = SpinPolynomial::new(ego.n_qubits(), terms);
-    let opts = TnOptions {
-        exec: ExecPolicy::serial(),
-        ..TnOptions::default()
-    };
-    match TnEngine::new(&poly, gammas.len(), opts) {
-        Ok(engine) => {
-            let (s0, s1) = ego.seeds();
-            let observable = SpinPolynomial::new(ego.n_qubits(), vec![Term::new(1.0, &[s0, s1])]);
-            engine.expectation(gammas, betas, &observable)
-        }
-        // Graceful degradation: a cone too entangled for the TN engine
-        // still evaluates — through the state vector.
-        Err(TnError::WidthExceeded { .. }) => cone_zz(ego, gammas, betas),
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -683,112 +613,36 @@ mod tests {
         assert_eq!(zz.len(), 12);
     }
 
-    // ---- tensor-network cone engine ----
-
     #[test]
-    fn cone_zz_tn_matches_cone_zz() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for g in [Graph::ring(14, 1.0), Graph::random_regular(12, 3, &mut rng)] {
-            let ev = LightConeEvaluator::new(g);
-            let plan = ev.plan(2).unwrap();
-            let (gammas, betas) = ([0.35, 0.15], [0.6, 0.25]);
-            for cone in &plan.cones {
-                let sv = cone_zz(&cone.ego, &gammas, &betas);
-                let tn = cone_zz_tn(&cone.ego, &gammas, &betas);
-                assert!(
-                    (sv - tn).abs() < 1e-10,
-                    "cone engines disagree: sv={sv} tn={tn}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tn_backend_energy_matches_exact_and_statevec_route() {
-        let g = Graph::ring(10, 1.0);
-        let (gammas, betas) = (vec![0.4], vec![0.8]);
+    fn p3_ring_energy_matches_exact_statevector() {
+        let g = Graph::ring(12, 1.0);
+        let (gammas, betas) = ([0.3, -0.15, 0.45], [0.7, 0.4, 0.1]);
+        let run = LightConeEvaluator::new(g.clone())
+            .try_energy(&gammas, &betas)
+            .unwrap();
         let exact = exact_energy(&g, &gammas, &betas);
-        for backend in [Backend::TensorNet, Backend::Auto] {
-            let ev = LightConeEvaluator::with_options(
-                g.clone(),
-                LightConeOptions {
-                    exec: backend.into(),
-                    ..LightConeOptions::default()
-                },
-            );
-            let e = ev.energy(&gammas, &betas);
-            assert!(
-                (e - exact).abs() < 1e-9,
-                "{backend:?} light-cone energy {e} vs exact {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn cone_backend_resolves_the_fig3_crossover() {
-        // A p = 1 ring cone is 4 qubits with estimated width 4: for such a
-        // tiny dense-relative-to-size cone Auto stays on the state vector.
-        let ring = LightConeEvaluator::new(Graph::ring(20, 1.0));
-        let small = &ring.plan(1).unwrap().cones[0].ego;
-        assert_ne!(cone_backend(Backend::Auto, small, 1), Backend::TensorNet);
-        // Explicit executor backends pass through untouched.
-        assert_eq!(cone_backend(Backend::Serial, small, 1), Backend::Serial);
-        assert_eq!(cone_backend(Backend::Rayon, small, 1), Backend::Rayon);
-        // Depth 0 never prefers the TN engine.
-        assert_ne!(cone_backend(Backend::Auto, small, 0), Backend::TensorNet);
-        // A wide sparse cone (3-regular at p = 2: ~14 qubits, estimated
-        // width ~8) is where the contraction beats the 2^n state: Auto
-        // routes at least the widest cones to TN.
-        let mut rng = StdRng::seed_from_u64(3);
-        let ev = LightConeEvaluator::new(Graph::random_regular(20, 3, &mut rng));
-        let plan = ev.plan(2).unwrap();
         assert!(
-            plan.cones
-                .iter()
-                .any(|c| cone_backend(Backend::Auto, &c.ego, 2) == Backend::TensorNet),
-            "no cone routed to TN; widths: {:?}",
-            plan.cones
-                .iter()
-                .map(|c| c.ego.n_qubits())
-                .collect::<Vec<_>>()
+            (run.energy - exact).abs() <= 1e-9,
+            "{} vs {exact}",
+            run.energy
         );
-        // And an explicit TensorNet request on an oversized cone degrades
-        // to an executor backend instead of enumerating 2^q amplitudes.
-        let wide = plan.cones.iter().max_by_key(|c| c.ego.n_qubits()).unwrap();
-        if wide.ego.n_qubits() > TN_CONE_MAX_QUBITS {
-            assert_ne!(
-                cone_backend(Backend::TensorNet, &wide.ego, 2),
-                Backend::TensorNet
-            );
-        }
     }
 
     #[test]
-    fn tn_cone_route_is_pool_invariant() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = Graph::random_regular(14, 3, &mut rng);
-        let (gammas, betas) = (vec![0.3, 0.1], vec![0.5, 0.2]);
-        let reference = LightConeEvaluator::with_options(
-            g.clone(),
-            LightConeOptions {
-                exec: ExecPolicy::from(Backend::TensorNet).with_threads(1),
-                ..LightConeOptions::default()
-            },
-        )
-        .energy(&gammas, &betas);
-        for workers in [2usize, 4] {
-            let e = LightConeEvaluator::with_options(
-                g.clone(),
-                LightConeOptions {
-                    exec: ExecPolicy::from(Backend::TensorNet).with_threads(workers),
-                    ..LightConeOptions::default()
-                },
-            )
-            .energy(&gammas, &betas);
-            assert_eq!(
-                reference.to_bits(),
-                e.to_bits(),
-                "TN cone energy diverged at {workers} workers"
+    fn p3_sparse_random_graphs_match_exact_statevector() {
+        let (gammas, betas) = ([0.25, 0.5, -0.2], [0.6, -0.3, 0.35]);
+        for (seed, n, p_edge) in [(5u64, 12usize, 0.2), (17, 11, 0.25)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = Graph::erdos_renyi(n, p_edge, &mut rng);
+            assert!(g.n_edges() > 0, "seed {seed}: empty graph");
+            let run = LightConeEvaluator::new(g.clone())
+                .try_energy(&gammas, &betas)
+                .unwrap();
+            let exact = exact_energy(&g, &gammas, &betas);
+            assert!(
+                (run.energy - exact).abs() <= 1e-9,
+                "seed {seed}: {} vs {exact}",
+                run.energy
             );
         }
     }

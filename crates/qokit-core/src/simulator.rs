@@ -146,10 +146,6 @@ pub struct FurSimulator {
     n: usize,
     costs: CostVec,
     options: SimOptions,
-    /// The cost polynomial the diagonal was precomputed from, when known.
-    /// The tensor-network route in `batch` needs the term structure — the
-    /// diagonal alone cannot be turned back into a sparse network.
-    poly: Option<SpinPolynomial>,
 }
 
 impl FurSimulator {
@@ -176,7 +172,6 @@ impl FurSimulator {
             n: poly.n_vars(),
             costs,
             options,
-            poly: Some(poly.clone()),
         }
     }
 
@@ -191,26 +186,12 @@ impl FurSimulator {
             "cost vector length must be a power of two"
         );
         let n = costs.n_qubits();
-        FurSimulator {
-            n,
-            costs,
-            options,
-            poly: None,
-        }
+        FurSimulator { n, costs, options }
     }
 
     /// The configured options.
     pub fn options(&self) -> &SimOptions {
         &self.options
-    }
-
-    /// The cost polynomial this simulator was built from, if it was built
-    /// from one ([`from_cost_vector`](Self::from_cost_vector) loses it).
-    /// Engine selection (`Backend::Auto`/`Backend::TensorNet`) consults
-    /// this: without the term structure a tensor network cannot be built
-    /// and sweeps stay on the state-vector path.
-    pub fn polynomial(&self) -> Option<&SpinPolynomial> {
-        self.poly.as_ref()
     }
 
     /// Resolves the configured initial state into a concrete vector.

@@ -53,6 +53,9 @@ pub enum WireError {
     },
     /// Unknown message tag byte.
     BadTag(u8),
+    /// The fields decoded, but their values break the invariants of the
+    /// domain type they describe (e.g. a term on a variable `≥ n`).
+    Invalid(String),
 }
 
 impl std::fmt::Display for WireError {
@@ -66,6 +69,7 @@ impl std::fmt::Display for WireError {
                 "frame checksum mismatch: header says {expected:#018x}, payload hashes to {actual:#018x}"
             ),
             WireError::BadTag(t) => write!(f, "unknown message tag {t}"),
+            WireError::Invalid(msg) => write!(f, "invalid payload value: {msg}"),
         }
     }
 }

@@ -29,7 +29,8 @@ pub fn put_poly(w: &mut ByteWriter, p: &SpinPolynomial) {
     }
 }
 
-/// Decodes a [`SpinPolynomial`] written by [`put_poly`].
+/// Decodes a [`SpinPolynomial`] written by [`put_poly`]. Out-of-range
+/// variable counts and term masks are [`WireError::Invalid`], not panics.
 pub fn get_poly(r: &mut ByteReader<'_>) -> Result<SpinPolynomial, WireError> {
     let n_vars = r.usize()?;
     let n_terms = r.len_prefix(16)?;
@@ -39,7 +40,7 @@ pub fn get_poly(r: &mut ByteReader<'_>) -> Result<SpinPolynomial, WireError> {
         let mask = r.u64()?;
         terms.push(Term { weight, mask });
     }
-    Ok(SpinPolynomial::new(n_vars, terms))
+    SpinPolynomial::try_new(n_vars, terms).map_err(WireError::Invalid)
 }
 
 /// Encodes a [`SweepPoint`] (per-layer γ then β).
@@ -88,6 +89,8 @@ fn put_ego(w: &mut ByteWriter, e: &EgoNet) {
     w.usize(e.radius());
 }
 
+/// Decodes an [`EgoNet`] written by [`put_ego`]. A bad edge list or
+/// mismatched vertex/distance maps are [`WireError::Invalid`], not panics.
 fn get_ego(r: &mut ByteReader<'_>) -> Result<EgoNet, WireError> {
     let n = r.usize()?;
     let n_edges = r.len_prefix(24)?;
@@ -98,11 +101,11 @@ fn get_ego(r: &mut ByteReader<'_>) -> Result<EgoNet, WireError> {
         let w = r.f64()?;
         edges.push((u, v, w));
     }
-    let graph = Graph::new(n, edges);
+    let graph = Graph::try_new(n, edges).map_err(WireError::Invalid)?;
     let vertices = r.usizes()?;
     let dist = r.usizes()?;
     let radius = r.usize()?;
-    Ok(EgoNet::from_parts(graph, vertices, dist, radius))
+    EgoNet::try_from_parts(graph, vertices, dist, radius).map_err(WireError::Invalid)
 }
 
 /// How the worker should quantize/precompute the cost diagonal of a sweep
@@ -614,6 +617,63 @@ mod tests {
         let mut padded = payload;
         padded.push(0);
         assert!(decode_request(&padded).is_err());
+    }
+
+    #[test]
+    fn invalid_polynomial_is_an_error_not_a_panic() {
+        for (n_vars, mask) in [(70usize, 0b11u64), (2, 1 << 5)] {
+            let mut w = ByteWriter::new();
+            w.u8(super::REQ_SWEEP_INIT);
+            w.u8(0);
+            w.usize(n_vars);
+            w.usize(1);
+            w.f64(1.0);
+            w.u64(mask);
+            let got = decode_request(&w.into_vec());
+            assert!(
+                matches!(got, Err(WireError::Invalid(_))),
+                "n = {n_vars}, mask = {mask:#b}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_ego_net_is_an_error_not_a_panic() {
+        let ego = Graph::ring(8, 1.0).adjacency().edge_ego(0, 1, 1);
+        let (n, edges) = (ego.graph().n_vertices(), ego.graph().edges().to_vec());
+        let shard = |n: usize, edges: &[(usize, usize, f64)], vertices: &[usize]| {
+            let mut w = ByteWriter::new();
+            w.u8(super::REQ_CONE_SHARD);
+            w.usize(1);
+            w.u64(0);
+            w.usize(n);
+            w.usize(edges.len());
+            for &(u, v, weight) in edges {
+                w.usize(u);
+                w.usize(v);
+                w.f64(weight);
+            }
+            w.usizes(vertices);
+            w.usizes(ego.distances());
+            w.usize(ego.radius());
+            w.f64s(&[0.3]);
+            w.f64s(&[0.5]);
+            decode_request(&w.into_vec())
+        };
+        // The honest encoding decodes.
+        assert!(shard(n, &edges, ego.vertices()).is_ok());
+        let mut out_of_range = edges.clone();
+        out_of_range[0].1 = n;
+        let mut duplicated = edges.clone();
+        duplicated.push(edges[0]);
+        let short_map = &ego.vertices()[1..];
+        for (what, got) in [
+            ("edge out of range", shard(n, &out_of_range, ego.vertices())),
+            ("duplicate edge", shard(n, &duplicated, ego.vertices())),
+            ("vertex map too short", shard(n, &edges, short_map)),
+        ] {
+            assert!(matches!(got, Err(WireError::Invalid(_))), "{what}: {got:?}");
+        }
     }
 
     #[test]

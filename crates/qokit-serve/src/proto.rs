@@ -694,4 +694,29 @@ mod tests {
         padded.push(0);
         assert!(decode_request(&padded).is_err());
     }
+
+    #[test]
+    fn invalid_sweep_polynomial_is_an_error_not_a_panic() {
+        // 18 bytes: tag, spec, n_vars = 70, zero terms.
+        let mut w = ByteWriter::new();
+        w.u8(REQ_SWEEP);
+        w.u8(0);
+        w.usize(70);
+        w.usize(0);
+        let too_many_vars = w.into_vec();
+        assert_eq!(too_many_vars.len(), 18);
+        // A term on variable 5 of a 2-variable polynomial.
+        let mut w = ByteWriter::new();
+        w.u8(REQ_SWEEP);
+        w.u8(0);
+        w.usize(2);
+        w.usize(1);
+        w.f64(1.0);
+        w.u64(1 << 5);
+        let mask_out_of_range = w.into_vec();
+        for payload in [too_many_vars, mask_out_of_range] {
+            let got = decode_request(&payload);
+            assert!(matches!(got, Err(WireError::Invalid(_))), "{got:?}");
+        }
+    }
 }

@@ -612,7 +612,10 @@ fn run_lightcone(job: &LightConeJob, conn: &JobConn) -> ServeResponse {
     if conn.cancel.load(Ordering::Relaxed) {
         return ServeResponse::Cancelled { evaluated: 0 };
     }
-    let graph = Graph::new(job.n_vertices, job.edges.clone());
+    let graph = match Graph::try_new(job.n_vertices, job.edges.clone()) {
+        Ok(graph) => graph,
+        Err(e) => return ServeResponse::Error(e),
+    };
     let n_edges = graph.n_edges() as u64;
     let evaluator = LightConeEvaluator::with_options(
         graph,

@@ -72,15 +72,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// How a kernel should execute.
-///
-/// `Serial` and `Rayon` are *executor* choices for the state-vector
-/// kernels. `TensorNet` and `Auto` select a different **engine**: they ask
-/// routing-aware callers (`qokit-core`'s sweep runner and light-cone
-/// evaluator) to evaluate through tensor-network contraction instead of
-/// state-vector evolution. Kernels that receive them directly simply run
-/// serially — a policy whose backend is not `Rayon` never parallelizes a
-/// butterfly sweep (see [`ExecPolicy::parallel`]).
+/// How a kernel should execute: serial loops or the work-stealing pool.
+/// The index arithmetic is the same under both, so the choice moves work
+/// between threads but never changes what is computed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Single-threaded loops (the paper's "c"/"python" simulators).
@@ -88,16 +82,6 @@ pub enum Backend {
     /// Work-stealing-pool data-parallel loops (our stand-in for the GPU
     /// kernels).
     Rayon,
-    /// Tensor-network contraction (`qokit-tensornet`): amplitudes by
-    /// planned, possibly sliced contraction; energies by amplitude sums.
-    /// The paper's Fig. 3 alternative for shallow, sparsely connected
-    /// circuits.
-    TensorNet,
-    /// Decide TensorNet vs state vector per problem from its
-    /// [`ProblemShape`] — the executable form of the paper's Fig. 3
-    /// crossover. Resolved by [`Backend::resolve`] at routing sites; code
-    /// that never routes treats it like [`Backend::auto`]'s pick.
-    Auto,
 }
 
 impl Backend {
@@ -108,95 +92,12 @@ impl Backend {
     /// → `RAYON_NUM_THREADS` → hardware threads, or an already-latched pool
     /// size) — so `auto()` can never pick `Rayon` for a pool the
     /// environment pinned to one worker.
-    ///
-    /// This is *executor* selection (how many workers), distinct from the
-    /// *engine* selection [`Backend::Auto`] performs via
-    /// [`Backend::resolve`] (tensor network vs state vector).
     pub fn auto() -> Backend {
         if rayon::current_num_threads() > 1 {
             Backend::Rayon
         } else {
             Backend::Serial
         }
-    }
-
-    /// Resolves [`Backend::Auto`] against a concrete problem: tensor
-    /// network when [`ProblemShape::prefers_tensornet`] says the planned
-    /// contraction stays comfortably below the state-vector width `n`
-    /// (shallow depth × sparse connectivity — the paper's Fig. 3 regime),
-    /// otherwise the executor [`Backend::auto`] picks. Every other variant
-    /// resolves to itself.
-    pub fn resolve(self, shape: &ProblemShape) -> Backend {
-        match self {
-            Backend::Auto => {
-                if shape.prefers_tensornet() {
-                    Backend::TensorNet
-                } else {
-                    Backend::auto()
-                }
-            }
-            b => b,
-        }
-    }
-}
-
-/// Safety margin of [`ProblemShape::prefers_tensornet`]: the estimated
-/// contraction width must undercut the state-vector width `n` by at least
-/// this many qubits before the tensor network is chosen.
-pub const TN_CROSSOVER_MARGIN: usize = 2;
-
-/// The coordinates of the paper's Fig. 3 crossover: how big, how deep and
-/// how densely connected a QAOA instance is. Built by routing code from
-/// the problem polynomial (this crate knows no polynomial type — only the
-/// numbers that drive the decision).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct ProblemShape {
-    /// Number of qubits.
-    pub n: usize,
-    /// QAOA depth `p`.
-    pub depth: usize,
-    /// Non-constant cost terms.
-    pub terms: usize,
-    /// Highest term locality (2 for MaxCut, 4 for LABS).
-    pub max_locality: usize,
-}
-
-impl ProblemShape {
-    /// Bundles the four crossover coordinates.
-    pub fn new(n: usize, depth: usize, terms: usize, max_locality: usize) -> ProblemShape {
-        ProblemShape {
-            n,
-            depth,
-            terms,
-            max_locality,
-        }
-    }
-
-    /// Average number of term endpoints per qubit — the interaction-graph
-    /// degree that drives contraction-width growth per phase layer.
-    pub fn interaction_density(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.terms * self.max_locality) as f64 / self.n as f64
-        }
-    }
-
-    /// Crude contraction-width estimate for the amplitude network: each
-    /// phase layer grows the separator by roughly the interaction density,
-    /// saturating at the state-vector width `n` (the "contraction width
-    /// equal to n" regime the paper observes for deep LABS).
-    pub fn estimated_tn_width(&self) -> usize {
-        let grow = self.depth as f64 * self.interaction_density();
-        ((2.0 + grow).ceil() as usize).min(self.n)
-    }
-
-    /// The Fig. 3 decision: `true` when the estimated contraction width
-    /// undercuts `n` by at least [`TN_CROSSOVER_MARGIN`] — shallow, sparse
-    /// instances where contraction beats a `2^n` state vector. Depth-0
-    /// circuits always take the (trivial) state-vector path.
-    pub fn prefers_tensornet(&self) -> bool {
-        self.depth > 0 && self.estimated_tn_width() + TN_CROSSOVER_MARGIN <= self.n
     }
 }
 
@@ -352,8 +253,6 @@ impl ExecPolicy {
     /// strictly serial backend) that is the calling context unchanged; with
     /// an explicit count, a cached pool of that size, so every parallel
     /// kernel inside `op` splits across exactly that many workers.
-    /// [`Backend::TensorNet`]/[`Backend::Auto`] policies do enter the sized
-    /// pool — their slice and basis-state fan-outs are pool work.
     pub fn install<R, OP>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R + Send,
@@ -413,55 +312,9 @@ mod tests {
 
     #[test]
     fn auto_returns_some_backend() {
-        // Smoke test: must not panic and must be one of the two executor
-        // variants (auto() never picks an engine variant).
+        // Smoke test: must not panic and must be one of the two variants.
         let b = Backend::auto();
         assert!(b == Backend::Serial || b == Backend::Rayon);
-    }
-
-    #[test]
-    fn crossover_picks_tn_for_sparse_shallow() {
-        // p=1 ring: density 2, estimated width 4 ≪ n.
-        let ring = ProblemShape::new(16, 1, 16, 2);
-        assert!(ring.prefers_tensornet());
-        assert_eq!(Backend::Auto.resolve(&ring), Backend::TensorNet);
-    }
-
-    #[test]
-    fn crossover_picks_statevec_for_dense_or_deep() {
-        // Dense LABS-like instance: width saturates at n.
-        let labs = ProblemShape::new(8, 8, 20, 4);
-        assert!(!labs.prefers_tensornet());
-        let picked = Backend::Auto.resolve(&labs);
-        assert!(picked == Backend::Serial || picked == Backend::Rayon);
-        // Deep ring: width grows past n with depth.
-        let deep_ring = ProblemShape::new(12, 8, 12, 2);
-        assert!(!deep_ring.prefers_tensornet());
-        // Depth 0 never routes to TN.
-        assert!(!ProblemShape::new(16, 0, 16, 2).prefers_tensornet());
-    }
-
-    #[test]
-    fn resolve_is_identity_off_auto() {
-        let shape = ProblemShape::new(16, 1, 16, 2);
-        for b in [Backend::Serial, Backend::Rayon, Backend::TensorNet] {
-            assert_eq!(b.resolve(&shape), b);
-        }
-    }
-
-    #[test]
-    fn estimated_width_saturates_at_n() {
-        let dense = ProblemShape::new(10, 20, 100, 4);
-        assert_eq!(dense.estimated_tn_width(), 10);
-        assert!((ProblemShape::new(0, 1, 0, 2).interaction_density()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn engine_backends_never_parallelize_kernels() {
-        for b in [Backend::TensorNet, Backend::Auto] {
-            let p: ExecPolicy = b.into();
-            assert!(!p.parallel(1 << 30));
-        }
     }
 
     #[test]

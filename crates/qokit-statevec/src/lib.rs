@@ -52,7 +52,7 @@ pub mod su2;
 pub mod su4;
 
 pub use complex::{AMP_BYTES, C64};
-pub use exec::{Backend, ExecPolicy, Layout, ProblemShape, TN_CROSSOVER_MARGIN};
+pub use exec::{Backend, ExecPolicy, Layout};
 pub use matrices::{Mat2, Mat4};
 pub use split::SplitStateVec;
 pub use state::{binomial, StateVec, AMP_ALIGN_BYTES, MAX_QUBITS};

@@ -5,27 +5,19 @@
 //! contraction plan, plus slice-leg selection when the plan exceeds the
 //! width cap) is built once from the network *structure*, and every
 //! amplitude `⟨x|QAOA(γ,β)|+⟩` — for any angles and any basis state —
-//! replays it on fresh tensor values. Energies come from amplitude sums,
-//! `⟨C⟩ = Σ_x |⟨x|ψ⟩|² · C(x)`, fanned out over `x` as pool tasks and
-//! accumulated in basis-state order, so they are deterministic at every
-//! pool width. That is practical exactly where Fig. 3 of the paper puts
-//! tensor networks: small cones / low depth / sparse connectivity — the
-//! regime `qokit-core`'s light-cone evaluator and sweep runner route here
-//! via `Backend::TensorNet` / `Backend::Auto`.
+//! replays it on fresh tensor values. Amplitudes are the unit Fig. 3 of
+//! the paper compares; the engine computes no energies, since an energy
+//! from amplitudes would need all `2^n` of them, where the state-vector
+//! simulator reads it off the cost diagonal in one inner product.
 
 use crate::network::{build_qaoa_network, TnError};
 use crate::slice::{SlicePlan, SliceStats, DEFAULT_MAX_SLICE_LEGS};
-use qokit_statevec::{Backend, ExecPolicy, C64};
+use qokit_statevec::{ExecPolicy, C64};
 use qokit_terms::SpinPolynomial;
 
 /// Default width cap: 2^28 complex entries (4 GiB) is the largest
 /// intermediate a contraction may allocate before slicing kicks in.
 pub const DEFAULT_WIDTH_CAP: usize = 28;
-
-/// Qubit-count ceiling for [`TnEngine::energy`] — energies enumerate all
-/// `2^n` basis states, so they are meant for small `n` and light-cone
-/// cones, not full problem registers.
-pub const TN_ENERGY_MAX_QUBITS: usize = 22;
 
 /// Knobs for [`TnEngine`].
 #[derive(Clone, Debug)]
@@ -35,10 +27,11 @@ pub struct TnOptions {
     pub width_cap: usize,
     /// Slice legs tried before [`TnError::WidthExceeded`] is reported.
     pub max_slice_legs: usize,
-    /// Executor for the slice and basis-state fan-outs.
-    /// [`Backend::Serial`] keeps everything in the calling thread; any
-    /// other backend uses the (possibly [`ExecPolicy::with_threads`]-sized)
-    /// pool. Results are identical either way.
+    /// Executor for the slice fan-out. [`qokit_statevec::Backend::Serial`]
+    /// keeps everything in the calling thread;
+    /// [`qokit_statevec::Backend::Rayon`] uses the (possibly
+    /// [`ExecPolicy::with_threads`]-sized) pool. Results are identical
+    /// either way.
     pub exec: ExecPolicy,
 }
 
@@ -144,64 +137,6 @@ impl TnEngine {
         let tensors = self.tensors_for(gammas, betas, x);
         self.slice_plan.execute_unsliced(&tensors)
     }
-
-    /// `⟨ψ(γ,β)| O |ψ(γ,β)⟩` for a diagonal observable `O` given as a spin
-    /// polynomial over the same variables: `Σ_x |⟨x|ψ⟩|² · O(x)`. Basis
-    /// states fan out as pool tasks keyed by `x` (slices stay serial inside
-    /// each task) and partial sums accumulate in `x` order, so any pool
-    /// width produces identical bits.
-    ///
-    /// # Panics
-    /// If the register exceeds [`TN_ENERGY_MAX_QUBITS`] or the angle
-    /// vectors do not have length `p`.
-    pub fn expectation(&self, gammas: &[f64], betas: &[f64], observable: &SpinPolynomial) -> f64 {
-        let n = self.poly.n_vars();
-        assert!(
-            n <= TN_ENERGY_MAX_QUBITS,
-            "TN energies enumerate 2^n amplitudes; n = {n} exceeds {TN_ENERGY_MAX_QUBITS}"
-        );
-        assert_eq!(gammas.len(), self.p, "engine planned for depth {}", self.p);
-        assert_eq!(betas.len(), self.p, "engine planned for depth {}", self.p);
-        let states = 1usize << n;
-        let serial = ExecPolicy {
-            backend: Backend::Serial,
-            ..self.opts.exec
-        };
-        let one = |x: usize| {
-            let tensors = self.tensors_for(gammas, betas, x as u64);
-            let amp = self.slice_plan.execute(&tensors, &serial);
-            amp.norm_sqr() * observable.evaluate_bits(x as u64)
-        };
-        let parts: Vec<f64> = if matches!(self.opts.exec.backend, Backend::Serial) {
-            (0..states).map(one).collect()
-        } else {
-            self.opts
-                .exec
-                .install(|| rayon::strided_lanes(states, states, 0, one))
-        };
-        parts.into_iter().sum()
-    }
-
-    /// The QAOA energy `⟨ψ(γ,β)| Ĉ |ψ(γ,β)⟩` of the engine's own
-    /// polynomial, via amplitude sums. See [`TnEngine::expectation`].
-    pub fn energy(&self, gammas: &[f64], betas: &[f64]) -> f64 {
-        self.expectation(gammas, betas, &self.poly)
-    }
-}
-
-/// One-shot QAOA energy through the tensor-network backend: plans the
-/// network for `(poly, gammas.len())`, then sums `|⟨x|ψ⟩|² · C(x)` over
-/// the basis. The entry point `SweepRunner` and `LightConeEvaluator` route
-/// through when the crossover picks `Backend::TensorNet`.
-pub fn tn_energy(
-    poly: &SpinPolynomial,
-    gammas: &[f64],
-    betas: &[f64],
-    opts: TnOptions,
-) -> Result<f64, TnError> {
-    assert_eq!(gammas.len(), betas.len(), "gamma/beta length mismatch");
-    let engine = TnEngine::new(poly, gammas.len(), opts)?;
-    Ok(engine.energy(gammas, betas))
 }
 
 #[cfg(test)]
@@ -232,34 +167,6 @@ mod tests {
             let planned = engine.amplitude(&[g], &[b], 3);
             let (greedy, _) = qaoa_amplitude(&poly, &[g], &[b], 3, 40).unwrap();
             assert!(planned.approx_eq(greedy, 1e-12), "γ = {g}, β = {b}");
-        }
-    }
-
-    #[test]
-    fn energy_matches_brute_force_extremes() {
-        // Energies are convex combinations of the diagonal, so they sit
-        // inside the polynomial's range.
-        let poly = maxcut_polynomial(&Graph::ring(6, 1.0));
-        let e = tn_energy(&poly, &[0.35], &[0.6], TnOptions::default()).unwrap();
-        let (min, max) = (0u64..64)
-            .map(|x| poly.evaluate_bits(x))
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
-                (lo.min(v), hi.max(v))
-            });
-        assert!(e >= min - 1e-9 && e <= max + 1e-9, "e = {e}");
-    }
-
-    #[test]
-    fn energy_is_pool_invariant() {
-        let poly = maxcut_polynomial(&Graph::ring(5, 1.0));
-        let serial = tn_energy(&poly, &[0.3], &[0.2], TnOptions::default()).unwrap();
-        for workers in [1usize, 2, 4] {
-            let opts = TnOptions {
-                exec: ExecPolicy::rayon().with_threads(workers),
-                ..TnOptions::default()
-            };
-            let pooled = tn_energy(&poly, &[0.3], &[0.2], opts).unwrap();
-            assert_eq!(serial.to_bits(), pooled.to_bits(), "workers = {workers}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! # qokit-tensornet
 //!
-//! The tensor-network **backend** of the QOKit reproduction — the
+//! The tensor-network **amplitude engine** of the QOKit reproduction — the
 //! stand-in for cuTensorNet/QTensor in Fig. 3 of *Fast Simulation of
 //! High-Depth QAOA Circuits*. Builds the amplitude network
 //! `⟨x|QAOA(γ,β)|+⟩` with diagonal cost terms as hyperedge tensors (the
@@ -19,10 +19,12 @@
 //! Deep LABS circuits still drive the contraction width toward `n` — the
 //! paper's argument for state-vector simulation at high depth — and the
 //! [`TnEngine`] surfaces that as a [`TnError::WidthExceeded`] only after
-//! slicing has been exhausted. The crossover decision itself (TN for
-//! shallow/sparse, statevec for deep/dense) lives in
-//! `qokit_statevec::Backend::Auto`, which `qokit-core` routes through
-//! [`tn_energy`].
+//! slicing has been exhausted.
+//!
+//! The crate computes amplitudes only. Fig. 3 compares the two methods on
+//! per-amplitude cost; a QAOA *energy* always goes through the state-vector
+//! simulator's precomputed diagonal (`qokit-core`), because summing
+//! `|⟨x|ψ⟩|²·C(x)` from contractions would need all `2^n` amplitudes.
 //!
 //! ```
 //! use qokit_tensornet::{qaoa_amplitude, TnEngine, TnOptions};
@@ -52,7 +54,7 @@ pub mod plan;
 pub mod slice;
 pub mod tensor;
 
-pub use engine::{tn_energy, TnEngine, TnOptions, TnReport, DEFAULT_WIDTH_CAP};
+pub use engine::{TnEngine, TnOptions, TnReport, DEFAULT_WIDTH_CAP};
 pub use network::{build_qaoa_network, qaoa_amplitude, QaoaNetwork, TensorNetwork, TnError};
 pub use plan::{ContractionPlan, PlanStep};
 pub use slice::{SlicePlan, SliceStats, DEFAULT_MAX_SLICE_LEGS};

@@ -26,16 +26,28 @@ impl Graph {
     /// If an endpoint is out of range, an edge is a self-loop, or an edge
     /// appears twice.
     pub fn new(n: usize, edges: Vec<(usize, usize, f64)>) -> Self {
+        Graph::try_new(n, edges).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// As [`Graph::new`], but reports an invalid edge list as an error
+    /// instead of panicking — for data from untrusted sources.
+    pub fn try_new(n: usize, edges: Vec<(usize, usize, f64)>) -> Result<Self, String> {
         let mut seen = std::collections::HashSet::new();
         let mut norm = Vec::with_capacity(edges.len());
         for (u, v, w) in edges {
-            assert!(u < n && v < n, "edge ({u},{v}) out of range for n = {n}");
-            assert_ne!(u, v, "self-loop at vertex {u}");
+            if u >= n || v >= n {
+                return Err(format!("edge ({u},{v}) out of range for n = {n}"));
+            }
+            if u == v {
+                return Err(format!("self-loop at vertex {u}"));
+            }
             let key = (u.min(v), u.max(v));
-            assert!(seen.insert(key), "duplicate edge ({u},{v})");
+            if !seen.insert(key) {
+                return Err(format!("duplicate edge ({u},{v})"));
+            }
             norm.push((key.0, key.1, w));
         }
-        Graph { n, edges: norm }
+        Ok(Graph { n, edges: norm })
     }
 
     /// Number of vertices.
@@ -344,26 +356,34 @@ impl EgoNet {
     /// If `vertices`/`dist` lengths disagree with the graph's vertex count
     /// or the graph has fewer than two vertices (no seed edge).
     pub fn from_parts(graph: Graph, vertices: Vec<usize>, dist: Vec<usize>, radius: usize) -> Self {
-        assert!(
-            graph.n_vertices() >= 2,
-            "an ego net needs its two seed vertices"
-        );
-        assert_eq!(
-            vertices.len(),
-            graph.n_vertices(),
-            "vertex map length must match the compact graph"
-        );
-        assert_eq!(
-            dist.len(),
-            graph.n_vertices(),
-            "distance map length must match the compact graph"
-        );
-        EgoNet {
+        EgoNet::try_from_parts(graph, vertices, dist, radius).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// As [`EgoNet::from_parts`], but reports mismatched parts as an error
+    /// instead of panicking — for cones decoded from untrusted bytes.
+    pub fn try_from_parts(
+        graph: Graph,
+        vertices: Vec<usize>,
+        dist: Vec<usize>,
+        radius: usize,
+    ) -> Result<Self, String> {
+        let n = graph.n_vertices();
+        if n < 2 {
+            return Err("an ego net needs its two seed vertices".into());
+        }
+        if vertices.len() != n || dist.len() != n {
+            return Err(format!(
+                "vertex and distance maps ({}, {}) must match the {n}-vertex compact graph",
+                vertices.len(),
+                dist.len()
+            ));
+        }
+        Ok(EgoNet {
             graph,
             vertices,
             dist,
             radius,
-        }
+        })
     }
 
     /// The compact subgraph (seed endpoints at vertices `0` and `1`).

@@ -19,13 +19,23 @@ impl SpinPolynomial {
     /// # Panics
     /// If `n > 64` or a term references a variable `≥ n`.
     pub fn new(n: usize, terms: Vec<Term>) -> Self {
-        assert!(n <= 64, "at most 64 spin variables are supported");
+        SpinPolynomial::try_new(n, terms).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// As [`SpinPolynomial::new`], but reports an invalid input as an
+    /// error instead of panicking — for data from untrusted sources.
+    pub fn try_new(n: usize, terms: Vec<Term>) -> Result<Self, String> {
+        if n > 64 {
+            return Err(format!(
+                "at most 64 spin variables are supported, got n = {n}"
+            ));
+        }
         for t in &terms {
-            if let Some(m) = t.max_index() {
-                assert!(m < n, "term references variable {m} but n = {n}");
+            if let Some(m) = t.max_index().filter(|&m| m >= n) {
+                return Err(format!("term references variable {m} but n = {n}"));
             }
         }
-        SpinPolynomial { n, terms }
+        Ok(SpinPolynomial { n, terms })
     }
 
     /// Convenience constructor from `(weight, indices)` pairs — the shape of

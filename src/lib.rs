@@ -20,7 +20,7 @@
 //! | [`costvec`] | cost-vector precompute (direct + FWHT), u16 quantization |
 //! | [`core`] | the fast simulator and its QOKit-style API |
 //! | [`gates`] | gate-based baseline (compilation, fusion, counting) |
-//! | [`tensornet`] | tensor-network backend: planned contraction, slicing, crossover routing |
+//! | [`tensornet`] | tensor-network amplitude engine for Fig. 3: planned contraction, slicing |
 //! | [`dist`] | BSP distributed simulation (ranks as pool supersteps) + batch-sharded landscape scans + cluster model |
 //! | [`optim`] | Nelder–Mead/SPSA/grid optimizers and schedules |
 //! | [`serve`] | long-lived loopback-TCP job server: precompute cache, bounded queue, deadlines/cancellation |
@@ -127,8 +127,6 @@ pub mod prelude {
     pub use qokit_serve::{
         JobOutcome, LightConeJob, MultiStartJob, ServeClient, Server, ServerConfig, SweepJob,
     };
-    pub use qokit_statevec::{
-        Backend, ExecPolicy, Layout, ProblemShape, SplitStateVec, StateVec, C64,
-    };
+    pub use qokit_statevec::{Backend, ExecPolicy, Layout, SplitStateVec, StateVec, C64};
     pub use qokit_terms::{Graph, SpinPolynomial, Term};
 }

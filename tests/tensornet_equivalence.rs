@@ -1,6 +1,5 @@
-//! Differential suite pinning the tensor-network backend to the
-//! state-vector oracle — the contract that makes `Backend::TensorNet` a
-//! first-class third backend:
+//! Differential suite pinning the tensor-network amplitude engine to the
+//! state-vector oracle:
 //!
 //! * TN amplitudes ≡ exact state-vector amplitudes (≤ 1e-10) for random
 //!   2-/3-local spin polynomials, depths, and angles;
@@ -8,9 +7,7 @@
 //! * sliced contraction is **bit-identical** to the unsliced open-leg
 //!   execution, at every pool width;
 //! * the `WidthExceeded → slicing` boundary sits exactly at the plan
-//!   width;
-//! * the `Backend::Auto` crossover picks TN for sparse/shallow and
-//!   statevec for dense/deep, and both routes agree where they overlap.
+//!   width.
 
 use proptest::prelude::*;
 use qokit::prelude::*;
@@ -220,91 +217,14 @@ fn width_cap_boundary_toggles_slicing() {
     }
 }
 
-/// Sliced and unsliced *energies* agree too (the engine's amplitude sum
-/// inherits the bit-exactness of each amplitude).
-#[test]
-fn sliced_energy_matches_unsliced_energy() {
-    let poly = maxcut_polynomial(&Graph::ring(8, 1.0));
-    let (gammas, betas) = (vec![0.35, 0.1], vec![0.6, 0.2]);
-    let plain = TnEngine::new(&poly, 2, TnOptions::default()).unwrap();
-    let sliced = sliced_engine(&poly, 2).expect("ring p=2 plan is sliceable");
-    assert!(sliced.report().slicing.n_slices >= 2);
-    let a = plain.energy(&gammas, &betas);
-    let b = sliced.energy(&gammas, &betas);
-    assert!((a - b).abs() < 1e-10, "unsliced {a} vs sliced {b}");
-}
-
-/// Satellite (c): the Fig. 3 crossover regression. `Backend::Auto` must
-/// pick TN for a sparse p = 1 ring and statevec for dense p = 8 LABS.
-#[test]
-fn auto_crossover_is_pinned() {
-    // Sparse shallow ring: estimated contraction width ≪ n.
-    let ring = maxcut_polynomial(&Graph::ring(16, 1.0));
-    let ring_shape = ProblemShape::new(16, 1, ring.num_terms(), ring.degree() as usize);
-    assert!(
-        ring_shape.prefers_tensornet(),
-        "ring n=16 p=1 must prefer TN"
-    );
-    assert_eq!(
-        Backend::Auto.resolve(&ring_shape),
-        Backend::TensorNet,
-        "Auto must resolve sparse shallow to TensorNet"
-    );
-
-    // Dense deep LABS: the width estimate saturates at n.
-    let labs = labs_terms(8);
-    let labs_shape = ProblemShape::new(8, 8, labs.num_terms(), labs.degree() as usize);
-    assert!(
-        !labs_shape.prefers_tensornet(),
-        "LABS n=8 p=8 must stay on the state vector"
-    );
-    assert_ne!(Backend::Auto.resolve(&labs_shape), Backend::TensorNet);
-}
-
-/// Satellite (c): both routes return the same energy on the overlapping
-/// regime — a sweep driven through `Backend::TensorNet` matches the serial
-/// state-vector sweep.
-#[test]
-fn tn_and_statevec_sweep_routes_agree() {
-    let poly = maxcut_polynomial(&Graph::ring(10, 1.0));
-    let points: Vec<SweepPoint> = (0..5)
-        .map(|i| SweepPoint::new(vec![0.1 + 0.05 * i as f64], vec![0.7 - 0.06 * i as f64]))
-        .collect();
-    let tn = SweepRunner::with_options(
-        FurSimulator::new(&poly),
-        SweepOptions {
-            exec: Backend::TensorNet.into(),
-            nested: SweepNesting::Auto,
-        },
-    )
-    .energies(&points);
-    let sv = SweepRunner::with_options(
-        FurSimulator::new(&poly),
-        SweepOptions {
-            exec: Backend::Serial.into(),
-            nested: SweepNesting::Auto,
-        },
-    )
-    .energies(&points);
-    for (i, (a, b)) in tn.iter().zip(&sv).enumerate() {
-        assert!((a - b).abs() < 1e-9, "point {i}: TN {a} vs statevec {b}");
-    }
-}
-
-/// The light-cone evaluator agrees with the exact objective through every
-/// engine choice (Serial and Rayon state-vector cones, TensorNet cones,
-/// Auto per-cone crossover).
+/// The light-cone evaluator agrees with the exact objective under both
+/// executors (Serial and Rayon cone fan-out).
 #[test]
 fn lightcone_engines_agree_with_exact_objective() {
     let g = Graph::ring(12, 1.0);
     let (gammas, betas) = (vec![0.45], vec![0.75]);
     let exact = FurSimulator::new(&maxcut_polynomial(&g)).objective(&gammas, &betas);
-    for backend in [
-        Backend::Serial,
-        Backend::Rayon,
-        Backend::TensorNet,
-        Backend::Auto,
-    ] {
+    for backend in [Backend::Serial, Backend::Rayon] {
         let ev = LightConeEvaluator::with_options(
             g.clone(),
             LightConeOptions {
