@@ -14,7 +14,7 @@
 //!
 //! A second ablation compares the interleaved `C64` layout against the
 //! split-complex (`re`/`im` plane) kernel twins on every hot kernel and
-//! records the result to `BENCH_simd.json` (see [`layout_ablation`]).
+//! records the result to `BENCH_layout.json` (see [`layout_ablation`]).
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_statevec::diag::{apply_phase, apply_phase_split, expectation, expectation_split};
@@ -27,15 +27,10 @@ use qokit_statevec::{Backend, Mat2, SplitStateVec, StateVec};
 use std::io::Write;
 
 /// Interleaved-vs-split layout ablation on the hot kernels: same math, two
-/// memory layouts. Emits `BENCH_simd.json` (`abl_simd` schema) and, under
+/// memory layouts. Emits `BENCH_layout.json` (`abl_layout` schema) and, under
 /// `QOKIT_ABL_ASSERT=1`, fails unless the best kernel reaches ≥1.0× the
 /// interleaved baseline — the CI guard that the split layer pays its way.
 fn layout_ablation(n: usize, reps: usize) {
-    let simd_feature = cfg!(feature = "simd");
-    #[cfg(feature = "simd")]
-    let simd_active = qokit_statevec::simd::simd_active();
-    #[cfg(not(feature = "simd"))]
-    let simd_active = false;
     let hw = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -106,10 +101,7 @@ fn layout_ablation(n: usize, reps: usize) {
         ));
     }
     print_table(
-        &format!(
-            "Memory layout: interleaved C64 vs split re/im planes, n = {n} \
-             (simd feature: {simd_feature}, active: {simd_active})"
-        ),
+        &format!("Memory layout: interleaved C64 vs split re/im planes, n = {n}"),
         &["kernel", "interleaved", "split", "split speedup"],
         &rows,
     );
@@ -118,9 +110,9 @@ fn layout_ablation(n: usize, reps: usize) {
     );
 
     let json_path =
-        std::env::var("QOKIT_BENCH_JSON").unwrap_or_else(|_| "BENCH_simd.json".to_string());
+        std::env::var("QOKIT_BENCH_JSON").unwrap_or_else(|_| "BENCH_layout.json".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"abl_simd\",\n  \"n_qubits\": {n},\n  \"hw_threads\": {hw},\n  \"reps\": {reps},\n  \"simd_feature\": {simd_feature},\n  \"simd_active\": {simd_active},\n  \"layout_baseline\": \"interleaved\",\n  \"best_speedup\": {best_speedup:.4},\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"abl_layout\",\n  \"n_qubits\": {n},\n  \"hw_threads\": {hw},\n  \"reps\": {reps},\n  \"layout_baseline\": \"interleaved\",\n  \"best_speedup\": {best_speedup:.4},\n  \"kernels\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
     );
     match std::fs::File::create(&json_path).and_then(|mut f| f.write_all(json.as_bytes())) {

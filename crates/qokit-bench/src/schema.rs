@@ -452,18 +452,9 @@ pub fn validate_bench_json(text: &str) -> Result<String, String> {
                 );
             }
         }
-        "abl_simd" => {
+        "abl_layout" => {
             for key in ["n_qubits", "hw_threads", "reps", "best_speedup"] {
                 finite_positive(&root, key)?;
-            }
-            // The feature flags record which code actually ran: whether the
-            // `simd` cargo feature was compiled in, and whether the runtime
-            // gate (env + CPU detection) enabled the explicit lanes.
-            for key in ["simd_feature", "simd_active"] {
-                match root.get(key) {
-                    Some(Json::Bool(_)) => {}
-                    other => return Err(format!("\"{key}\" must be a boolean, got {other:?}")),
-                }
             }
             non_empty_string(&root, "layout_baseline")?;
             let kernels = match root.get("kernels") {
@@ -782,36 +773,31 @@ mod tests {
         assert!(err.contains("moved the bits"), "{err}");
     }
 
-    fn simd_fixture(kernels: &str) -> String {
+    fn layout_fixture(kernels: &str) -> String {
         format!(
-            r#"{{"bench": "abl_simd", "n_qubits": 18, "hw_threads": 1, "reps": 3,
-                "simd_feature": false, "simd_active": false,
+            r#"{{"bench": "abl_layout", "n_qubits": 18, "hw_threads": 1, "reps": 3,
                 "layout_baseline": "interleaved", "best_speedup": 1.31,
                 "kernels": [{kernels}]}}"#
         )
     }
 
-    const GOOD_SIMD_ROW: &str = r#"{"kernel": "fwht", "interleaved_seconds": 2.1e-3,
+    const GOOD_LAYOUT_ROW: &str = r#"{"kernel": "fwht", "interleaved_seconds": 2.1e-3,
         "split_seconds": 1.6e-3, "speedup": 1.31}"#;
 
     #[test]
-    fn accepts_a_valid_simd_record() {
+    fn accepts_a_valid_layout_record() {
         assert_eq!(
-            validate_bench_json(&simd_fixture(GOOD_SIMD_ROW)).unwrap(),
-            "abl_simd"
+            validate_bench_json(&layout_fixture(GOOD_LAYOUT_ROW)).unwrap(),
+            "abl_layout"
         );
     }
 
     #[test]
-    fn simd_rejects_missing_flags_and_kernels() {
-        let no_flag =
-            simd_fixture(GOOD_SIMD_ROW).replace("\"simd_active\": false,", "\"simd_active\": 1,");
-        let err = validate_bench_json(&no_flag).unwrap_err();
-        assert!(err.contains("simd_active"), "{err}");
-        let err = validate_bench_json(&simd_fixture("")).unwrap_err();
+    fn layout_rejects_missing_kernels_and_bad_speedup() {
+        let err = validate_bench_json(&layout_fixture("")).unwrap_err();
         assert!(err.contains("kernels"), "{err}");
-        let bad_row = GOOD_SIMD_ROW.replace("\"speedup\": 1.31", "\"speedup\": 0.0");
-        let err = validate_bench_json(&simd_fixture(&bad_row)).unwrap_err();
+        let bad_row = GOOD_LAYOUT_ROW.replace("\"speedup\": 1.31", "\"speedup\": 0.0");
+        let err = validate_bench_json(&layout_fixture(&bad_row)).unwrap_err();
         assert!(err.contains("speedup"), "{err}");
     }
 

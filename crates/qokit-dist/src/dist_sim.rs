@@ -47,6 +47,22 @@ impl std::fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
+/// Checks the Algorithm-4 rank shape for an `n`-qubit state over `n_ranks`
+/// ranks and returns `k = log2(n_ranks)`: `n_ranks` must be a power of two
+/// and `2k ≤ n`. Shared by [`DistSimulator::new`] and the worker's
+/// `SimInit` arm, so a shape the driver would refuse is refused on the
+/// wire too.
+pub(crate) fn rank_bits(n: usize, n_ranks: usize) -> Result<usize, DistError> {
+    if !n_ranks.is_power_of_two() {
+        return Err(DistError::RanksNotPowerOfTwo(n_ranks));
+    }
+    let k_bits = n_ranks.trailing_zeros() as usize;
+    if 2 * k_bits > n {
+        return Err(DistError::TooManyRanks { n, ranks: n_ranks });
+    }
+    Ok(k_bits)
+}
+
 /// Result of a distributed simulation: outputs are computed with
 /// distributed reductions, and the state is gathered (QOKit's
 /// `mpi_gather=True` default) so downstream code sees an ordinary vector.
@@ -82,14 +98,8 @@ pub struct DistSimulator {
 impl DistSimulator {
     /// Builds a simulator over `n_ranks` simulated GPUs.
     pub fn new(poly: SpinPolynomial, n_ranks: usize) -> Result<Self, DistError> {
-        if !n_ranks.is_power_of_two() {
-            return Err(DistError::RanksNotPowerOfTwo(n_ranks));
-        }
         let n = poly.n_vars();
-        let k_bits = n_ranks.trailing_zeros() as usize;
-        if 2 * k_bits > n {
-            return Err(DistError::TooManyRanks { n, ranks: n_ranks });
-        }
+        let k_bits = rank_bits(n, n_ranks)?;
         Ok(DistSimulator {
             poly,
             n,

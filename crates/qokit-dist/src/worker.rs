@@ -19,6 +19,7 @@
 //! the driver spawns them with `--exact <that test name>` filter args, so
 //! the child runs only the worker loop, never the rest of the suite.
 
+use crate::dist_sim::rank_bits;
 use crate::wire::{self, read_frame, write_frame, Request, Response, SweepSimSpec, WireError};
 use qokit_core::batch::{SweepError, SweepNesting, SweepOptions, SweepRunner};
 use qokit_core::lightcone::cone_zz;
@@ -252,6 +253,15 @@ pub fn handle(state: &mut WorkerState, req: Request) -> Response {
             Response::ZzValues(Ok(values))
         }
         Request::SimInit { poly, n_ranks } => {
+            if let Err(e) = rank_bits(poly.n_vars(), n_ranks) {
+                return Response::Error(e.to_string());
+            }
+            if state.rank >= n_ranks {
+                return Response::Error(format!(
+                    "rank {} is out of range for {n_ranks} ranks",
+                    state.rank
+                ));
+            }
             state.sim = Some(SimRank::init(&poly, state.rank, n_ranks));
             Response::Ok
         }
@@ -372,5 +382,30 @@ fn io_error(e: wire::FrameReadError) -> std::io::Error {
         wire::FrameReadError::Wire(w) => {
             std::io::Error::new(std::io::ErrorKind::InvalidData, w.to_string())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qokit_terms::labs::labs_terms;
+
+    fn sim_init(rank: usize, n_ranks: usize) -> Response {
+        let mut state = WorkerState::new(rank);
+        let poly = labs_terms(6);
+        handle(&mut state, Request::SimInit { poly, n_ranks })
+    }
+
+    #[test]
+    fn sim_init_rejects_bad_rank_shapes() {
+        assert!(matches!(sim_init(0, 4), Response::Ok));
+        assert!(matches!(sim_init(7, 8), Response::Ok));
+        // Not a power of two.
+        assert!(matches!(sim_init(0, 3), Response::Error(e) if e.contains("power of two")));
+        assert!(matches!(sim_init(0, 0), Response::Error(_)));
+        // 2k > n: K = 16 needs n >= 8, and n = 6 would underflow `mix_high`.
+        assert!(matches!(sim_init(0, 16), Response::Error(e) if e.contains("2k ≤ n")));
+        // Rank outside [0, n_ranks).
+        assert!(matches!(sim_init(4, 4), Response::Error(e) if e.contains("out of range")));
     }
 }

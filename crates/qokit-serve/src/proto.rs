@@ -236,7 +236,9 @@ fn get_axis(r: &mut ByteReader<'_>) -> Result<Axis, WireError> {
     let steps = r.usize()?;
     if steps < 2 {
         // `Axis::new` asserts `steps >= 2`; corrupt input must not panic.
-        return Err(WireError::Truncated);
+        return Err(WireError::Invalid(format!(
+            "a grid axis needs at least 2 steps, got {steps}"
+        )));
     }
     Ok(Axis::new(lo, hi, steps))
 }
@@ -716,6 +718,22 @@ mod tests {
         let mask_out_of_range = w.into_vec();
         for payload in [too_many_vars, mask_out_of_range] {
             let got = decode_request(&payload);
+            assert!(matches!(got, Err(WireError::Invalid(_))), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn short_grid_axis_is_invalid_not_truncated() {
+        for steps in [0, 1] {
+            let mut w = ByteWriter::new();
+            w.u8(REQ_SWEEP);
+            w.u8(0);
+            put_poly(&mut w, &labs_terms(3));
+            // A γ axis over [0, 1] with too few steps.
+            w.f64(0.0);
+            w.f64(1.0);
+            w.usize(steps);
+            let got = decode_request(&w.into_vec());
             assert!(matches!(got, Err(WireError::Invalid(_))), "{got:?}");
         }
     }

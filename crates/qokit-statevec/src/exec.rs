@@ -26,16 +26,14 @@
 //!
 //! # Environment caching (read-once semantics)
 //!
-//! `QOKIT_LAYOUT` (via [`Layout::auto`]) and `QOKIT_SIMD` (via the gate in
-//! `crate::simd`) are each read **once per process**, on first use, and
-//! cached in a `OnceLock` — the hot kernels must not pay a `getenv` (and
-//! its libc lock) per dispatch. The corollary: mutating these variables
-//! after the first default-policy simulator or split kernel has run is
-//! silently ignored. Set them before the process does any statevector
-//! work. Tests and long-lived processes that must observe a live value
-//! use the uncached readers ([`Layout::from_env_uncached`],
-//! `simd_env_enabled_uncached`), which re-read the environment on every
-//! call and bypass the cache.
+//! `QOKIT_LAYOUT` (via [`Layout::auto`]) is read **once per process**, on
+//! first use, and cached in a `OnceLock` — the hot kernels must not pay a
+//! `getenv` (and its libc lock) per dispatch. The corollary: mutating the
+//! variable after the first default-policy simulator has run is silently
+//! ignored. Set it before the process does any statevector work. Tests and
+//! long-lived processes that must observe a live value use
+//! [`Layout::from_env_uncached`], which re-reads the environment on every
+//! call and bypasses the cache.
 //!
 //! # Thread-count resolution
 //!
@@ -45,29 +43,6 @@
 //! sizes the global pool. An explicit [`ExecPolicy::threads`] (via
 //! [`ExecPolicy::with_threads`]) overrides the global pool with a cached
 //! per-size pool entered through [`ExecPolicy::install`].
-//!
-//! # SIMD resolution (`simd` feature × `QOKIT_SIMD` × CPU detection)
-//!
-//! The split-plane kernels are written so the autovectorizer emits packed
-//! ops on any target; that scalar plane-wise form is the portable default.
-//! Explicit `core::arch` inner loops (AVX2 on x86_64, NEON on aarch64) are
-//! compiled only behind the **`simd` cargo feature** and engage with this
-//! precedence, highest first:
-//!
-//! 1. Feature flag: without `--features simd` the explicit paths do not
-//!    exist; nothing to configure.
-//! 2. `QOKIT_SIMD=0` in the environment disables the explicit paths at
-//!    runtime (scalar plane loops run instead) — useful for A/B timing and
-//!    for pinning down a suspected intrinsics bug.
-//! 3. Runtime CPU detection: on x86_64 the AVX2 path runs only when
-//!    `is_x86_feature_detected!("avx2")` reports support; aarch64 NEON is
-//!    baseline. Unsupported CPUs fall back to the scalar plane loops.
-//!
-//! The explicit paths are element-wise identical to their scalar twins
-//! (same per-element operation order, no FMA contraction, no reduction
-//! reassociation), so toggling any of the three knobs never changes
-//! results beyond the documented ≤1e-12 kernel tolerance — in practice the
-//! butterflies are bit-identical.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -298,14 +273,6 @@ fn sized_pool(threads: usize) -> Arc<rayon::ThreadPool> {
     }))
 }
 
-/// Splits `len` into pool-friendly chunk lengths that are multiples of
-/// `block`, using the default thresholds. Kept for callers that have no
-/// policy in hand; policy-aware code should use [`ExecPolicy::chunk_len`].
-#[inline]
-pub fn par_chunk_len(len: usize, block: usize) -> usize {
-    ExecPolicy::rayon().chunk_len(len, block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +304,7 @@ mod tests {
         for block_log in 0..16 {
             let block = 1usize << block_log;
             let len = 1usize << 20;
-            let chunk = par_chunk_len(len, block);
+            let chunk = ExecPolicy::rayon().chunk_len(len, block);
             assert_eq!(chunk % block, 0, "block = {block}");
             assert!(chunk >= block);
             assert!(chunk <= len);
@@ -346,8 +313,9 @@ mod tests {
 
     #[test]
     fn chunk_len_caps_at_len() {
-        assert_eq!(par_chunk_len(1 << 4, 1 << 4), 1 << 4);
-        assert_eq!(par_chunk_len(1 << 10, 2), PAR_MIN_CHUNK.min(1 << 10));
+        let p = ExecPolicy::rayon();
+        assert_eq!(p.chunk_len(1 << 4, 1 << 4), 1 << 4);
+        assert_eq!(p.chunk_len(1 << 10, 2), PAR_MIN_CHUNK.min(1 << 10));
     }
 
     #[test]

@@ -102,17 +102,11 @@ pub fn fwht(amps: &mut [C64], exec: impl Into<ExecPolicy>) {
 /// Butterfly over two equal-length `f64` lane runs:
 /// `(lo_k, hi_k) ← (lo_k + hi_k, lo_k − hi_k)`.
 ///
-/// The scalar body is two independent streams of adds/subs — exactly the
-/// shape the autovectorizer packs. With the `simd` feature the explicit
-/// AVX2/NEON path runs instead; IEEE add/sub is exact per lane, so both
-/// paths are bit-identical.
+/// The body is two independent streams of adds/subs — exactly the shape
+/// the autovectorizer packs.
 #[inline]
 pub(crate) fn butterfly_lanes(lo: &mut [f64], hi: &mut [f64]) {
     debug_assert_eq!(lo.len(), hi.len());
-    #[cfg(feature = "simd")]
-    if crate::simd::butterfly_f64(lo, hi) {
-        return;
-    }
     for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
         let x0 = *l;
         let x1 = *h;

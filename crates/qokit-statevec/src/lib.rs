@@ -18,9 +18,7 @@
 //! ([`StateVec`], the default) and split-complex planes
 //! ([`split::SplitStateVec`], two bare `f64` arrays) whose plane-wise kernel
 //! twins (`*_split`) compile to straight-line `f64` loops the
-//! autovectorizer packs into SIMD lanes. The optional `simd` cargo feature
-//! adds explicit AVX2/NEON inner loops behind runtime detection; see
-//! [`exec`] for the layout/SIMD knobs and the exactness contract.
+//! autovectorizer packs into SIMD lanes; see [`exec`] for the layout knob.
 //!
 //! ```
 //! use qokit_statevec::{Backend, Mat2, StateVec};
@@ -44,8 +42,6 @@ pub mod exec;
 pub mod fwht;
 pub mod matrices;
 pub mod reference;
-#[cfg(feature = "simd")]
-pub mod simd;
 pub mod split;
 pub mod state;
 pub mod su2;
@@ -55,4 +51,4 @@ pub use complex::{AMP_BYTES, C64};
 pub use exec::{Backend, ExecPolicy, Layout};
 pub use matrices::{Mat2, Mat4};
 pub use split::SplitStateVec;
-pub use state::{binomial, StateVec, AMP_ALIGN_BYTES, MAX_QUBITS};
+pub use state::{binomial, StateVec, MAX_QUBITS};

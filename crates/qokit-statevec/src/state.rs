@@ -6,18 +6,6 @@ use crate::complex::C64;
 /// single-node memory; the guard catches accidental `1 << huge` overflow).
 pub const MAX_QUBITS: usize = 40;
 
-/// Cache-line alignment (bytes) the SIMD kernel paths are tuned for.
-///
-/// The explicit AVX2/NEON inner loops (behind the `simd` feature) use
-/// *unaligned* loads, so alignment is a performance expectation, not a
-/// correctness requirement: a 64-byte-aligned buffer keeps every 4-lane
-/// `f64` vector inside one cache line and avoids split loads. Rust's global
-/// allocator guarantees only the type's natural alignment (16 bytes for
-/// [`C64`], 8 for `f64`); in practice large allocations come back
-/// page-aligned. The internal allocator (`alloc_amps`) debug-asserts the
-/// guaranteed part.
-pub const AMP_ALIGN_BYTES: usize = 64;
-
 /// Validates `n ≤ MAX_QUBITS` and returns the Hilbert-space dimension
 /// `2^n`. Every constructor's dim check funnels through here so the guard
 /// (and its panic message) exists exactly once.
@@ -41,7 +29,7 @@ pub(crate) fn alloc_amps(n: usize, fill: C64) -> Vec<C64> {
     let amps = vec![fill; checked_dim(n)];
     debug_assert!(
         (amps.as_ptr() as usize).is_multiple_of(std::mem::align_of::<C64>()),
-        "amplitude buffer must be naturally aligned (see AMP_ALIGN_BYTES)"
+        "amplitude buffer must be aligned to C64"
     );
     amps
 }

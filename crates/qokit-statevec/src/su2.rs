@@ -124,14 +124,9 @@ fn mat2_planes(u: &Mat2) -> [f64; 8] {
 
 /// Plane-wise pair mix over four equal-length lane runs: the split twin of
 /// [`mix_pair`], with no complex multiplies in the loop — four independent
-/// `f64` output streams the autovectorizer packs (or the explicit `simd`
-/// path handles).
+/// `f64` output streams the autovectorizer packs.
 #[inline]
 fn mix_planes(rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64], m: &[f64; 8]) {
-    #[cfg(feature = "simd")]
-    if crate::simd::su2_mix_f64(rl, il, rh, ih, m) {
-        return;
-    }
     let n = rl.len();
     let [ar, ai, br, bi, cr, ci, dr, di] = *m;
     // Equal-length reslices let the compiler drop the bounds checks.

@@ -239,13 +239,10 @@ fn for_each_base_run(chunk_len: usize, ql: usize, qh: usize, mut f: impl FnMut(u
 }
 
 /// Plane-wise XY rotation over the |01⟩/|10⟩ lane runs — the split twin of
-/// the [`apply_xy_serial`] pair update, four independent `f64` streams.
+/// the [`apply_xy_serial`] pair update, four independent `f64` streams the
+/// autovectorizer packs.
 #[inline]
 fn xy_lanes(r01: &mut [f64], i01: &mut [f64], r10: &mut [f64], i10: &mut [f64], c: f64, s: f64) {
-    #[cfg(feature = "simd")]
-    if crate::simd::xy_mix_f64(r01, i01, r10, i10, c, s) {
-        return;
-    }
     let n = r01.len();
     let (i01, r10, i10) = (&mut i01[..n], &mut r10[..n], &mut i10[..n]);
     for k in 0..n {
