@@ -54,14 +54,14 @@ fn bench_phase_and_expectation(c: &mut Criterion) {
     for &n in &[14usize, 18] {
         let poly = labs_terms(n);
         let costs = CostVec::F64(precompute_fwht(&poly, Backend::Rayon));
-        let quant = CostVec::quantize_exact(&costs.to_f64_vec(), 1.0).unwrap();
+        let levels = CostVec::from_f64(costs.to_f64_vec());
         let mut state = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("apply_f64", n), &n, |b, _| {
             b.iter(|| costs.apply_phase(state.amplitudes_mut(), 0.2, Backend::Rayon));
         });
         let mut state2 = StateVec::uniform_superposition(n);
-        g.bench_with_input(BenchmarkId::new("apply_u16", n), &n, |b, _| {
-            b.iter(|| quant.apply_phase(state2.amplitudes_mut(), 0.2, Backend::Rayon));
+        g.bench_with_input(BenchmarkId::new("apply_levels", n), &n, |b, _| {
+            b.iter(|| levels.apply_phase(state2.amplitudes_mut(), 0.2, Backend::Rayon));
         });
         let state3 = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("expectation", n), &n, |b, _| {

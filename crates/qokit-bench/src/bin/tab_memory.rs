@@ -1,9 +1,10 @@
 //! §I / §V-B — memory accounting: "the precomputation requires storing an
 //! exponentially-sized vector, increasing the memory footprint of the
-//! simulation by only 12.5 %" (u16 cost values against complex128
-//! amplitudes; LABS costs fit u16 for n < 65). The level-coded column is
-//! the exact dictionary form `CostVec::from_f64` picks by default: a `u16`
-//! index per entry plus 8 bytes per distinct cost, unrounded.
+//! simulation by only 12.5 %" (`uint16` cost values against complex128
+//! amplitudes; LABS costs fit the 16-bit grid for n < 65). The 2-byte form
+//! here is the level coding both the default path and the §V-B grid use:
+//! a `u16` index per entry plus 8 bytes per distinct cost, unrounded, so
+//! it sits just above the paper's 12.5 %.
 
 use qokit_bench::{bench_n, print_table};
 use qokit_costvec::{precompute_fwht, CostVec};
@@ -23,20 +24,17 @@ fn main() {
         let costs = precompute_fwht(&poly, Backend::Rayon);
         let state_bytes = (1usize << n) * qokit_statevec::AMP_BYTES;
         let f64_vec = CostVec::F64(costs.clone());
-        let u16_vec = CostVec::quantize_exact(&costs, 1.0).expect("LABS costs are integral");
-        let (lo, hi) = u16_vec.extrema();
-        let level_vec = CostVec::from_f64(costs);
+        let level_vec = CostVec::quantize_exact(&costs, 1.0).expect("LABS costs are integral");
+        let (lo, hi) = level_vec.extrema();
         let levels = match &level_vec {
             CostVec::Levels { levels, .. } => levels.len(),
-            _ => unreachable!("LABS has at most 2^n/4 distinct costs here"),
+            CostVec::F64(_) => unreachable!("the §V-B grid is level-coded"),
         };
         rows.push(vec![
             n.to_string(),
             mib(state_bytes),
             mib(f64_vec.memory_bytes()),
             format!("{:.1}%", 100.0 * f64_vec.overhead_vs_state()),
-            mib(u16_vec.memory_bytes()),
-            format!("{:.1}%", 100.0 * u16_vec.overhead_vs_state()),
             mib(level_vec.memory_bytes()),
             format!("{:.1}%", 100.0 * level_vec.overhead_vs_state()),
             levels.to_string(),
@@ -51,8 +49,6 @@ fn main() {
             "state",
             "f64 costs",
             "overhead",
-            "u16 costs",
-            "overhead",
             "level-coded",
             "overhead",
             "levels",
@@ -60,5 +56,5 @@ fn main() {
         ],
         &rows,
     );
-    println!("\n(paper: +12.5% with u16 storage; exact for LABS since all costs are integers\n and spans stay far below 2^16 at these sizes)");
+    println!("\n(paper: +12.5% with uint16 storage; the level coding adds 8 B per distinct cost\n to the same 2 B/amp without rounding, and LABS spans stay far below 2^16)");
 }

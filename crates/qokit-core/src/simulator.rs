@@ -34,12 +34,13 @@ pub struct SimOptions {
     pub exec: ExecPolicy,
     /// Cost-vector precompute algorithm.
     pub precompute: PrecomputeMethod,
-    /// Store the diagonal on the §V-B `u16` grid `min + k` (step 1) when
-    /// every cost lies on it. Otherwise, and when unset (the default), the
+    /// Store the diagonal on the §V-B grid `min + k` (step 1), level-coded
+    /// with up to 65536 levels ([`CostVec::quantize_exact`]), when every
+    /// cost lies on it. Otherwise, and when unset (the default), the
     /// diagonal is stored by [`CostVec::from_f64`]: level-coded whenever it
-    /// has at most `min(65536, 2^n/4)` distinct values, which is exact, as
-    /// small as the grid plus 8 B per level, and also takes the phase
-    /// operator from a per-layer table; `f64` above that.
+    /// has at most `min(65536, 2^n/4)` distinct values, `f64` above that.
+    /// Both codings are exact, so on grid costs the objective is
+    /// bit-identical either way.
     pub quantize_u16: bool,
     /// Initial state.
     pub initial: InitialState,
@@ -415,12 +416,46 @@ mod tests {
                 ..SimOptions::default()
             },
         );
-        assert!(matches!(sim_q.cost_diagonal(), CostVec::U16 { .. }));
+        assert!(matches!(sim_q.cost_diagonal(), CostVec::Levels { .. }));
         let (g, b) = ([0.21, 0.48], [0.9, 0.36]);
         let rf = sim_f.simulate_qaoa(&g, &b);
         let rq = sim_q.simulate_qaoa(&g, &b);
         assert!(rf.state().max_abs_diff(rq.state()) < 1e-10);
         assert!((sim_f.get_expectation(&rf) - sim_q.get_expectation(&rq)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantized_objective_is_bit_identical_to_default() {
+        let problems = [
+            ("labs10", labs_terms(10)),
+            ("ring12", maxcut_polynomial(&Graph::ring(12, 1.0))),
+        ];
+        let angles = [
+            (vec![0.21], vec![0.9]),
+            (vec![0.4, -0.13], vec![0.7, 0.35]),
+            (vec![1.3, 0.05, -0.6], vec![-0.2, 0.45, 0.8]),
+        ];
+        for (name, poly) in &problems {
+            for exec in [ExecPolicy::serial(), ExecPolicy::auto()] {
+                let plain = SimOptions {
+                    exec,
+                    ..SimOptions::default()
+                };
+                let quant = SimOptions {
+                    quantize_u16: true,
+                    ..plain.clone()
+                };
+                let sim_p = FurSimulator::with_options(poly, plain);
+                let sim_q = FurSimulator::with_options(poly, quant);
+                for (g, b) in &angles {
+                    assert_eq!(
+                        sim_q.objective(g, b).to_bits(),
+                        sim_p.objective(g, b).to_bits(),
+                        "{name} {exec:?} {g:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

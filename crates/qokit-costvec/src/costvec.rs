@@ -1,19 +1,21 @@
-//! The stored cost diagonal `⃗C` and its three representations.
+//! The stored cost diagonal `⃗C` and its two representations.
 //!
 //! The paper stores the precomputed diagonal either as `f64` (default) or —
 //! when the cost values are integers of known range, as for LABS where
-//! `max f < 2^16` for `n < 65` (§V-B) — as `u16`, which cuts the memory
+//! `max f < 2^16` for `n < 65` (§V-B) — as `uint16`, which cuts the memory
 //! overhead of the cost vector to 2 bytes against 16 bytes per `complex128`
 //! amplitude: the "+12.5 %" figure of the introduction.
 //!
-//! The third, [`CostVec::Levels`], is an exact dictionary coding: the
-//! distinct values (levels) once, plus a `u16` index per entry. The
+//! Here the 2-byte form is [`CostVec::Levels`], an exact dictionary coding:
+//! the distinct values (levels) once, plus a `u16` index per entry. The
 //! paper's own problems take few distinct values — at most `|E| + 1` for
 //! unit-weight MaxCut — so [`CostVec::from_f64`] picks it whenever there are
-//! at most `min(65536, 2^n/4)` of them. It reaches the same 2 B/amp
-//! (+ 8 B/level) without rounding anything, and its phase operator takes
-//! one `sin_cos` per level per layer instead of one per amplitude. Every
-//! value, phase and expectation is bit-identical to the `f64` form's.
+//! at most `min(65536, 2^n/4)` of them. It costs 2 B/amp + 8 B/level
+//! without rounding anything, and its phase operator takes one `sin_cos`
+//! per level per layer instead of one per amplitude. Every value, phase and
+//! expectation is bit-identical to the `f64` form's. The §V-B grid
+//! ([`CostVec::quantize_exact`]) is the same coding with every level
+//! snapped onto `offset + step·k`.
 
 use crate::precompute::{precompute, PrecomputeMethod};
 use qokit_statevec::diag;
@@ -21,18 +23,17 @@ use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::C64;
 use qokit_terms::SpinPolynomial;
 
-/// Error cases for `u16` quantization.
+/// Error cases for the §V-B grid coding ([`CostVec::quantize_exact`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum QuantizeError {
-    /// A value is not an integer multiple of the step after shifting
-    /// (exact mode only).
+    /// A value is not an integer multiple of the step after shifting.
     NotIntegral {
         /// Offending vector index.
         index: usize,
         /// Offending value.
         value: f64,
     },
-    /// The value range does not fit `u16` at the requested step.
+    /// The value range spans more than 65536 grid points.
     RangeTooWide {
         /// Observed `max − min`.
         span: f64,
@@ -41,8 +42,8 @@ pub enum QuantizeError {
     },
     /// A value is NaN or infinite — no finite grid can represent it.
     /// Without this check a NaN slips through both the span and the
-    /// integrality comparisons (every `NaN > x` is false) and `NaN as u16`
-    /// silently lands on level 0.
+    /// integrality comparisons (every `NaN > x` is false) and lands on the
+    /// lowest grid point.
     NonFinite {
         /// Offending vector index.
         index: usize,
@@ -63,7 +64,7 @@ impl std::fmt::Display for QuantizeError {
             } => {
                 write!(
                     f,
-                    "cost span {span} exceeds u16-representable {representable}"
+                    "cost span {span} exceeds the 65535-step grid's {representable}"
                 )
             }
             QuantizeError::NonFinite { index, value } => {
@@ -75,20 +76,11 @@ impl std::fmt::Display for QuantizeError {
 
 impl std::error::Error for QuantizeError {}
 
-/// The precomputed cost diagonal, in one of three representations.
+/// The precomputed cost diagonal, in one of two representations.
 #[derive(Clone, Debug)]
 pub enum CostVec {
     /// Full-precision values.
     F64(Vec<f64>),
-    /// Quantized values: `c_x = offset + step·data[x]`.
-    U16 {
-        /// Quantized levels.
-        data: Vec<u16>,
-        /// Value of level 0.
-        offset: f64,
-        /// Grid step between adjacent levels.
-        step: f64,
-    },
     /// Exact dictionary coding: `c_x = levels[index[x]]`.
     Levels {
         /// The distinct values, in order of first appearance.
@@ -115,17 +107,24 @@ impl CostVec {
     /// Lossless either way: every value, phase and expectation is
     /// bit-identical to `CostVec::F64(costs)`'s.
     pub fn from_f64(costs: Vec<f64>) -> Self {
-        match index_levels(&costs) {
+        match index_levels(costs.iter().copied(), max_levels(costs.len())) {
             Some((levels, index)) => CostVec::Levels { levels, index },
             None => CostVec::F64(costs),
         }
     }
 
-    /// Exact `u16` quantization on the integer grid `offset + step·k`:
-    /// every value must already be of that form (the LABS case with
-    /// `step = 1`). Fails loudly rather than rounding.
+    /// The §V-B grid coding: every value must already lie on the grid
+    /// `min + step·k` (the LABS case with `step = 1`) and is stored as that
+    /// grid point, level-coded like [`CostVec::from_f64`] but with up to
+    /// 65536 levels. Fails loudly rather than rounding.
+    ///
+    /// # Panics
+    /// If `step` is not positive and finite.
     pub fn quantize_exact(costs: &[f64], step: f64) -> Result<Self, QuantizeError> {
-        assert!(step > 0.0, "quantization step must be positive");
+        assert!(
+            step > 0.0 && step.is_finite(),
+            "quantization step must be positive and finite"
+        );
         if let Some((index, &value)) = costs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
             return Err(QuantizeError::NonFinite { index, value });
         }
@@ -141,65 +140,47 @@ impl CostVec {
                 representable,
             });
         }
-        let mut data = Vec::with_capacity(costs.len());
-        for (index, &value) in costs.iter().enumerate() {
-            let level = (value - min) / step;
-            let rounded = level.round();
-            if (level - rounded).abs() > 1e-6 {
-                return Err(QuantizeError::NotIntegral { index, value });
+        Self::on_grid(costs.iter().copied(), min, step).ok_or_else(|| {
+            match costs
+                .iter()
+                .position(|&v| snap_to_grid(v, min, step).is_none())
+            {
+                Some(index) => QuantizeError::NotIntegral {
+                    index,
+                    value: costs[index],
+                },
+                // Only a step below the span check's `1e-9` slack gets here.
+                None => QuantizeError::RangeTooWide {
+                    span,
+                    representable,
+                },
             }
-            data.push(rounded as u16);
-        }
-        Ok(CostVec::U16 {
-            data,
-            offset: min,
-            step,
         })
     }
 
-    /// Lossy `u16` quantization onto a uniform 65536-level grid spanning
-    /// `[min, max]`. Returns the vector and the worst-case absolute
-    /// rounding error (`≤ step/2`). Fails on a NaN or infinite cost, and on
-    /// a span too wide for `f64` (`max − min` overflows).
-    pub fn quantize_lossy(costs: &[f64]) -> Result<(Self, f64), QuantizeError> {
-        if let Some((index, &value)) = costs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            return Err(QuantizeError::NonFinite { index, value });
-        }
-        let min = costs.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = costs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let span = (max - min).max(f64::MIN_POSITIVE);
-        if span.is_infinite() {
-            return Err(QuantizeError::RangeTooWide {
-                span,
-                representable: f64::MAX,
-            });
-        }
-        let step = span / u16::MAX as f64;
-        let mut worst = 0.0f64;
-        let data = costs
-            .iter()
-            .map(|&v| {
-                let level = ((v - min) / step).round().min(u16::MAX as f64);
-                let err = (min + step * level - v).abs();
-                worst = worst.max(err);
-                level as u16
+    /// Level-codes `costs` as their grid points `offset + step·k`
+    /// ([`snap_to_grid`]), in order of first appearance. `None` when a cost
+    /// is off the grid or more than 65536 grid points occur.
+    pub fn on_grid(
+        costs: impl ExactSizeIterator<Item = f64>,
+        offset: f64,
+        step: f64,
+    ) -> Option<Self> {
+        let mut on_grid = true;
+        let snapped = costs.map(|c| {
+            snap_to_grid(c, offset, step).unwrap_or_else(|| {
+                on_grid = false;
+                c
             })
-            .collect();
-        Ok((
-            CostVec::U16 {
-                data,
-                offset: min,
-                step,
-            },
-            worst,
-        ))
+        });
+        let (levels, index) = index_levels(snapped, 1 << 16)?;
+        on_grid.then_some(CostVec::Levels { levels, index })
     }
 
     /// Number of entries (`2^n`).
     pub fn len(&self) -> usize {
         match self {
             CostVec::F64(v) => v.len(),
-            CostVec::U16 { data, .. } => data.len(),
             CostVec::Levels { index, .. } => index.len(),
         }
     }
@@ -220,18 +201,14 @@ impl CostVec {
     pub fn value(&self, x: usize) -> f64 {
         match self {
             CostVec::F64(v) => v[x],
-            CostVec::U16 { data, offset, step } => offset + step * data[x] as f64,
             CostVec::Levels { levels, index } => levels[index[x] as usize],
         }
     }
 
-    /// Materializes the full-precision vector (allocates for `U16`).
+    /// Materializes the full-precision vector.
     pub fn to_f64_vec(&self) -> Vec<f64> {
         match self {
             CostVec::F64(v) => v.clone(),
-            CostVec::U16 { data, offset, step } => {
-                data.iter().map(|&q| offset + step * q as f64).collect()
-            }
             CostVec::Levels { levels, index } => {
                 index.iter().map(|&j| levels[j as usize]).collect()
             }
@@ -245,9 +222,6 @@ impl CostVec {
     pub fn apply_phase(&self, amps: &mut [C64], gamma: f64, exec: impl Into<ExecPolicy>) {
         match self {
             CostVec::F64(v) => diag::apply_phase(amps, v, gamma, exec),
-            CostVec::U16 { data, offset, step } => {
-                diag::apply_phase_u16(amps, data, *offset, *step, gamma, exec)
-            }
             CostVec::Levels { levels, index } => {
                 let table = diag::phase_table(levels.iter().copied(), gamma);
                 diag::apply_phase_indexed(amps, index, &table, exec)
@@ -260,9 +234,6 @@ impl CostVec {
     pub fn expectation(&self, amps: &[C64], exec: impl Into<ExecPolicy>) -> f64 {
         match self {
             CostVec::F64(v) => diag::expectation(amps, v, exec),
-            CostVec::U16 { data, offset, step } => {
-                diag::expectation_u16(amps, data, *offset, *step, exec)
-            }
             CostVec::Levels { levels, index } => {
                 diag::expectation_indexed(amps, index, levels, exec)
             }
@@ -280,9 +251,6 @@ impl CostVec {
     ) {
         match self {
             CostVec::F64(v) => diag::apply_phase_split(re, im, v, gamma, exec),
-            CostVec::U16 { data, offset, step } => {
-                diag::apply_phase_u16_split(re, im, data, *offset, *step, gamma, exec)
-            }
             CostVec::Levels { levels, index } => {
                 let table = diag::phase_table(levels.iter().copied(), gamma);
                 diag::apply_phase_indexed_split(re, im, index, &table, exec)
@@ -294,9 +262,6 @@ impl CostVec {
     pub fn expectation_split(&self, re: &[f64], im: &[f64], exec: impl Into<ExecPolicy>) -> f64 {
         match self {
             CostVec::F64(v) => diag::expectation_split(re, im, v, exec),
-            CostVec::U16 { data, offset, step } => {
-                diag::expectation_u16_split(re, im, data, *offset, *step, exec)
-            }
             CostVec::Levels { levels, index } => {
                 diag::expectation_indexed_split(re, im, index, levels, exec)
             }
@@ -314,12 +279,6 @@ impl CostVec {
         match self {
             CostVec::F64(v) => fold(v),
             CostVec::Levels { levels, .. } => fold(levels),
-            CostVec::U16 { data, offset, step } => {
-                let (lo, hi) = data
-                    .iter()
-                    .fold((u16::MAX, 0u16), |(lo, hi), &q| (lo.min(q), hi.max(q)));
-                (offset + step * lo as f64, offset + step * hi as f64)
-            }
         }
     }
 
@@ -342,7 +301,6 @@ impl CostVec {
     pub fn memory_bytes(&self) -> usize {
         match self {
             CostVec::F64(v) => v.len() * std::mem::size_of::<f64>(),
-            CostVec::U16 { data, .. } => data.len() * std::mem::size_of::<u16>(),
             CostVec::Levels { levels, index } => {
                 std::mem::size_of_val(index.as_slice()) + std::mem::size_of_val(levels.as_slice())
             }
@@ -350,8 +308,8 @@ impl CostVec {
     }
 
     /// Memory overhead of this cost vector relative to the `complex128`
-    /// state vector it accompanies — the paper's 12.5 % claim is
-    /// `overhead_vs_state() == 0.125` for the `U16` representation.
+    /// state vector it accompanies. The paper's `uint16` diagonal is
+    /// 12.5 %; a `Levels` diagonal is that plus `8·levels / (16·2^n)`.
     pub fn overhead_vs_state(&self) -> f64 {
         let state_bytes = self.len() * qokit_statevec::AMP_BYTES;
         self.memory_bytes() as f64 / state_bytes as f64
@@ -367,20 +325,33 @@ fn max_levels(len: usize) -> usize {
     (len / 4).min(1 << 16)
 }
 
+/// `value` as a point of the grid `offset + step·k`: the nearest one, or
+/// `None` when `value` is more than `1e-6` steps from it. The one snapping
+/// rule of the §V-B grid, shared by [`CostVec::quantize_exact`] and the
+/// distributed ranks' global-grid check.
+#[inline]
+pub fn snap_to_grid(value: f64, offset: f64, step: f64) -> Option<f64> {
+    let level = (value - offset) / step;
+    let k = level.round();
+    ((level - k).abs() <= 1e-6).then_some(offset + step * k)
+}
+
 /// Marks a free slot of the open-addressing table in [`index_levels`].
 const FREE: u32 = u32::MAX;
 
 /// The levels of `costs` in order of first appearance and each entry's
-/// position among them, or `None` as soon as there are more than
-/// [`max_levels`]. Deduplicates by bit pattern in an open-addressing
+/// position among them, or `None` as soon as there are more than `cap`
+/// (at most 65536). Deduplicates by bit pattern in an open-addressing
 /// table kept at most half full.
-fn index_levels(costs: &[f64]) -> Option<(Vec<f64>, Vec<u16>)> {
-    let cap = max_levels(costs.len());
+fn index_levels(
+    costs: impl ExactSizeIterator<Item = f64>,
+    cap: usize,
+) -> Option<(Vec<f64>, Vec<u16>)> {
     let mut levels: Vec<f64> = Vec::new();
     let mut index: Vec<u16> = Vec::with_capacity(costs.len());
     // Each slot holds a level's bits and its position, or `FREE`.
     let mut slots = vec![(0u64, FREE); 64];
-    for &c in costs {
+    for c in costs {
         let bits = c.to_bits();
         let mut h = slot_of(bits, slots.len());
         let j = loop {
@@ -485,35 +456,30 @@ mod tests {
     }
 
     #[test]
-    fn lossy_quantization_error_bound() {
-        let costs: Vec<f64> = (0..256).map(|i| (i as f64 * 0.1).sin() * 3.0).collect();
-        let (q, worst) = CostVec::quantize_lossy(&costs).unwrap();
-        let step = match &q {
-            CostVec::U16 { step, .. } => *step,
-            _ => unreachable!(),
-        };
-        assert!(worst <= step / 2.0 + 1e-12);
-        for (x, &v) in costs.iter().enumerate() {
-            assert!((q.value(x) - v).abs() <= worst + 1e-12);
-        }
+    #[should_panic(expected = "positive and finite")]
+    fn exact_quantization_rejects_an_infinite_step() {
+        // Regression: `step = +inf` passed the `step > 0` check and coded
+        // every cost as `0·inf = NaN`.
+        let _ = CostVec::quantize_exact(&[0.0, 5.0, 2.0, 1.0], f64::INFINITY);
     }
 
     #[test]
-    fn lossy_quantization_rejects_non_finite() {
-        // Regression: a NaN used to land on level 65535 with a worst-case
-        // error that ignored it (`f64::max` drops NaN), and ±inf made the
-        // step infinite.
-        for (bad, at) in [(f64::NAN, 1), (f64::INFINITY, 2), (f64::NEG_INFINITY, 0)] {
-            let mut costs = vec![0.5, 1.5, -2.0];
-            costs[at] = bad;
-            let err = CostVec::quantize_lossy(&costs).unwrap_err();
-            assert!(
-                matches!(err, QuantizeError::NonFinite { index, .. } if index == at),
-                "{err:?}"
-            );
+    fn exact_quantization_snaps_onto_a_non_unit_grid() {
+        // -3 + 0.25·k for k = 0..40, cycled over 256 entries; entry 5 is
+        // nudged off its grid point by 1e-9 (well inside the 1e-6 rule).
+        let mut costs: Vec<f64> = (0..256).map(|i| -3.0 + 0.25 * (i % 41) as f64).collect();
+        costs[5] += 1e-9;
+        let q = CostVec::quantize_exact(&costs, 0.25).expect("on the 0.25 grid");
+        let CostVec::Levels { levels, .. } = &q else {
+            panic!("the grid coding is level-coded: {q:?}");
+        };
+        assert_eq!(levels.len(), 41, "only the grid points that occur");
+        for (x, &c) in costs.iter().enumerate() {
+            let k = ((c + 3.0) / 0.25).round();
+            assert_eq!(q.value(x).to_bits(), (-3.0 + 0.25 * k).to_bits(), "x = {x}");
         }
-        let err = CostVec::quantize_lossy(&[-f64::MAX, f64::MAX]).unwrap_err();
-        assert!(matches!(err, QuantizeError::RangeTooWide { .. }), "{err:?}");
+        assert_ne!(q.value(5), costs[5]);
+        assert_eq!(q.memory_bytes(), 2 * 256 + 8 * levels.len());
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -553,16 +519,15 @@ mod tests {
         let cv = labs_costvec(8);
         // f64 representation: 8/16 = 50 % of the state vector.
         assert!((cv.overhead_vs_state() - 0.5).abs() < 1e-12);
-        let q = CostVec::quantize_exact(&cv.to_f64_vec(), 1.0).unwrap();
-        // u16 representation: 2/16 = 12.5 % — the paper's headline figure.
-        assert!((q.overhead_vs_state() - 0.125).abs() < 1e-12);
-        assert_eq!(q.memory_bytes(), 2 * 256);
-        // Level-coded: the same 2 B/amp plus 8 B per level, unrounded.
+        // Level-coded: the paper's 2 B/amp (12.5 %) plus 8 B per level,
+        // by default and on the §V-B grid alike.
         let lv = CostVec::from_f64(cv.to_f64_vec());
         let CostVec::Levels { levels, .. } = &lv else {
             panic!("LABS n = 8 has few levels");
         };
         assert_eq!(lv.memory_bytes(), 2 * 256 + 8 * levels.len());
+        let q = CostVec::quantize_exact(&cv.to_f64_vec(), 1.0).unwrap();
+        assert_eq!(q.memory_bytes(), lv.memory_bytes());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Cost-vector precomputation for the QOKit reproduction (§III-A and §V-B
 //! of *Fast Simulation of High-Depth QAOA Circuits*): evaluating the
 //! diagonal problem Hamiltonian `Ĉ` on all `2^n` bitstrings once, storing
-//! it as `f64`, quantized `u16` or level-coded (the distinct values plus a
-//! `u16` index per entry, chosen by [`CostVec::from_f64`] when the values
-//! are few), and applying it as phase operator or objective with a single
-//! vector pass.
+//! it as `f64` or level-coded (the distinct values plus a `u16` index per
+//! entry: chosen by [`CostVec::from_f64`] when the values are few, and the
+//! form of the §V-B integer grid, [`CostVec::quantize_exact`]), and
+//! applying it as phase operator or objective with a single vector pass.
 //!
 //! ```
 //! use qokit_costvec::{CostVec, PrecomputeMethod};
@@ -30,7 +30,7 @@
 pub mod costvec;
 pub mod precompute;
 
-pub use costvec::{CostVec, QuantizeError};
+pub use costvec::{snap_to_grid, CostVec, QuantizeError};
 pub use precompute::{
     fill_direct_slice, precompute, precompute_direct, precompute_from_fn, precompute_fwht,
     PrecomputeMethod,

@@ -76,11 +76,11 @@ pub struct DistResult {
     pub overlap: f64,
     /// Global minimum cost.
     pub min_cost: f64,
-    /// `true` when the §V-B `u16` diagonal was actually used. The
-    /// quantized entry points fall back to the exact costs (level-coded or
-    /// `f64`) when the dynamic range exceeds `u16` or the costs are off
-    /// the integer grid — this flag is the signal that the fallback fired
-    /// (`false` after a quantized call means "ran at full precision").
+    /// `true` when the §V-B integer grid was actually used. The quantized
+    /// entry points fall back to the default slices (level-coded or `f64`)
+    /// when the span exceeds 65535 or the costs are off the integer grid —
+    /// this flag is the signal that the fallback fired. Both codings are
+    /// exact, so on integer costs the outputs are bit-identical either way.
     pub quantized: bool,
     /// Communication statistics of the whole run.
     pub comm: CommStats,
@@ -134,10 +134,11 @@ impl DistSimulator {
     }
 
     /// As [`simulate_qaoa`](Self::simulate_qaoa), but each rank stores its
-    /// cost slice as `u16` (§V-B: the paper's 1,024-GPU runs store the
-    /// diagonal as a `2^n` vector of `uint16`). The quantization grid is
-    /// agreed globally with a min all-reduce so every rank decodes
-    /// identically; non-integral costs fall back to `f64` silently.
+    /// cost slice on the §V-B integer grid, level-coded with a `u16` index
+    /// per entry (the paper's 1,024-GPU runs store the diagonal as a `2^n`
+    /// vector of `uint16`). The grid is agreed globally with a min
+    /// all-reduce so every rank snaps identically; off-grid or too-wide
+    /// costs keep the default slices (see [`DistResult::quantized`]).
     pub fn simulate_qaoa_quantized(&self, gammas: &[f64], betas: &[f64]) -> DistResult {
         self.simulate_qaoa_impl(gammas, betas, true)
     }
@@ -204,9 +205,9 @@ impl DistSimulator {
         self.simulate_qaoa_on_impl(t, gammas, betas, false)
     }
 
-    /// The §V-B `u16`-quantized variant of
-    /// [`simulate_qaoa_on`](Self::simulate_qaoa_on) (falls back to `f64`
-    /// exactly like [`simulate_qaoa_quantized`](Self::simulate_qaoa_quantized);
+    /// The §V-B integer-grid variant of
+    /// [`simulate_qaoa_on`](Self::simulate_qaoa_on) (falls back exactly
+    /// like [`simulate_qaoa_quantized`](Self::simulate_qaoa_quantized);
     /// check [`DistResult::quantized`]).
     pub fn simulate_qaoa_quantized_on(
         &self,
@@ -397,7 +398,9 @@ impl DistSimulator {
         // integrality is local: agree with a min-reduce.
         let flags = comm.superstep_map(ranks, |_, s| s.quant_check(gmin, fits));
         if comm.allreduce_min(&flags) > 0.5 {
-            comm.superstep(ranks, |_, s| s.quant_commit(gmin));
+            comm.superstep(ranks, |_, s| {
+                assert!(s.quant_commit(gmin), "every rank passed quant_check");
+            });
         }
     }
 
@@ -559,7 +562,7 @@ mod tests {
 
     #[test]
     fn quantized_distributed_matches_f64_distributed() {
-        // §V-B: the u16 diagonal must not change the physics. LABS costs
+        // §V-B: the grid diagonal must not change the physics. LABS costs
         // are integers, so quantization is exact.
         let poly = labs_terms(9);
         let dist = DistSimulator::new(poly, 4).unwrap();
@@ -570,6 +573,28 @@ mod tests {
         assert!((plain.expectation - quant.expectation).abs() < 1e-9);
         assert!((plain.overlap - quant.overlap).abs() < 1e-9);
         assert!((plain.min_cost - quant.min_cost).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantized_runs_are_bit_identical_to_the_default_run() {
+        use crate::transport::InProcessTransport;
+        let bits = |r: &DistResult| -> Vec<u64> {
+            let amps = r.state.amplitudes().iter();
+            let mut v: Vec<u64> = amps
+                .flat_map(|a| [a.re.to_bits(), a.im.to_bits()])
+                .collect();
+            v.extend([r.expectation, r.overlap, r.min_cost].map(f64::to_bits));
+            v
+        };
+        let dist = DistSimulator::new(labs_terms(10), 4).unwrap();
+        let (g, b) = ([0.3, 0.15, -0.4], [-0.55, -0.2, 0.35]);
+        let plain = dist.simulate_qaoa(&g, &b);
+        let quant = dist.simulate_qaoa_quantized(&g, &b);
+        let mut t = InProcessTransport::new(4);
+        let quant_on = dist.simulate_qaoa_quantized_on(&mut t, &g, &b).unwrap();
+        assert!(!plain.quantized && quant.quantized && quant_on.quantized);
+        assert_eq!(bits(&quant), bits(&plain));
+        assert_eq!(bits(&quant_on), bits(&plain));
     }
 
     #[test]
@@ -595,7 +620,7 @@ mod tests {
     #[test]
     fn quantized_falls_back_when_span_exceeds_u16() {
         // Regression for silent saturation: a cost span beyond 65535 must
-        // take the f64 fallback (and say so), not wrap through `as u16`.
+        // take the fallback (and say so), not overflow the grid's levels.
         use qokit_terms::Term;
         let poly = SpinPolynomial::new(
             6,

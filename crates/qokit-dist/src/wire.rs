@@ -116,7 +116,7 @@ fn get_ego(r: &mut ByteReader<'_>) -> Result<EgoNet, WireError> {
 pub struct SweepSimSpec {
     /// Cost-vector precompute algorithm.
     pub precompute: PrecomputeMethod,
-    /// §V-B `u16` cost-diagonal quantization.
+    /// §V-B integer-grid cost diagonal (`SimOptions::quantize_u16`).
     pub quantize_u16: bool,
     /// Amplitude layout the per-point kernels run in.
     pub layout: Layout,
@@ -166,7 +166,7 @@ pub enum Request {
     SimQuantCheck {
         /// Globally agreed offset (global cost minimum).
         gmin: f64,
-        /// Whether the global span fits the `u16` range.
+        /// Whether the global span fits 65536 grid points.
         fits: bool,
     },
     /// Commit to the quantized representation (all ranks voted yes).

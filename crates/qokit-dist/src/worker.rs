@@ -25,7 +25,7 @@ use qokit_core::batch::{SweepError, SweepNesting, SweepOptions, SweepRunner};
 use qokit_core::lightcone::cone_zz;
 use qokit_core::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_core::Mixer;
-use qokit_costvec::{fill_direct_slice, CostVec};
+use qokit_costvec::{fill_direct_slice, snap_to_grid, CostVec};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::su2::apply_mat2_serial;
 use qokit_statevec::{Backend, Mat2, C64};
@@ -69,13 +69,15 @@ impl WorkerState {
 /// One type for both executions of a rank — a pool task of the in-process
 /// `DistSimulator` and a worker behind any [`Transport`](crate::Transport)
 /// — so their per-step arithmetic is the same code. The cost slice is
-/// level-coded when it has few distinct values, or the §V-B `u16` grid
-/// after [`quant_commit`](Self::quant_commit); every kernel runs serially.
+/// level-coded when it has few distinct values, and always after
+/// [`quant_commit`](Self::quant_commit) puts it on the §V-B grid; every
+/// kernel runs serially.
 pub(crate) struct SimRank {
     n: usize,
     k_bits: usize,
     pub(crate) amps: Vec<C64>,
     costs: CostVec,
+    quantized: bool,
 }
 
 impl SimRank {
@@ -95,6 +97,7 @@ impl SimRank {
             k_bits,
             amps: vec![C64::from_re(amp0); slice_len],
             costs: CostVec::from_f64(costs),
+            quantized: false,
         }
     }
 
@@ -104,13 +107,11 @@ impl SimRank {
     }
 
     /// `1.0` when every local cost is on the global integer grid from
-    /// `gmin` and the global span `fits` `u16`, else `0.0` (min-reduced by
-    /// the caller).
+    /// `gmin` and the global span `fits` 65536 grid points, else `0.0`
+    /// (min-reduced by the caller).
     pub(crate) fn quant_check(&self, gmin: f64, fits: bool) -> f64 {
-        let integral = (0..self.costs.len()).all(|x| {
-            let c = self.costs.value(x);
-            (c - gmin - (c - gmin).round()).abs() < 1e-6
-        });
+        let integral =
+            (0..self.costs.len()).all(|x| snap_to_grid(self.costs.value(x), gmin, 1.0).is_some());
         if integral && fits {
             1.0
         } else {
@@ -118,21 +119,23 @@ impl SimRank {
         }
     }
 
-    /// Re-stores the cost slice on the agreed grid `gmin + q` as `u16`.
-    pub(crate) fn quant_commit(&mut self, gmin: f64) {
-        let data = (0..self.costs.len())
-            .map(|x| (self.costs.value(x) - gmin).round() as u16)
-            .collect();
-        self.costs = CostVec::U16 {
-            data,
-            offset: gmin,
-            step: 1.0,
+    /// Re-stores the cost slice on the agreed grid `gmin + k`, level-coded.
+    /// `false`, with the slice untouched, when a local cost is off that grid
+    /// or more than 65536 grid points occur (a commit `quant_check` would
+    /// have refused).
+    pub(crate) fn quant_commit(&mut self, gmin: f64) -> bool {
+        let costs = (0..self.costs.len()).map(|x| self.costs.value(x));
+        let Some(costs) = CostVec::on_grid(costs, gmin, 1.0) else {
+            return false;
         };
+        self.costs = costs;
+        self.quantized = true;
+        true
     }
 
-    /// `true` once the cost slice is on the §V-B `u16` grid.
+    /// `true` once the cost slice is on the §V-B grid.
     pub(crate) fn quantized(&self) -> bool {
-        matches!(self.costs, CostVec::U16 { .. })
+        self.quantized
     }
 
     /// The local half of a layer: phase, then the mixer on local qubits.
@@ -279,8 +282,11 @@ pub fn handle(state: &mut WorkerState, req: Request) -> Response {
         Request::SimQuantCommit { gmin } => match &mut state.sim {
             None => Response::Error("SimQuantCommit before SimInit".into()),
             Some(sim) => {
-                sim.quant_commit(gmin);
-                Response::Ok
+                if sim.quant_commit(gmin) {
+                    Response::Ok
+                } else {
+                    Response::Error(format!("a cost is off the grid {gmin} + k"))
+                }
             }
         },
         Request::SimLayerLocal { gamma, beta } => match &mut state.sim {
@@ -407,5 +413,21 @@ mod tests {
         assert!(matches!(sim_init(0, 16), Response::Error(e) if e.contains("2k ≤ n")));
         // Rank outside [0, n_ranks).
         assert!(matches!(sim_init(4, 4), Response::Error(e) if e.contains("out of range")));
+    }
+
+    #[test]
+    fn quant_commit_off_the_grid_is_an_error_not_a_panic() {
+        let mut state = WorkerState::new(0);
+        let poly = labs_terms(6);
+        handle(&mut state, Request::SimInit { poly, n_ranks: 2 });
+        for gmin in [0.5, f64::NAN, f64::INFINITY] {
+            let resp = handle(&mut state, Request::SimQuantCommit { gmin });
+            assert!(matches!(resp, Response::Error(e) if e.contains("off the grid")));
+        }
+        assert!(!state.sim.as_ref().unwrap().quantized());
+        // The integer LABS slice is on the grid from any integer offset.
+        let resp = handle(&mut state, Request::SimQuantCommit { gmin: -3.0 });
+        assert!(matches!(resp, Response::Ok));
+        assert!(state.sim.as_ref().unwrap().quantized());
     }
 }

@@ -387,8 +387,9 @@ mod tests {
 
     #[test]
     fn quantized_entries_account_u16_bytes() {
-        // A MaxCut-style integral polynomial quantizes to u16: 2 bytes per
-        // amplitude instead of 8.
+        // A MaxCut-style integral polynomial quantizes onto the §V-B grid,
+        // level-coded: a 2-byte index per amplitude instead of 8 bytes,
+        // plus 8 bytes for each of its two levels (±1).
         let poly = SpinPolynomial::new(
             8,
             vec![Term {
@@ -404,6 +405,6 @@ mod tests {
                 ..spec()
             },
         );
-        assert_eq!(cache.stats().bytes, (1u64 << 8) * 2);
+        assert_eq!(cache.stats().bytes, (1u64 << 8) * 2 + 2 * 8);
     }
 }

@@ -6,16 +6,11 @@
 //! `⟨γβ|Ĉ|γβ⟩` is a single inner product `Σ c_k |ψ_k|²` (`expectation`) —
 //! no gates, no extra state copies.
 //!
-//! Each kernel has an `f64` variant and a `u16` variant. The latter operates
-//! on the quantized cost vector of §V-B of the paper (`value = offset +
-//! scale·q`), decoding on the fly so the 2-byte representation never
-//! inflates to 8 bytes in memory.
-//!
 //! A diagonal with few distinct values `v_0 … v_{L-1}` can instead be
-//! given as a `u16` index per entry into those levels. The phase operator
-//! then needs only `L` `sin_cos` calls per layer ([`phase_table`]) and one
-//! table gather per amplitude ([`apply_phase_indexed`]) instead of `2^n`
-//! `sin_cos` calls.
+//! given as a `u16` index per entry into those levels: the 2-byte form of
+//! §V-B of the paper, without rounding. The phase operator then needs only
+//! `L` `sin_cos` calls per layer ([`phase_table`]) and one table gather per
+//! amplitude ([`apply_phase_indexed`]) instead of `2^n` `sin_cos` calls.
 //!
 //! All variants of one operation in one layout run the same generic body
 //! and differ only in how an entry becomes a factor or weight. Table
@@ -101,37 +96,6 @@ pub fn apply_phase(amps: &mut [C64], costs: &[f64], gamma: f64, exec: impl Into<
     apply_factors(amps, costs, |c| C64::cis(-gamma * c), exec.into());
 }
 
-/// Serial phase operator over a quantized `u16` cost vector with
-/// `c_k = offset + scale·q_k`.
-pub fn apply_phase_u16_serial(
-    amps: &mut [C64],
-    costs: &[u16],
-    offset: f64,
-    scale: f64,
-    gamma: f64,
-) {
-    apply_phase_u16(amps, costs, offset, scale, gamma, ExecPolicy::serial());
-}
-
-/// Pool-parallel phase operator over a quantized `u16` cost vector with
-/// default thresholds.
-pub fn apply_phase_u16_rayon(amps: &mut [C64], costs: &[u16], offset: f64, scale: f64, gamma: f64) {
-    apply_phase_u16(amps, costs, offset, scale, gamma, ExecPolicy::rayon());
-}
-
-/// Policy-dispatched phase operator over a quantized `u16` cost vector.
-pub fn apply_phase_u16(
-    amps: &mut [C64],
-    costs: &[u16],
-    offset: f64,
-    scale: f64,
-    gamma: f64,
-    exec: impl Into<ExecPolicy>,
-) {
-    let factor = |q: u16| C64::cis(-gamma * (offset + scale * q as f64));
-    apply_factors(amps, costs, factor, exec.into());
-}
-
 /// Indexed phase operator: `ψ_k ← t[index_k] ψ_k`, with `t` the layer's
 /// [`phase_table`]. Bit-identical to [`apply_phase`] on the costs
 /// `levels[index_k]`.
@@ -167,32 +131,6 @@ pub fn expectation_rayon(amps: &[C64], costs: &[f64]) -> f64 {
 #[inline]
 pub fn expectation(amps: &[C64], costs: &[f64], exec: impl Into<ExecPolicy>) -> f64 {
     weighted_norm(amps, costs, |c| c, exec.into())
-}
-
-/// Objective over a quantized `u16` cost vector.
-pub fn expectation_u16(
-    amps: &[C64],
-    costs: &[u16],
-    offset: f64,
-    scale: f64,
-    exec: impl Into<ExecPolicy>,
-) -> f64 {
-    let policy = exec.into();
-    // Σ (offset + scale·q)|ψ|² = offset·‖ψ‖² + scale·Σ q|ψ|². Using the
-    // actual norm (not assuming 1) keeps the identity exact for unnormalized
-    // test vectors.
-    let raw = weighted_norm(amps, costs, |q| q as f64, policy);
-    let norm: f64 = if policy.parallel(amps.len()) {
-        policy.install(|| {
-            amps.par_iter()
-                .with_min_len(policy.min_chunk)
-                .map(|a| a.norm_sqr())
-                .sum()
-        })
-    } else {
-        amps.iter().map(|a| a.norm_sqr()).sum()
-    };
-    offset * norm + scale * raw
 }
 
 /// Indexed objective: `Σ levels[index_k] |ψ_k|²`. Bit-identical to
@@ -299,24 +237,6 @@ pub fn apply_phase_split(
     apply_factors_split(re, im, costs, |c| C64::cis(-gamma * c), exec.into());
 }
 
-/// Split-plane phase operator over a quantized `u16` cost vector with
-/// `c_k = offset + scale·q_k`. Bit-identical to [`apply_phase_u16`].
-///
-/// # Panics
-/// If plane and cost-vector lengths differ.
-pub fn apply_phase_u16_split(
-    re: &mut [f64],
-    im: &mut [f64],
-    costs: &[u16],
-    offset: f64,
-    scale: f64,
-    gamma: f64,
-    exec: impl Into<ExecPolicy>,
-) {
-    let factor = |q: u16| C64::cis(-gamma * (offset + scale * q as f64));
-    apply_factors_split(re, im, costs, factor, exec.into());
-}
-
 /// Split-plane twin of [`apply_phase_indexed`]. Bit-identical to it and to
 /// [`apply_phase_split`] on the costs `levels[index_k]`.
 ///
@@ -346,36 +266,6 @@ pub fn expectation_split(
     exec: impl Into<ExecPolicy>,
 ) -> f64 {
     weighted_norm_split(re, im, costs, |c| c, exec.into())
-}
-
-/// Split-plane objective over a quantized `u16` cost vector — the plane
-/// twin of [`expectation_u16`], using the same
-/// `offset·‖ψ‖² + scale·Σ q|ψ|²` decomposition.
-///
-/// # Panics
-/// If plane and cost-vector lengths differ.
-pub fn expectation_u16_split(
-    re: &[f64],
-    im: &[f64],
-    costs: &[u16],
-    offset: f64,
-    scale: f64,
-    exec: impl Into<ExecPolicy>,
-) -> f64 {
-    let policy = exec.into();
-    let raw = weighted_norm_split(re, im, costs, |q| q as f64, policy);
-    let norm: f64 = if policy.parallel(re.len()) {
-        policy.install(|| {
-            re.par_iter()
-                .with_min_len(policy.min_chunk)
-                .zip(im.par_iter().with_min_len(policy.min_chunk))
-                .map(|(&r, &i)| r * r + i * i)
-                .sum()
-        })
-    } else {
-        re.iter().zip(im.iter()).map(|(&r, &i)| r * r + i * i).sum()
-    };
-    offset * norm + scale * raw
 }
 
 /// Split-plane twin of [`expectation_indexed`]: bit-identical to
@@ -455,26 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_u16_matches_f64() {
-        let n = 10;
-        let dim = 1usize << n;
-        // Integer-valued costs in [-8, 8): representable exactly as
-        // offset + scale·u16.
-        let costs_f: Vec<f64> = (0..dim).map(|i| ((i % 17) as f64) - 8.0).collect();
-        let costs_q: Vec<u16> = (0..dim).map(|i| (i % 17) as u16).collect();
-        let (offset, scale) = (-8.0, 1.0);
-        let mut a = StateVec::uniform_superposition(n);
-        let mut b = a.clone();
-        apply_phase_serial(a.amplitudes_mut(), &costs_f, 0.71);
-        apply_phase_u16_serial(b.amplitudes_mut(), &costs_q, offset, scale, 0.71);
-        assert!(a.max_abs_diff(&b) < 1e-12);
-
-        let mut c = StateVec::uniform_superposition(n);
-        apply_phase_u16_rayon(c.amplitudes_mut(), &costs_q, offset, scale, 0.71);
-        assert!(a.max_abs_diff(&c) < 1e-12);
-    }
-
-    #[test]
     fn expectation_matches_reference() {
         let n = 7;
         let s = StateVec::dicke_state(n, 3);
@@ -491,23 +361,6 @@ mod tests {
         let s = StateVec::basis_state(5, 19);
         let costs = ramp_costs(s.dim());
         assert!((expectation_serial(s.amplitudes(), &costs) - costs[19]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expectation_u16_matches_f64() {
-        let n = 9;
-        let dim = 1usize << n;
-        let costs_f: Vec<f64> = (0..dim).map(|i| 0.5 * ((i % 23) as f64) - 2.0).collect();
-        let costs_q: Vec<u16> = (0..dim).map(|i| (i % 23) as u16).collect();
-        let s = StateVec::uniform_superposition(n);
-        let e_f = expectation_serial(s.amplitudes(), &costs_f);
-        let e_q = expectation_u16(s.amplitudes(), &costs_q, -2.0, 0.5, Backend::Serial);
-        assert!((e_f - e_q).abs() < 1e-10);
-        let e_qr = expectation_u16(s.amplitudes(), &costs_q, -2.0, 0.5, Backend::Rayon);
-        assert!((e_f - e_qr).abs() < 1e-10);
-        let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(2);
-        let e_qf = expectation_u16(s.amplitudes(), &costs_q, -2.0, 0.5, forced);
-        assert!((e_f - e_qf).abs() < 1e-10);
     }
 
     #[test]
@@ -568,31 +421,6 @@ mod tests {
         let e_s = expectation_split(re, im, &costs, Backend::Serial);
         let e_p = expectation_split(re, im, &costs, forced);
         assert!((e_s - e_p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn split_u16_matches_f64_split() {
-        let n = 9;
-        let dim = 1usize << n;
-        let costs_f: Vec<f64> = (0..dim).map(|i| ((i % 17) as f64) - 8.0).collect();
-        let costs_q: Vec<u16> = (0..dim).map(|i| (i % 17) as u16).collect();
-        let (offset, scale) = (-8.0, 1.0);
-        let s = StateVec::uniform_superposition(n);
-        let mut a = crate::split::SplitStateVec::from(&s);
-        let mut b = a.clone();
-        {
-            let (re, im) = a.planes_mut();
-            apply_phase_split(re, im, &costs_f, 0.71, Backend::Serial);
-        }
-        {
-            let (re, im) = b.planes_mut();
-            apply_phase_u16_split(re, im, &costs_q, offset, scale, 0.71, Backend::Serial);
-        }
-        assert_eq!(a, b, "u16 decode reproduces the f64 costs exactly here");
-        let (re, im) = a.planes();
-        let e_f = expectation_split(re, im, &costs_f, Backend::Serial);
-        let e_q = expectation_u16_split(re, im, &costs_q, offset, scale, Backend::Serial);
-        assert!((e_f - e_q).abs() < 1e-10);
     }
 
     /// Levels, a `u16` index into them, and the costs

@@ -84,7 +84,7 @@ impl SpinPolynomial {
     }
 
     /// `Σ_k |w_k|` — an a-priori bound on `max_x |f(x)|`, used to validate
-    /// `u16` cost-vector quantization without scanning all `2^n` values.
+    /// §V-B cost-vector quantization without scanning all `2^n` values.
     pub fn weight_norm(&self) -> f64 {
         self.terms.iter().map(|t| t.weight.abs()).sum()
     }

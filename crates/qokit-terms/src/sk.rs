@@ -2,7 +2,7 @@
 //! couplings, the standard hard-landscape benchmark for QAOA parameter
 //! studies (and the densest 2-local workload a MaxCut-style simulator
 //! faces — `|T| = n(n−1)/2` quadratic terms with real weights, so the
-//! `u16` quantization path does *not* apply and the `f64` diagonal is
+//! §V-B integer-grid path does *not* apply and the `f64` diagonal is
 //! exercised).
 
 use crate::polynomial::SpinPolynomial;

@@ -31,7 +31,8 @@ fn main() {
         labs::known_optimal_energy(n).unwrap()
     );
 
-    // Quantized u16 cost vector (§V-B): LABS costs are integers.
+    // §V-B integer grid: LABS costs are integers, stored level-coded
+    // (a u16 index per amplitude), so nothing is rounded.
     let sim = FurSimulator::with_options(
         &poly,
         SimOptions {
@@ -40,7 +41,7 @@ fn main() {
         },
     );
     println!(
-        "cost diagonal stored as u16: {:.1} % memory overhead vs the state",
+        "cost diagonal level-coded on the §V-B grid: {:.1} % memory overhead vs the state",
         100.0 * sim.cost_diagonal().overhead_vs_state()
     );
 

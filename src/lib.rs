@@ -17,7 +17,7 @@
 //! |---|---|
 //! | [`terms`] | spin polynomials (Eq. 1), graphs, MaxCut/LABS/portfolio |
 //! | [`statevec`] | state vectors, SU(2)/SU(4) butterfly kernels, FWHT |
-//! | [`costvec`] | cost-vector precompute (direct + FWHT), u16 quantization |
+//! | [`costvec`] | cost-vector precompute (direct + FWHT), `f64` or level-coded storage (the §V-B 2-byte form, exact) |
 //! | [`core`] | the fast simulator and its QOKit-style API |
 //! | [`gates`] | gate-based baseline (compilation, fusion, counting) |
 //! | [`tensornet`] | tensor-network amplitude engine for Fig. 3: planned contraction, slicing |

@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use qokit::costvec::precompute_fwht;
 use qokit::prelude::*;
-use qokit::statevec::diag;
 use qokit::terms::labs::labs_terms;
 use qokit::terms::maxcut::maxcut_polynomial;
 use rand::rngs::StdRng;
@@ -86,31 +85,6 @@ proptest! {
             prop_assert_eq!(gi.max_abs_diff(&wi), 0.0, "{:?}", policy);
             prop_assert!(gs == ws, "split phase differs under {:?}", policy);
             prop_assert_eq!((gei, ges), (wei, wes), "{:?}", policy);
-        }
-    }
-
-    #[test]
-    fn u16_phase_matches_per_amplitude_formula((n, top) in (6usize..=10, 1usize..=64), gamma in -3.0f64..3.0, seed in 0u64..1 << 32) {
-        // The u16 kernels share their loop with the f64 and indexed ones;
-        // under every policy they still equal the direct formula.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let q: Vec<u16> = (0..1usize << n).map(|_| rng.gen_range(0..top) as u16).collect();
-        let (offset, step) = (rng.gen_range(-5.0..5.0), rng.gen_range(0.1..2.0));
-        let s = random_state(n, &mut rng);
-        let mut want = s.clone();
-        for (a, &k) in want.amplitudes_mut().iter_mut().zip(&q) {
-            *a *= C64::cis(-gamma * (offset + step * k as f64));
-        }
-        for policy in policies() {
-            let mut got = s.clone();
-            diag::apply_phase_u16(got.amplitudes_mut(), &q, offset, step, gamma, policy);
-            prop_assert_eq!(got.max_abs_diff(&want), 0.0, "{:?}", policy);
-            let mut split = SplitStateVec::from(&s);
-            {
-                let (re, im) = split.planes_mut();
-                diag::apply_phase_u16_split(re, im, &q, offset, step, gamma, policy);
-            }
-            prop_assert_eq!(split.max_abs_diff_interleaved(want.amplitudes()), 0.0, "{:?}", policy);
         }
     }
 }

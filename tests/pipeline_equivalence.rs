@@ -163,7 +163,13 @@ fn quantized_pipeline_matches_f64_for_labs() {
             ..SimOptions::default()
         },
     );
-    assert!((quant.cost_diagonal().overhead_vs_state() - 0.125).abs() < 1e-12);
+    let CostVec::Levels { levels, .. } = quant.cost_diagonal() else {
+        panic!("the §V-B grid is level-coded");
+    };
+    assert_eq!(
+        quant.cost_diagonal().memory_bytes(),
+        2 * 1024 + 8 * levels.len()
+    );
     let (g, b) = qokit::optim::schedules::linear_ramp(5, 0.4);
     let rp = plain.simulate_qaoa(&g, &b);
     let rq = quant.simulate_qaoa(&g, &b);
