@@ -4,10 +4,12 @@
 //! simulator is called thousands of times over one fixed cost vector while
 //! only the angles change. A [`SweepRunner`] exploits that shape directly —
 //! the precomputed [`CostVec`](qokit_costvec::CostVec) is shared across
-//! workers through one [`Arc`]`<`[`FurSimulator`]`>`, state buffers are
-//! recycled through a per-worker pool instead of being reallocated per
-//! point, and the points of a batch run as pool tasks under an
-//! [`ExecPolicy`].
+//! workers through one [`Arc`]`<`[`FurSimulator`]`>`, split-plane state
+//! buffers are recycled through a per-worker pool instead of being
+//! reallocated per point, and the points of a batch run as pool tasks under
+//! an [`ExecPolicy`]. Each batch fills its initial planes once; every point
+//! copies them into a recycled buffer, evolves it, and takes the split
+//! objective, so an energy never transposes or allocates.
 //!
 //! The [`SweepNesting`] knob picks where the parallelism goes:
 //!
@@ -42,7 +44,7 @@
 use crate::landscape::EnergySink;
 use crate::simulator::{FurSimulator, QaoaSimulator};
 use qokit_statevec::exec::{Backend, ExecPolicy};
-use qokit_statevec::StateVec;
+use qokit_statevec::{SplitStateVec, StateVec};
 use rayon::prelude::*;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -265,12 +267,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Recycled state buffers, sharded by pool-worker index so concurrent
+/// Recycled plane buffers, sharded by pool-worker index so concurrent
 /// tasks rarely contend on one lock. Shard 0 serves threads outside any
 /// pool; worker `i` maps to shard `1 + i mod (shards − 1)`.
 #[derive(Debug)]
 struct BufferPool {
-    shards: Vec<Mutex<Vec<StateVec>>>,
+    shards: Vec<Mutex<Vec<SplitStateVec>>>,
 }
 
 impl BufferPool {
@@ -286,7 +288,7 @@ impl BufferPool {
         }
     }
 
-    fn shard(&self) -> &Mutex<Vec<StateVec>> {
+    fn shard(&self) -> &Mutex<Vec<SplitStateVec>> {
         let idx =
             rayon::current_thread_index().map_or(0, |i| 1 + i % (self.shards.len() - 1).max(1));
         &self.shards[idx.min(self.shards.len() - 1)]
@@ -294,15 +296,15 @@ impl BufferPool {
 
     /// A buffer of the right dimension; contents are unspecified (every
     /// evaluation overwrites it with the initial state first).
-    fn checkout(&self, n_qubits: usize) -> StateVec {
+    fn checkout(&self, n_qubits: usize) -> SplitStateVec {
         let recycled = Self::lock_recovering(self.shard()).pop();
         match recycled {
             Some(buf) if buf.n_qubits() == n_qubits => buf,
-            _ => StateVec::zero_state(n_qubits),
+            _ => SplitStateVec::zero_state(n_qubits),
         }
     }
 
-    fn checkin(&self, buf: StateVec) {
+    fn checkin(&self, buf: SplitStateVec) {
         Self::lock_recovering(self.shard()).push(buf);
     }
 
@@ -312,7 +314,9 @@ impl BufferPool {
     /// shard is cleared on recovery; recycled buffers are pure caches
     /// (contents are unspecified by contract), so dropping them is always
     /// sound and re-checkouts simply allocate fresh.
-    fn lock_recovering(shard: &Mutex<Vec<StateVec>>) -> std::sync::MutexGuard<'_, Vec<StateVec>> {
+    fn lock_recovering(
+        shard: &Mutex<Vec<SplitStateVec>>,
+    ) -> std::sync::MutexGuard<'_, Vec<SplitStateVec>> {
         shard.lock().unwrap_or_else(|poisoned| {
             let mut guard = poisoned.into_inner();
             guard.clear();
@@ -412,15 +416,29 @@ impl SweepRunner {
     /// with `eval`. The closure receives the shared simulator, the evolved
     /// state, and the kernel policy the point ran under (serial in
     /// points-parallel mode — reductions inside `eval` must honor it for
-    /// the sweep to stay deterministic across pool sizes).
+    /// the sweep to stay deterministic across pool sizes). Points evolve on
+    /// split planes; each is interleaved once into the `StateVec` handed
+    /// to `eval`.
     pub fn evaluate_with<R, F>(&self, points: &[SweepPoint], eval: F) -> Vec<Result<R, SweepError>>
     where
         R: Send,
         F: Fn(&FurSimulator, &StateVec, ExecPolicy) -> R + Sync,
     {
+        self.evaluate_planes(points, |sim, planes, policy| {
+            eval(sim, &planes.to_state_vec(), policy)
+        })
+    }
+
+    /// [`evaluate_with`](Self::evaluate_with) on the evolved planes
+    /// themselves: the engine every batched evaluation runs.
+    fn evaluate_planes<R, F>(&self, points: &[SweepPoint], eval: F) -> Vec<Result<R, SweepError>>
+    where
+        R: Send,
+        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
+    {
         let policy = self.opts.exec;
         if matches!(policy.backend, Backend::Serial) {
-            // Preserve the layout (and thresholds) — only force one worker.
+            // Keep the thresholds — only force one worker.
             return self.run_sequential(
                 points,
                 ExecPolicy {
@@ -467,8 +485,9 @@ impl SweepRunner {
     /// Per-point energies with per-point failure: slot `i` is `Err` iff
     /// point `i` panicked.
     pub fn energies_checked(&self, points: &[SweepPoint]) -> Vec<Result<f64, SweepError>> {
-        self.evaluate_with(points, |sim, state, policy| {
-            sim.cost_diagonal().expectation(state.amplitudes(), policy)
+        self.evaluate_planes(points, |sim, state, policy| {
+            let (re, im) = state.planes();
+            sim.cost_diagonal().expectation_split(re, im, policy)
         })
     }
 
@@ -667,7 +686,7 @@ impl SweepRunner {
     ) -> Vec<Result<R, SweepError>>
     where
         R: Send,
-        F: Fn(&FurSimulator, &StateVec, ExecPolicy) -> R + Sync,
+        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         // Kernels inherit each lane's ambient subset: threads must be 0 so
         // `ExecPolicy::install` inside the evaluation is a no-op rather
@@ -676,7 +695,7 @@ impl SweepRunner {
             threads: 0,
             ..policy
         };
-        let init = self.sim.initial_state();
+        let init = self.sim.initial_planes();
         // eval_one contains each point's panic, so one poisoned point
         // cannot abort its lane.
         rayon::strided_lanes(points.len(), lanes, kernels_per_point, |index| {
@@ -692,12 +711,10 @@ impl SweepRunner {
     ) -> Vec<Result<R, SweepError>>
     where
         R: Send,
-        F: Fn(&FurSimulator, &StateVec, ExecPolicy) -> R + Sync,
+        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        let init = self.sim.initial_state();
-        // Serial kernels per point, but keep the sweep policy's layout so a
-        // split-layout sweep stays split inside each point.
-        let inner = ExecPolicy::serial().with_layout(self.opts.exec.layout);
+        let init = self.sim.initial_planes();
+        let inner = ExecPolicy::serial();
         // The position-preserving parallel collect keeps slot i = point i.
         points
             .par_iter()
@@ -717,9 +734,9 @@ impl SweepRunner {
     ) -> Vec<Result<R, SweepError>>
     where
         R: Send,
-        F: Fn(&FurSimulator, &StateVec, ExecPolicy) -> R + Sync,
+        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        let init = self.sim.initial_state();
+        let init = self.sim.initial_planes();
         points
             .iter()
             .enumerate()
@@ -731,19 +748,19 @@ impl SweepRunner {
         &self,
         index: usize,
         point: &SweepPoint,
-        init: &StateVec,
+        init: &SplitStateVec,
         inner: ExecPolicy,
         eval: &F,
     ) -> Result<R, SweepError>
     where
         R: Send,
-        F: Fn(&FurSimulator, &StateVec, ExecPolicy) -> R + Sync,
+        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let mut buf = self.buffers.checkout(init.n_qubits());
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            buf.amplitudes_mut().copy_from_slice(init.amplitudes());
+            buf.copy_from(init);
             self.sim
-                .evolve_in_place_with(&mut buf, &point.gammas, &point.betas, inner);
+                .evolve_planes(&mut buf, &point.gammas, &point.betas, inner);
             eval(&self.sim, &buf, inner)
         }));
         // A poisoned buffer is still safe to recycle: the next evaluation

@@ -50,7 +50,7 @@ use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 
 use crate::mixers::Mixer;
-use crate::simulator::{FurSimulator, InitialState, QaoaSimulator, SimOptions};
+use crate::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_costvec::PrecomputeMethod;
 use qokit_statevec::exec::{Backend, ExecPolicy};
 use qokit_terms::graphs::{Adjacency, EgoNet, Graph};
@@ -405,13 +405,37 @@ impl LightConeEvaluator {
 }
 
 /// Simulates one cone's QAOA subcircuit with strictly serial kernels and
-/// returns `⟨Z_0 Z_1⟩` — the seed edge's correlator. The cone polynomial
-/// carries the same `½·w` coefficients as `maxcut_polynomial` (the
-/// constant offset is a global phase and is omitted).
+/// returns `⟨Z_0 Z_1⟩` — the seed edge's correlator, `Σ_x ±|ψ_x|²` read
+/// straight off the evolved split planes. The cone polynomial carries the
+/// same `½·w` coefficients as `maxcut_polynomial` (the constant offset is a
+/// global phase and is omitted).
 ///
 /// # Panics
 /// If `gammas.len() != betas.len()`.
 pub fn cone_zz(ego: &EgoNet, gammas: &[f64], betas: &[f64]) -> f64 {
+    let exec = ExecPolicy::serial();
+    let sim = cone_simulator(ego, exec);
+    let mut state = sim.initial_planes();
+    sim.evolve_planes(&mut state, gammas, betas, exec);
+    let (re, im) = state.planes();
+    let (s0, s1) = ego.seeds();
+    re.iter()
+        .zip(im)
+        .enumerate()
+        .map(|(x, (r, i))| {
+            let p = r * r + i * i;
+            if ((x >> s0) ^ (x >> s1)) & 1 == 1 {
+                -p
+            } else {
+                p
+            }
+        })
+        .sum()
+}
+
+/// The simulator of one cone's subcircuit: the cone's MaxCut polynomial,
+/// X mixer, `|+⟩^{⊗q}` start, kernels under `exec`.
+fn cone_simulator(ego: &EgoNet, exec: ExecPolicy) -> FurSimulator {
     let terms: Vec<Term> = ego
         .graph()
         .edges()
@@ -419,30 +443,16 @@ pub fn cone_zz(ego: &EgoNet, gammas: &[f64], betas: &[f64]) -> f64 {
         .map(|&(a, b, w)| Term::new(0.5 * w, &[a, b]))
         .collect();
     let poly = SpinPolynomial::new(ego.n_qubits(), terms);
-    let sim = FurSimulator::with_options(
+    FurSimulator::with_options(
         &poly,
         SimOptions {
             mixer: Mixer::X,
-            exec: ExecPolicy::serial(),
+            exec,
             precompute: PrecomputeMethod::Fwht,
             quantize_u16: false,
             initial: InitialState::UniformSuperposition,
         },
-    );
-    let result = sim.simulate_qaoa(gammas, betas);
-    let probs = sim.into_probabilities(result);
-    let (s0, s1) = ego.seeds();
-    probs
-        .iter()
-        .enumerate()
-        .map(|(x, p)| {
-            if ((x >> s0) ^ (x >> s1)) & 1 == 1 {
-                -p
-            } else {
-                *p
-            }
-        })
-        .sum()
+    )
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -458,6 +468,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::QaoaSimulator;
     use qokit_terms::maxcut::maxcut_polynomial;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -611,6 +622,53 @@ mod tests {
         // The evaluator (and the pool underneath) stays usable.
         let zz = ev.try_zz_values(&plan, &[0.3], &[0.5]).unwrap();
         assert_eq!(zz.len(), 12);
+    }
+
+    /// `⟨Z_0 Z_1⟩` as it was computed on an interleaved state: simulate,
+    /// take the probabilities, sum them signed by the seeds' parity.
+    fn interleaved_cone_zz(ego: &EgoNet, gammas: &[f64], betas: &[f64]) -> f64 {
+        let exec = ExecPolicy::serial().with_layout(qokit_statevec::Layout::Interleaved);
+        let sim = cone_simulator(ego, exec);
+        let probs = sim.into_probabilities(sim.simulate_qaoa(gammas, betas));
+        let (s0, s1) = ego.seeds();
+        probs
+            .iter()
+            .enumerate()
+            .map(|(x, p)| {
+                if ((x >> s0) ^ (x >> s1)) & 1 == 1 {
+                    -p
+                } else {
+                    *p
+                }
+            })
+            .sum()
+    }
+
+    #[test]
+    fn plane_cone_zz_has_the_bits_of_the_interleaved_formula() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let g = Graph::erdos_renyi(14, 0.18, &mut rng);
+        let ev = LightConeEvaluator::new(g);
+        let schedules = [
+            (vec![0.3], vec![0.5]),
+            (vec![0.7, -0.2], vec![0.1, 0.9]),
+            (vec![0.25, 0.5, -0.2], vec![0.6, -0.3, 0.35]),
+        ];
+        for (gammas, betas) in &schedules {
+            let plan = ev.plan(gammas.len()).unwrap();
+            assert!(!plan.cones().is_empty());
+            for cone in plan.cones() {
+                let planes = cone_zz(cone.ego(), gammas, betas);
+                let interleaved = interleaved_cone_zz(cone.ego(), gammas, betas);
+                assert_eq!(
+                    planes.to_bits(),
+                    interleaved.to_bits(),
+                    "p = {}, edge {}",
+                    gammas.len(),
+                    cone.edge()
+                );
+            }
+        }
     }
 
     #[test]

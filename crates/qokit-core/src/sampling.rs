@@ -139,7 +139,10 @@ pub struct LayerSnapshot {
 
 /// Runs the QAOA evolution, invoking `observer` after every layer with
 /// the running energy and overlap. One simulation instead of `p` prefix
-/// simulations — `O(p·2^n)` instead of `O(p²·2^n)`.
+/// simulations — `O(p·2^n)` instead of `O(p²·2^n)`. The state stays on
+/// split planes throughout and is interleaved once for the result; layer
+/// `l`'s energy has the bits of the `l`-layer prefix's
+/// [`QaoaSimulator::objective`].
 pub fn evolve_with_observer<F>(
     sim: &FurSimulator,
     gammas: &[f64],
@@ -150,26 +153,24 @@ where
     F: FnMut(LayerSnapshot),
 {
     assert_eq!(gammas.len(), betas.len(), "gamma/beta length mismatch");
-    let mut state = sim.initial_state();
+    let mut state = sim.initial_planes();
     for (l, (&g, &b)) in gammas.iter().zip(betas.iter()).enumerate() {
-        sim.evolve_in_place(&mut state, &[g], &[b]);
-        let energy = sim
-            .cost_diagonal()
-            .expectation(state.amplitudes(), sim.options().exec);
-        let overlap = sim.cost_diagonal().overlap(state.amplitudes());
+        sim.evolve_planes(&mut state, &[g], &[b], sim.options().exec);
+        let (re, im) = state.planes();
         observer(LayerSnapshot {
             layer: l + 1,
-            energy,
-            overlap,
+            energy: sim.expectation_planes(&state),
+            overlap: sim.cost_diagonal().overlap_split(re, im),
         });
     }
-    SimResult::new(state)
+    SimResult::new(state.into_state_vec())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::SimOptions;
+    use crate::simulator::{InitialState, SimOptions};
+    use crate::Mixer;
     use qokit_statevec::Backend;
     use qokit_terms::labs::labs_terms;
     use rand::rngs::StdRng;
@@ -283,16 +284,38 @@ mod tests {
 
     #[test]
     fn observer_prefixes_match_separate_runs() {
-        let sim = sim(6);
-        let (g, b) = (vec![0.3, 0.25], vec![-0.5, -0.35]);
-        let mut energies = Vec::new();
-        let _ = evolve_with_observer(&sim, &g, &b, |snap| energies.push(snap.energy));
-        for p in 1..=2 {
-            let r = sim.simulate_qaoa(&g[..p], &b[..p]);
-            assert!(
-                (energies[p - 1] - sim.get_expectation(&r)).abs() < 1e-10,
-                "p = {p}"
-            );
+        let problems = [
+            (Mixer::X, InitialState::Auto),
+            (Mixer::XyRing, InitialState::Auto),
+            (Mixer::X, InitialState::Basis(5)),
+        ];
+        let (g, b) = (vec![0.3, -0.25, 0.4], vec![-0.5, 0.35, 0.2]);
+        for (mixer, initial) in problems {
+            for exec in [ExecPolicy::serial(), ExecPolicy::rayon().with_min_len(1)] {
+                let sim = FurSimulator::with_options(
+                    &labs_terms(9),
+                    SimOptions {
+                        mixer,
+                        exec,
+                        initial: initial.clone(),
+                        ..SimOptions::default()
+                    },
+                );
+                let mut snaps = Vec::new();
+                let observed = evolve_with_observer(&sim, &g, &b, |snap| snaps.push(snap));
+                for (l, snap) in snaps.iter().enumerate() {
+                    let prefix = sim.objective(&g[..=l], &b[..=l]);
+                    assert_eq!(
+                        snap.energy.to_bits(),
+                        prefix.to_bits(),
+                        "{mixer:?} layer {l}"
+                    );
+                    let r = sim.simulate_qaoa(&g[..=l], &b[..=l]);
+                    assert_eq!(snap.overlap.to_bits(), sim.get_overlap(&r).to_bits());
+                }
+                let direct = sim.simulate_qaoa(&g, &b);
+                assert_eq!(observed.state().amplitudes(), direct.state().amplitudes());
+            }
         }
     }
 }

@@ -216,6 +216,19 @@ impl FurSimulator {
         }
     }
 
+    /// The configured initial state on split planes. The uniform and basis
+    /// states are filled straight into the planes; Dicke and custom states
+    /// are built interleaved and transposed once.
+    pub(crate) fn initial_planes(&self) -> SplitStateVec {
+        match (&self.options.initial, self.options.mixer) {
+            (InitialState::Auto, Mixer::X) | (InitialState::UniformSuperposition, _) => {
+                SplitStateVec::uniform_superposition(self.n)
+            }
+            (InitialState::Basis(x), _) => SplitStateVec::basis_state(self.n, *x),
+            _ => SplitStateVec::from(&self.initial_state()),
+        }
+    }
+
     /// Applies the `p` QAOA layers to an existing state in place — exposed
     /// so benchmarks can time layers without re-allocating initial states.
     ///
@@ -232,11 +245,14 @@ impl FurSimulator {
     /// with its own kernel policy (serial inside point-parallel sweeps,
     /// parallel inside kernel-parallel ones).
     ///
-    /// When the policy selects [`Layout::Split`] the state is transposed to
+    /// Under the default [`Layout::Split`] the state is transposed to
     /// split-complex planes once, all `p` layers run on the plane-wise
-    /// kernel twins, and the result is transposed back — two `O(2^n)`
-    /// passes amortized over the whole circuit. Layouts agree to rounding
-    /// (`≤ 1e-12` per amplitude); `p = 0` skips the round trip entirely.
+    /// kernel twins, and the result is written back once — two `O(2^n)`
+    /// passes amortized over the whole circuit. An explicit
+    /// [`Layout::Interleaved`] runs the interleaved twins in place instead.
+    /// Both layouts give the same bits; `p = 0` skips the round trip.
+    /// Objectives and sweeps skip the interleaved state altogether (see
+    /// [`QaoaSimulator::objective`] and [`crate::batch::SweepRunner`]).
     pub fn evolve_in_place_with(
         &self,
         state: &mut StateVec,
@@ -244,24 +260,13 @@ impl FurSimulator {
         betas: &[f64],
         policy: ExecPolicy,
     ) {
-        assert_eq!(
-            gammas.len(),
-            betas.len(),
-            "gamma and beta must have the same length p"
-        );
-        assert_eq!(state.n_qubits(), self.n, "state has wrong qubit count");
+        self.check_schedule(state.n_qubits(), gammas, betas);
         if gammas.is_empty() {
             return;
         }
         if policy.layout == Layout::Split {
             let mut split = SplitStateVec::from_interleaved(state.amplitudes());
-            let (re, im) = split.planes_mut();
-            policy.install(|| {
-                for (&gamma, &beta) in gammas.iter().zip(betas.iter()) {
-                    self.costs.apply_phase_split(re, im, gamma, policy);
-                    self.options.mixer.apply_split(re, im, beta, policy);
-                }
-            });
+            self.evolve_planes(&mut split, gammas, betas, policy);
             split.write_interleaved(state.amplitudes_mut());
             return;
         }
@@ -274,6 +279,44 @@ impl FurSimulator {
                     .apply(state.amplitudes_mut(), beta, policy);
             }
         });
+    }
+
+    /// The `p` QAOA layers on split planes, in place, under `policy` — the
+    /// one evolve loop every objective, sweep point, observer layer and
+    /// light-cone cone runs.
+    pub(crate) fn evolve_planes(
+        &self,
+        state: &mut SplitStateVec,
+        gammas: &[f64],
+        betas: &[f64],
+        policy: ExecPolicy,
+    ) {
+        self.check_schedule(state.n_qubits(), gammas, betas);
+        let (re, im) = state.planes_mut();
+        policy.install(|| {
+            for (&gamma, &beta) in gammas.iter().zip(betas.iter()) {
+                self.costs.apply_phase_split(re, im, gamma, policy);
+                self.options.mixer.apply_split(re, im, beta, policy);
+            }
+        });
+    }
+
+    /// `⟨ψ|Ĉ|ψ⟩` of a plane state under the constructed policy — the same
+    /// reduction [`QaoaSimulator::get_expectation`] runs on an interleaved
+    /// state, with the same bits.
+    pub(crate) fn expectation_planes(&self, state: &SplitStateVec) -> f64 {
+        let policy = self.options.exec;
+        let (re, im) = state.planes();
+        policy.install(|| self.costs.expectation_split(re, im, policy))
+    }
+
+    fn check_schedule(&self, n_qubits: usize, gammas: &[f64], betas: &[f64]) {
+        assert_eq!(
+            gammas.len(),
+            betas.len(),
+            "gamma and beta must have the same length p"
+        );
+        assert_eq!(n_qubits, self.n, "state has wrong qubit count");
     }
 }
 
@@ -295,6 +338,16 @@ impl QaoaSimulator for FurSimulator {
     fn get_expectation(&self, result: &SimResult) -> f64 {
         let policy = self.options.exec;
         policy.install(|| self.costs.expectation(result.state().amplitudes(), policy))
+    }
+
+    /// The objective on split planes end to end: the initial state is
+    /// filled into planes, evolved, and reduced by the split objective,
+    /// with no interleaved state. Bit-identical to
+    /// `get_expectation(&simulate_qaoa(..))` under either layout.
+    fn objective(&self, gammas: &[f64], betas: &[f64]) -> f64 {
+        let mut state = self.initial_planes();
+        self.evolve_planes(&mut state, gammas, betas, self.options.exec);
+        self.expectation_planes(&state)
     }
 }
 
@@ -520,7 +573,7 @@ mod tests {
                     &poly,
                     SimOptions {
                         mixer,
-                        exec,
+                        exec: exec.with_layout(Layout::Interleaved),
                         ..SimOptions::default()
                     },
                 );
@@ -534,8 +587,9 @@ mod tests {
                 );
                 let ri = inter.simulate_qaoa(&g, &b);
                 let rs = split.simulate_qaoa(&g, &b);
-                assert!(
-                    ri.state().max_abs_diff(rs.state()) < 1e-12,
+                assert_eq!(
+                    ri.state().amplitudes(),
+                    rs.state().amplitudes(),
                     "{mixer:?} / {:?}",
                     exec.backend
                 );

@@ -297,6 +297,12 @@ impl CostVec {
         diag::probability_mass(amps, &ground)
     }
 
+    /// Split-plane twin of [`CostVec::overlap`], with the same bits.
+    pub fn overlap_split(&self, re: &[f64], im: &[f64]) -> f64 {
+        let ground = self.ground_state_indices(1e-9);
+        diag::probability_mass_split(re, im, &ground)
+    }
+
     /// Bytes held by the stored representation.
     pub fn memory_bytes(&self) -> usize {
         match self {
@@ -618,6 +624,8 @@ mod tests {
             let es = cv.expectation_split(re, im, Backend::Serial);
             let ei = cv.expectation(inter.amplitudes(), Backend::Serial);
             assert_eq!(es, ei);
+            let os = cv.overlap_split(re, im);
+            assert_eq!(os.to_bits(), cv.overlap(inter.amplitudes()).to_bits());
         }
     }
 

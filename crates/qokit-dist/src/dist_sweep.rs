@@ -458,7 +458,7 @@ impl DistSweepRunner {
     /// per-rank aggregate in index order, failures report the lowest-rank
     /// poisoned point after its superstep drains, and the per-rank
     /// aggregates merge in rank order. Workers evaluate each point with
-    /// serial kernels under the configured layout — the same per-point
+    /// serial kernels on split planes — the same per-point
     /// inner policy the lane engine's points-parallel nesting uses — so
     /// the merged aggregate is **bit-identical** to `try_scan` (and
     /// between transports) for any rank count.

@@ -118,7 +118,8 @@ pub struct SweepSimSpec {
     pub precompute: PrecomputeMethod,
     /// §V-B integer-grid cost diagonal (`SimOptions::quantize_u16`).
     pub quantize_u16: bool,
-    /// Amplitude layout the per-point kernels run in.
+    /// Requested amplitude layout. Kept in the wire byte for
+    /// compatibility; sweep points run on split planes whatever it says.
     pub layout: Layout,
 }
 
@@ -252,7 +253,8 @@ const RESP_AMPS: u8 = 5;
 const RESP_ERROR: u8 = 6;
 
 /// Packs a [`SweepSimSpec`] into its one wire byte (precompute ∥ quantize
-/// ∥ layout) — also the spec component of `qokit-serve` cache keys.
+/// ∥ layout) — with the layout fixed, also the spec component of
+/// `qokit-serve` cache keys.
 pub fn spec_byte(spec: &SweepSimSpec) -> u8 {
     let mut b = 0u8;
     if matches!(spec.precompute, PrecomputeMethod::Fwht) {

@@ -178,10 +178,10 @@ impl SimRank {
 }
 
 fn sweep_runner_for(poly: &SpinPolynomial, spec: SweepSimSpec) -> SweepRunner {
-    // Serial kernels with the driver's layout: exactly the per-point inner
-    // policy the in-process lane engine uses, so energies are bit-identical
-    // to a points-parallel sweep regardless of which transport ran them.
-    let exec = ExecPolicy::serial().with_layout(spec.layout);
+    // Serial kernels: exactly the per-point inner policy the in-process
+    // lane engine uses, so energies are bit-identical to a points-parallel
+    // sweep regardless of which transport ran them.
+    let exec = ExecPolicy::serial();
     let sim = FurSimulator::with_options(
         poly,
         SimOptions {

@@ -4,7 +4,9 @@
 //! across jobs in a long-lived server.
 //!
 //! Keys are the *full canonical encoding* of `(spec, polynomial)` — the
-//! spec byte followed by `n_vars` and every `(weight bits, mask)` term —
+//! spec byte (without its layout bit: every layout runs the same split
+//! planes with the same bits) followed by `n_vars` and every
+//! `(weight bits, mask)` term —
 //! hashed with FNV-1a-64 for bucket placement but compared byte-for-byte,
 //! so two polynomials with the same terms on different variable counts
 //! (different `n` → different `2^n` diagonal) can never collide into one
@@ -18,7 +20,7 @@ use qokit_core::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_core::{Mixer, QaoaSimulator};
 use qokit_dist::frame::{fnv1a64, ByteWriter};
 use qokit_dist::wire::{put_poly, spec_byte, SweepSimSpec};
-use qokit_statevec::exec::ExecPolicy;
+use qokit_statevec::exec::{ExecPolicy, Layout};
 use qokit_terms::SpinPolynomial;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -31,10 +33,14 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// The key for `poly` under simulator spec `spec`.
+    /// The key for `poly` under simulator spec `spec`. The spec's layout
+    /// is left out: it no longer changes what runs or its bits.
     pub fn new(poly: &SpinPolynomial, spec: SweepSimSpec) -> Self {
         let mut w = ByteWriter::new();
-        w.u8(spec_byte(&spec));
+        w.u8(spec_byte(&SweepSimSpec {
+            layout: Layout::Split,
+            ..spec
+        }));
         put_poly(&mut w, poly);
         CacheKey {
             bytes: w.into_vec(),
@@ -204,17 +210,17 @@ impl PrecomputeCache {
     }
 }
 
-/// Builds the shared simulator for a serve job: serial kernels with the
-/// spec's layout — the same construction as the transport workers'
-/// `sweep_runner_for`, so every execution context (one-shot API, rank
-/// worker, serve lane) produces bit-identical energies.
+/// Builds the shared simulator for a serve job: serial kernels — the same
+/// construction as the transport workers' `sweep_runner_for`, so every
+/// execution context (one-shot API, rank worker, serve lane) produces
+/// bit-identical energies. The spec's layout is not used: sweeps run on
+/// split planes whatever it says.
 pub fn build_simulator(poly: &SpinPolynomial, spec: SweepSimSpec) -> FurSimulator {
-    let exec = ExecPolicy::serial().with_layout(spec.layout);
     FurSimulator::with_options(
         poly,
         SimOptions {
             mixer: Mixer::X,
-            exec,
+            exec: ExecPolicy::serial(),
             precompute: spec.precompute,
             quantize_u16: spec.quantize_u16,
             initial: InitialState::Auto,
@@ -226,7 +232,6 @@ pub fn build_simulator(poly: &SpinPolynomial, spec: SweepSimSpec) -> FurSimulato
 mod tests {
     use super::*;
     use qokit_costvec::PrecomputeMethod;
-    use qokit_statevec::exec::Layout;
     use qokit_terms::labs::labs_terms;
     use qokit_terms::Term;
 
@@ -293,6 +298,30 @@ mod tests {
         );
         assert!(!hit, "different spec must be a miss");
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn layout_is_not_part_of_the_key() {
+        let cache = PrecomputeCache::new(1 << 20);
+        let poly = labs_terms(6);
+        let split = SweepSimSpec {
+            layout: Layout::Split,
+            ..spec()
+        };
+        let interleaved = SweepSimSpec {
+            layout: Layout::Interleaved,
+            ..spec()
+        };
+        assert_eq!(
+            CacheKey::new(&poly, split),
+            CacheKey::new(&poly, interleaved)
+        );
+        let (a, hit_a) = cache.get_or_build(&poly, split);
+        let (b, hit_b) = cache.get_or_build(&poly, interleaved);
+        assert!(!hit_a);
+        assert!(hit_b, "a layout-only difference must hit");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

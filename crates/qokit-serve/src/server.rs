@@ -521,7 +521,7 @@ fn run_sweep(shared: &Shared, job: &SweepJob, conn: &JobConn) -> ServeResponse {
     let runner = SweepRunner::from_arc(
         sim,
         SweepOptions {
-            exec: ExecPolicy::auto().with_layout(job.spec.layout),
+            exec: ExecPolicy::auto(),
             nested: SweepNesting::PointsParallel,
         },
     );
@@ -563,7 +563,7 @@ fn run_multistart(shared: &Shared, job: &MultiStartJob, conn: &JobConn) -> Serve
     let runner = SweepRunner::from_arc(
         sim,
         SweepOptions {
-            exec: ExecPolicy::serial().with_layout(job.spec.layout),
+            exec: ExecPolicy::serial(),
             nested: SweepNesting::PointsParallel,
         },
     );

@@ -219,6 +219,12 @@ where
     }
 }
 
+/// Split-plane twin of [`probability_mass`]: bit-identical to it (same
+/// per-element products, same summation order).
+pub fn probability_mass_split(re: &[f64], im: &[f64], indices: &[usize]) -> f64 {
+    indices.iter().map(|&i| re[i] * re[i] + im[i] * im[i]).sum()
+}
+
 /// Split-plane phase operator: `ψ_k ← e^{-iγ c_k} ψ_k` on `re`/`im` planes.
 /// Bit-identical to [`apply_phase`] on the interleaved layout (same
 /// per-element operations in the same order). The `sin`/`cos` streams are

@@ -5,35 +5,24 @@
 //! arithmetic is identical, only the executor changes — which is exactly the
 //! property the paper relies on when comparing implementations.
 //!
-//! [`ExecPolicy`] is the one object every kernel consults, and it now holds
+//! [`ExecPolicy`] is the one object every kernel consults, and it holds
 //! **two** independent kernel knobs plus the splitting thresholds:
 //!
 //! 1. **Executor** ([`Backend`]): serial loops vs the work-stealing pool.
 //!    [`Backend`] remains the thin two-variant selector it always was —
 //!    every kernel accepts `impl Into<ExecPolicy>`, so passing a bare
 //!    `Backend` keeps working and resolves to that backend with default
-//!    thresholds (and the default [`Layout::Interleaved`]).
-//! 2. **Memory layout** ([`Layout`]): interleaved `C64` amplitudes vs
-//!    split-complex (structure-of-arrays) `re`/`im` `f64` planes
-//!    ([`crate::split::SplitStateVec`]). The layout is consulted where
-//!    storage is *chosen* (e.g. `FurSimulator::evolve_in_place_with`), not
-//!    inside the kernels themselves — each kernel module provides an
-//!    interleaved and a `*_split` plane-wise entry point with identical
-//!    index arithmetic. `QOKIT_LAYOUT=split` flips the default returned by
-//!    [`Layout::auto`] / [`ExecPolicy::auto`], so every simulator built
-//!    with default options picks up the vectorizable layout without
-//!    call-site changes.
-//!
-//! # Environment caching (read-once semantics)
-//!
-//! `QOKIT_LAYOUT` (via [`Layout::auto`]) is read **once per process**, on
-//! first use, and cached in a `OnceLock` — the hot kernels must not pay a
-//! `getenv` (and its libc lock) per dispatch. The corollary: mutating the
-//! variable after the first default-policy simulator has run is silently
-//! ignored. Set it before the process does any statevector work. Tests and
-//! long-lived processes that must observe a live value use
-//! [`Layout::from_env_uncached`], which re-reads the environment on every
-//! call and bypasses the cache.
+//!    thresholds (and the default [`Layout::Split`]).
+//! 2. **Memory layout** ([`Layout`]): split-complex (structure-of-arrays)
+//!    `re`/`im` `f64` planes ([`crate::split::SplitStateVec`]), the layout
+//!    every policy constructor yields, vs interleaved `C64` amplitudes. The
+//!    layout is consulted only where a caller evolves an interleaved
+//!    [`crate::StateVec`] (`FurSimulator::evolve_in_place_with`); the
+//!    objective, sweep, observer and light-cone paths run on planes
+//!    whatever it says. Each kernel module provides an interleaved and a
+//!    `*_split` plane-wise entry point with identical index arithmetic and
+//!    identical bits. [`Layout::Interleaved`] remains as the comparison
+//!    side of the layout-equivalence suites.
 //!
 //! # Thread-count resolution
 //!
@@ -80,43 +69,23 @@ impl Backend {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
     /// Array-of-structs: one `Vec<C64>` with `re`/`im` adjacent per
-    /// amplitude. The historical layout; every public `StateVec` API speaks
-    /// it.
-    #[default]
+    /// amplitude — the layout every public `StateVec` API speaks. Selecting
+    /// it makes `evolve_in_place_with` run the interleaved kernel twins.
     Interleaved,
     /// Structure-of-arrays: separate `re`/`im` `f64` planes
     /// ([`crate::split::SplitStateVec`]), the layout QOKit's fastest CPU
-    /// backend uses so the kernels vectorize.
+    /// backend uses so the kernels vectorize. The default.
+    #[default]
     Split,
 }
 
 impl Layout {
-    /// Resolves the default layout from the `QOKIT_LAYOUT` environment
-    /// variable: `split` (case-insensitive, also `soa`) selects
-    /// [`Layout::Split`]; anything else — including unset — selects
-    /// [`Layout::Interleaved`].
-    ///
-    /// **Read-once semantics** (see the [module docs](self)): the variable
-    /// is read on the *first* call and cached in a `OnceLock` for the life
-    /// of the process — flipping `QOKIT_LAYOUT` after any default-layout
-    /// simulator has been built is silently ignored. Code that needs to
-    /// observe a live value (tests, long-lived daemons re-reading config)
-    /// must call [`Layout::from_env_uncached`] instead.
-    pub fn auto() -> Layout {
-        static LAYOUT: OnceLock<Layout> = OnceLock::new();
-        *LAYOUT.get_or_init(Layout::from_env_uncached)
-    }
-
-    /// Resolves the layout from `QOKIT_LAYOUT` on **every call**, bypassing
-    /// the [`Layout::auto`] cache. Same parsing rules; use this when the
-    /// environment may legitimately change under a running process.
-    pub fn from_env_uncached() -> Layout {
-        match std::env::var("QOKIT_LAYOUT") {
-            Ok(v) if v.eq_ignore_ascii_case("split") || v.eq_ignore_ascii_case("soa") => {
-                Layout::Split
-            }
-            _ => Layout::Interleaved,
-        }
+    /// The layout default-policy simulators run in: always
+    /// [`Layout::Split`]; the environment is not consulted. It stays only
+    /// because the benchmark's host report (`perfbench/src/host.rs`) names
+    /// it.
+    pub const fn auto() -> Layout {
+        Layout::Split
     }
 }
 
@@ -143,8 +112,8 @@ pub struct ExecPolicy {
     pub min_len: usize,
     /// Minimum elements per parallel task.
     pub min_chunk: usize,
-    /// Amplitude storage layout for storage-choosing callers (the
-    /// simulator's evolve loop). Kernel entry points ignore it — the slice
+    /// Amplitude layout `FurSimulator::evolve_in_place_with` evolves an
+    /// interleaved state in. Kernel entry points ignore it — the slice
     /// types they take already fix the layout.
     pub layout: Layout,
 }
@@ -157,7 +126,7 @@ impl ExecPolicy {
             threads: 0,
             min_len: PAR_MIN_LEN,
             min_chunk: PAR_MIN_CHUNK,
-            layout: Layout::Interleaved,
+            layout: Layout::Split,
         }
     }
 
@@ -168,15 +137,14 @@ impl ExecPolicy {
             threads: 0,
             min_len: PAR_MIN_LEN,
             min_chunk: PAR_MIN_CHUNK,
-            layout: Layout::Interleaved,
+            layout: Layout::Split,
         }
     }
 
-    /// Backend from [`Backend::auto`] (which honors `QOKIT_THREADS`) and
-    /// layout from [`Layout::auto`] (which honors `QOKIT_LAYOUT`), default
-    /// thresholds.
+    /// Backend from [`Backend::auto`] (which honors `QOKIT_THREADS`),
+    /// default thresholds and layout.
     pub fn auto() -> ExecPolicy {
-        ExecPolicy::from(Backend::auto()).with_layout(Layout::auto())
+        ExecPolicy::from(Backend::auto())
     }
 
     /// Returns the policy with an explicit worker count (see
@@ -361,36 +329,16 @@ mod tests {
 
     #[test]
     fn layout_defaults_and_builder() {
-        assert_eq!(ExecPolicy::serial().layout, Layout::Interleaved);
-        assert_eq!(ExecPolicy::rayon().layout, Layout::Interleaved);
+        assert_eq!(Layout::default(), Layout::Split);
+        assert_eq!(Layout::auto(), Layout::Split);
+        assert_eq!(ExecPolicy::serial().layout, Layout::Split);
+        assert_eq!(ExecPolicy::rayon().layout, Layout::Split);
+        assert_eq!(ExecPolicy::auto().layout, Layout::Split);
         let p: ExecPolicy = Backend::Rayon.into();
-        assert_eq!(p.layout, Layout::Interleaved);
-        let s = ExecPolicy::rayon().with_layout(Layout::Split);
-        assert_eq!(s.layout, Layout::Split);
+        assert_eq!(p.layout, Layout::Split);
+        let s = ExecPolicy::rayon().with_layout(Layout::Interleaved);
+        assert_eq!(s.layout, Layout::Interleaved);
         assert_eq!(s.backend, Backend::Rayon);
-        // auto() resolves from the environment; it must agree with
-        // Layout::auto() (both read the cached QOKIT_LAYOUT value).
-        assert_eq!(ExecPolicy::auto().layout, Layout::auto());
-    }
-
-    #[test]
-    fn uncached_layout_reader_tracks_live_env_while_auto_stays_frozen() {
-        // Latch the cache BEFORE touching the env so concurrent tests (and
-        // this one) keep seeing the process-start value through auto().
-        let frozen = Layout::auto();
-        let saved = std::env::var("QOKIT_LAYOUT").ok();
-        std::env::set_var("QOKIT_LAYOUT", "split");
-        assert_eq!(Layout::from_env_uncached(), Layout::Split);
-        assert_eq!(Layout::auto(), frozen);
-        std::env::set_var("QOKIT_LAYOUT", "SoA");
-        assert_eq!(Layout::from_env_uncached(), Layout::Split);
-        std::env::set_var("QOKIT_LAYOUT", "interleaved");
-        assert_eq!(Layout::from_env_uncached(), Layout::Interleaved);
-        match saved {
-            Some(v) => std::env::set_var("QOKIT_LAYOUT", v),
-            None => std::env::remove_var("QOKIT_LAYOUT"),
-        }
-        assert_eq!(Layout::auto(), frozen);
     }
 
     #[test]

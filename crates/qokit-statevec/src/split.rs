@@ -7,12 +7,16 @@
 //! autovectorizer packs 4–8 lanes per instruction. [`SplitStateVec`] is that
 //! layout here: two dense planes of `2^n` doubles.
 //!
+//! It is the layout the simulator runs in end to end: the objective, batched
+//! sweeps, the per-layer observer and light-cone cones fill the initial
+//! state straight into planes, evolve them, and reduce them with the
+//! `*_split` objective, never building an interleaved state. Only calls that
+//! hand back a [`StateVec`] (`simulate_qaoa`, custom sweep extractors)
+//! interleave once at the end.
+//!
 //! Conversion to/from the interleaved [`StateVec`] layout is a pure copy —
 //! [`C64`] is `#[repr(C)]` `{re, im}`, so interleaved↔split round-trips are
-//! **bit-identical** (no arithmetic touches the values). The conversion is
-//! O(2^n) against O(p·n·2^n) kernel work per QAOA circuit, so the simulator
-//! converts once per `evolve`, runs every layer plane-wise, and converts
-//! back.
+//! **bit-identical** (no arithmetic touches the values).
 //!
 //! Every kernel module (`fwht`, `diag`, `su2`, `su4`) provides `*_split`
 //! entry points that take `(re, im)` plane pairs with the same index
@@ -109,11 +113,27 @@ impl SplitStateVec {
         }
     }
 
-    /// Consumes the state and returns the interleaved [`StateVec`].
-    pub fn into_state_vec(self) -> StateVec {
+    /// The interleaved [`StateVec`] holding the same amplitudes.
+    pub fn to_state_vec(&self) -> StateVec {
         let mut amps = vec![C64::ZERO; self.dim()];
         self.write_interleaved(&mut amps);
         StateVec::from_amplitudes(amps)
+    }
+
+    /// Consumes the state and returns the interleaved [`StateVec`].
+    pub fn into_state_vec(self) -> StateVec {
+        self.to_state_vec()
+    }
+
+    /// Overwrites this state with `src` — a buffer refill that keeps both
+    /// allocations.
+    ///
+    /// # Panics
+    /// If the dimensions differ.
+    pub fn copy_from(&mut self, src: &SplitStateVec) {
+        assert_eq!(self.dim(), src.dim(), "dimension mismatch");
+        self.re.copy_from_slice(&src.re);
+        self.im.copy_from_slice(&src.im);
     }
 
     /// Number of qubits.

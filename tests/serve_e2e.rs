@@ -248,6 +248,41 @@ fn second_identical_submission_hits_the_cache() {
     handle.join();
 }
 
+/// The spec's layout is not part of the cache key: a job asking for split
+/// planes and one asking for interleaved amplitudes on the same polynomial
+/// share one entry, and the second is a hit with the same bits.
+#[test]
+fn layout_only_difference_shares_one_cache_entry() {
+    let handle = start_server(4);
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    let poly = test_poly(6);
+    let mut results = Vec::new();
+    for layout in [Layout::Split, Layout::Interleaved] {
+        let job = SweepJob {
+            spec: SweepSimSpec { layout, ..spec() },
+            ..sweep_job(&poly)
+        };
+        results.push(
+            client
+                .submit_sweep(&job, |_| ProgressAction::Continue)
+                .expect("rpc")
+                .done()
+                .expect("job completed"),
+        );
+    }
+    assert!(!results[0].cache_hit);
+    assert!(results[1].cache_hit, "a layout-only difference must hit");
+    assert_eq!(results[0].sum.to_bits(), results[1].sum.to_bits());
+    assert_eq!(results[0].argmin, results[1].argmin);
+
+    let stats = client.cache_stats().expect("stats");
+    assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 1));
+
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
 /// A saturated capacity-1 server must refuse a second concurrent
 /// submission with an explicit `Rejected` — not queue it, not hang.
 #[test]
