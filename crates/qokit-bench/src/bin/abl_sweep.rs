@@ -4,25 +4,21 @@
 //! The paper's headline workload is parameter optimization: thousands of
 //! `(γ, β)` evaluations over one fixed cost vector. This measures the
 //! coarse-grained layer built for that shape — one simulator shared via
-//! `Arc`, recycled state buffers, points as pool tasks — in every `nested`
-//! mode, against the honest baseline (a serial loop of
-//! `evolve_in_place` + energy with a reused buffer). Besides the two
-//! extremes (points-parallel, kernels-parallel) the run sweeps the
-//! point×kernel `Split` shapes that fit the pool (`p` lanes × `k` kernel
-//! workers via subset scheduling); `QOKIT_SWEEP_SPLIT=PxK` pins a single
-//! shape instead.
+//! `Arc`, recycled state buffers, points as pool tasks — in both `nested`
+//! modes (points-parallel, kernels-parallel), against the honest baseline:
+//! a serial loop of one-at-a-time `objective` calls.
 //!
 //! Besides the human-readable table, the run is recorded to
 //! `BENCH_sweep.json` (override the path with `QOKIT_BENCH_JSON`) so the
-//! repository's performance trajectory is machine-readable; split rows
-//! carry a `"shape"` field. The schema is validated by the
-//! `schema_check` binary in CI.
+//! repository's performance trajectory is machine-readable. The schema is
+//! validated by the `schema_check` binary in CI.
 //!
-//! With `QOKIT_ABL_ASSERT=1` the binary exits non-zero unless the best
-//! batched configuration — across points-parallel, kernels-parallel, and
-//! every split shape — reaches at least 0.9× the sequential throughput,
-//! the CI guard that batching never *costs* performance (real speedup
-//! requires >1 core; `hw_threads` in the JSON records the context).
+//! With `QOKIT_ABL_ASSERT=1` the binary exits non-zero unless the
+//! points-parallel energies have the bits of the sequential loop's (both
+//! run serial kernels on split planes) and the best batched mode reaches
+//! at least 0.9× the sequential throughput, the CI guard that batching
+//! never *costs* performance (real speedup requires >1 core; `hw_threads`
+//! in the JSON records the context).
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_core::batch::{SweepNesting, SweepOptions, SweepPoint, SweepRunner};
@@ -43,45 +39,6 @@ fn sweep_points(count: usize, p: usize) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// The split shapes to sweep: `QOKIT_SWEEP_SPLIT=PxK` pins one, otherwise
-/// every `p × (width/p)` divisor pair with at least 2 kernel workers per
-/// lane (capped at 4 shapes), falling back to a clamped `2x1` so a split
-/// row is always reported even on a single-worker pool. Shapes are
-/// clamped to the pool the same way `run_split` clamps them, so the
-/// recorded shape is the one that actually executes.
-fn split_shapes(width: usize) -> Vec<(usize, usize)> {
-    let clamp = |p: usize, k: usize| {
-        let lanes = p.clamp(1, width);
-        (lanes, k.clamp(1, (width / lanes).max(1)))
-    };
-    if let Ok(spec) = std::env::var("QOKIT_SWEEP_SPLIT") {
-        if !spec.trim().is_empty() {
-            if let Some((p, k)) = spec.split_once('x') {
-                if let (Ok(p), Ok(k)) = (p.trim().parse(), k.trim().parse()) {
-                    let (cp, ck) = clamp(p, k);
-                    if (cp, ck) != (p, k) {
-                        eprintln!(
-                            "QOKIT_SWEEP_SPLIT={p}x{k} does not fit the {width}-worker pool; \
-                             running (and recording) the clamped shape {cp}x{ck}"
-                        );
-                    }
-                    return vec![(cp, ck)];
-                }
-            }
-            eprintln!("ignoring malformed QOKIT_SWEEP_SPLIT={spec} (expected PxK, e.g. 2x2)");
-        }
-    }
-    let mut shapes: Vec<(usize, usize)> = (2..=width / 2)
-        .filter(|p| width.is_multiple_of(*p))
-        .map(|p| (p, width / p))
-        .collect();
-    shapes.truncate(4);
-    if shapes.is_empty() {
-        shapes.push(clamp(2, 1));
-    }
-    shapes
-}
-
 fn main() {
     let n = bench_n(if fast_mode() { 10 } else { 16 });
     let p = 4;
@@ -96,8 +53,8 @@ fn main() {
         .unwrap_or(1);
     let width = rayon::current_num_threads().max(1);
 
-    // Sequential baseline: one serial simulator, one reused buffer, one
-    // point at a time — what an optimizer loop did before batching.
+    // Sequential baseline: one serial simulator, one `objective` call per
+    // point — what an optimizer loop does without batching.
     let serial_sim = FurSimulator::with_options(
         &poly,
         SimOptions {
@@ -105,92 +62,65 @@ fn main() {
             ..SimOptions::default()
         },
     );
-    let init = serial_sim.initial_state();
-    let mut buf = init.clone();
-    let mut sink = 0.0f64;
+    let mut seq_energies = Vec::new();
     let t_seq = time_median(reps, || {
-        for pt in &points {
-            buf.amplitudes_mut().copy_from_slice(init.amplitudes());
-            serial_sim.evolve_in_place(&mut buf, &pt.gammas, &pt.betas);
-            sink += serial_sim
-                .cost_diagonal()
-                .expectation(buf.amplitudes(), ExecPolicy::serial());
-        }
+        seq_energies = points
+            .iter()
+            .map(|pt| serial_sim.objective(&pt.gammas, &pt.betas))
+            .collect();
     });
-    std::hint::black_box(sink);
     let seq_pps = count as f64 / t_seq;
 
-    let mut configs: Vec<(String, String, SweepNesting)> = vec![
-        (
-            "points-par".to_string(),
-            "-".to_string(),
-            SweepNesting::PointsParallel,
-        ),
-        (
-            "kernels-par".to_string(),
-            "-".to_string(),
-            SweepNesting::KernelsParallel,
-        ),
+    let configs = [
+        ("points-par", SweepNesting::PointsParallel),
+        ("kernels-par", SweepNesting::KernelsParallel),
     ];
-    for (lanes, kernels) in split_shapes(width) {
-        configs.push((
-            "split".to_string(),
-            format!("{lanes}x{kernels}"),
-            SweepNesting::Split {
-                points: lanes,
-                kernels_per_point: kernels,
-            },
-        ));
-    }
-
     let mut rows = vec![vec![
         "sequential".to_string(),
-        "-".to_string(),
         fmt_time(t_seq),
         format!("{seq_pps:.2}"),
         "1.00x".to_string(),
     ]];
     let mut records = Vec::new();
     let mut best_speedup = 0.0f64;
-    for (label, shape, nested) in &configs {
+    let mut points_par_energies = Vec::new();
+    for (label, nested) in configs {
         let runner = SweepRunner::with_options(
             FurSimulator::new(&poly),
             SweepOptions {
                 exec: ExecPolicy::rayon(),
-                nested: *nested,
+                nested,
             },
         );
+        let mut energies = Vec::new();
         let t_batch = time_median(reps, || {
-            std::hint::black_box(runner.energies(&points));
+            energies = runner.energies(&points);
         });
+        if nested == SweepNesting::PointsParallel {
+            points_par_energies = energies;
+        }
         let pps = count as f64 / t_batch;
         let speedup = t_seq / t_batch;
         best_speedup = best_speedup.max(speedup);
         rows.push(vec![
-            label.clone(),
-            shape.clone(),
+            label.to_string(),
             fmt_time(t_batch),
             format!("{pps:.2}"),
             format!("{speedup:.2}x"),
         ]);
-        let shape_json = if shape == "-" {
-            "null".to_string()
-        } else {
-            format!("\"{shape}\"")
-        };
         records.push(format!(
-            "    {{\"mode\": \"{label}\", \"shape\": {shape_json}, \"seconds\": {t_batch:.6e}, \"points_per_sec\": {pps:.4}, \"speedup_vs_sequential\": {speedup:.4}}}"
+            "    {{\"mode\": \"{label}\", \"seconds\": {t_batch:.6e}, \"points_per_sec\": {pps:.4}, \"speedup_vs_sequential\": {speedup:.4}}}"
         ));
     }
     print_table(
         &format!(
             "Sweep throughput, LABS n = {n}, p = {p}, {count} points ({width}-worker pool, {hw} hw threads)"
         ),
-        &["mode", "shape", "batch", "points/sec", "speedup"],
+        &["mode", "batch", "points/sec", "speedup"],
         &rows,
     );
     println!(
-        "\n(points-parallel shares one Arc'd cost vector and recycles per-worker state\n buffers; split shapes carve the pool into point lanes × kernel workers via\n subset scheduling: expect near-linear scaling once the machine has cores to\n spare, and ~1.0x on a single-core box)"
+        "\n(points-parallel shares one Arc'd cost vector and recycles per-worker state\n buffers: expect near-linear scaling once the machine has cores to spare,\n and ~1.0x on a single-core box)"
     );
 
     let json_path =
@@ -205,13 +135,25 @@ fn main() {
     }
 
     if std::env::var("QOKIT_ABL_ASSERT").is_ok_and(|v| v == "1") {
-        // CI gate: the best of {points-parallel, kernels-parallel, split}
+        // CI gates: points-parallel keeps kernels serial, so its energies
+        // must have the sequential loop's bits; and the best batched mode
         // must never fall below 0.9x the sequential loop (speedup beyond
         // 1.0x requires more than one core).
+        let bit_identical = points_par_energies.len() == seq_energies.len()
+            && points_par_energies
+                .iter()
+                .zip(&seq_energies)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !bit_identical {
+            eprintln!("ASSERT FAILED: points-par energies differ from the sequential loop's bits");
+            std::process::exit(1);
+        }
         if best_speedup < 0.9 {
             eprintln!("ASSERT FAILED: best batched speedup {best_speedup:.2}x < 0.9x sequential");
             std::process::exit(1);
         }
-        println!("assert ok: best batched speedup {best_speedup:.2}x >= 0.9x sequential");
+        println!(
+            "assert ok: points-par bit-identical to sequential; best batched speedup {best_speedup:.2}x >= 0.9x sequential"
+        );
     }
 }

@@ -13,12 +13,9 @@
 //!   `BENCH_sweep.json`).
 //! * `QOKIT_ABL_ASSERT=1` — makes `abl_threads` exit non-zero when the
 //!   parallel backend is slower than 0.8× serial, and `abl_sweep` when the
-//!   best batched configuration (points-parallel, kernels-parallel, or a
-//!   point×kernel split) is slower than 0.9× the sequential loop (the CI
-//!   guards).
-//! * `QOKIT_SWEEP_SPLIT=PxK` — pins `abl_sweep`'s split sweep to a single
-//!   `p lanes × k kernel workers` shape instead of sweeping the divisors
-//!   of the pool width.
+//!   points-parallel energies differ from the sequential loop's bits or
+//!   the best batched mode (points-parallel or kernels-parallel) is slower
+//!   than 0.9× the sequential loop (the CI guards).
 //!
 //! The `schema_check` binary validates emitted `BENCH_*.json` files (see
 //! [`schema`]); CI runs it after each `abl_*` step before uploading the

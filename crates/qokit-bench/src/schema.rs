@@ -210,8 +210,8 @@ fn non_empty_string(root: &Json, key: &str) -> Result<String, String> {
 
 /// Validates a bench record produced by `abl_threads` or `abl_sweep`:
 /// the required keys exist and every measured quantity is a finite,
-/// strictly positive number. For `abl_sweep` additionally requires at
-/// least one `split` mode row (the adaptive-nesting coverage CI pins).
+/// strictly positive number. For `abl_sweep` additionally requires exactly
+/// one `points-par` and one `kernels-par` mode row, and no other mode.
 pub fn validate_bench_json(text: &str) -> Result<String, String> {
     let root = parse(text)?;
     let bench = non_empty_string(&root, "bench")?;
@@ -262,20 +262,26 @@ pub fn validate_bench_json(text: &str) -> Result<String, String> {
                     ))
                 }
             };
-            let mut has_split = false;
+            let mut seen = Vec::new();
             for (i, row) in modes.iter().enumerate() {
                 let mode = non_empty_string(row, "mode").map_err(|e| format!("modes[{i}]: {e}"))?;
                 for key in ["seconds", "points_per_sec", "speedup_vs_sequential"] {
                     finite_positive(row, key).map_err(|e| format!("modes[{i}]: {e}"))?;
                 }
-                if mode == "split" {
-                    non_empty_string(row, "shape")
-                        .map_err(|e| format!("modes[{i}] (split): {e}"))?;
-                    has_split = true;
+                if !matches!(mode.as_str(), "points-par" | "kernels-par") {
+                    return Err(format!(
+                        "modes[{i}]: unknown mode {mode:?} (expected points-par or kernels-par)"
+                    ));
                 }
+                if seen.contains(&mode) {
+                    return Err(format!("modes[{i}]: duplicate {mode:?} row"));
+                }
+                seen.push(mode);
             }
-            if !has_split {
-                return Err("no \"split\" mode row: adaptive nesting went unmeasured".into());
+            if seen.len() != 2 {
+                return Err(format!(
+                    "\"modes\" must hold one points-par and one kernels-par row, got {seen:?}"
+                ));
             }
         }
         "abl_landscape" => {
@@ -604,38 +610,53 @@ mod tests {
         )
     }
 
-    const GOOD_SPLIT: &str = r#"{"mode": "split", "shape": "2x2", "seconds": 1.0e-2,
+    const POINTS_ROW: &str = r#"{"mode": "points-par", "seconds": 1.0e-2,
         "points_per_sec": 1200.0, "speedup_vs_sequential": 1.01}"#;
+
+    const KERNELS_ROW: &str = r#"{"mode": "kernels-par", "seconds": 1.2e-2,
+        "points_per_sec": 1000.0, "speedup_vs_sequential": 0.84}"#;
+
+    fn both_modes(points_row: &str) -> String {
+        sweep_fixture(&format!("{points_row}, {KERNELS_ROW}"))
+    }
 
     #[test]
     fn accepts_a_valid_sweep_record() {
         assert_eq!(
-            validate_bench_json(&sweep_fixture(GOOD_SPLIT)).unwrap(),
+            validate_bench_json(&both_modes(POINTS_ROW)).unwrap(),
             "abl_sweep"
         );
     }
 
     #[test]
-    fn rejects_missing_split_row() {
-        let only_points = r#"{"mode": "points-par", "shape": null, "seconds": 1.0e-2,
+    fn sweep_requires_exactly_the_two_nesting_modes() {
+        // A record missing kernels-par is rejected...
+        let err = validate_bench_json(&sweep_fixture(POINTS_ROW)).unwrap_err();
+        assert!(err.contains("kernels-par"), "{err}");
+        // ...as is a duplicated mode...
+        let err = validate_bench_json(&sweep_fixture(&format!("{POINTS_ROW}, {POINTS_ROW}")))
+            .unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
+        // ...and any mode beyond the two, such as a split row.
+        let split = r#"{"mode": "split", "shape": "2x2", "seconds": 1.0e-2,
             "points_per_sec": 1200.0, "speedup_vs_sequential": 1.01}"#;
-        let err = validate_bench_json(&sweep_fixture(only_points)).unwrap_err();
+        let err = validate_bench_json(&both_modes(&format!("{POINTS_ROW}, {split}"))).unwrap_err();
         assert!(err.contains("split"), "{err}");
     }
 
     #[test]
     fn rejects_non_finite_and_non_positive_numbers() {
         for bad in ["0.0", "-1.0", "\"fast\""] {
-            let row = GOOD_SPLIT.replace("\"seconds\": 1.0e-2", &format!("\"seconds\": {bad}"));
-            let err = validate_bench_json(&sweep_fixture(&row)).unwrap_err();
+            let row = POINTS_ROW.replace("\"seconds\": 1.0e-2", &format!("\"seconds\": {bad}"));
+            let err = validate_bench_json(&both_modes(&row)).unwrap_err();
             assert!(err.contains("seconds"), "{bad}: {err}");
         }
     }
 
     #[test]
     fn rejects_missing_keys() {
-        let row = GOOD_SPLIT.replace("\"points_per_sec\": 1200.0, ", "");
-        let err = validate_bench_json(&sweep_fixture(&row)).unwrap_err();
+        let row = POINTS_ROW.replace("\"points_per_sec\": 1200.0, ", "");
+        let err = validate_bench_json(&both_modes(&row)).unwrap_err();
         assert!(err.contains("points_per_sec"), "{err}");
     }
 

@@ -20,12 +20,7 @@
 //! * [`SweepNesting::KernelsParallel`] — points evaluated one at a time,
 //!   each with fully parallel kernels. The right mode when points are few
 //!   and states are large.
-//! * [`SweepNesting::Split`] — point×kernel nesting between the two
-//!   extremes: the pool is carved into disjoint worker subsets
-//!   ([`rayon::SubsetPool`]), one lane per concurrent point, each lane's
-//!   kernels parallel within its own subset — e.g. 4 points × 4 kernel
-//!   workers on a 16-worker pool.
-//! * [`SweepNesting::Auto`] — picks among the three from batch size,
+//! * [`SweepNesting::Auto`] — picks between the two from batch size,
 //!   state size `2^n`, and pool width.
 //!
 //! ```
@@ -132,51 +127,10 @@ pub enum SweepNesting {
     /// assert!((batched - solo).abs() < 1e-12);
     /// ```
     KernelsParallel,
-    /// Point×kernel nesting between the two extremes: the pool is split
-    /// into `points` disjoint worker subsets
-    /// ([`rayon::SubsetPool`]) of `kernels_per_point` workers each;
-    /// every subset evaluates a strided share of the batch with kernels
-    /// parallel *within its subset only*. The right shape for mid-size
-    /// batches of large states — e.g. 4 points × 4 kernel workers on a
-    /// 16-worker pool. Shapes that don't fit the pool are clamped (never
-    /// an error): lanes cap at `min(batch, width)` and workers per lane
-    /// at `width / lanes`, so any `(points, kernels_per_point)` is valid
-    /// at any pool size, degenerating to a sequential kernels-parallel
-    /// loop on one worker.
-    ///
-    /// ```
-    /// use qokit_core::batch::{SweepNesting, SweepOptions, SweepPoint, SweepRunner};
-    /// use qokit_core::{FurSimulator, QaoaSimulator};
-    /// use qokit_statevec::ExecPolicy;
-    /// use qokit_terms::labs::labs_terms;
-    ///
-    /// // A 2-worker pool carved into 2 lanes x 1 kernel worker each.
-    /// let runner = SweepRunner::with_options(
-    ///     FurSimulator::new(&labs_terms(6)),
-    ///     SweepOptions {
-    ///         exec: ExecPolicy::rayon().with_threads(2).with_min_len(1),
-    ///         nested: SweepNesting::Split { points: 2, kernels_per_point: 1 },
-    ///     },
-    /// );
-    /// let points: Vec<SweepPoint> =
-    ///     (0..5).map(|i| SweepPoint::p1(0.1 * i as f64, 0.3)).collect();
-    /// for (p, e) in points.iter().zip(runner.energies(&points)) {
-    ///     let solo = runner.simulator().objective(&p.gammas, &p.betas);
-    ///     assert!((e - solo).abs() < 1e-12);
-    /// }
-    /// ```
-    Split {
-        /// Number of concurrent evaluation lanes (worker subsets).
-        points: usize,
-        /// Pool workers owned by each lane's kernels.
-        kernels_per_point: usize,
-    },
     /// Heuristic pick from batch size, state size `2^n`, and pool width:
     /// [`PointsParallel`](SweepNesting::PointsParallel) when the batch
-    /// saturates the pool (or states are too small to split profitably),
-    /// [`KernelsParallel`](SweepNesting::KernelsParallel) for a lone
-    /// point, and [`Split`](SweepNesting::Split) in between, with lanes =
-    /// batch size and the remaining workers shared per lane.
+    /// fills the pool (or states are too small for parallel kernels),
+    /// [`KernelsParallel`](SweepNesting::KernelsParallel) otherwise.
     ///
     /// ```
     /// use qokit_core::batch::{SweepNesting, SweepOptions, SweepPoint, SweepRunner};
@@ -437,31 +391,19 @@ impl SweepRunner {
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let policy = self.opts.exec;
+        // Sequential points keep the policy's backend and thresholds, on
+        // the ambient pool: serial kernels for a serial runner, parallel
+        // ones (inside `install`) in kernels-parallel mode.
+        let sequential = ExecPolicy {
+            threads: 0,
+            ..policy
+        };
         if matches!(policy.backend, Backend::Serial) {
-            // Keep the thresholds — only force one worker.
-            return self.run_sequential(
-                points,
-                ExecPolicy {
-                    threads: 0,
-                    ..policy
-                },
-                &eval,
-            );
+            return self.run_sequential(points, sequential, &eval);
         }
         policy.install(|| match self.resolve_nesting(points.len()) {
             SweepNesting::PointsParallel => self.run_points_parallel(points, &eval),
-            SweepNesting::Split {
-                points: lanes,
-                kernels_per_point,
-            } => self.run_split(points, lanes, kernels_per_point, policy, &eval),
-            _ => self.run_sequential(
-                points,
-                ExecPolicy {
-                    threads: 0,
-                    ..policy
-                },
-                &eval,
-            ),
+            _ => self.run_sequential(points, sequential, &eval),
         })
     }
 
@@ -648,59 +590,12 @@ impl SweepRunner {
                     n < usize::BITS as usize && (1usize << n) >= self.opts.exec.min_len;
                 if n_points >= width || !kernels_can_split {
                     SweepNesting::PointsParallel
-                } else if n_points <= 1 || width == 1 {
-                    SweepNesting::KernelsParallel
                 } else {
-                    // Mid-size batch of large states: one lane per point,
-                    // leftover workers shared evenly among the lanes.
-                    let lanes = n_points;
-                    let kernels_per_point = width / lanes;
-                    if kernels_per_point <= 1 {
-                        SweepNesting::PointsParallel
-                    } else {
-                        SweepNesting::Split {
-                            points: lanes,
-                            kernels_per_point,
-                        }
-                    }
+                    SweepNesting::KernelsParallel
                 }
             }
             mode => mode,
         }
-    }
-
-    /// Point×kernel nesting via [`rayon::strided_lanes`]: `lanes` worker
-    /// subsets of `kernels_per_point` workers each, every lane evaluating a
-    /// strided share of the batch with kernels parallel inside its own
-    /// subset (one `install` per lane, not per point). Shapes are clamped
-    /// to the pool (see [`SweepNesting::Split`]); results stay keyed by
-    /// point index regardless of lane assignment or completion order, and
-    /// a single surviving lane degenerates to exactly kernels-parallel.
-    fn run_split<R, F>(
-        &self,
-        points: &[SweepPoint],
-        lanes: usize,
-        kernels_per_point: usize,
-        policy: ExecPolicy,
-        eval: &F,
-    ) -> Vec<Result<R, SweepError>>
-    where
-        R: Send,
-        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
-    {
-        // Kernels inherit each lane's ambient subset: threads must be 0 so
-        // `ExecPolicy::install` inside the evaluation is a no-op rather
-        // than an escape into a differently-sized pool.
-        let inner = ExecPolicy {
-            threads: 0,
-            ..policy
-        };
-        let init = self.sim.initial_planes();
-        // eval_one contains each point's panic, so one poisoned point
-        // cannot abort its lane.
-        rayon::strided_lanes(points.len(), lanes, kernels_per_point, |index| {
-            self.eval_one(index, &points[index], &init, inner, eval)
-        })
     }
 
     /// One point per pool task, serial kernels inside.
@@ -814,24 +709,22 @@ mod tests {
                     .expectation(s.amplitudes(), ExecPolicy::serial())
             })
             .collect();
+        // 9 points on a 4-worker pool: Auto must take the deterministic
+        // points-parallel path, so both arms keep kernels serial.
         for nested in [SweepNesting::PointsParallel, SweepNesting::Auto] {
             let runner = SweepRunner::with_options(
                 serial_sim(7),
                 SweepOptions {
-                    exec: ExecPolicy::rayon().with_min_len(1).with_min_chunk(4),
+                    exec: ExecPolicy::rayon()
+                        .with_threads(4)
+                        .with_min_len(1)
+                        .with_min_chunk(4),
                     nested,
                 },
             );
             let got = runner.energies(&points(9));
-            // Points-parallel keeps kernels serial: bit-identical results.
-            if matches!(nested, SweepNesting::PointsParallel) {
-                for (a, b) in reference.iter().zip(&got) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{nested:?}");
-                }
-            } else {
-                for (a, b) in reference.iter().zip(&got) {
-                    assert!((a - b).abs() < 1e-12, "{nested:?}");
-                }
+            for (a, b) in reference.iter().zip(&got) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{nested:?}");
             }
         }
     }
@@ -958,117 +851,40 @@ mod tests {
     }
 
     #[test]
-    fn split_mode_matches_sequential_for_any_shape() {
-        let sim = serial_sim(7);
-        let pts = points(9);
-        let reference: Vec<f64> = pts
-            .iter()
-            .map(|p| {
-                let mut s = sim.initial_state();
-                sim.evolve_in_place_with(&mut s, &p.gammas, &p.betas, ExecPolicy::serial());
-                sim.cost_diagonal()
-                    .expectation(s.amplitudes(), ExecPolicy::serial())
-            })
-            .collect();
-        // Every shape — fitting, oversized, degenerate — must clamp to the
-        // pool and agree with the sequential loop.
-        for (p, k) in [(2, 2), (4, 1), (1, 4), (3, 2), (16, 16), (9, 1)] {
+    fn auto_heuristic_picks_by_batch_state_and_width() {
+        use SweepNesting::{KernelsParallel as Kp, PointsParallel as Pp};
+        // Resolves each batch size on a `threads`-wide pool at n = 6;
+        // min_len = 1 makes any state size "large enough to split".
+        let resolve = |threads: usize, min_len: Option<usize>, batches: &[usize]| {
+            let mut exec = ExecPolicy::rayon().with_threads(threads);
+            if let Some(min_len) = min_len {
+                exec = exec.with_min_len(min_len);
+            }
             let runner = SweepRunner::with_options(
-                serial_sim(7),
+                serial_sim(6),
                 SweepOptions {
-                    exec: ExecPolicy::rayon()
-                        .with_threads(4)
-                        .with_min_len(1)
-                        .with_min_chunk(4),
-                    nested: SweepNesting::Split {
-                        points: p,
-                        kernels_per_point: k,
-                    },
+                    exec,
+                    nested: SweepNesting::Auto,
                 },
             );
-            let got = runner.energies(&pts);
-            for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-12,
-                    "shape {p}x{k}, point {i}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn auto_heuristic_picks_by_batch_state_and_width() {
-        // min_len = 1 makes any state size "large enough to split".
-        let wide = SweepRunner::with_options(
-            serial_sim(6),
-            SweepOptions {
-                exec: ExecPolicy::rayon()
-                    .with_threads(4)
-                    .with_min_len(1)
-                    .with_min_chunk(4),
-                nested: SweepNesting::Auto,
-            },
-        );
-        let resolved = wide.opts.exec.install(|| {
-            (
-                wide.resolve_nesting(8), // batch >= width
-                wide.resolve_nesting(2), // mid-size: 2 lanes x 2 workers
-                wide.resolve_nesting(1), // lone point
-            )
-        });
-        assert_eq!(resolved.0, SweepNesting::PointsParallel);
-        assert_eq!(
-            resolved.1,
-            SweepNesting::Split {
-                points: 2,
-                kernels_per_point: 2
-            }
-        );
-        assert_eq!(resolved.2, SweepNesting::KernelsParallel);
-
+            exec.install(|| {
+                batches
+                    .iter()
+                    .map(|&b| runner.resolve_nesting(b))
+                    .collect::<Vec<_>>()
+            })
+        };
+        // Width 4: a batch that fills the pool goes points-parallel; a
+        // mid-size batch and a lone point go kernels-parallel.
+        assert_eq!(resolve(4, Some(1), &[8, 4, 2, 1]), [Pp, Pp, Kp, Kp]);
+        // Width 2, the widest pool this rule has records for.
+        assert_eq!(resolve(2, Some(1), &[0, 1, 2, 5]), [Kp, Kp, Pp, Pp]);
+        // Width 1: every non-empty batch fills the pool.
+        assert_eq!(resolve(1, Some(1), &[1]), [Pp]);
         // Default min_len: a 2^6 state can't split, so small batches still
         // go points-parallel rather than waste kernel workers.
-        let small_state = SweepRunner::with_options(
-            serial_sim(6),
-            SweepOptions {
-                exec: ExecPolicy::rayon().with_threads(4),
-                nested: SweepNesting::Auto,
-            },
-        );
-        let resolved = small_state
-            .opts
-            .exec
-            .install(|| small_state.resolve_nesting(2));
-        assert_eq!(resolved, SweepNesting::PointsParallel);
-    }
-
-    #[test]
-    fn split_mode_poisons_only_the_failing_point() {
-        let runner = SweepRunner::with_options(
-            serial_sim(5),
-            SweepOptions {
-                exec: ExecPolicy::rayon()
-                    .with_threads(4)
-                    .with_min_len(1)
-                    .with_min_chunk(4),
-                nested: SweepNesting::Split {
-                    points: 2,
-                    kernels_per_point: 2,
-                },
-            },
-        );
-        let mut pts = points(6);
-        pts[4] = SweepPoint::new(vec![0.1], vec![0.2, 0.3]); // length mismatch
-        let checked = runner.energies_checked(&pts);
-        for (i, r) in checked.iter().enumerate() {
-            if i == 4 {
-                assert!(matches!(r, Err(SweepError::PointPanicked { index: 4, .. })));
-            } else {
-                assert!(r.is_ok(), "point {i} must survive a sibling's panic");
-            }
-        }
-        // Runner and pool stay reusable after the subset-pool panic.
-        assert_eq!(runner.energies(&points(4)).len(), 4);
+        assert_eq!(resolve(4, None, &[2]), [Pp]);
+        assert_eq!(resolve(2, None, &[0, 1, 2, 5]), [Pp, Pp, Pp, Pp]);
     }
 
     #[test]

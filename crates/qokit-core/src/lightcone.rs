@@ -399,7 +399,7 @@ impl LightConeEvaluator {
         let exec = self.options.exec;
         match exec.backend {
             Backend::Serial => (0..n).map(body).collect(),
-            Backend::Rayon => exec.install(|| rayon::strided_lanes(n, n, 0, body)),
+            Backend::Rayon => exec.install(|| rayon::strided_lanes(n, body)),
         }
     }
 }

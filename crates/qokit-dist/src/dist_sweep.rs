@@ -382,10 +382,10 @@ impl DistSweepRunner {
                 }
                 // One BSP superstep: the K ranks run as strided lanes
                 // pinned to disjoint pool slices ([`rayon::strided_lanes`]
-                // clamps the shape, so narrow pools simply run several
-                // ranks per lane), with the lane drain as the implicit
-                // barrier before the driver inspects failures.
-                rayon::strided_lanes(k, k, 0, |rank| {
+                // opens `min(K, width)` lanes, so narrow pools simply run
+                // several ranks per lane), with the lane drain as the
+                // implicit barrier before the driver inspects failures.
+                rayon::strided_lanes(k, |rank| {
                     let mut guard = cells[rank].lock().unwrap();
                     let st = &mut *guard;
                     if st.cursor >= st.end || st.failed.is_some() {

@@ -269,12 +269,13 @@ impl MultiStart {
         assert!(self.restarts > 0, "need at least one restart");
         let starts = self.starting_points();
         // Restart lanes × candidate batches ([`rayon::strided_lanes`]):
-        // lane l owns restarts l, l + lanes, … and a disjoint
-        // `width / lanes`-worker subset; leftover workers (when lanes ∤
-        // width) help via ordinary stealing of the lane spawn tasks
-        // themselves, and a single lane degenerates to a sequential
-        // restart loop whose batch calls still parallelize inside.
-        let slots = rayon::strided_lanes(self.restarts, self.restarts, 0, |i| {
+        // `lanes = min(restarts, width)`, and lane l owns restarts
+        // l, l + lanes, … and a disjoint `width / lanes`-worker subset;
+        // leftover workers (when lanes ∤ width) help via ordinary stealing
+        // of the lane spawn tasks themselves, and a single lane
+        // degenerates to a sequential restart loop whose batch calls still
+        // parallelize inside.
+        let slots = rayon::strided_lanes(self.restarts, |i| {
             panic::catch_unwind(AssertUnwindSafe(|| self.run_one_batched(i, &starts[i], f)))
                 .map_err(panic_message)
         });

@@ -191,9 +191,7 @@ impl SlicePlan {
                 .map(|s| self.plan.execute(one(s)).into_scalar())
                 .collect()
         } else {
-            exec.install(|| {
-                rayon::strided_lanes(n, n, 0, |s| self.plan.execute(one(s)).into_scalar())
-            })
+            exec.install(|| rayon::strided_lanes(n, |s| self.plan.execute(one(s)).into_scalar()))
         };
         parts.into_iter().fold(C64::ZERO, |acc, v| acc + v)
     }

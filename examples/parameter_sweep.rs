@@ -105,9 +105,10 @@ fn main() {
     // Candidate sets (initial simplex, reflection/expansion pairs, shrink
     // rows) evaluate as sweep batches. Points-parallel keeps kernels
     // serial inside each candidate, so the batched trajectory is
-    // *bit-identical* to sequential Nelder–Mead on any pool size (`Auto`
-    // or `Split{..}` nesting trade that determinism for parallel kernels
-    // per lane — see the README's nesting-mode guidance).
+    // *bit-identical* to sequential Nelder–Mead on any pool size
+    // (`KernelsParallel` nesting, which `Auto` picks for batches smaller
+    // than the pool, trades that determinism for parallel kernels — see
+    // the README's nesting-mode guidance).
     let nm = NelderMead {
         max_evals: 150,
         ..NelderMead::default()

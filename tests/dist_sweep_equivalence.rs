@@ -133,8 +133,8 @@ proptest! {
         }
     }
 
-    /// Nesting modes that parallelize kernels (Auto may resolve to Split
-    /// or KernelsParallel) stay within 1e-12 of the sequential energies —
+    /// Nesting modes that parallelize kernels (Auto may resolve to
+    /// KernelsParallel) stay within 1e-12 of the sequential energies —
     /// compared through the min/top-k values they aggregate.
     #[test]
     fn dist_scan_with_auto_nesting_stays_within_tolerance(

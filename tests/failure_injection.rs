@@ -209,50 +209,6 @@ fn panicking_sweep_point_poisons_only_itself_and_pool_survives() {
 }
 
 #[test]
-fn panicking_point_inside_a_subset_pool_poisons_only_itself() {
-    // Split nesting runs each point inside a SubsetPool slice of the
-    // workers. A panic there must unwind through the subset's scoped
-    // execution into a per-point error, leave sibling lanes' points
-    // untouched, and leave both the subsets and the parent pool reusable.
-    let runner = SweepRunner::with_options(
-        FurSimulator::new(&labs_terms(6)),
-        SweepOptions {
-            exec: ExecPolicy::rayon()
-                .with_threads(4)
-                .with_min_len(1)
-                .with_min_chunk(4),
-            nested: SweepNesting::Split {
-                points: 2,
-                kernels_per_point: 2,
-            },
-        },
-    );
-    let mut points: Vec<SweepPoint> = (0..8)
-        .map(|i| SweepPoint::p1(0.1 * i as f64, 0.3))
-        .collect();
-    points[5] = SweepPoint::new(vec![0.1, 0.2], vec![0.3]); // length mismatch
-    let checked = runner.energies_checked(&points);
-    for (i, r) in checked.iter().enumerate() {
-        if i == 5 {
-            match r {
-                Err(SweepError::PointPanicked { index, message }) => {
-                    assert_eq!(*index, 5);
-                    assert!(message.contains("same length"), "{message}");
-                }
-                other => panic!("expected PointPanicked, got {other:?}"),
-            }
-        } else {
-            assert!(r.is_ok(), "point {i} must be unaffected");
-        }
-    }
-    // Subset pools and the parent pool stay healthy: a fresh Split batch
-    // completes with finite energies.
-    let ok = runner.energies(&points[..4]);
-    assert_eq!(ok.len(), 4);
-    assert!(ok.iter().all(|e| e.is_finite()));
-}
-
-#[test]
 fn panicking_restart_poisons_only_itself_and_pool_survives() {
     let driver = MultiStart {
         method: RestartMethod::NelderMead(NelderMead {

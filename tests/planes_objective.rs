@@ -5,8 +5,8 @@
 //! expectation.
 //!
 //! The interleaved reference runs its kernels at the width the sweep's
-//! points ran at (serial for serial and points-parallel sweeps, the pool or
-//! lane width otherwise), so parallel reductions split along the same tree.
+//! points ran at (serial for serial and points-parallel sweeps, the pool
+//! width otherwise), so parallel reductions split along the same tree.
 //! n = 13 and 14 reach the parallel kernels under the default `min_len`.
 
 use qokit::prelude::*;
@@ -85,17 +85,6 @@ fn sweep_configs() -> Vec<(&'static str, SweepOptions, ExecPolicy)> {
                 nested: SweepNesting::KernelsParallel,
             },
             ExecPolicy::rayon().with_threads(3),
-        ),
-        (
-            "split 2x2",
-            SweepOptions {
-                exec: ExecPolicy::rayon().with_threads(4),
-                nested: SweepNesting::Split {
-                    points: 2,
-                    kernels_per_point: 2,
-                },
-            },
-            ExecPolicy::rayon().with_threads(2),
         ),
     ]
 }

@@ -111,46 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn split_nesting_matches_sequential_loop_at_all_pool_sizes(
-        poly in poly_strategy(6, 12),
-        points in points_strategy(2, 8),
-    ) {
-        // Every (p, k) factorization of every pool size in {1, 2, 4} —
-        // plus shapes that only fit after clamping — must compute the
-        // sequential loop's energies to ≤ 1e-12. Subset pools carve the
-        // sweep pool into p lanes of k kernel workers each.
-        let reference = sequential_energies(&serial_sim(&poly, Mixer::X), &points);
-        for threads in [1usize, 2, 4] {
-            let mut shapes: Vec<(usize, usize)> = (1..=threads)
-                .filter(|p| threads % p == 0)
-                .map(|p| (p, threads / p))
-                .collect();
-            shapes.push((threads + 1, 2)); // clamps to the pool
-            for (p, k) in shapes {
-                let runner = SweepRunner::with_options(
-                    serial_sim(&poly, Mixer::X),
-                    SweepOptions {
-                        exec: ExecPolicy::rayon()
-                            .with_threads(threads)
-                            .with_min_len(1)
-                            .with_min_chunk(4),
-                        nested: SweepNesting::Split { points: p, kernels_per_point: k },
-                    },
-                );
-                let batched = runner.energies(&points);
-                prop_assert_eq!(batched.len(), reference.len());
-                for (i, (a, b)) in reference.iter().zip(&batched).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() <= 1e-12,
-                        "threads {}, shape {}x{}, point {}: {} vs {}",
-                        threads, p, k, i, a, b
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn repeated_batches_reuse_buffers_without_drift(
         points in points_strategy(1, 6),
     ) {
