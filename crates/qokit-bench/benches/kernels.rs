@@ -9,7 +9,7 @@ use qokit_costvec::{precompute_direct, precompute_fwht, CostVec};
 use qokit_gates::{GateSimOptions, GateSimulator, PhaseStyle};
 use qokit_statevec::su2::apply_uniform_mat2;
 use qokit_statevec::su4::apply_xy;
-use qokit_statevec::{Backend, Mat2, StateVec};
+use qokit_statevec::{ExecPolicy, Mat2, StateVec};
 use qokit_terms::labs::labs_terms;
 use std::time::Duration;
 
@@ -29,11 +29,15 @@ fn bench_mixer(c: &mut Criterion) {
     for &n in &[14usize, 18] {
         let mut state = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("algorithm2_serial", n), &n, |b, _| {
-            b.iter(|| apply_uniform_mat2(state.amplitudes_mut(), &Mat2::rx(0.3), Backend::Serial));
+            b.iter(|| {
+                apply_uniform_mat2(state.amplitudes_mut(), &Mat2::rx(0.3), ExecPolicy::serial())
+            });
         });
         let mut state2 = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("algorithm2_rayon", n), &n, |b, _| {
-            b.iter(|| apply_uniform_mat2(state2.amplitudes_mut(), &Mat2::rx(0.3), Backend::Rayon));
+            b.iter(|| {
+                apply_uniform_mat2(state2.amplitudes_mut(), &Mat2::rx(0.3), ExecPolicy::rayon())
+            });
         });
         let mut state3 = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("fwht_sandwich", n), &n, |b, _| {
@@ -41,7 +45,7 @@ fn bench_mixer(c: &mut Criterion) {
                 qokit_statevec::fwht::apply_x_mixer_fwht_inplace(
                     state3.amplitudes_mut(),
                     0.3,
-                    Backend::Rayon,
+                    ExecPolicy::rayon(),
                 )
             });
         });
@@ -53,19 +57,21 @@ fn bench_phase_and_expectation(c: &mut Criterion) {
     let mut g = configured(c, "phase_operator");
     for &n in &[14usize, 18] {
         let poly = labs_terms(n);
-        let costs = CostVec::F64(precompute_fwht(&poly, Backend::Rayon));
+        let costs = CostVec::F64(precompute_fwht(&poly, ExecPolicy::rayon()));
         let levels = CostVec::from_f64(costs.to_f64_vec());
         let mut state = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("apply_f64", n), &n, |b, _| {
-            b.iter(|| costs.apply_phase(state.amplitudes_mut(), 0.2, Backend::Rayon));
+            b.iter(|| costs.apply_phase(state.amplitudes_mut(), 0.2, ExecPolicy::rayon()));
         });
         let mut state2 = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("apply_levels", n), &n, |b, _| {
-            b.iter(|| levels.apply_phase(state2.amplitudes_mut(), 0.2, Backend::Rayon));
+            b.iter(|| levels.apply_phase(state2.amplitudes_mut(), 0.2, ExecPolicy::rayon()));
         });
         let state3 = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("expectation", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(costs.expectation(state3.amplitudes(), Backend::Rayon)));
+            b.iter(|| {
+                std::hint::black_box(costs.expectation(state3.amplitudes(), ExecPolicy::rayon()))
+            });
         });
     }
     g.finish();
@@ -76,10 +82,10 @@ fn bench_precompute(c: &mut Criterion) {
     for &n in &[14usize, 16] {
         let poly = labs_terms(n);
         g.bench_with_input(BenchmarkId::new("direct", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(precompute_direct(&poly, Backend::Rayon)));
+            b.iter(|| std::hint::black_box(precompute_direct(&poly, ExecPolicy::rayon())));
         });
         g.bench_with_input(BenchmarkId::new("fwht", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(precompute_fwht(&poly, Backend::Rayon)));
+            b.iter(|| std::hint::black_box(precompute_fwht(&poly, ExecPolicy::rayon())));
         });
     }
     g.finish();
@@ -90,11 +96,11 @@ fn bench_xy_gate(c: &mut Criterion) {
     let n = 16;
     let mut state = StateVec::dicke_state(n, n / 2);
     g.bench_function("su4_pair", |b| {
-        b.iter(|| apply_xy(state.amplitudes_mut(), 3, 11, 0.4, Backend::Rayon));
+        b.iter(|| apply_xy(state.amplitudes_mut(), 3, 11, 0.4, ExecPolicy::rayon()));
     });
     let mut state2 = StateVec::dicke_state(n, n / 2);
     g.bench_function("ring_mixer_layer", |b| {
-        b.iter(|| Mixer::XyRing.apply(state2.amplitudes_mut(), 0.4, Backend::Rayon));
+        b.iter(|| Mixer::XyRing.apply(state2.amplitudes_mut(), 0.4, ExecPolicy::rayon()));
     });
     g.finish();
 }
@@ -104,18 +110,18 @@ fn bench_layer_comparison(c: &mut Criterion) {
     let mut g = configured(c, "labs_layer_n12");
     let n = 12;
     let poly = labs_terms(n);
-    let costs = CostVec::F64(precompute_fwht(&poly, Backend::Rayon));
+    let costs = CostVec::F64(precompute_fwht(&poly, ExecPolicy::rayon()));
     let mut state = StateVec::uniform_superposition(n);
     g.bench_function("qokit", |b| {
         b.iter(|| {
-            costs.apply_phase(state.amplitudes_mut(), 0.2, Backend::Rayon);
-            Mixer::X.apply(state.amplitudes_mut(), -0.4, Backend::Rayon);
+            costs.apply_phase(state.amplitudes_mut(), 0.2, ExecPolicy::rayon());
+            Mixer::X.apply(state.amplitudes_mut(), -0.4, ExecPolicy::rayon());
         });
     });
     let gate = GateSimulator::new(
         poly.clone(),
         GateSimOptions {
-            exec: Backend::Rayon.into(),
+            exec: ExecPolicy::rayon(),
             ..GateSimOptions::default()
         },
     );
@@ -126,7 +132,7 @@ fn bench_layer_comparison(c: &mut Criterion) {
     let native = GateSimulator::new(
         poly,
         GateSimOptions {
-            exec: Backend::Rayon.into(),
+            exec: ExecPolicy::rayon(),
             style: PhaseStyle::NativeDiagonal,
             ..GateSimOptions::default()
         },

@@ -23,7 +23,7 @@ use qokit_statevec::fwht::{
 };
 use qokit_statevec::su2::{apply_uniform_mat2, apply_uniform_mat2_split};
 use qokit_statevec::su4::{apply_xy, apply_xy_split};
-use qokit_statevec::{Backend, Mat2, SplitStateVec, StateVec};
+use qokit_statevec::{ExecPolicy, Mat2, SplitStateVec, StateVec};
 use std::io::Write;
 
 /// Interleaved-vs-split layout ablation on the hot kernels: same math, two
@@ -46,38 +46,42 @@ fn layout_ablation(n: usize, reps: usize) {
     let mut records = Vec::new();
     let mut best_speedup = 0.0f64;
     let kernels: [(&str, f64, f64); 5] = {
-        let t_fwht_i = time_median(reps, || fwht(inter.amplitudes_mut(), Backend::Serial));
+        let t_fwht_i = time_median(reps, || fwht(inter.amplitudes_mut(), ExecPolicy::serial()));
         let t_fwht_s = time_median(reps, || {
             let (re, im) = split.planes_mut();
-            fwht_split(re, im, Backend::Serial);
+            fwht_split(re, im, ExecPolicy::serial());
         });
         let t_diag_i = time_median(reps, || {
-            apply_phase(inter.amplitudes_mut(), &costs, 0.2, Backend::Serial)
+            apply_phase(inter.amplitudes_mut(), &costs, 0.2, ExecPolicy::serial())
         });
         let t_diag_s = time_median(reps, || {
             let (re, im) = split.planes_mut();
-            apply_phase_split(re, im, &costs, 0.2, Backend::Serial);
+            apply_phase_split(re, im, &costs, 0.2, ExecPolicy::serial());
         });
         let t_exp_i = time_median(reps, || {
-            std::hint::black_box(expectation(inter.amplitudes(), &costs, Backend::Serial));
+            std::hint::black_box(expectation(
+                inter.amplitudes(),
+                &costs,
+                ExecPolicy::serial(),
+            ));
         });
         let t_exp_s = time_median(reps, || {
             let (re, im) = split.planes();
-            std::hint::black_box(expectation_split(re, im, &costs, Backend::Serial));
+            std::hint::black_box(expectation_split(re, im, &costs, ExecPolicy::serial()));
         });
         let t_su2_i = time_median(reps, || {
-            apply_uniform_mat2(inter.amplitudes_mut(), &rx, Backend::Serial)
+            apply_uniform_mat2(inter.amplitudes_mut(), &rx, ExecPolicy::serial())
         });
         let t_su2_s = time_median(reps, || {
             let (re, im) = split.planes_mut();
-            apply_uniform_mat2_split(re, im, &rx, Backend::Serial);
+            apply_uniform_mat2_split(re, im, &rx, ExecPolicy::serial());
         });
         let t_xy_i = time_median(reps, || {
-            apply_xy(inter.amplitudes_mut(), 0, n - 1, 0.3, Backend::Serial)
+            apply_xy(inter.amplitudes_mut(), 0, n - 1, 0.3, ExecPolicy::serial())
         });
         let t_xy_s = time_median(reps, || {
             let (re, im) = split.planes_mut();
-            apply_xy_split(re, im, 0, n - 1, 0.3, Backend::Serial);
+            apply_xy_split(re, im, 0, n - 1, 0.3, ExecPolicy::serial());
         });
         [
             ("fwht", t_fwht_i, t_fwht_s),
@@ -135,19 +139,22 @@ fn main() {
     let reps = if fast_mode() { 1 } else { 5 };
     let beta = -0.44;
 
-    for backend in [Backend::Serial, Backend::Rayon] {
+    for (label, exec) in [
+        ("serial", ExecPolicy::serial()),
+        ("rayon", ExecPolicy::rayon()),
+    ] {
         let mut rows = Vec::new();
         let mut n = 10;
         while n <= max_n {
             let mut state = StateVec::uniform_superposition(n);
             let t_alg2 = time_median(reps, || {
-                apply_uniform_mat2(state.amplitudes_mut(), &Mat2::rx(beta), backend);
+                apply_uniform_mat2(state.amplitudes_mut(), &Mat2::rx(beta), exec);
             });
             let t_sandwich = time_median(reps, || {
-                apply_x_mixer_fwht_inplace(state.amplitudes_mut(), beta, backend);
+                apply_x_mixer_fwht_inplace(state.amplitudes_mut(), beta, exec);
             });
             let t_copying = time_median(reps, || {
-                apply_x_mixer_fwht_copying(state.amplitudes_mut(), beta, backend);
+                apply_x_mixer_fwht_copying(state.amplitudes_mut(), beta, exec);
             });
             rows.push(vec![
                 n.to_string(),
@@ -160,7 +167,7 @@ fn main() {
             n += 2;
         }
         print_table(
-            &format!("X mixer: Algorithm 2 vs FWHT sandwich ({backend:?})"),
+            &format!("X mixer: Algorithm 2 vs FWHT sandwich ({label})"),
             &[
                 "n",
                 "Algorithm 2",

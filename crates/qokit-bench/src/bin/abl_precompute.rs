@@ -9,7 +9,7 @@
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_costvec::{precompute_direct, precompute_fwht};
-use qokit_statevec::Backend;
+use qokit_statevec::ExecPolicy;
 use qokit_terms::maxcut::maxcut_polynomial;
 use qokit_terms::Graph;
 use rand::rngs::StdRng;
@@ -38,16 +38,16 @@ fn main() {
         while n <= max_n {
             let poly = make(n);
             let t_dir_s = time_median(reps, || {
-                std::hint::black_box(precompute_direct(&poly, Backend::Serial));
+                std::hint::black_box(precompute_direct(&poly, ExecPolicy::serial()));
             });
             let t_dir_p = time_median(reps, || {
-                std::hint::black_box(precompute_direct(&poly, Backend::Rayon));
+                std::hint::black_box(precompute_direct(&poly, ExecPolicy::rayon()));
             });
             let t_fwht_s = time_median(reps, || {
-                std::hint::black_box(precompute_fwht(&poly, Backend::Serial));
+                std::hint::black_box(precompute_fwht(&poly, ExecPolicy::serial()));
             });
             let t_fwht_p = time_median(reps, || {
-                std::hint::black_box(precompute_fwht(&poly, Backend::Rayon));
+                std::hint::black_box(precompute_fwht(&poly, ExecPolicy::rayon()));
             });
             rows.push(vec![
                 n.to_string(),

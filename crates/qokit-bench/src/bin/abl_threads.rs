@@ -2,7 +2,7 @@
 //!
 //! The paper's kernels are data-parallel sweeps; this measures how they
 //! scale with thread-pool size on this machine (the CPU analogue of the
-//! paper's GPU-parallelism claim). The baseline row is `Backend::Serial` —
+//! paper's GPU-parallelism claim). The baseline row is `ExecPolicy::serial()` —
 //! the actual single-threaded kernels, not a one-worker pool — and each
 //! pool size runs the identical phase+mixer layer under
 //! `ThreadPool::install`, so speedups are honest end-to-end numbers.
@@ -20,39 +20,39 @@
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_core::Mixer;
 use qokit_costvec::{precompute_fwht, CostVec};
-use qokit_statevec::{Backend, SplitStateVec, StateVec};
+use qokit_statevec::{ExecPolicy, SplitStateVec, StateVec};
 use qokit_terms::labs::labs_terms;
 use std::io::Write;
 
-fn layer(costs: &CostVec, state: &mut StateVec, backend: Backend) {
-    costs.apply_phase(state.amplitudes_mut(), 0.2, backend);
-    Mixer::X.apply(state.amplitudes_mut(), -0.5, backend);
+fn layer(costs: &CostVec, state: &mut StateVec, exec: ExecPolicy) {
+    costs.apply_phase(state.amplitudes_mut(), 0.2, exec);
+    Mixer::X.apply(state.amplitudes_mut(), -0.5, exec);
 }
 
 /// The same phase+mixer layer on the split-complex layout.
-fn layer_split(costs: &CostVec, state: &mut SplitStateVec, backend: Backend) {
+fn layer_split(costs: &CostVec, state: &mut SplitStateVec, exec: ExecPolicy) {
     let (re, im) = state.planes_mut();
-    costs.apply_phase_split(re, im, 0.2, backend);
-    Mixer::X.apply_split(re, im, -0.5, backend);
+    costs.apply_phase_split(re, im, 0.2, exec);
+    Mixer::X.apply_split(re, im, -0.5, exec);
 }
 
 fn main() {
     let n = bench_n(if fast_mode() { 14 } else { 20 });
     let reps = if fast_mode() { 2 } else { 5 };
     let poly = labs_terms(n);
-    let costs = CostVec::F64(precompute_fwht(&poly, Backend::Rayon));
+    let costs = CostVec::F64(precompute_fwht(&poly, ExecPolicy::rayon()));
     let hw = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
 
     // Serial baseline: the single-threaded kernels themselves.
     let mut state = StateVec::uniform_superposition(n);
-    let t_serial = time_median(reps, || layer(&costs, &mut state, Backend::Serial));
+    let t_serial = time_median(reps, || layer(&costs, &mut state, ExecPolicy::serial()));
 
     // Layout ablation rides along: the same serial layer on split planes.
     let mut split_state = SplitStateVec::uniform_superposition(n);
     let t_serial_split = time_median(reps, || {
-        layer_split(&costs, &mut split_state, Backend::Serial)
+        layer_split(&costs, &mut split_state, ExecPolicy::serial())
     });
 
     // Pool sweep: 1, 2, 4, … up to at least 4 and at most 2× the hardware
@@ -87,7 +87,7 @@ fn main() {
             .expect("pool");
         let mut state = StateVec::uniform_superposition(n);
         let t_par =
-            pool.install(|| time_median(reps, || layer(&costs, &mut state, Backend::Rayon)));
+            pool.install(|| time_median(reps, || layer(&costs, &mut state, ExecPolicy::rayon())));
         let speedup = t_serial / t_par;
         best_speedup = best_speedup.max(speedup);
         rows.push(vec![
@@ -103,7 +103,7 @@ fn main() {
         let mut split_state = SplitStateVec::uniform_superposition(n);
         let t_par_split = pool.install(|| {
             time_median(reps, || {
-                layer_split(&costs, &mut split_state, Backend::Rayon)
+                layer_split(&costs, &mut split_state, ExecPolicy::rayon())
             })
         });
         let speedup_split = t_serial / t_par_split;

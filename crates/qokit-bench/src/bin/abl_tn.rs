@@ -25,7 +25,7 @@
 //! bit-identical at every pool width.
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
-use qokit_statevec::{Backend, ExecPolicy, C64};
+use qokit_statevec::{ExecPolicy, C64};
 use qokit_tensornet::{qaoa_amplitude, TnEngine, TnOptions};
 use qokit_terms::maxcut::maxcut_polynomial;
 use qokit_terms::Graph;
@@ -64,7 +64,7 @@ fn main() {
             p,
             TnOptions {
                 width_cap: sliced_cap,
-                exec: ExecPolicy::from(Backend::Rayon).with_threads(workers),
+                exec: ExecPolicy::rayon().with_threads(workers),
                 ..TnOptions::default()
             },
         )

@@ -13,7 +13,7 @@
 use qokit_bench::{bench_n, fast_mode, print_table};
 use qokit_core::{FurSimulator, QaoaSimulator, SimOptions};
 use qokit_optim::schedules::linear_ramp;
-use qokit_statevec::Backend;
+use qokit_statevec::ExecPolicy;
 use qokit_terms::labs::labs_terms;
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         let sim = FurSimulator::with_options(
             &poly,
             SimOptions {
-                exec: Backend::Rayon.into(),
+                exec: ExecPolicy::rayon(),
                 quantize_u16: true,
                 ..SimOptions::default()
             },

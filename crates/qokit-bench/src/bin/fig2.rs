@@ -13,7 +13,7 @@
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_core::{FurSimulator, QaoaSimulator, SimOptions};
 use qokit_gates::{GateSimOptions, GateSimulator};
-use qokit_statevec::Backend;
+use qokit_statevec::ExecPolicy;
 use qokit_terms::maxcut::maxcut_polynomial;
 use qokit_terms::Graph;
 use rand::rngs::StdRng;
@@ -38,7 +38,7 @@ fn main() {
                 let sim = GateSimulator::new(
                     poly.clone(),
                     GateSimOptions {
-                        exec: Backend::Serial.into(),
+                        exec: ExecPolicy::serial(),
                         ..GateSimOptions::default()
                     },
                 );
@@ -52,7 +52,7 @@ fn main() {
                 let sim = GateSimulator::new(
                     poly.clone(),
                     GateSimOptions {
-                        exec: Backend::Rayon.into(),
+                        exec: ExecPolicy::rayon(),
                         ..GateSimOptions::default()
                     },
                 );
@@ -65,7 +65,7 @@ fn main() {
             let sim = FurSimulator::with_options(
                 &poly,
                 SimOptions {
-                    exec: Backend::Serial.into(),
+                    exec: ExecPolicy::serial(),
                     ..SimOptions::default()
                 },
             );
@@ -75,7 +75,7 @@ fn main() {
             let sim = FurSimulator::with_options(
                 &poly,
                 SimOptions {
-                    exec: Backend::Rayon.into(),
+                    exec: ExecPolicy::rayon(),
                     ..SimOptions::default()
                 },
             );

@@ -15,7 +15,7 @@ use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_core::Mixer;
 use qokit_costvec::CostVec;
 use qokit_gates::{GateSimOptions, GateSimulator, PhaseStyle};
-use qokit_statevec::{Backend, StateVec};
+use qokit_statevec::{ExecPolicy, StateVec};
 use qokit_terms::labs::labs_terms;
 
 fn main() {
@@ -47,12 +47,12 @@ fn main() {
             -1.0
         };
 
-        let layer_time = |style: PhaseStyle, fuse: bool, backend: Backend| {
+        let layer_time = |style: PhaseStyle, fuse: bool, exec: ExecPolicy| {
             let sim = GateSimulator::new(
                 poly.clone(),
                 GateSimOptions {
                     style,
-                    exec: backend.into(),
+                    exec,
                     fuse,
                     ..GateSimOptions::default()
                 },
@@ -63,37 +63,40 @@ fn main() {
             })
         };
         let t_gate_serial = if n <= gate_dec_cap {
-            layer_time(PhaseStyle::DecomposedCx, false, Backend::Serial)
+            layer_time(PhaseStyle::DecomposedCx, false, ExecPolicy::serial())
         } else {
             -1.0
         };
         let t_gate_par = if n <= gate_dec_cap + 2 {
-            layer_time(PhaseStyle::DecomposedCx, false, Backend::Rayon)
+            layer_time(PhaseStyle::DecomposedCx, false, ExecPolicy::rayon())
         } else {
             -1.0
         };
         let t_gate_fused = if n <= gate_dec_cap {
-            layer_time(PhaseStyle::DecomposedCx, true, Backend::Rayon)
+            layer_time(PhaseStyle::DecomposedCx, true, ExecPolicy::rayon())
         } else {
             -1.0
         };
         let t_gate_native = if n <= gate_nat_cap {
-            layer_time(PhaseStyle::NativeDiagonal, false, Backend::Rayon)
+            layer_time(PhaseStyle::NativeDiagonal, false, ExecPolicy::rayon())
         } else {
             -1.0
         };
 
         // QOKit: phase (precomputed diagonal) + mixer, per layer.
-        let costs =
-            CostVec::from_polynomial(&poly, qokit_costvec::PrecomputeMethod::Fwht, Backend::Rayon);
+        let costs = CostVec::from_polynomial(
+            &poly,
+            qokit_costvec::PrecomputeMethod::Fwht,
+            ExecPolicy::rayon(),
+        );
         let mut state = StateVec::uniform_superposition(n);
         let t_fast_serial = time_median(reps, || {
-            costs.apply_phase(state.amplitudes_mut(), gamma, Backend::Serial);
-            Mixer::X.apply(state.amplitudes_mut(), beta, Backend::Serial);
+            costs.apply_phase(state.amplitudes_mut(), gamma, ExecPolicy::serial());
+            Mixer::X.apply(state.amplitudes_mut(), beta, ExecPolicy::serial());
         });
         let t_fast_par = time_median(reps, || {
-            costs.apply_phase(state.amplitudes_mut(), gamma, Backend::Rayon);
-            Mixer::X.apply(state.amplitudes_mut(), beta, Backend::Rayon);
+            costs.apply_phase(state.amplitudes_mut(), gamma, ExecPolicy::rayon());
+            Mixer::X.apply(state.amplitudes_mut(), beta, ExecPolicy::rayon());
         });
 
         rows.push(vec![

@@ -13,7 +13,7 @@ use qokit_bench::{bench_n, fast_mode, fmt_time, time_once};
 use qokit_core::Mixer;
 use qokit_costvec::{precompute_direct, precompute_fwht, CostVec};
 use qokit_gates::{GateSimOptions, GateSimulator};
-use qokit_statevec::{Backend, StateVec};
+use qokit_statevec::{ExecPolicy, StateVec};
 use qokit_terms::labs::labs_terms;
 
 fn main() {
@@ -28,11 +28,11 @@ fn main() {
 
     // Precompute costs (timed separately).
     let t_pre_direct = time_once(|| {
-        std::hint::black_box(precompute_direct(&poly, Backend::Rayon));
+        std::hint::black_box(precompute_direct(&poly, ExecPolicy::rayon()));
     });
-    let costs_f64 = precompute_fwht(&poly, Backend::Rayon);
+    let costs_f64 = precompute_fwht(&poly, ExecPolicy::rayon());
     let t_pre_fwht = time_once(|| {
-        std::hint::black_box(precompute_fwht(&poly, Backend::Rayon));
+        std::hint::black_box(precompute_fwht(&poly, ExecPolicy::rayon()));
     });
     let costs = CostVec::F64(costs_f64);
 
@@ -44,8 +44,8 @@ fn main() {
     for &p in &checkpoints {
         elapsed += time_once(|| {
             for _ in done..p {
-                costs.apply_phase(state.amplitudes_mut(), gamma, Backend::Rayon);
-                Mixer::X.apply(state.amplitudes_mut(), beta, Backend::Rayon);
+                costs.apply_phase(state.amplitudes_mut(), gamma, ExecPolicy::rayon());
+                Mixer::X.apply(state.amplitudes_mut(), beta, ExecPolicy::rayon());
             }
         });
         done = p;
@@ -56,7 +56,7 @@ fn main() {
     let gate = GateSimulator::new(
         poly.clone(),
         GateSimOptions {
-            exec: Backend::Rayon.into(),
+            exec: ExecPolicy::rayon(),
             ..GateSimOptions::default()
         },
     );

@@ -8,7 +8,7 @@
 
 use qokit_bench::{bench_n, print_table};
 use qokit_costvec::{precompute_fwht, CostVec};
-use qokit_statevec::Backend;
+use qokit_statevec::ExecPolicy;
 use qokit_terms::labs::labs_terms;
 
 fn mib(bytes: usize) -> String {
@@ -21,7 +21,7 @@ fn main() {
     let mut n = 12;
     while n <= max_n {
         let poly = labs_terms(n);
-        let costs = precompute_fwht(&poly, Backend::Rayon);
+        let costs = precompute_fwht(&poly, ExecPolicy::rayon());
         let state_bytes = (1usize << n) * qokit_statevec::AMP_BYTES;
         let f64_vec = CostVec::F64(costs.clone());
         let level_vec = CostVec::quantize_exact(&costs, 1.0).expect("LABS costs are integral");

@@ -5,7 +5,7 @@
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_core::Mixer;
-use qokit_statevec::{Backend, StateVec};
+use qokit_statevec::{ExecPolicy, StateVec};
 
 fn main() {
     let max_n = bench_n(if fast_mode() { 12 } else { 18 });
@@ -17,7 +17,7 @@ fn main() {
         for mixer in [Mixer::X, Mixer::XyRing, Mixer::XyComplete] {
             let mut state = StateVec::dicke_state(n, n / 2);
             let t = time_median(reps, || {
-                mixer.apply(state.amplitudes_mut(), -0.37, Backend::Rayon);
+                mixer.apply(state.amplitudes_mut(), -0.37, ExecPolicy::rayon());
             });
             row.push(fmt_time(t));
             // Conservation check rides along (X is expected to leak).

@@ -13,7 +13,7 @@ use qokit_bench::{bench_n, fast_mode, fmt_time, time_once};
 use qokit_core::{FurSimulator, QaoaSimulator, SimOptions};
 use qokit_gates::{GateSimOptions, GateSimulator};
 use qokit_optim::{schedules, NelderMead};
-use qokit_statevec::Backend;
+use qokit_statevec::ExecPolicy;
 use qokit_terms::labs::labs_terms;
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
         let sim = FurSimulator::with_options(
             &poly,
             SimOptions {
-                exec: Backend::Rayon.into(),
+                exec: ExecPolicy::rayon(),
                 ..SimOptions::default()
             },
         );
@@ -59,7 +59,7 @@ fn main() {
         let sim = GateSimulator::new(
             poly.clone(),
             GateSimOptions {
-                exec: Backend::Rayon.into(),
+                exec: ExecPolicy::rayon(),
                 ..GateSimOptions::default()
             },
         );

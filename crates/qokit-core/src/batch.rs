@@ -38,7 +38,7 @@
 
 use crate::landscape::EnergySink;
 use crate::simulator::{FurSimulator, QaoaSimulator};
-use qokit_statevec::exec::{Backend, ExecPolicy};
+use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::{SplitStateVec, StateVec};
 use rayon::prelude::*;
 use std::panic::{self, AssertUnwindSafe};
@@ -155,7 +155,7 @@ pub enum SweepNesting {
 /// Configuration for a [`SweepRunner`].
 #[derive(Copy, Clone, Debug)]
 pub struct SweepOptions {
-    /// Pool policy the sweep executes under. With a serial backend the
+    /// Pool policy the sweep executes under. With `threads == 1` the
     /// whole batch degenerates to a plain sequential loop (the reference
     /// semantics every other mode is pinned against).
     pub exec: ExecPolicy,
@@ -391,16 +391,16 @@ impl SweepRunner {
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let policy = self.opts.exec;
-        // Sequential points keep the policy's backend and thresholds, on
-        // the ambient pool: serial kernels for a serial runner, parallel
-        // ones (inside `install`) in kernels-parallel mode.
+        if policy.threads == 1 {
+            return self.run_sequential(points, policy, &eval);
+        }
+        // Kernels-parallel points keep the policy's thresholds and run on
+        // the pool `install` entered; `threads: 0` stops each kernel from
+        // entering its own.
         let sequential = ExecPolicy {
             threads: 0,
             ..policy
         };
-        if matches!(policy.backend, Backend::Serial) {
-            return self.run_sequential(points, sequential, &eval);
-        }
         policy.install(|| match self.resolve_nesting(points.len()) {
             SweepNesting::PointsParallel => self.run_points_parallel(points, &eval),
             _ => self.run_sequential(points, sequential, &eval),
@@ -767,6 +767,33 @@ mod tests {
     }
 
     #[test]
+    fn serial_runner_keeps_serial_kernels_inside_a_pool() {
+        // The sequential policy trades a parallel runner's worker count for
+        // the pool `install` entered; a serial runner must keep
+        // `threads: 1` in every mode, even inside a wider pool.
+        for nested in [
+            SweepNesting::PointsParallel,
+            SweepNesting::KernelsParallel,
+            SweepNesting::Auto,
+        ] {
+            let runner = SweepRunner::with_options(
+                serial_sim(6),
+                SweepOptions {
+                    exec: ExecPolicy::serial(),
+                    nested,
+                },
+            );
+            let threads = ExecPolicy::rayon()
+                .with_threads(2)
+                .install(|| runner.evaluate_with(&points(5), |_, _, policy| policy.threads));
+            assert_eq!(threads.len(), 5);
+            for t in threads {
+                assert_eq!(t.unwrap(), 1, "{nested:?}");
+            }
+        }
+    }
+
+    #[test]
     fn xy_mixer_sweeps_work() {
         let sim = FurSimulator::with_options(
             &labs_terms(6),
@@ -854,9 +881,11 @@ mod tests {
     fn auto_heuristic_picks_by_batch_state_and_width() {
         use SweepNesting::{KernelsParallel as Kp, PointsParallel as Pp};
         // Resolves each batch size on a `threads`-wide pool at n = 6;
-        // min_len = 1 makes any state size "large enough to split".
+        // min_len = 1 makes any state size "large enough to split". The
+        // pool is built directly: a `with_threads(1)` policy is serial and
+        // never enters one.
         let resolve = |threads: usize, min_len: Option<usize>, batches: &[usize]| {
-            let mut exec = ExecPolicy::rayon().with_threads(threads);
+            let mut exec = ExecPolicy::rayon();
             if let Some(min_len) = min_len {
                 exec = exec.with_min_len(min_len);
             }
@@ -867,7 +896,11 @@ mod tests {
                     nested: SweepNesting::Auto,
                 },
             );
-            exec.install(|| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
                 batches
                     .iter()
                     .map(|&b| runner.resolve_nesting(b))

@@ -52,17 +52,17 @@ use std::panic::{self, AssertUnwindSafe};
 use crate::mixers::Mixer;
 use crate::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_costvec::PrecomputeMethod;
-use qokit_statevec::exec::{Backend, ExecPolicy};
+use qokit_statevec::exec::ExecPolicy;
 use qokit_terms::graphs::{Adjacency, EgoNet, Graph};
 use qokit_terms::{SpinPolynomial, Term};
 
 /// Configuration for [`LightConeEvaluator`].
 #[derive(Clone, Debug)]
 pub struct LightConeOptions {
-    /// How the per-cone simulations fan out. [`Backend::Serial`] runs the
-    /// cones one after another in the calling thread; [`Backend::Rayon`]
-    /// spreads them across the pool (sized by `threads`, or the ambient
-    /// pool when `threads == 0`). Kernels *inside* each cone are always
+    /// How the per-cone simulations fan out. `threads == 1` runs the cones
+    /// one after another in the calling thread; any other count spreads
+    /// them across the pool (sized by `threads`, or the ambient pool when
+    /// `threads == 0`). Kernels *inside* each cone are always
     /// serial, so the energy is bit-identical under every policy.
     pub exec: ExecPolicy,
     /// Collapse identical labeled cones into one simulation
@@ -389,7 +389,7 @@ impl LightConeEvaluator {
     }
 
     /// Runs `body(0..n)` under the configured fan-out policy, results
-    /// keyed by index: sequentially for [`Backend::Serial`], through
+    /// keyed by index: sequentially for `threads == 1`, through
     /// [`rayon::strided_lanes`] on the (possibly sized) pool otherwise.
     fn fan_out<R, F>(&self, n: usize, body: F) -> Vec<R>
     where
@@ -397,9 +397,10 @@ impl LightConeEvaluator {
         F: Fn(usize) -> R + Send + Sync,
     {
         let exec = self.options.exec;
-        match exec.backend {
-            Backend::Serial => (0..n).map(body).collect(),
-            Backend::Rayon => exec.install(|| rayon::strided_lanes(n, body)),
+        if exec.threads == 1 {
+            (0..n).map(body).collect()
+        } else {
+            exec.install(|| rayon::strided_lanes(n, body))
         }
     }
 }

@@ -29,8 +29,7 @@ pub enum Mixer {
 
 impl Mixer {
     /// Applies one mixer layer with angle `beta` in place.
-    pub fn apply(&self, amps: &mut [C64], beta: f64, exec: impl Into<ExecPolicy>) {
-        let policy = exec.into();
+    pub fn apply(&self, amps: &mut [C64], beta: f64, policy: ExecPolicy) {
         match self {
             Mixer::X => apply_uniform_mat2(amps, &Mat2::rx(beta), policy),
             Mixer::XyRing => {
@@ -53,14 +52,7 @@ impl Mixer {
     /// Split-plane twin of [`Mixer::apply`]: one mixer layer on the
     /// `re`/`im` planes of a [`qokit_statevec::SplitStateVec`]. Same gate
     /// order as the interleaved path, so results agree to rounding.
-    pub fn apply_split(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        beta: f64,
-        exec: impl Into<ExecPolicy>,
-    ) {
-        let policy = exec.into();
+    pub fn apply_split(&self, re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy) {
         match self {
             Mixer::X => apply_uniform_mat2_split(re, im, &Mat2::rx(beta), policy),
             Mixer::XyRing => {
@@ -121,7 +113,7 @@ pub fn ring_edges(n: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qokit_statevec::{Backend, StateVec};
+    use qokit_statevec::StateVec;
 
     fn hamming_mass(amps: &[C64], k: u32) -> f64 {
         amps.iter()
@@ -157,7 +149,7 @@ mod tests {
     #[test]
     fn x_mixer_preserves_norm_and_mixes() {
         let mut s = StateVec::basis_state(6, 0);
-        Mixer::X.apply(s.amplitudes_mut(), 0.4, Backend::Serial);
+        Mixer::X.apply(s.amplitudes_mut(), 0.4, ExecPolicy::serial());
         assert!((s.norm_sqr() - 1.0).abs() < 1e-10);
         // Some amplitude must have left |0…0⟩.
         assert!(s.amplitudes()[0].norm_sqr() < 1.0);
@@ -169,8 +161,8 @@ mod tests {
             let n = 6;
             let k = 3;
             let mut s = StateVec::dicke_state(n, k);
-            mixer.apply(s.amplitudes_mut(), 0.9, Backend::Serial);
-            mixer.apply(s.amplitudes_mut(), 1.7, Backend::Serial);
+            mixer.apply(s.amplitudes_mut(), 0.9, ExecPolicy::serial());
+            mixer.apply(s.amplitudes_mut(), 1.7, ExecPolicy::serial());
             assert!(
                 (hamming_mass(s.amplitudes(), k as u32) - 1.0).abs() < 1e-10,
                 "{mixer:?} leaked weight"
@@ -185,7 +177,7 @@ mod tests {
         // its weight sector (though it may acquire phases).
         let n = 5;
         let mut s = StateVec::dicke_state(n, 2);
-        Mixer::XyComplete.apply(s.amplitudes_mut(), 0.31, Backend::Serial);
+        Mixer::XyComplete.apply(s.amplitudes_mut(), 0.31, ExecPolicy::serial());
         assert!((s.norm_sqr() - 1.0).abs() < 1e-10);
         assert!((hamming_mass(s.amplitudes(), 2) - 1.0).abs() < 1e-10);
     }
@@ -195,7 +187,7 @@ mod tests {
         for mixer in [Mixer::X, Mixer::XyRing, Mixer::XyComplete] {
             let mut s = StateVec::dicke_state(5, 2);
             let orig = s.clone();
-            mixer.apply(s.amplitudes_mut(), 0.0, Backend::Serial);
+            mixer.apply(s.amplitudes_mut(), 0.0, ExecPolicy::serial());
             assert!(s.max_abs_diff(&orig) < 1e-12, "{mixer:?}");
         }
     }
@@ -206,8 +198,8 @@ mod tests {
             let n = 13;
             let mut a = StateVec::dicke_state(n, 5);
             let mut b = a.clone();
-            mixer.apply(a.amplitudes_mut(), 0.8, Backend::Serial);
-            mixer.apply(b.amplitudes_mut(), 0.8, Backend::Rayon);
+            mixer.apply(a.amplitudes_mut(), 0.8, ExecPolicy::serial());
+            mixer.apply(b.amplitudes_mut(), 0.8, ExecPolicy::rayon());
             assert!(a.max_abs_diff(&b) < 1e-12, "{mixer:?}");
         }
     }
@@ -218,9 +210,9 @@ mod tests {
             let n = 7;
             let mut inter = StateVec::dicke_state(n, 3);
             let mut split = qokit_statevec::SplitStateVec::from(&inter);
-            mixer.apply(inter.amplitudes_mut(), 0.67, Backend::Serial);
+            mixer.apply(inter.amplitudes_mut(), 0.67, ExecPolicy::serial());
             let (re, im) = split.planes_mut();
-            mixer.apply_split(re, im, 0.67, Backend::Serial);
+            mixer.apply_split(re, im, 0.67, ExecPolicy::serial());
             assert!(
                 split.max_abs_diff_interleaved(inter.amplitudes()) < 1e-12,
                 "{mixer:?}"
@@ -239,8 +231,8 @@ mod tests {
     fn x_mixer_inverse_round_trips() {
         let mut s = StateVec::dicke_state(7, 3);
         let orig = s.clone();
-        Mixer::X.apply(s.amplitudes_mut(), 1.23, Backend::Serial);
-        Mixer::X.apply(s.amplitudes_mut(), -1.23, Backend::Serial);
+        Mixer::X.apply(s.amplitudes_mut(), 1.23, ExecPolicy::serial());
+        Mixer::X.apply(s.amplitudes_mut(), -1.23, ExecPolicy::serial());
         assert!(s.max_abs_diff(&orig) < 1e-10);
     }
 }

@@ -24,8 +24,7 @@ use rayon::prelude::*;
 /// [`ExecPolicy::min_chunk`], so the result is deterministic for a given
 /// policy (associativity differs from the serial sweep only at the ~1e-16
 /// rounding level).
-pub fn cumulative_probabilities(state: &StateVec, exec: impl Into<ExecPolicy>) -> Vec<f64> {
-    let policy = exec.into();
+pub fn cumulative_probabilities(state: &StateVec, policy: ExecPolicy) -> Vec<f64> {
     let amps = state.amplitudes();
     let len = amps.len();
     if !policy.parallel(len) {
@@ -82,7 +81,7 @@ pub fn sample_bitstrings_with<R: Rng>(
     state: &StateVec,
     shots: usize,
     rng: &mut R,
-    exec: impl Into<ExecPolicy>,
+    exec: ExecPolicy,
 ) -> Vec<u64> {
     let cdf = cumulative_probabilities(state, exec);
     let total = cdf.last().copied().unwrap_or(0.0).max(f64::MIN_POSITIVE);
@@ -171,7 +170,6 @@ mod tests {
     use super::*;
     use crate::simulator::{InitialState, SimOptions};
     use crate::Mixer;
-    use qokit_statevec::Backend;
     use qokit_terms::labs::labs_terms;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -224,7 +222,7 @@ mod tests {
         for n in [4usize, 9, 12] {
             let sim = sim(n);
             let r = sim.simulate_qaoa(&[0.3], &[0.7]);
-            let serial = cumulative_probabilities(r.state(), Backend::Serial);
+            let serial = cumulative_probabilities(r.state(), ExecPolicy::serial());
             let parallel = cumulative_probabilities(r.state(), forced);
             assert_eq!(serial.len(), parallel.len());
             for (i, (a, b)) in serial.iter().zip(parallel.iter()).enumerate() {

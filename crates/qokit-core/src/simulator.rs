@@ -3,7 +3,7 @@
 
 use crate::mixers::Mixer;
 use qokit_costvec::{CostVec, PrecomputeMethod};
-use qokit_statevec::exec::{Backend, ExecPolicy, Layout};
+use qokit_statevec::exec::{ExecPolicy, Layout};
 use qokit_statevec::{SplitStateVec, StateVec, C64};
 use qokit_terms::SpinPolynomial;
 
@@ -29,8 +29,8 @@ pub enum InitialState {
 pub struct SimOptions {
     /// Mixing operator.
     pub mixer: Mixer,
-    /// Execution policy for every kernel: backend, worker count, and split
-    /// thresholds. A bare [`Backend`] converts via `.into()`.
+    /// Execution policy for every kernel: worker count (`1` = serial) and
+    /// split thresholds.
     pub exec: ExecPolicy,
     /// Cost-vector precompute algorithm.
     pub precompute: PrecomputeMethod,
@@ -151,7 +151,7 @@ pub struct FurSimulator {
 
 impl FurSimulator {
     /// Builds a simulator for a cost polynomial with default options
-    /// (X mixer, auto backend, FWHT precompute).
+    /// (X mixer, [`ExecPolicy::auto`], FWHT precompute).
     pub fn new(poly: &SpinPolynomial) -> Self {
         Self::with_options(poly, SimOptions::default())
     }
@@ -356,21 +356,21 @@ impl QaoaSimulator for FurSimulator {
 ///
 /// | QOKit name | here |
 /// |---|---|
-/// | `"auto"` | `Backend::auto()` |
+/// | `"auto"` | `ExecPolicy::auto()` |
 /// | `"python"`, `"c"` | serial CPU |
 /// | `"nbcuda"`, `"gpu"` | rayon (our GPU stand-in) |
 ///
 /// Returns `None` for unknown names (the distributed simulators live in
 /// `qokit-dist`).
 pub fn choose_simulator(name: &str) -> Option<SimOptions> {
-    let backend = match name {
-        "auto" => Backend::auto(),
-        "python" | "c" => Backend::Serial,
-        "nbcuda" | "gpu" => Backend::Rayon,
+    let exec = match name {
+        "auto" => ExecPolicy::auto(),
+        "python" | "c" => ExecPolicy::serial(),
+        "nbcuda" | "gpu" => ExecPolicy::rayon(),
         _ => return None,
     };
     Some(SimOptions {
-        exec: backend.into(),
+        exec,
         ..SimOptions::default()
     })
 }
@@ -564,6 +564,34 @@ mod tests {
     }
 
     #[test]
+    fn threads_one_objective_has_serial_bits() {
+        // `threads == 1` is serial however the policy was built: forced-low
+        // parallel thresholds must not change a single bit.
+        let one = ExecPolicy::rayon()
+            .with_threads(1)
+            .with_min_len(1)
+            .with_min_chunk(64);
+        for n in [12, 14] {
+            let poly = labs_terms(n);
+            let serial = FurSimulator::with_options(&poly, serial_options());
+            let pinned = FurSimulator::with_options(
+                &poly,
+                SimOptions {
+                    exec: one,
+                    ..SimOptions::default()
+                },
+            );
+            for (g, b) in [([0.1, 0.3], [0.8, 0.5]), ([-0.7, 0.2], [0.05, -0.4])] {
+                assert_eq!(
+                    pinned.objective(&g, &b).to_bits(),
+                    serial.objective(&g, &b).to_bits(),
+                    "n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn split_layout_matches_interleaved_end_to_end() {
         let poly = labs_terms(10);
         let (g, b) = ([0.1, 0.3, 0.2], [0.8, 0.5, 0.2]);
@@ -591,7 +619,7 @@ mod tests {
                     ri.state().amplitudes(),
                     rs.state().amplitudes(),
                     "{mixer:?} / {:?}",
-                    exec.backend
+                    exec.threads
                 );
             }
         }
@@ -655,11 +683,8 @@ mod tests {
     #[test]
     fn choose_simulator_names() {
         assert!(choose_simulator("auto").is_some());
-        assert_eq!(choose_simulator("c").unwrap().exec.backend, Backend::Serial);
-        assert_eq!(
-            choose_simulator("gpu").unwrap().exec.backend,
-            Backend::Rayon
-        );
+        assert_eq!(choose_simulator("c").unwrap().exec, ExecPolicy::serial());
+        assert_eq!(choose_simulator("gpu").unwrap().exec, ExecPolicy::rayon());
         assert!(choose_simulator("fpga").is_none());
         assert_eq!(
             choose_simulator_xyring("auto").unwrap().mixer,
@@ -677,7 +702,7 @@ mod tests {
         let costs = CostVec::from_polynomial(
             &poly,
             qokit_costvec::PrecomputeMethod::Direct,
-            Backend::Serial,
+            ExecPolicy::serial(),
         );
         let sim = FurSimulator::from_cost_vector(costs, serial_options());
         assert_eq!(sim.n_qubits(), 6);

@@ -95,7 +95,7 @@ impl CostVec {
     pub fn from_polynomial(
         poly: &SpinPolynomial,
         method: PrecomputeMethod,
-        exec: impl Into<ExecPolicy>,
+        exec: ExecPolicy,
     ) -> Self {
         CostVec::F64(precompute(poly, method, exec))
     }
@@ -219,7 +219,7 @@ impl CostVec {
     /// the paper's single elementwise product per layer. A `Levels`
     /// diagonal takes the factors from a per-layer table of one `e^{-iγ v}`
     /// per level.
-    pub fn apply_phase(&self, amps: &mut [C64], gamma: f64, exec: impl Into<ExecPolicy>) {
+    pub fn apply_phase(&self, amps: &mut [C64], gamma: f64, exec: ExecPolicy) {
         match self {
             CostVec::F64(v) => diag::apply_phase(amps, v, gamma, exec),
             CostVec::Levels { levels, index } => {
@@ -231,7 +231,7 @@ impl CostVec {
 
     /// The QAOA objective `⟨ψ|Ĉ|ψ⟩ = Σ c_x |ψ_x|²` — the paper's single
     /// inner product.
-    pub fn expectation(&self, amps: &[C64], exec: impl Into<ExecPolicy>) -> f64 {
+    pub fn expectation(&self, amps: &[C64], exec: ExecPolicy) -> f64 {
         match self {
             CostVec::F64(v) => diag::expectation(amps, v, exec),
             CostVec::Levels { levels, index } => {
@@ -242,13 +242,7 @@ impl CostVec {
 
     /// Split-plane twin of [`CostVec::apply_phase`]: rotates the `re`/`im`
     /// planes of a [`qokit_statevec::SplitStateVec`] in place.
-    pub fn apply_phase_split(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        gamma: f64,
-        exec: impl Into<ExecPolicy>,
-    ) {
+    pub fn apply_phase_split(&self, re: &mut [f64], im: &mut [f64], gamma: f64, exec: ExecPolicy) {
         match self {
             CostVec::F64(v) => diag::apply_phase_split(re, im, v, gamma, exec),
             CostVec::Levels { levels, index } => {
@@ -259,7 +253,7 @@ impl CostVec {
     }
 
     /// Split-plane twin of [`CostVec::expectation`].
-    pub fn expectation_split(&self, re: &[f64], im: &[f64], exec: impl Into<ExecPolicy>) -> f64 {
+    pub fn expectation_split(&self, re: &[f64], im: &[f64], exec: ExecPolicy) -> f64 {
         match self {
             CostVec::F64(v) => diag::expectation_split(re, im, v, exec),
             CostVec::Levels { levels, index } => {
@@ -406,13 +400,13 @@ fn rehash(levels: &[f64], size: usize) -> Vec<(u64, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qokit_statevec::{Backend, StateVec};
+    use qokit_statevec::StateVec;
     use qokit_terms::labs::labs_terms;
     use qokit_terms::maxcut::maxcut_polynomial;
     use qokit_terms::Graph;
 
     fn labs_costvec(n: usize) -> CostVec {
-        CostVec::from_polynomial(&labs_terms(n), PrecomputeMethod::Fwht, Backend::Serial)
+        CostVec::from_polynomial(&labs_terms(n), PrecomputeMethod::Fwht, ExecPolicy::serial())
     }
 
     #[test]
@@ -543,11 +537,11 @@ mod tests {
         let q = CostVec::quantize_exact(&cv.to_f64_vec(), 1.0).unwrap();
         let mut a = StateVec::uniform_superposition(n);
         let mut b = a.clone();
-        cv.apply_phase(a.amplitudes_mut(), 0.37, Backend::Serial);
-        q.apply_phase(b.amplitudes_mut(), 0.37, Backend::Rayon);
+        cv.apply_phase(a.amplitudes_mut(), 0.37, ExecPolicy::serial());
+        q.apply_phase(b.amplitudes_mut(), 0.37, ExecPolicy::rayon());
         assert!(a.max_abs_diff(&b) < 1e-10);
-        let ea = cv.expectation(a.amplitudes(), Backend::Serial);
-        let eb = q.expectation(b.amplitudes(), Backend::Rayon);
+        let ea = cv.expectation(a.amplitudes(), ExecPolicy::serial());
+        let eb = q.expectation(b.amplitudes(), ExecPolicy::rayon());
         assert!((ea - eb).abs() < 1e-9);
     }
 
@@ -557,14 +551,14 @@ mod tests {
         let cv = labs_costvec(n);
         let s = StateVec::uniform_superposition(n);
         let mean = cv.to_f64_vec().iter().sum::<f64>() / cv.len() as f64;
-        assert!((cv.expectation(s.amplitudes(), Backend::Serial) - mean).abs() < 1e-9);
+        assert!((cv.expectation(s.amplitudes(), ExecPolicy::serial()) - mean).abs() < 1e-9);
     }
 
     #[test]
     fn ground_states_match_brute_force() {
         let g = Graph::ring(6, 1.0);
         let poly = maxcut_polynomial(&g);
-        let cv = CostVec::from_polynomial(&poly, PrecomputeMethod::Direct, Backend::Serial);
+        let cv = CostVec::from_polynomial(&poly, PrecomputeMethod::Direct, ExecPolicy::serial());
         let (fmin, args) = poly.brute_force_minimum();
         let (lo, _) = cv.extrema();
         assert!((lo - fmin).abs() < 1e-12);
@@ -582,7 +576,7 @@ mod tests {
         let cv = CostVec::from_polynomial(
             &maxcut_polynomial(&g),
             PrecomputeMethod::Direct,
-            Backend::Serial,
+            ExecPolicy::serial(),
         );
         let ground = cv.ground_state_indices(1e-9)[0];
         let s = StateVec::basis_state(6, ground);
@@ -596,7 +590,7 @@ mod tests {
         let cv = CostVec::from_polynomial(
             &maxcut_polynomial(&g),
             PrecomputeMethod::Direct,
-            Backend::Serial,
+            ExecPolicy::serial(),
         );
         let s = StateVec::uniform_superposition(n);
         let k = cv.ground_state_indices(1e-9).len() as f64;
@@ -613,16 +607,16 @@ mod tests {
         ] {
             let mut inter = StateVec::uniform_superposition(n);
             let mut split = qokit_statevec::SplitStateVec::from(&inter);
-            cv.apply_phase(inter.amplitudes_mut(), 0.41, Backend::Serial);
+            cv.apply_phase(inter.amplitudes_mut(), 0.41, ExecPolicy::serial());
             {
                 let (re, im) = split.planes_mut();
-                cv.apply_phase_split(re, im, 0.41, Backend::Serial);
+                cv.apply_phase_split(re, im, 0.41, ExecPolicy::serial());
             }
             // Identical per-element arithmetic in both layouts.
             assert_eq!(split.max_abs_diff_interleaved(inter.amplitudes()), 0.0);
             let (re, im) = split.planes();
-            let es = cv.expectation_split(re, im, Backend::Serial);
-            let ei = cv.expectation(inter.amplitudes(), Backend::Serial);
+            let es = cv.expectation_split(re, im, ExecPolicy::serial());
+            let ei = cv.expectation(inter.amplitudes(), ExecPolicy::serial());
             assert_eq!(es, ei);
             let os = cv.overlap_split(re, im);
             assert_eq!(os.to_bits(), cv.overlap(inter.amplitudes()).to_bits());

@@ -10,14 +10,14 @@
 //!
 //! ```
 //! use qokit_costvec::{CostVec, PrecomputeMethod};
-//! use qokit_statevec::{Backend, StateVec};
+//! use qokit_statevec::{ExecPolicy, StateVec};
 //! use qokit_terms::labs::labs_terms;
 //!
 //! let poly = labs_terms(10);
-//! let costs = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, Backend::Serial);
+//! let costs = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, ExecPolicy::serial());
 //! let mut state = StateVec::uniform_superposition(10);
-//! costs.apply_phase(state.amplitudes_mut(), 0.1, Backend::Serial);
-//! let energy = costs.expectation(state.amplitudes(), Backend::Serial);
+//! costs.apply_phase(state.amplitudes_mut(), 0.1, ExecPolicy::serial());
+//! let energy = costs.expectation(state.amplitudes(), ExecPolicy::serial());
 //! assert!(energy.is_finite());
 //! ```
 

@@ -46,8 +46,7 @@ pub fn fill_direct_slice(poly: &SpinPolynomial, start: u64, out: &mut [f64]) {
 }
 
 /// Direct-kernel precompute of the full `2^n` cost vector.
-pub fn precompute_direct(poly: &SpinPolynomial, exec: impl Into<ExecPolicy>) -> Vec<f64> {
-    let policy = exec.into();
+pub fn precompute_direct(poly: &SpinPolynomial, policy: ExecPolicy) -> Vec<f64> {
     let n = poly.n_vars();
     let dim = 1usize << n;
     let mut out = vec![0.0f64; dim];
@@ -65,7 +64,7 @@ pub fn precompute_direct(poly: &SpinPolynomial, exec: impl Into<ExecPolicy>) -> 
 }
 
 /// FWHT-spectrum precompute of the full `2^n` cost vector.
-pub fn precompute_fwht(poly: &SpinPolynomial, exec: impl Into<ExecPolicy>) -> Vec<f64> {
+pub fn precompute_fwht(poly: &SpinPolynomial, exec: ExecPolicy) -> Vec<f64> {
     let n = poly.n_vars();
     let dim = 1usize << n;
     let mut out = vec![0.0f64; dim];
@@ -78,11 +77,7 @@ pub fn precompute_fwht(poly: &SpinPolynomial, exec: impl Into<ExecPolicy>) -> Ve
 }
 
 /// Dispatches on [`PrecomputeMethod`].
-pub fn precompute(
-    poly: &SpinPolynomial,
-    method: PrecomputeMethod,
-    exec: impl Into<ExecPolicy>,
-) -> Vec<f64> {
+pub fn precompute(poly: &SpinPolynomial, method: PrecomputeMethod, exec: ExecPolicy) -> Vec<f64> {
     match method {
         PrecomputeMethod::Direct => precompute_direct(poly, exec),
         PrecomputeMethod::Fwht => precompute_fwht(poly, exec),
@@ -92,11 +87,10 @@ pub fn precompute(
 /// Precomputes from an arbitrary cost closure (`f(bitstring) → cost`), the
 /// analogue of QOKit's Python-lambda input path. Always direct (a closure
 /// has no Walsh spectrum to exploit).
-pub fn precompute_from_fn<F>(n: usize, f: F, exec: impl Into<ExecPolicy>) -> Vec<f64>
+pub fn precompute_from_fn<F>(n: usize, f: F, policy: ExecPolicy) -> Vec<f64>
 where
     F: Fn(u64) -> f64 + Sync,
 {
-    let policy = exec.into();
     let dim = 1usize << n;
     let mut out = vec![0.0f64; dim];
     if policy.parallel(dim) {
@@ -117,7 +111,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qokit_statevec::exec::Backend;
     use qokit_terms::labs::{labs_terms, sidelobe_energy};
     use qokit_terms::maxcut::maxcut_polynomial;
     use qokit_terms::{Graph, SpinPolynomial, Term};
@@ -138,7 +131,7 @@ mod tests {
     #[test]
     fn direct_matches_pointwise_evaluation() {
         let poly = random_poly(8, 20, 1);
-        let costs = precompute_direct(&poly, Backend::Serial);
+        let costs = precompute_direct(&poly, ExecPolicy::serial());
         for (x, &c) in costs.iter().enumerate() {
             assert!((c - poly.evaluate_bits(x as u64)).abs() < 1e-12);
         }
@@ -148,8 +141,8 @@ mod tests {
     fn fwht_matches_direct_random_polys() {
         for seed in 0..5 {
             let poly = random_poly(9, 30, seed);
-            let direct = precompute_direct(&poly, Backend::Serial);
-            let fwht = precompute_fwht(&poly, Backend::Serial);
+            let direct = precompute_direct(&poly, ExecPolicy::serial());
+            let fwht = precompute_fwht(&poly, ExecPolicy::serial());
             for (i, (a, b)) in direct.iter().zip(fwht.iter()).enumerate() {
                 assert!((a - b).abs() < 1e-9, "seed {seed}, index {i}: {a} vs {b}");
             }
@@ -159,8 +152,8 @@ mod tests {
     #[test]
     fn fwht_matches_direct_labs() {
         let poly = labs_terms(10);
-        let direct = precompute_direct(&poly, Backend::Serial);
-        let fwht = precompute_fwht(&poly, Backend::Serial);
+        let direct = precompute_direct(&poly, ExecPolicy::serial());
+        let fwht = precompute_fwht(&poly, ExecPolicy::serial());
         for (a, b) in direct.iter().zip(fwht.iter()) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -170,7 +163,7 @@ mod tests {
     fn labs_cost_vector_encodes_energies() {
         let n = 9;
         let poly = labs_terms(n);
-        let costs = precompute_fwht(&poly, Backend::Serial);
+        let costs = precompute_fwht(&poly, ExecPolicy::serial());
         for (x, &c) in costs.iter().enumerate() {
             let e = qokit_terms::labs::paper_cost_to_energy(c, n);
             assert_eq!(e as i64, sidelobe_energy(x as u64, n), "x = {x:b}");
@@ -180,11 +173,11 @@ mod tests {
     #[test]
     fn rayon_matches_serial() {
         let poly = random_poly(14, 25, 7);
-        let s_direct = precompute_direct(&poly, Backend::Serial);
-        let p_direct = precompute_direct(&poly, Backend::Rayon);
+        let s_direct = precompute_direct(&poly, ExecPolicy::serial());
+        let p_direct = precompute_direct(&poly, ExecPolicy::rayon());
         assert_eq!(s_direct, p_direct, "direct kernel must be deterministic");
-        let s_fwht = precompute_fwht(&poly, Backend::Serial);
-        let p_fwht = precompute_fwht(&poly, Backend::Rayon);
+        let s_fwht = precompute_fwht(&poly, ExecPolicy::serial());
+        let p_fwht = precompute_fwht(&poly, ExecPolicy::rayon());
         for (a, b) in s_fwht.iter().zip(p_fwht.iter()) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -197,10 +190,10 @@ mod tests {
         let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(8);
         let poly = random_poly(9, 20, 13);
         assert_eq!(
-            precompute_direct(&poly, Backend::Serial),
+            precompute_direct(&poly, ExecPolicy::serial()),
             precompute_direct(&poly, forced),
         );
-        let s = precompute_fwht(&poly, Backend::Serial);
+        let s = precompute_fwht(&poly, ExecPolicy::serial());
         let p = precompute_fwht(&poly, forced);
         for (a, b) in s.iter().zip(p.iter()) {
             assert!((a - b).abs() < 1e-9);
@@ -210,7 +203,7 @@ mod tests {
     #[test]
     fn slices_tile_the_full_vector() {
         let poly = maxcut_polynomial(&Graph::ring(8, 1.0));
-        let full = precompute_direct(&poly, Backend::Serial);
+        let full = precompute_direct(&poly, ExecPolicy::serial());
         let k = 4;
         let slice_len = full.len() / k;
         for r in 0..k {
@@ -223,8 +216,8 @@ mod tests {
     #[test]
     fn duplicate_masks_accumulate_in_fwht() {
         let poly = SpinPolynomial::new(3, vec![Term::new(1.0, &[0, 1]), Term::new(2.0, &[0, 1])]);
-        let direct = precompute_direct(&poly, Backend::Serial);
-        let fwht = precompute_fwht(&poly, Backend::Serial);
+        let direct = precompute_direct(&poly, ExecPolicy::serial());
+        let fwht = precompute_fwht(&poly, ExecPolicy::serial());
         assert_eq!(direct, fwht);
         assert_eq!(direct[0], 3.0);
     }
@@ -232,12 +225,12 @@ mod tests {
     #[test]
     fn from_fn_matches_direct() {
         let poly = random_poly(7, 15, 3);
-        let via_fn = precompute_from_fn(7, |x| poly.evaluate_bits(x), Backend::Serial);
-        let direct = precompute_direct(&poly, Backend::Serial);
+        let via_fn = precompute_from_fn(7, |x| poly.evaluate_bits(x), ExecPolicy::serial());
+        let direct = precompute_direct(&poly, ExecPolicy::serial());
         for (a, b) in via_fn.iter().zip(direct.iter()) {
             assert!((a - b).abs() < 1e-12);
         }
-        let via_fn_par = precompute_from_fn(7, |x| poly.evaluate_bits(x), Backend::Rayon);
+        let via_fn_par = precompute_from_fn(7, |x| poly.evaluate_bits(x), ExecPolicy::rayon());
         assert_eq!(via_fn, via_fn_par);
     }
 
@@ -245,7 +238,7 @@ mod tests {
     fn constant_polynomial_fills_uniformly() {
         let poly = SpinPolynomial::new(4, vec![Term::constant(2.5)]);
         for method in [PrecomputeMethod::Direct, PrecomputeMethod::Fwht] {
-            let costs = precompute(&poly, method, Backend::Serial);
+            let costs = precompute(&poly, method, ExecPolicy::serial());
             assert!(costs.iter().all(|&c| (c - 2.5).abs() < 1e-12));
         }
     }

@@ -453,7 +453,7 @@ fn expect_all<T>(
 mod tests {
     use super::*;
     use qokit_core::{FurSimulator, QaoaSimulator, SimOptions};
-    use qokit_statevec::Backend;
+    use qokit_statevec::ExecPolicy;
     use qokit_terms::labs::labs_terms;
     use qokit_terms::maxcut::maxcut_polynomial;
     use qokit_terms::Graph;
@@ -462,7 +462,7 @@ mod tests {
         FurSimulator::with_options(
             poly,
             SimOptions {
-                exec: Backend::Serial.into(),
+                exec: ExecPolicy::serial(),
                 ..SimOptions::default()
             },
         )

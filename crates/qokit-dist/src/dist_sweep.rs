@@ -327,6 +327,22 @@ impl DistSweepRunner {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// Options of the rank-local runners. A parallel scan policy becomes
+    /// `threads: 0`, so rank kernels execute in whatever context the rank
+    /// runs under — its SubsetPool slice when one is pinned, the shared
+    /// pool otherwise — never escaping into a differently-sized pool. A
+    /// serial policy keeps `threads: 1`.
+    fn rank_options(&self) -> SweepOptions {
+        let exec = self.opts.sweep.exec;
+        SweepOptions {
+            exec: ExecPolicy {
+                threads: if exec.threads == 1 { 1 } else { 0 },
+                ..exec
+            },
+            ..self.opts.sweep
+        }
+    }
+
     /// Runs the scan; a panicking point aborts it after its superstep
     /// drains, reporting the lowest-rank poisoned point with its global
     /// index. Sibling ranks complete the superstep and the pool stays
@@ -343,17 +359,7 @@ impl DistSweepRunner {
         let total = points.len();
         let chunk = self.opts.chunk as u64;
         let comm = BspComm::new(k);
-        // Rank-local runners inherit the scan policy with `threads: 0`, so
-        // their kernels execute in whatever context the rank runs under —
-        // its SubsetPool slice when one is pinned, the shared pool
-        // otherwise — never escaping into a differently-sized pool.
-        let rank_opts = SweepOptions {
-            exec: ExecPolicy {
-                threads: 0,
-                ..self.opts.sweep.exec
-            },
-            ..self.opts.sweep
-        };
+        let rank_opts = self.rank_options();
         // Contiguous batch shards: rank r owns [r·N/K, (r+1)·N/K). Each
         // rank's state sits behind its own (uncontended) Mutex so the lane
         // fan-out below can reach it mutably; lane r is the only locker.
@@ -660,6 +666,40 @@ mod tests {
                 assert_eq!(scan.agg.histogram(), reference.histogram());
             }
         }
+    }
+
+    #[test]
+    fn serial_scan_keeps_rank_runners_serial() {
+        // Rank runners trade a parallel policy's worker count for the
+        // rank's own context; a serial policy must stay serial even when
+        // the scan runs inside a wider pool.
+        let runner = |exec| {
+            DistSweepRunner::with_options(
+                Arc::new(serial_sim(6)),
+                DistSweepOptions {
+                    ranks: 2,
+                    sweep: SweepOptions {
+                        exec,
+                        nested: SweepNesting::Auto,
+                    },
+                    chunk: 4,
+                },
+            )
+        };
+        let serial = runner(ExecPolicy::serial());
+        let rank = SweepRunner::from_arc(Arc::clone(&serial.sim), serial.rank_options());
+        let points: Vec<SweepPoint> = (0..5)
+            .map(|i| SweepPoint::p1(0.1 * i as f64, 0.3))
+            .collect();
+        let threads = ExecPolicy::rayon()
+            .with_threads(2)
+            .install(|| rank.evaluate_with(&points, |_, _, policy| policy.threads));
+        assert_eq!(threads.len(), points.len());
+        for t in threads {
+            assert_eq!(t.unwrap(), 1);
+        }
+        let parallel = runner(ExecPolicy::rayon().with_threads(2));
+        assert_eq!(parallel.rank_options().exec.threads, 0);
     }
 
     #[test]

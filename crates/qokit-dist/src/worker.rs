@@ -28,7 +28,7 @@ use qokit_core::Mixer;
 use qokit_costvec::{fill_direct_slice, snap_to_grid, CostVec};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::su2::apply_mat2_serial;
-use qokit_statevec::{Backend, Mat2, C64};
+use qokit_statevec::{Mat2, C64};
 use qokit_terms::SpinPolynomial;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Duration;
@@ -143,7 +143,7 @@ impl SimRank {
         let local_n = self.n - self.k_bits;
         let u = Mat2::rx(beta);
         self.costs
-            .apply_phase(&mut self.amps, gamma, Backend::Serial);
+            .apply_phase(&mut self.amps, gamma, ExecPolicy::serial());
         for qb in 0..local_n {
             apply_mat2_serial(&mut self.amps, qb, &u);
         }
@@ -161,7 +161,7 @@ impl SimRank {
     /// Local expectation and local cost minimum.
     pub(crate) fn reduce(&self) -> (f64, f64) {
         (
-            self.costs.expectation(&self.amps, Backend::Serial),
+            self.costs.expectation(&self.amps, ExecPolicy::serial()),
             self.extrema().0,
         )
     }

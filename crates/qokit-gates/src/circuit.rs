@@ -75,16 +75,15 @@ impl Circuit {
 
     /// Executes the circuit on a state in place, one sweep per gate — the
     /// defining cost model of a gate-based state-vector simulator.
-    pub fn apply(&self, state: &mut StateVec, exec: impl Into<ExecPolicy>) {
+    pub fn apply(&self, state: &mut StateVec, policy: ExecPolicy) {
         assert_eq!(state.n_qubits(), self.n, "state has wrong qubit count");
-        let policy = exec.into();
         for g in &self.gates {
             g.apply(state.amplitudes_mut(), policy);
         }
     }
 
     /// Runs the circuit from `|0…0⟩`.
-    pub fn run(&self, exec: impl Into<ExecPolicy>) -> StateVec {
+    pub fn run(&self, exec: ExecPolicy) -> StateVec {
         let mut s = StateVec::zero_state(self.n);
         self.apply(&mut s, exec);
         s

@@ -155,7 +155,7 @@ pub fn compile_qaoa(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qokit_statevec::exec::Backend;
+    use qokit_statevec::exec::ExecPolicy;
     use qokit_statevec::StateVec;
     use qokit_terms::labs::labs_terms;
     use qokit_terms::maxcut::maxcut_polynomial;
@@ -185,7 +185,7 @@ mod tests {
         for style in [PhaseStyle::DecomposedCx, PhaseStyle::NativeDiagonal] {
             let mut s = init.clone();
             for g in compile_phase(&poly, 0.9, style) {
-                g.apply(s.amplitudes_mut(), Backend::Serial);
+                g.apply(s.amplitudes_mut(), ExecPolicy::serial());
             }
             assert!(s.max_abs_diff(&expect) < 1e-12, "{style:?}");
         }
@@ -200,7 +200,7 @@ mod tests {
         for style in [PhaseStyle::DecomposedCx, PhaseStyle::NativeDiagonal] {
             let mut s = init.clone();
             for g in compile_phase(&poly, 0.31, style) {
-                g.apply(s.amplitudes_mut(), Backend::Serial);
+                g.apply(s.amplitudes_mut(), ExecPolicy::serial());
             }
             assert!(s.max_abs_diff(&expect) < 1e-11, "{style:?}");
         }
@@ -237,7 +237,7 @@ mod tests {
     fn plus_state_preparation() {
         let mut s = StateVec::zero_state(4);
         for g in compile_plus_state(4) {
-            g.apply(s.amplitudes_mut(), Backend::Serial);
+            g.apply(s.amplitudes_mut(), ExecPolicy::serial());
         }
         assert!(s.max_abs_diff(&StateVec::uniform_superposition(4)) < 1e-12);
     }
@@ -249,13 +249,13 @@ mod tests {
         let beta = 0.37;
         let mut via_gates = StateVec::uniform_superposition(n);
         for g in compile_mixer(n, beta, CompiledMixer::X) {
-            g.apply(via_gates.amplitudes_mut(), Backend::Serial);
+            g.apply(via_gates.amplitudes_mut(), ExecPolicy::serial());
         }
         let mut via_kernel = StateVec::uniform_superposition(n);
         qokit_statevec::su2::apply_uniform_mat2(
             via_kernel.amplitudes_mut(),
             &qokit_statevec::Mat2::rx(beta),
-            Backend::Serial,
+            ExecPolicy::serial(),
         );
         assert!(via_gates.max_abs_diff(&via_kernel) < 1e-12);
     }
@@ -302,10 +302,10 @@ mod tests {
         let mut a = StateVec::uniform_superposition(7);
         let mut b = a.clone();
         for g in &gates {
-            g.apply(a.amplitudes_mut(), Backend::Serial);
+            g.apply(a.amplitudes_mut(), ExecPolicy::serial());
         }
         for g in &cancelled {
-            g.apply(b.amplitudes_mut(), Backend::Serial);
+            g.apply(b.amplitudes_mut(), ExecPolicy::serial());
         }
         assert!(a.max_abs_diff(&b) < 1e-11);
     }

@@ -175,7 +175,7 @@ pub fn fuse_2q(gates: &[Gate]) -> Vec<Gate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qokit_statevec::exec::Backend;
+    use qokit_statevec::exec::ExecPolicy;
     use qokit_statevec::{StateVec, C64};
 
     fn random_state(n: usize, seed: u64) -> StateVec {
@@ -196,7 +196,7 @@ mod tests {
 
     fn apply_all(gates: &[Gate], state: &mut StateVec) {
         for g in gates {
-            g.apply(state.amplitudes_mut(), Backend::Serial);
+            g.apply(state.amplitudes_mut(), ExecPolicy::serial());
         }
     }
 

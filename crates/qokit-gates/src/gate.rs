@@ -90,8 +90,7 @@ impl Gate {
     }
 
     /// Applies the gate to the state in one sweep.
-    pub fn apply(&self, amps: &mut [C64], exec: impl Into<ExecPolicy>) {
-        let policy = exec.into();
+    pub fn apply(&self, amps: &mut [C64], policy: ExecPolicy) {
         match *self {
             Gate::H(q) => apply_mat2(amps, q, &Mat2::hadamard(), policy),
             Gate::X(q) => apply_mat2(amps, q, &Mat2::pauli_x(), policy),
@@ -130,8 +129,7 @@ impl Gate {
 
 /// Diagonal single-qubit gate `diag(d0, d1)` on qubit `q`: phases only, no
 /// amplitude mixing.
-pub fn apply_diag_1q(amps: &mut [C64], q: usize, d0: C64, d1: C64, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_diag_1q(amps: &mut [C64], q: usize, d0: C64, d1: C64, policy: ExecPolicy) {
     let stride = 1usize << q;
     let block = stride * 2;
     debug_assert!(block <= amps.len(), "qubit {q} out of range");
@@ -156,8 +154,7 @@ pub fn apply_diag_1q(amps: &mut [C64], q: usize, d0: C64, d1: C64, exec: impl In
 
 /// CNOT kernel: swaps `|…c=1…t=0…⟩ ↔ |…c=1…t=1…⟩` pairs — a permutation,
 /// no arithmetic.
-pub fn apply_cx(amps: &mut [C64], control: usize, target: usize, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_cx(amps: &mut [C64], control: usize, target: usize, policy: ExecPolicy) {
     assert_ne!(control, target, "CX needs distinct qubits");
     let (ql, qh) = (control.min(target), control.max(target));
     assert!(1usize << (qh + 1) <= amps.len(), "qubit {qh} out of range");
@@ -180,8 +177,7 @@ pub fn apply_cx(amps: &mut [C64], control: usize, target: usize, exec: impl Into
 
 /// Parity-phase kernel for `e^{-i(θ/2)Z^{⊗k}}`:
 /// `ψ_x ← e^{∓i θ/2} ψ_x` with the sign given by `popcount(x & mask)`.
-pub fn apply_parity_phase(amps: &mut [C64], mask: u64, theta: f64, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_parity_phase(amps: &mut [C64], mask: u64, theta: f64, policy: ExecPolicy) {
     let plus = C64::cis(-theta / 2.0); // even parity
     let minus = C64::cis(theta / 2.0); // odd parity
     if policy.parallel(amps.len()) {
@@ -206,7 +202,7 @@ pub fn apply_parity_phase(amps: &mut [C64], mask: u64, theta: f64, exec: impl In
 mod tests {
     use super::*;
     use qokit_statevec::reference;
-    use qokit_statevec::{Backend, StateVec};
+    use qokit_statevec::StateVec;
 
     fn random_state(n: usize, seed: u64) -> StateVec {
         let mut s = seed;
@@ -228,9 +224,14 @@ mod tests {
     fn rz_matches_dense_mat2() {
         let mut fast = random_state(6, 1);
         let mut dense = fast.clone();
-        Gate::Rz(2, 0.9).apply(fast.amplitudes_mut(), Backend::Serial);
+        Gate::Rz(2, 0.9).apply(fast.amplitudes_mut(), ExecPolicy::serial());
         // Rz(θ) = e^{-i(θ/2)Z} = Mat2::rz(θ/2).
-        apply_mat2(dense.amplitudes_mut(), 2, &Mat2::rz(0.45), Backend::Serial);
+        apply_mat2(
+            dense.amplitudes_mut(),
+            2,
+            &Mat2::rz(0.45),
+            ExecPolicy::serial(),
+        );
         assert!(fast.max_abs_diff(&dense) < 1e-12);
     }
 
@@ -243,7 +244,7 @@ mod tests {
                 // means qa = control.
                 reference::apply_2q_reference(fast.amplitudes(), c, t, &Mat4::cnot_control_low())
             };
-            Gate::Cx(c, t).apply(fast.amplitudes_mut(), Backend::Serial);
+            Gate::Cx(c, t).apply(fast.amplitudes_mut(), ExecPolicy::serial());
             for (a, b) in fast.amplitudes().iter().zip(expect.iter()) {
                 assert!(a.approx_eq(*b, 1e-12), "c={c}, t={t}");
             }
@@ -253,10 +254,10 @@ mod tests {
     #[test]
     fn cx_truth_table() {
         let mut s = StateVec::basis_state(2, 0b01); // qubit 0 (control) = 1
-        Gate::Cx(0, 1).apply(s.amplitudes_mut(), Backend::Serial);
+        Gate::Cx(0, 1).apply(s.amplitudes_mut(), ExecPolicy::serial());
         assert_eq!(s.amplitudes()[0b11], C64::ONE);
         let mut s = StateVec::basis_state(2, 0b10); // control clear
-        Gate::Cx(0, 1).apply(s.amplitudes_mut(), Backend::Serial);
+        Gate::Cx(0, 1).apply(s.amplitudes_mut(), ExecPolicy::serial());
         assert_eq!(s.amplitudes()[0b10], C64::ONE);
     }
 
@@ -264,13 +265,13 @@ mod tests {
     fn rzz_matches_mat4() {
         let mut fast = random_state(5, 3);
         let mut dense = fast.clone();
-        Gate::Rzz(1, 3, 0.8).apply(fast.amplitudes_mut(), Backend::Serial);
+        Gate::Rzz(1, 3, 0.8).apply(fast.amplitudes_mut(), ExecPolicy::serial());
         apply_mat4(
             dense.amplitudes_mut(),
             1,
             3,
             &Mat4::rzz(0.4),
-            Backend::Serial,
+            ExecPolicy::serial(),
         );
         assert!(fast.max_abs_diff(&dense) < 1e-12);
     }
@@ -281,7 +282,7 @@ mod tests {
         let mask = 0b1011u64;
         let theta = 1.1;
         let mut s = StateVec::uniform_superposition(n);
-        Gate::MultiZRot(mask, theta).apply(s.amplitudes_mut(), Backend::Serial);
+        Gate::MultiZRot(mask, theta).apply(s.amplitudes_mut(), ExecPolicy::serial());
         let amp0 = 1.0 / (s.dim() as f64).sqrt();
         for (x, a) in s.amplitudes().iter().enumerate() {
             let odd = (x as u64 & mask).count_ones() % 2 == 1;
@@ -294,14 +295,14 @@ mod tests {
     fn multi_z_rot_degenerates_to_rz_and_rzz() {
         let mut a = random_state(4, 4);
         let mut b = a.clone();
-        Gate::MultiZRot(1 << 2, 0.7).apply(a.amplitudes_mut(), Backend::Serial);
-        Gate::Rz(2, 0.7).apply(b.amplitudes_mut(), Backend::Serial);
+        Gate::MultiZRot(1 << 2, 0.7).apply(a.amplitudes_mut(), ExecPolicy::serial());
+        Gate::Rz(2, 0.7).apply(b.amplitudes_mut(), ExecPolicy::serial());
         assert!(a.max_abs_diff(&b) < 1e-12);
 
         let mut c = random_state(4, 5);
         let mut d = c.clone();
-        Gate::MultiZRot((1 << 1) | (1 << 3), 0.7).apply(c.amplitudes_mut(), Backend::Serial);
-        Gate::Rzz(1, 3, 0.7).apply(d.amplitudes_mut(), Backend::Serial);
+        Gate::MultiZRot((1 << 1) | (1 << 3), 0.7).apply(c.amplitudes_mut(), ExecPolicy::serial());
+        Gate::Rzz(1, 3, 0.7).apply(d.amplitudes_mut(), ExecPolicy::serial());
         assert!(c.max_abs_diff(&d) < 1e-12);
     }
 
@@ -322,8 +323,8 @@ mod tests {
         for g in gates {
             let mut a = random_state(n, 6);
             let mut b = a.clone();
-            g.apply(a.amplitudes_mut(), Backend::Serial);
-            g.apply(b.amplitudes_mut(), Backend::Rayon);
+            g.apply(a.amplitudes_mut(), ExecPolicy::serial());
+            g.apply(b.amplitudes_mut(), ExecPolicy::rayon());
             assert!(a.max_abs_diff(&b) < 1e-12, "{g:?}");
         }
     }
@@ -355,7 +356,7 @@ mod tests {
         ];
         let mut s = random_state(4, 7);
         for g in &gates {
-            g.apply(s.amplitudes_mut(), Backend::Serial);
+            g.apply(s.amplitudes_mut(), ExecPolicy::serial());
         }
         assert!((s.norm_sqr() - 1.0).abs() < 1e-10);
     }

@@ -26,7 +26,7 @@ pub struct GateSimOptions {
     pub style: PhaseStyle,
     /// Mixer compilation.
     pub mixer: CompiledMixer,
-    /// Execution policy (backend + split thresholds).
+    /// Execution policy (worker count + split thresholds).
     pub exec: ExecPolicy,
     /// Apply greedy F=2 fusion before executing each layer.
     pub fuse: bool,

@@ -17,8 +17,8 @@
 //! entries use the per-element expression, so the indexed kernels are
 //! bit-identical to the `f64` ones by construction.
 //!
-//! Every dispatcher takes `impl Into<ExecPolicy>`; parallel sweeps split by
-//! the policy's chunking thresholds.
+//! Every dispatcher takes an [`ExecPolicy`]; parallel sweeps split by the
+//! policy's chunking thresholds.
 
 use crate::complex::C64;
 use crate::exec::ExecPolicy;
@@ -77,23 +77,13 @@ where
     }
 }
 
-/// Serial phase operator: `ψ_k ← e^{-iγ c_k} ψ_k`.
+/// Phase operator: `ψ_k ← e^{-iγ c_k} ψ_k`.
 ///
 /// # Panics
 /// If `amps` and `costs` lengths differ.
-pub fn apply_phase_serial(amps: &mut [C64], costs: &[f64], gamma: f64) {
-    apply_phase(amps, costs, gamma, ExecPolicy::serial());
-}
-
-/// Pool-parallel phase operator with default thresholds.
-pub fn apply_phase_rayon(amps: &mut [C64], costs: &[f64], gamma: f64) {
-    apply_phase(amps, costs, gamma, ExecPolicy::rayon());
-}
-
-/// Policy-dispatched phase operator.
 #[inline]
-pub fn apply_phase(amps: &mut [C64], costs: &[f64], gamma: f64, exec: impl Into<ExecPolicy>) {
-    apply_factors(amps, costs, |c| C64::cis(-gamma * c), exec.into());
+pub fn apply_phase(amps: &mut [C64], costs: &[f64], gamma: f64, exec: ExecPolicy) {
+    apply_factors(amps, costs, |c| C64::cis(-gamma * c), exec);
 }
 
 /// Indexed phase operator: `ψ_k ← t[index_k] ψ_k`, with `t` the layer's
@@ -102,35 +92,20 @@ pub fn apply_phase(amps: &mut [C64], costs: &[f64], gamma: f64, exec: impl Into<
 ///
 /// # Panics
 /// If `amps` and `index` lengths differ, or an index is outside the table.
-pub fn apply_phase_indexed(
-    amps: &mut [C64],
-    index: &[u16],
-    table: &[C64],
-    exec: impl Into<ExecPolicy>,
-) {
-    apply_factors(amps, index, |j| table[j as usize], exec.into());
+pub fn apply_phase_indexed(amps: &mut [C64], index: &[u16], table: &[C64], exec: ExecPolicy) {
+    apply_factors(amps, index, |j| table[j as usize], exec);
 }
 
 /// Applies an arbitrary complex diagonal: `ψ_k ← d_k ψ_k`.
-pub fn apply_diagonal(amps: &mut [C64], diag: &[C64], exec: impl Into<ExecPolicy>) {
+pub fn apply_diagonal(amps: &mut [C64], diag: &[C64], exec: ExecPolicy) {
     assert_eq!(amps.len(), diag.len(), "diagonal length mismatch");
-    apply_factors(amps, diag, |d| d, exec.into());
+    apply_factors(amps, diag, |d| d, exec);
 }
 
-/// Serial objective: `⟨ψ|Ĉ|ψ⟩ = Σ c_k |ψ_k|²`.
-pub fn expectation_serial(amps: &[C64], costs: &[f64]) -> f64 {
-    expectation(amps, costs, ExecPolicy::serial())
-}
-
-/// Pool-parallel objective with default thresholds.
-pub fn expectation_rayon(amps: &[C64], costs: &[f64]) -> f64 {
-    expectation(amps, costs, ExecPolicy::rayon())
-}
-
-/// Policy-dispatched objective.
+/// Objective: `⟨ψ|Ĉ|ψ⟩ = Σ c_k |ψ_k|²`.
 #[inline]
-pub fn expectation(amps: &[C64], costs: &[f64], exec: impl Into<ExecPolicy>) -> f64 {
-    weighted_norm(amps, costs, |c| c, exec.into())
+pub fn expectation(amps: &[C64], costs: &[f64], exec: ExecPolicy) -> f64 {
+    weighted_norm(amps, costs, |c| c, exec)
 }
 
 /// Indexed objective: `Σ levels[index_k] |ψ_k|²`. Bit-identical to
@@ -138,13 +113,8 @@ pub fn expectation(amps: &[C64], costs: &[f64], exec: impl Into<ExecPolicy>) -> 
 ///
 /// # Panics
 /// If `amps` and `index` lengths differ, or an index is outside `levels`.
-pub fn expectation_indexed(
-    amps: &[C64],
-    index: &[u16],
-    levels: &[f64],
-    exec: impl Into<ExecPolicy>,
-) -> f64 {
-    weighted_norm(amps, index, |j| levels[j as usize], exec.into())
+pub fn expectation_indexed(amps: &[C64], index: &[u16], levels: &[f64], exec: ExecPolicy) -> f64 {
+    weighted_norm(amps, index, |j| levels[j as usize], exec)
 }
 
 /// Total probability mass on the given basis indices — used for the
@@ -238,9 +208,9 @@ pub fn apply_phase_split(
     im: &mut [f64],
     costs: &[f64],
     gamma: f64,
-    exec: impl Into<ExecPolicy>,
+    exec: ExecPolicy,
 ) {
-    apply_factors_split(re, im, costs, |c| C64::cis(-gamma * c), exec.into());
+    apply_factors_split(re, im, costs, |c| C64::cis(-gamma * c), exec);
 }
 
 /// Split-plane twin of [`apply_phase_indexed`]. Bit-identical to it and to
@@ -253,9 +223,9 @@ pub fn apply_phase_indexed_split(
     im: &mut [f64],
     index: &[u16],
     table: &[C64],
-    exec: impl Into<ExecPolicy>,
+    exec: ExecPolicy,
 ) {
-    apply_factors_split(re, im, index, |j| table[j as usize], exec.into());
+    apply_factors_split(re, im, index, |j| table[j as usize], exec);
 }
 
 /// Split-plane objective: `Σ c_k (re_k² + im_k²)`. Serially bit-identical
@@ -265,13 +235,8 @@ pub fn apply_phase_indexed_split(
 ///
 /// # Panics
 /// If plane and cost-vector lengths differ.
-pub fn expectation_split(
-    re: &[f64],
-    im: &[f64],
-    costs: &[f64],
-    exec: impl Into<ExecPolicy>,
-) -> f64 {
-    weighted_norm_split(re, im, costs, |c| c, exec.into())
+pub fn expectation_split(re: &[f64], im: &[f64], costs: &[f64], exec: ExecPolicy) -> f64 {
+    weighted_norm_split(re, im, costs, |c| c, exec)
 }
 
 /// Split-plane twin of [`expectation_indexed`]: bit-identical to
@@ -284,15 +249,14 @@ pub fn expectation_indexed_split(
     im: &[f64],
     index: &[u16],
     levels: &[f64],
-    exec: impl Into<ExecPolicy>,
+    exec: ExecPolicy,
 ) -> f64 {
-    weighted_norm_split(re, im, index, |j| levels[j as usize], exec.into())
+    weighted_norm_split(re, im, index, |j| levels[j as usize], exec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Backend;
     use crate::reference;
     use crate::state::StateVec;
 
@@ -307,7 +271,7 @@ mod tests {
         let costs = ramp_costs(s.dim());
         let expect = reference::apply_phase_reference(s.amplitudes(), &costs, 0.8);
         let mut got = s.clone();
-        apply_phase_serial(got.amplitudes_mut(), &costs, 0.8);
+        apply_phase(got.amplitudes_mut(), &costs, 0.8, ExecPolicy::serial());
         for (a, b) in got.amplitudes().iter().zip(expect.iter()) {
             assert!(a.approx_eq(*b, 1e-12));
         }
@@ -319,8 +283,8 @@ mod tests {
         let mut a = StateVec::uniform_superposition(n);
         let mut b = a.clone();
         let costs = ramp_costs(a.dim());
-        apply_phase_serial(a.amplitudes_mut(), &costs, 1.3);
-        apply_phase_rayon(b.amplitudes_mut(), &costs, 1.3);
+        apply_phase(a.amplitudes_mut(), &costs, 1.3, ExecPolicy::serial());
+        apply_phase(b.amplitudes_mut(), &costs, 1.3, ExecPolicy::rayon());
         assert!(a.max_abs_diff(&b) < 1e-12);
     }
 
@@ -331,7 +295,7 @@ mod tests {
         let mut a = StateVec::uniform_superposition(n);
         let mut b = a.clone();
         let costs = ramp_costs(a.dim());
-        apply_phase_serial(a.amplitudes_mut(), &costs, 1.3);
+        apply_phase(a.amplitudes_mut(), &costs, 1.3, ExecPolicy::serial());
         apply_phase(b.amplitudes_mut(), &costs, 1.3, forced);
         // Elementwise kernels are bit-identical regardless of the split.
         assert!(a.max_abs_diff(&b) == 0.0);
@@ -343,7 +307,7 @@ mod tests {
         let mut s = StateVec::uniform_superposition(n);
         let p_before = s.probabilities();
         let costs = ramp_costs(s.dim());
-        apply_phase_serial(s.amplitudes_mut(), &costs, 2.1);
+        apply_phase(s.amplitudes_mut(), &costs, 2.1, ExecPolicy::serial());
         let p_after = s.probabilities();
         for (x, y) in p_before.iter().zip(p_after.iter()) {
             assert!((x - y).abs() < 1e-12);
@@ -356,8 +320,8 @@ mod tests {
         let s = StateVec::dicke_state(n, 3);
         let costs = ramp_costs(s.dim());
         let expect = reference::expectation_reference(s.amplitudes(), &costs);
-        assert!((expectation_serial(s.amplitudes(), &costs) - expect).abs() < 1e-12);
-        assert!((expectation_rayon(s.amplitudes(), &costs) - expect).abs() < 1e-12);
+        assert!((expectation(s.amplitudes(), &costs, ExecPolicy::serial()) - expect).abs() < 1e-12);
+        assert!((expectation(s.amplitudes(), &costs, ExecPolicy::rayon()) - expect).abs() < 1e-12);
         let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(2);
         assert!((expectation(s.amplitudes(), &costs, forced) - expect).abs() < 1e-12);
     }
@@ -366,7 +330,9 @@ mod tests {
     fn expectation_of_basis_state_reads_cost() {
         let s = StateVec::basis_state(5, 19);
         let costs = ramp_costs(s.dim());
-        assert!((expectation_serial(s.amplitudes(), &costs) - costs[19]).abs() < 1e-12);
+        assert!(
+            (expectation(s.amplitudes(), &costs, ExecPolicy::serial()) - costs[19]).abs() < 1e-12
+        );
     }
 
     #[test]
@@ -380,7 +346,7 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn phase_rejects_length_mismatch() {
         let mut s = StateVec::zero_state(3);
-        apply_phase_serial(s.amplitudes_mut(), &[0.0; 4], 1.0);
+        apply_phase(s.amplitudes_mut(), &[0.0; 4], 1.0, ExecPolicy::serial());
     }
 
     #[test]
@@ -389,11 +355,16 @@ mod tests {
         let s = StateVec::dicke_state(n, 4);
         let costs = ramp_costs(s.dim());
         let mut interleaved = s.clone();
-        apply_phase_serial(interleaved.amplitudes_mut(), &costs, 0.93);
+        apply_phase(
+            interleaved.amplitudes_mut(),
+            &costs,
+            0.93,
+            ExecPolicy::serial(),
+        );
         let mut split = crate::split::SplitStateVec::from(&s);
         {
             let (re, im) = split.planes_mut();
-            apply_phase_split(re, im, &costs, 0.93, Backend::Serial);
+            apply_phase_split(re, im, &costs, 0.93, ExecPolicy::serial());
         }
         assert_eq!(
             split.max_abs_diff_interleaved(interleaved.amplitudes()),
@@ -401,8 +372,8 @@ mod tests {
             "split phase twin uses identical per-element ops"
         );
         let (re, im) = split.planes();
-        let e_split = expectation_split(re, im, &costs, Backend::Serial);
-        let e_inter = expectation_serial(interleaved.amplitudes(), &costs);
+        let e_split = expectation_split(re, im, &costs, ExecPolicy::serial());
+        let e_inter = expectation(interleaved.amplitudes(), &costs, ExecPolicy::serial());
         assert_eq!(e_split, e_inter, "serial reductions share summation order");
     }
 
@@ -416,7 +387,7 @@ mod tests {
         let mut b = a.clone();
         {
             let (re, im) = a.planes_mut();
-            apply_phase_split(re, im, &costs, 1.21, Backend::Serial);
+            apply_phase_split(re, im, &costs, 1.21, ExecPolicy::serial());
         }
         {
             let (re, im) = b.planes_mut();
@@ -424,7 +395,7 @@ mod tests {
         }
         assert_eq!(a, b, "elementwise split kernel is split-invariant");
         let (re, im) = a.planes();
-        let e_s = expectation_split(re, im, &costs, Backend::Serial);
+        let e_s = expectation_split(re, im, &costs, ExecPolicy::serial());
         let e_p = expectation_split(re, im, &costs, forced);
         assert!((e_s - e_p).abs() < 1e-12);
     }
@@ -480,7 +451,12 @@ mod tests {
     fn index_outside_the_table_panics() {
         let mut s = StateVec::zero_state(2);
         let table = phase_table([0.0, 1.0], 0.5);
-        apply_phase_indexed(s.amplitudes_mut(), &[0, 1, 2, 0], &table, Backend::Serial);
+        apply_phase_indexed(
+            s.amplitudes_mut(),
+            &[0, 1, 2, 0],
+            &table,
+            ExecPolicy::serial(),
+        );
     }
 
     #[test]
@@ -488,7 +464,7 @@ mod tests {
         let mut s = StateVec::uniform_superposition(5);
         let orig = s.clone();
         let diag = vec![C64::ONE; s.dim()];
-        apply_diagonal(s.amplitudes_mut(), &diag, Backend::Serial);
+        apply_diagonal(s.amplitudes_mut(), &diag, ExecPolicy::serial());
         assert!(s.max_abs_diff(&orig) < 1e-15);
     }
 }

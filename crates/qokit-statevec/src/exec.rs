@@ -1,69 +1,34 @@
 //! Execution policy for the kernels.
 //!
 //! The paper's simulator ships CPU (serial C / NumPy) and GPU variants of the
-//! same algorithms. We mirror that split as `Serial` vs `Rayon`: the index
-//! arithmetic is identical, only the executor changes — which is exactly the
-//! property the paper relies on when comparing implementations.
+//! same algorithms. We mirror that split as serial loops vs the work-stealing
+//! pool: the index arithmetic is identical, only the executor changes —
+//! which is exactly the property the paper relies on when comparing
+//! implementations.
 //!
-//! [`ExecPolicy`] is the one object every kernel consults, and it holds
-//! **two** independent kernel knobs plus the splitting thresholds:
-//!
-//! 1. **Executor** ([`Backend`]): serial loops vs the work-stealing pool.
-//!    [`Backend`] remains the thin two-variant selector it always was —
-//!    every kernel accepts `impl Into<ExecPolicy>`, so passing a bare
-//!    `Backend` keeps working and resolves to that backend with default
-//!    thresholds (and the default [`Layout::Split`]).
-//! 2. **Memory layout** ([`Layout`]): split-complex (structure-of-arrays)
-//!    `re`/`im` `f64` planes ([`crate::split::SplitStateVec`]), the layout
-//!    every policy constructor yields, vs interleaved `C64` amplitudes. The
-//!    layout is consulted only where a caller evolves an interleaved
-//!    [`crate::StateVec`] (`FurSimulator::evolve_in_place_with`); the
-//!    objective, sweep, observer and light-cone paths run on planes
-//!    whatever it says. Each kernel module provides an interleaved and a
-//!    `*_split` plane-wise entry point with identical index arithmetic and
-//!    identical bits. [`Layout::Interleaved`] remains as the comparison
-//!    side of the layout-equivalence suites.
+//! [`ExecPolicy`] is the one object every kernel consults. Its worker count
+//! [`ExecPolicy::threads`] is the only executor knob: `1` runs serial loops,
+//! `0` runs on the ambient pool, and `k ≥ 2` on a cached `k`-worker pool.
+//! [`ExecPolicy::min_len`] and [`ExecPolicy::min_chunk`] decide how a
+//! parallel sweep splits. The objective, sweep, observer and light-cone
+//! paths run on split-complex `re`/`im` planes
+//! ([`crate::split::SplitStateVec`]) under every policy;
+//! [`ExecPolicy::layout`] is consulted only where a caller evolves an
+//! interleaved [`crate::StateVec`] (`FurSimulator::evolve_in_place_with`),
+//! and [`Layout::Interleaved`] remains as the comparison side of the
+//! layout-equivalence suites. Each kernel module provides an interleaved and
+//! a `*_split` plane-wise entry point with identical index arithmetic and
+//! identical bits.
 //!
 //! # Thread-count resolution
 //!
-//! The `QOKIT_THREADS` environment variable governs the default worker
-//! count: unset or `0` means the hardware thread count, `1` forces serial
-//! execution in [`Backend::auto`] / [`ExecPolicy::auto`], any other value
-//! sizes the global pool. An explicit [`ExecPolicy::threads`] (via
-//! [`ExecPolicy::with_threads`]) overrides the global pool with a cached
-//! per-size pool entered through [`ExecPolicy::install`].
+//! The `QOKIT_THREADS` environment variable sizes the ambient pool: unset or
+//! `0` means the hardware thread count, any other value that many workers.
+//! [`ExecPolicy::auto`] is serial on a pool one worker wide and runs on the
+//! ambient pool otherwise.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// How a kernel should execute: serial loops or the work-stealing pool.
-/// The index arithmetic is the same under both, so the choice moves work
-/// between threads but never changes what is computed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Single-threaded loops (the paper's "c"/"python" simulators).
-    Serial,
-    /// Work-stealing-pool data-parallel loops (our stand-in for the GPU
-    /// kernels).
-    Rayon,
-}
-
-impl Backend {
-    /// Picks the backend the way QOKit's `choose_simulator(name='auto')`
-    /// does: `Rayon` when the pool runtime would split over more than one
-    /// worker, `Serial` otherwise. The worker count is asked of the runtime
-    /// itself (`rayon::current_num_threads`, which resolves `QOKIT_THREADS`
-    /// → `RAYON_NUM_THREADS` → hardware threads, or an already-latched pool
-    /// size) — so `auto()` can never pick `Rayon` for a pool the
-    /// environment pinned to one worker.
-    pub fn auto() -> Backend {
-        if rayon::current_num_threads() > 1 {
-            Backend::Rayon
-        } else {
-            Backend::Serial
-        }
-    }
-}
 
 /// How amplitudes are stored while the hot kernels run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
@@ -102,13 +67,12 @@ pub const PAR_MIN_CHUNK: usize = 1 << 12;
 /// to split the sweep across it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Executor selection.
-    pub backend: Backend,
-    /// Worker count for [`ExecPolicy::install`]; `0` inherits the ambient
-    /// pool (the global pool sized by `QOKIT_THREADS`, or whatever pool the
-    /// calling code already installed into).
+    /// The executor: `1` runs serial loops; `0` runs on the ambient pool
+    /// (the global pool sized by `QOKIT_THREADS`, or whatever pool the
+    /// calling code already installed into); `k ≥ 2` runs on a cached
+    /// `k`-worker pool entered through [`ExecPolicy::install`].
     pub threads: usize,
-    /// Vectors shorter than this run serially even under [`Backend::Rayon`].
+    /// Vectors shorter than this run serially even on a pool.
     pub min_len: usize,
     /// Minimum elements per parallel task.
     pub min_chunk: usize,
@@ -122,8 +86,7 @@ impl ExecPolicy {
     /// Strictly serial execution.
     pub const fn serial() -> ExecPolicy {
         ExecPolicy {
-            backend: Backend::Serial,
-            threads: 0,
+            threads: 1,
             min_len: PAR_MIN_LEN,
             min_chunk: PAR_MIN_CHUNK,
             layout: Layout::Split,
@@ -133,7 +96,6 @@ impl ExecPolicy {
     /// Parallel execution on the ambient pool with default thresholds.
     pub const fn rayon() -> ExecPolicy {
         ExecPolicy {
-            backend: Backend::Rayon,
             threads: 0,
             min_len: PAR_MIN_LEN,
             min_chunk: PAR_MIN_CHUNK,
@@ -141,14 +103,23 @@ impl ExecPolicy {
         }
     }
 
-    /// Backend from [`Backend::auto`] (which honors `QOKIT_THREADS`),
-    /// default thresholds and layout.
+    /// Picks the executor the way QOKit's `choose_simulator(name='auto')`
+    /// does: [`ExecPolicy::rayon`] when the pool runtime would split over
+    /// more than one worker, [`ExecPolicy::serial`] otherwise. The worker
+    /// count is asked of the runtime itself (`rayon::current_num_threads`,
+    /// which resolves `QOKIT_THREADS` → `RAYON_NUM_THREADS` → hardware
+    /// threads, or an already-latched pool size), so `auto()` can never
+    /// pick the pool when the environment pinned it to one worker.
     pub fn auto() -> ExecPolicy {
-        ExecPolicy::from(Backend::auto())
+        if rayon::current_num_threads() > 1 {
+            ExecPolicy::rayon()
+        } else {
+            ExecPolicy::serial()
+        }
     }
 
     /// Returns the policy with an explicit worker count (see
-    /// [`ExecPolicy::install`]).
+    /// [`ExecPolicy::threads`]).
     pub const fn with_threads(mut self, threads: usize) -> ExecPolicy {
         self.threads = threads;
         self
@@ -175,7 +146,7 @@ impl ExecPolicy {
     /// `true` when a sweep of `len` elements should take the parallel path.
     #[inline]
     pub fn parallel(&self, len: usize) -> bool {
-        matches!(self.backend, Backend::Rayon) && len >= self.min_len
+        self.threads != 1 && len >= self.min_len
     }
 
     /// Splits `len` into pool-friendly chunk lengths that are multiples of
@@ -192,16 +163,16 @@ impl ExecPolicy {
         }
     }
 
-    /// Runs `op` under this policy's executor. With `threads == 0` (or the
-    /// strictly serial backend) that is the calling context unchanged; with
-    /// an explicit count, a cached pool of that size, so every parallel
-    /// kernel inside `op` splits across exactly that many workers.
+    /// Runs `op` under this policy's executor. With `threads` `0` or `1`
+    /// that is the calling context unchanged; with `k ≥ 2`, a cached pool
+    /// of that size, so every parallel kernel inside `op` splits across
+    /// exactly that many workers.
     pub fn install<R, OP>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R + Send,
         R: Send,
     {
-        if self.threads == 0 || matches!(self.backend, Backend::Serial) {
+        if self.threads <= 1 {
             op()
         } else {
             sized_pool(self.threads).install(op)
@@ -212,15 +183,6 @@ impl ExecPolicy {
 impl Default for ExecPolicy {
     fn default() -> Self {
         ExecPolicy::auto()
-    }
-}
-
-impl From<Backend> for ExecPolicy {
-    fn from(backend: Backend) -> ExecPolicy {
-        ExecPolicy {
-            backend,
-            ..ExecPolicy::serial()
-        }
     }
 }
 
@@ -246,25 +208,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_returns_some_backend() {
-        // Smoke test: must not panic and must be one of the two variants.
-        let b = Backend::auto();
-        assert!(b == Backend::Serial || b == Backend::Rayon);
+    fn auto_mirrors_pool_size() {
+        // auto() must agree with the runtime it will execute on: the pool
+        // iff it would split over more than one worker. (The env resolution
+        // itself — QOKIT_THREADS → RAYON_NUM_THREADS → hardware — lives in
+        // vendor/rayon and is tested there; CI runs this whole suite under
+        // QOKIT_THREADS=1 and =4.)
+        for width in [1, 2, 3] {
+            let expect = if width == 1 {
+                ExecPolicy::serial()
+            } else {
+                ExecPolicy::rayon()
+            };
+            let got = sized_pool(width).install(ExecPolicy::auto);
+            assert_eq!(got, expect, "width {width}");
+        }
     }
 
     #[test]
-    fn auto_mirrors_pool_size() {
-        // auto() must agree with the runtime it will execute on: Rayon iff
-        // the ambient pool would split over more than one worker. (The env
-        // resolution itself — QOKIT_THREADS → RAYON_NUM_THREADS → hardware
-        // — lives in vendor/rayon and is tested there; CI runs this whole
-        // suite under QOKIT_THREADS=1 and =4.)
-        let expect = if rayon::current_num_threads() > 1 {
-            Backend::Rayon
-        } else {
-            Backend::Serial
-        };
-        assert_eq!(Backend::auto(), expect);
+    fn threads_one_is_serial_everywhere() {
+        // The one encoding of "serial": however the policy was built,
+        // `threads == 1` never takes the parallel path and never enters a
+        // pool. Checked from inside a 3-worker pool, so an `install` that
+        // entered a 1-worker pool would show.
+        let policies = [
+            ExecPolicy::serial(),
+            ExecPolicy::rayon().with_threads(1),
+            ExecPolicy::rayon().with_threads(1).with_min_len(1),
+            ExecPolicy::serial().with_min_len(0),
+        ];
+        ExecPolicy::rayon().with_threads(3).install(|| {
+            let outside = rayon::current_num_threads();
+            assert_eq!(outside, 3);
+            for p in policies {
+                for len in (0..=40).map(|b| 1usize << b).chain([0, 3, usize::MAX]) {
+                    assert!(!p.parallel(len), "{p:?} went parallel at len {len}");
+                }
+                assert_eq!(p.install(rayon::current_num_threads), outside, "{p:?}");
+            }
+        });
     }
 
     #[test]
@@ -287,15 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_converts_to_policy() {
-        let p: ExecPolicy = Backend::Rayon.into();
-        assert_eq!(p.backend, Backend::Rayon);
-        assert_eq!(p.min_len, PAR_MIN_LEN);
-        assert_eq!(p.min_chunk, PAR_MIN_CHUNK);
-        assert_eq!(p.threads, 0);
-    }
-
-    #[test]
     fn parallel_gate_honors_min_len() {
         let p = ExecPolicy::rayon();
         assert!(!p.parallel(PAR_MIN_LEN - 1));
@@ -315,9 +288,9 @@ mod tests {
             inherit.install(rayon::current_num_threads),
             rayon::current_num_threads()
         );
-        // Serial policies never enter a pool.
-        let serial = ExecPolicy::serial().with_threads(5);
-        assert_eq!(serial.install(|| 7), 7);
+        // An explicit count overrides the serial constructor's `1`.
+        let sized = ExecPolicy::serial().with_threads(5);
+        assert_eq!(sized.install(rayon::current_num_threads), 5);
     }
 
     #[test]
@@ -334,11 +307,9 @@ mod tests {
         assert_eq!(ExecPolicy::serial().layout, Layout::Split);
         assert_eq!(ExecPolicy::rayon().layout, Layout::Split);
         assert_eq!(ExecPolicy::auto().layout, Layout::Split);
-        let p: ExecPolicy = Backend::Rayon.into();
-        assert_eq!(p.layout, Layout::Split);
         let s = ExecPolicy::rayon().with_layout(Layout::Interleaved);
         assert_eq!(s.layout, Layout::Interleaved);
-        assert_eq!(s.backend, Backend::Rayon);
+        assert_eq!(s.threads, 0);
     }
 
     #[test]

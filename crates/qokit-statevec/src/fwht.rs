@@ -16,9 +16,8 @@
 //!    approach too (`apply_x_mixer_fwht*`) so the comparison can be
 //!    benchmarked (`abl_fwht`).
 //!
-//! Every entry point takes `impl Into<ExecPolicy>`, so both a bare
-//! [`Backend`](crate::exec::Backend) and a tuned [`ExecPolicy`] select the
-//! executor and split sizes.
+//! Every entry point takes an [`ExecPolicy`], which selects the executor
+//! and split sizes.
 
 use crate::complex::C64;
 use crate::exec::ExecPolicy;
@@ -82,16 +81,9 @@ fn fwht_parallel(amps: &mut [C64], policy: &ExecPolicy) {
     }
 }
 
-/// Pool-parallel unnormalized FWHT with default thresholds (falls back to
-/// the serial sweep below [`crate::exec::PAR_MIN_LEN`]).
-pub fn fwht_rayon(amps: &mut [C64]) {
-    fwht(amps, ExecPolicy::rayon());
-}
-
 /// Policy-dispatched unnormalized FWHT.
 #[inline]
-pub fn fwht(amps: &mut [C64], exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn fwht(amps: &mut [C64], policy: ExecPolicy) {
     if policy.parallel(amps.len()) {
         policy.install(|| fwht_parallel(amps, &policy));
     } else {
@@ -225,10 +217,9 @@ fn fwht_f64_parallel(vals: &mut [f64], policy: &ExecPolicy) {
 /// In-place unnormalized FWHT of a **real** vector — the form used by the
 /// cost-vector precompute, where both the sparse spectrum and the result
 /// are real.
-pub fn fwht_f64(vals: &mut [f64], exec: impl Into<ExecPolicy>) {
+pub fn fwht_f64(vals: &mut [f64], policy: ExecPolicy) {
     let len = vals.len();
     debug_assert!(len.is_power_of_two());
-    let policy = exec.into();
     if policy.parallel(len) {
         policy.install(|| fwht_f64_parallel(vals, &policy));
     } else {
@@ -247,10 +238,9 @@ pub fn fwht_f64(vals: &mut [f64], exec: impl Into<ExecPolicy>) {
 ///
 /// # Panics
 /// If the planes have different lengths.
-pub fn fwht_split(re: &mut [f64], im: &mut [f64], exec: impl Into<ExecPolicy>) {
+pub fn fwht_split(re: &mut [f64], im: &mut [f64], policy: ExecPolicy) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     debug_assert!(re.len().is_power_of_two());
-    let policy = exec.into();
     if policy.parallel(re.len()) {
         policy.install(|| {
             rayon::join(
@@ -270,8 +260,7 @@ pub fn fwht_split(re: &mut [f64], im: &mut [f64], exec: impl Into<ExecPolicy>) {
 /// Costs two full FWHT passes plus a diagonal pass — versus one butterfly
 /// pass for Algorithm 2. The `1/N` normalization of the double transform is
 /// folded into the diagonal.
-pub fn apply_x_mixer_fwht_inplace(amps: &mut [C64], beta: f64, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_x_mixer_fwht_inplace(amps: &mut [C64], beta: f64, policy: ExecPolicy) {
     // One install for the whole sandwich; the inner fwht calls run inline
     // on the already-entered pool.
     policy.install(|| {
@@ -301,7 +290,7 @@ pub fn apply_x_mixer_fwht_inplace(amps: &mut [C64], beta: f64, exec: impl Into<E
 /// the state (their FWHT is out-of-place). Functionally identical to
 /// [`apply_x_mixer_fwht_inplace`]; exists so the `abl_fwht` benchmark can
 /// charge the extra `2^n` allocation the paper calls out.
-pub fn apply_x_mixer_fwht_copying(amps: &mut [C64], beta: f64, exec: impl Into<ExecPolicy>) {
+pub fn apply_x_mixer_fwht_copying(amps: &mut [C64], beta: f64, exec: ExecPolicy) {
     let mut scratch = amps.to_vec();
     apply_x_mixer_fwht_inplace(&mut scratch, beta, exec);
     amps.copy_from_slice(&scratch);
@@ -310,7 +299,6 @@ pub fn apply_x_mixer_fwht_copying(amps: &mut [C64], beta: f64, exec: impl Into<E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Backend;
     use crate::matrices::Mat2;
     use crate::state::StateVec;
     use crate::su2::apply_uniform_mat2;
@@ -353,7 +341,7 @@ mod tests {
         apply_uniform_mat2(
             via_gates.amplitudes_mut(),
             &Mat2::hadamard(),
-            Backend::Serial,
+            ExecPolicy::serial(),
         );
         let scale = 1.0 / (via_fwht.dim() as f64).sqrt();
         for (a, b) in via_fwht
@@ -370,7 +358,7 @@ mod tests {
         let mut a = random_state(14, 3);
         let mut b = a.clone();
         fwht_serial(a.amplitudes_mut());
-        fwht_rayon(b.amplitudes_mut());
+        fwht(b.amplitudes_mut(), ExecPolicy::rayon());
         assert!(a.max_abs_diff(&b) < 1e-9);
     }
 
@@ -400,7 +388,7 @@ mod tests {
         let n = 10;
         let vals: Vec<f64> = (0..1usize << n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut re = vals.clone();
-        fwht_f64(&mut re, Backend::Serial);
+        fwht_f64(&mut re, ExecPolicy::serial());
         let mut cx: Vec<C64> = vals.iter().map(|&v| C64::from_re(v)).collect();
         fwht_serial(&mut cx);
         for (r, c) in re.iter().zip(cx.iter()) {
@@ -441,8 +429,12 @@ mod tests {
             let beta = 0.83;
             let mut sandwich = random_state(n, 4);
             let mut butterfly = sandwich.clone();
-            apply_x_mixer_fwht_inplace(sandwich.amplitudes_mut(), beta, Backend::Serial);
-            apply_uniform_mat2(butterfly.amplitudes_mut(), &Mat2::rx(beta), Backend::Serial);
+            apply_x_mixer_fwht_inplace(sandwich.amplitudes_mut(), beta, ExecPolicy::serial());
+            apply_uniform_mat2(
+                butterfly.amplitudes_mut(),
+                &Mat2::rx(beta),
+                ExecPolicy::serial(),
+            );
             assert!(
                 sandwich.max_abs_diff(&butterfly) < 1e-10,
                 "n = {n}: FWHT sandwich must equal the one-pass mixer"
@@ -454,15 +446,15 @@ mod tests {
     fn fwht_mixer_copying_matches_inplace() {
         let mut a = random_state(9, 5);
         let mut b = a.clone();
-        apply_x_mixer_fwht_inplace(a.amplitudes_mut(), 0.4, Backend::Serial);
-        apply_x_mixer_fwht_copying(b.amplitudes_mut(), 0.4, Backend::Serial);
+        apply_x_mixer_fwht_inplace(a.amplitudes_mut(), 0.4, ExecPolicy::serial());
+        apply_x_mixer_fwht_copying(b.amplitudes_mut(), 0.4, ExecPolicy::serial());
         assert!(a.max_abs_diff(&b) < 1e-12);
     }
 
     #[test]
     fn fwht_mixer_preserves_norm() {
         let mut s = random_state(10, 6);
-        apply_x_mixer_fwht_inplace(s.amplitudes_mut(), 1.9, Backend::Rayon);
+        apply_x_mixer_fwht_inplace(s.amplitudes_mut(), 1.9, ExecPolicy::rayon());
         assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
     }
 
@@ -488,7 +480,7 @@ mod tests {
             fwht_serial(interleaved.amplitudes_mut());
             let mut split = crate::split::SplitStateVec::from(&s);
             let (re, im) = split.planes_mut();
-            fwht_split(re, im, Backend::Serial);
+            fwht_split(re, im, ExecPolicy::serial());
             assert_eq!(
                 split.max_abs_diff_interleaved(interleaved.amplitudes()),
                 0.0,
@@ -504,7 +496,7 @@ mod tests {
         let mut a = crate::split::SplitStateVec::from(&s);
         let mut b = a.clone();
         let (re, im) = a.planes_mut();
-        fwht_split(re, im, Backend::Serial);
+        fwht_split(re, im, ExecPolicy::serial());
         let (re, im) = b.planes_mut();
         fwht_split(re, im, forced);
         assert_eq!(a, b, "parallel split FWHT must match serial exactly");

@@ -10,7 +10,7 @@
 //! `e^{-iβΣᵢXᵢ}` in `n` passes, in place, with no scratch memory — the
 //! paper's key advantage over the FWHT-sandwich approach (see `fwht`).
 //!
-//! Every entry point takes `impl Into<ExecPolicy>`; parallel sweeps split by
+//! Every entry point takes `ExecPolicy`; parallel sweeps split by
 //! the policy's chunking thresholds.
 
 use crate::complex::C64;
@@ -73,16 +73,9 @@ fn apply_mat2_parallel(amps: &mut [C64], q: usize, u: &Mat2, policy: &ExecPolicy
     });
 }
 
-/// Pool-parallel Algorithm 1 with default thresholds. Falls back to the
-/// serial sweep for small vectors where task overhead dominates.
-pub fn apply_mat2_rayon(amps: &mut [C64], q: usize, u: &Mat2) {
-    apply_mat2(amps, q, u, ExecPolicy::rayon());
-}
-
 /// Policy-dispatched Algorithm 1.
 #[inline]
-pub fn apply_mat2(amps: &mut [C64], q: usize, u: &Mat2, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_mat2(amps: &mut [C64], q: usize, u: &Mat2, policy: ExecPolicy) {
     if policy.parallel(amps.len()) {
         policy.install(|| apply_mat2_parallel(amps, q, u, &policy));
     } else {
@@ -92,8 +85,7 @@ pub fn apply_mat2(amps: &mut [C64], q: usize, u: &Mat2, exec: impl Into<ExecPoli
 
 /// Algorithm 2: applies the same `U` to **every** qubit, i.e. `U^{⊗n}`,
 /// in place. For `U = Mat2::rx(β)` this is the full transverse-field mixer.
-pub fn apply_uniform_mat2(amps: &mut [C64], u: &Mat2, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_uniform_mat2(amps: &mut [C64], u: &Mat2, policy: ExecPolicy) {
     let n = amps.len().trailing_zeros() as usize;
     debug_assert!(amps.len().is_power_of_two());
     // One install covers all n per-qubit sweeps.
@@ -200,15 +192,8 @@ fn apply_mat2_split_parallel(
 
 /// Policy-dispatched split-plane Algorithm 1.
 #[inline]
-pub fn apply_mat2_split(
-    re: &mut [f64],
-    im: &mut [f64],
-    q: usize,
-    u: &Mat2,
-    exec: impl Into<ExecPolicy>,
-) {
+pub fn apply_mat2_split(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2, policy: ExecPolicy) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let policy = exec.into();
     if policy.parallel(re.len()) {
         policy.install(|| apply_mat2_split_parallel(re, im, q, u, &policy));
     } else {
@@ -218,14 +203,8 @@ pub fn apply_mat2_split(
 
 /// Split-plane Algorithm 2: applies the same `U` to every qubit of the
 /// `re`/`im` planes — the full transverse-field mixer for `U = rx(β)`.
-pub fn apply_uniform_mat2_split(
-    re: &mut [f64],
-    im: &mut [f64],
-    u: &Mat2,
-    exec: impl Into<ExecPolicy>,
-) {
+pub fn apply_uniform_mat2_split(re: &mut [f64], im: &mut [f64], u: &Mat2, policy: ExecPolicy) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let policy = exec.into();
     let n = re.len().trailing_zeros() as usize;
     debug_assert!(re.len().is_power_of_two());
     policy.install(|| {
@@ -240,8 +219,7 @@ pub fn apply_uniform_mat2_split(
 ///
 /// # Panics
 /// If `us.len()` does not match the qubit count of the vector.
-pub fn apply_mat2_sequence(amps: &mut [C64], us: &[Mat2], exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_mat2_sequence(amps: &mut [C64], us: &[Mat2], policy: ExecPolicy) {
     let n = amps.len().trailing_zeros() as usize;
     assert_eq!(us.len(), n, "need one matrix per qubit");
     policy.install(|| {
@@ -254,7 +232,6 @@ pub fn apply_mat2_sequence(amps: &mut [C64], us: &[Mat2], exec: impl Into<ExecPo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Backend;
     use crate::reference;
     use crate::state::StateVec;
 
@@ -302,7 +279,7 @@ mod tests {
                 let mut a = random_state(n, 7);
                 let mut b = a.clone();
                 apply_mat2_serial(a.amplitudes_mut(), q, &u);
-                apply_mat2_rayon(b.amplitudes_mut(), q, &u);
+                apply_mat2(b.amplitudes_mut(), q, &u, ExecPolicy::rayon());
                 assert_close(a.amplitudes(), b.amplitudes(), 1e-12);
             }
         }
@@ -328,7 +305,7 @@ mod tests {
     #[test]
     fn preserves_norm() {
         let mut s = random_state(8, 3);
-        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::rx(0.9), Backend::Serial);
+        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::rx(0.9), ExecPolicy::serial());
         assert!((s.norm_sqr() - 1.0).abs() < 1e-10);
     }
 
@@ -336,7 +313,7 @@ mod tests {
     fn hadamard_on_all_gives_uniform() {
         let n = 6;
         let mut s = StateVec::zero_state(n);
-        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::hadamard(), Backend::Serial);
+        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::hadamard(), ExecPolicy::serial());
         let expect = StateVec::uniform_superposition(n);
         assert!(s.max_abs_diff(&expect) < 1e-12);
     }
@@ -353,8 +330,8 @@ mod tests {
         let u = Mat2::rx(0.77);
         let mut s = random_state(7, 11);
         let orig = s.clone();
-        apply_uniform_mat2(s.amplitudes_mut(), &u, Backend::Serial);
-        apply_uniform_mat2(s.amplitudes_mut(), &u.dagger(), Backend::Serial);
+        apply_uniform_mat2(s.amplitudes_mut(), &u, ExecPolicy::serial());
+        apply_uniform_mat2(s.amplitudes_mut(), &u.dagger(), ExecPolicy::serial());
         assert!(s.max_abs_diff(&orig) < 1e-10);
     }
 
@@ -367,7 +344,7 @@ mod tests {
         for (q, u) in us.iter().enumerate() {
             expect = reference::apply_1q_reference(&expect, q, u);
         }
-        apply_mat2_sequence(s.amplitudes_mut(), &us, Backend::Serial);
+        apply_mat2_sequence(s.amplitudes_mut(), &us, ExecPolicy::serial());
         assert_close(s.amplitudes(), &expect, 1e-12);
     }
 
@@ -416,10 +393,10 @@ mod tests {
         let u = Mat2::rx(0.59);
         let s = random_state(n, 500);
         let mut interleaved = s.clone();
-        apply_uniform_mat2(interleaved.amplitudes_mut(), &u, Backend::Serial);
+        apply_uniform_mat2(interleaved.amplitudes_mut(), &u, ExecPolicy::serial());
         let mut split = crate::split::SplitStateVec::from(&s);
         let (re, im) = split.planes_mut();
-        apply_uniform_mat2_split(re, im, &u, Backend::Serial);
+        apply_uniform_mat2_split(re, im, &u, ExecPolicy::serial());
         assert!(split.max_abs_diff_interleaved(interleaved.amplitudes()) < 1e-12);
     }
 

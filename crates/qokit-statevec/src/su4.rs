@@ -6,7 +6,7 @@
 //! `e^{-iβ(XX+YY)/2}` which only touches the |01⟩/|10⟩ amplitude pairs —
 //! half the memory traffic of the dense path.
 //!
-//! Every entry point takes `impl Into<ExecPolicy>`; parallel sweeps split by
+//! Every entry point takes `ExecPolicy`; parallel sweeps split by
 //! the policy's chunking thresholds.
 
 use crate::complex::C64;
@@ -150,15 +150,9 @@ fn apply_mat4_parallel(amps: &mut [C64], qa: usize, qb: usize, u: &Mat4, policy:
     });
 }
 
-/// Pool-parallel two-qubit gate application with default thresholds.
-pub fn apply_mat4_rayon(amps: &mut [C64], qa: usize, qb: usize, u: &Mat4) {
-    apply_mat4(amps, qa, qb, u, ExecPolicy::rayon());
-}
-
 /// Policy-dispatched two-qubit gate application.
 #[inline]
-pub fn apply_mat4(amps: &mut [C64], qa: usize, qb: usize, u: &Mat4, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_mat4(amps: &mut [C64], qa: usize, qb: usize, u: &Mat4, policy: ExecPolicy) {
     if policy.parallel(amps.len()) {
         policy.install(|| apply_mat4_parallel(amps, qa, qb, u, &policy));
     } else {
@@ -184,14 +178,8 @@ pub fn apply_xy_serial(amps: &mut [C64], qa: usize, qb: usize, beta: f64) {
     });
 }
 
-/// Pool-parallel specialized XY gate with default thresholds.
-pub fn apply_xy_rayon(amps: &mut [C64], qa: usize, qb: usize, beta: f64) {
-    apply_xy(amps, qa, qb, beta, ExecPolicy::rayon());
-}
-
 /// Policy-dispatched XY gate.
-pub fn apply_xy(amps: &mut [C64], qa: usize, qb: usize, beta: f64, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
+pub fn apply_xy(amps: &mut [C64], qa: usize, qb: usize, beta: f64, policy: ExecPolicy) {
     let len = amps.len();
     let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
     let block = 1usize << (qh + 1);
@@ -298,10 +286,9 @@ pub fn apply_xy_split(
     qa: usize,
     qb: usize,
     beta: f64,
-    exec: impl Into<ExecPolicy>,
+    policy: ExecPolicy,
 ) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let policy = exec.into();
     let len = re.len();
     let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
     let block = 1usize << (qh + 1);
@@ -415,10 +402,9 @@ pub fn apply_mat4_split(
     qa: usize,
     qb: usize,
     u: &Mat4,
-    exec: impl Into<ExecPolicy>,
+    policy: ExecPolicy,
 ) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let policy = exec.into();
     let len = re.len();
     let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
     let block = 1usize << (qh + 1);
@@ -540,13 +526,13 @@ mod tests {
             let mut a = random_state(n, 23);
             let mut b = a.clone();
             apply_mat4_serial(a.amplitudes_mut(), qa, qb, &u);
-            apply_mat4_rayon(b.amplitudes_mut(), qa, qb, &u);
+            apply_mat4(b.amplitudes_mut(), qa, qb, &u, ExecPolicy::rayon());
             assert_close(a.amplitudes(), b.amplitudes(), 1e-12);
 
             let mut c = a.clone();
             let mut d = a.clone();
             apply_xy_serial(c.amplitudes_mut(), qa, qb, 0.9);
-            apply_xy_rayon(d.amplitudes_mut(), qa, qb, 0.9);
+            apply_xy(d.amplitudes_mut(), qa, qb, 0.9, ExecPolicy::rayon());
             assert_close(c.amplitudes(), d.amplitudes(), 1e-12);
         }
     }

@@ -27,9 +27,9 @@ pub struct TnOptions {
     pub width_cap: usize,
     /// Slice legs tried before [`TnError::WidthExceeded`] is reported.
     pub max_slice_legs: usize,
-    /// Executor for the slice fan-out. [`qokit_statevec::Backend::Serial`]
+    /// Executor for the slice fan-out. [`qokit_statevec::ExecPolicy::serial()`]
     /// keeps everything in the calling thread;
-    /// [`qokit_statevec::Backend::Rayon`] uses the (possibly
+    /// [`qokit_statevec::ExecPolicy::rayon()`] uses the (possibly
     /// [`ExecPolicy::with_threads`]-sized) pool. Results are identical
     /// either way.
     pub exec: ExecPolicy,

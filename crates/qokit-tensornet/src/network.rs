@@ -290,7 +290,7 @@ pub fn qaoa_amplitude(
 mod tests {
     use super::*;
     use qokit_core::{FurSimulator, QaoaSimulator, SimOptions};
-    use qokit_statevec::Backend;
+    use qokit_statevec::ExecPolicy;
     use qokit_terms::labs::labs_terms;
     use qokit_terms::maxcut::maxcut_polynomial;
     use qokit_terms::Graph;
@@ -299,7 +299,7 @@ mod tests {
         let sim = FurSimulator::with_options(
             poly,
             SimOptions {
-                exec: Backend::Serial.into(),
+                exec: ExecPolicy::serial(),
                 ..SimOptions::default()
             },
         );

@@ -20,7 +20,7 @@
 use crate::network::TnError;
 use crate::plan::ContractionPlan;
 use crate::tensor::Tensor;
-use qokit_statevec::{Backend, ExecPolicy, C64};
+use qokit_statevec::{ExecPolicy, C64};
 
 /// Upper bound on slice legs tried before giving up with
 /// [`TnError::WidthExceeded`] (2^8 = 256 slices).
@@ -177,16 +177,16 @@ impl SlicePlan {
     }
 
     /// Contracts `tensors` slice by slice, fanning the slices out on the
-    /// pool unless `exec` is [`Backend::Serial`], and summing the partial
-    /// scalars **in slice order** — the result is bit-identical for every
-    /// pool width.
+    /// pool unless `exec.threads == 1`, and summing the partial scalars
+    /// **in slice order** — the result is bit-identical for every pool
+    /// width.
     pub fn execute(&self, tensors: &[Tensor], exec: &ExecPolicy) -> C64 {
         if self.slice_legs.is_empty() {
             return self.plan.execute(tensors.to_vec()).into_scalar();
         }
         let n = self.n_slices();
         let one = |s: usize| self.project_slice(tensors, s);
-        let parts: Vec<C64> = if matches!(exec.backend, Backend::Serial) {
+        let parts: Vec<C64> = if exec.threads == 1 {
             (0..n)
                 .map(|s| self.plan.execute(one(s)).into_scalar())
                 .collect()

@@ -24,7 +24,7 @@ fn main() {
         terms.num_terms()
     );
 
-    // Simulator with default options: X mixer, auto backend, FWHT
+    // Simulator with default options: X mixer, auto executor, FWHT
     // precompute. The cost diagonal is built here, once.
     let sim = FurSimulator::new(&terms);
     let costs = sim.cost_diagonal(); // = get_cost_diagonal()

@@ -25,24 +25,25 @@
 //! | [`optim`] | Nelder–Mead/SPSA/grid optimizers and schedules |
 //! | [`serve`] | long-lived loopback-TCP job server: precompute cache, bounded queue, deadlines/cancellation |
 //!
-//! ## Execution backends and `QOKIT_THREADS`
+//! ## Executors and `QOKIT_THREADS`
 //!
-//! Every kernel runs under an [`statevec::ExecPolicy`] — backend, worker
-//! count, and split thresholds in one object; a bare [`statevec::Backend`]
-//! converts into a default policy, and [`core::SimOptions::exec`] carries
-//! it through the simulator. `Backend::Rayon` executes on a real
-//! work-stealing thread pool (the vendored `rayon`), so parallel runs use
-//! every core while producing the same amplitudes as `Backend::Serial`.
+//! Every kernel runs under an [`statevec::ExecPolicy`] — worker count and
+//! split thresholds in one object — and [`core::SimOptions::exec`] carries
+//! it through the simulator. The worker count `threads` is the one
+//! executor knob: `1` runs serial loops (`ExecPolicy::serial()`), `0` the
+//! ambient pool (`ExecPolicy::rayon()`), and `k ≥ 2` a cached `k`-worker
+//! pool (`with_threads(k)`), whatever the global setting. The pool is a
+//! real work-stealing thread pool (the vendored `rayon`), so parallel runs
+//! use every core while producing the same amplitudes as serial ones.
 //!
-//! The **`QOKIT_THREADS`** environment variable governs thread resolution:
+//! The **`QOKIT_THREADS`** environment variable sizes the ambient pool:
 //!
-//! * unset or `0` — the global pool is sized to the hardware thread count,
-//!   and `Backend::auto()` picks `Rayon` when that count exceeds 1;
-//! * `1` — `Backend::auto()` / `ExecPolicy::auto()` resolve to `Serial`;
-//! * `k > 1` — the global pool gets `k` workers and `auto()` picks `Rayon`.
+//! * unset or `0` — the hardware thread count;
+//! * `k ≥ 1` — `k` workers.
 //!
-//! `ExecPolicy::with_threads(k)` pins one simulator to a cached `k`-worker
-//! pool regardless of the global setting.
+//! `ExecPolicy::auto()` is `serial()` on a pool one worker wide and
+//! `rayon()` otherwise, so `QOKIT_THREADS=1` makes every default policy
+//! serial.
 //!
 //! ## Batched sweeps and multi-restart optimization
 //!
@@ -127,6 +128,6 @@ pub mod prelude {
     pub use qokit_serve::{
         JobOutcome, LightConeJob, MultiStartJob, ServeClient, Server, ServerConfig, SweepJob,
     };
-    pub use qokit_statevec::{Backend, ExecPolicy, Layout, SplitStateVec, StateVec, C64};
+    pub use qokit_statevec::{ExecPolicy, Layout, SplitStateVec, StateVec, C64};
     pub use qokit_terms::{Graph, SpinPolynomial, Term};
 }

@@ -65,7 +65,7 @@ proptest! {
     fn fwht_backends_agree(state in state_strategy(2..=11)) {
         let mut a = state.clone();
         let mut b = state;
-        fwht(a.amplitudes_mut(), Backend::Serial);
+        fwht(a.amplitudes_mut(), ExecPolicy::serial());
         fwht(b.amplitudes_mut(), forced());
         prop_assert!(a.max_abs_diff(&b) < 1e-12);
     }
@@ -74,7 +74,7 @@ proptest! {
     fn fwht_f64_backends_agree(vals in prop::collection::vec(-1.0f64..1.0, 256)) {
         let mut a = vals.clone();
         let mut b = vals;
-        fwht_f64(&mut a, Backend::Serial);
+        fwht_f64(&mut a, ExecPolicy::serial());
         fwht_f64(&mut b, forced());
         for (x, y) in a.iter().zip(b.iter()) {
             prop_assert!((x - y).abs() < 1e-12);
@@ -88,7 +88,7 @@ proptest! {
         for q in 0..n {
             let mut a = state.clone();
             let mut b = state.clone();
-            apply_mat2(a.amplitudes_mut(), q, &u, Backend::Serial);
+            apply_mat2(a.amplitudes_mut(), q, &u, ExecPolicy::serial());
             apply_mat2(b.amplitudes_mut(), q, &u, forced());
             prop_assert!(a.max_abs_diff(&b) < 1e-12, "qubit {q}");
         }
@@ -104,13 +104,13 @@ proptest! {
             }
             let mut a = state.clone();
             let mut b = state.clone();
-            apply_mat4(a.amplitudes_mut(), qa, qb, &u, Backend::Serial);
+            apply_mat4(a.amplitudes_mut(), qa, qb, &u, ExecPolicy::serial());
             apply_mat4(b.amplitudes_mut(), qa, qb, &u, forced());
             prop_assert!(a.max_abs_diff(&b) < 1e-12, "pair ({qa},{qb})");
 
             let mut c = state.clone();
             let mut d = state.clone();
-            apply_xy(c.amplitudes_mut(), qa, qb, theta, Backend::Serial);
+            apply_xy(c.amplitudes_mut(), qa, qb, theta, ExecPolicy::serial());
             apply_xy(d.amplitudes_mut(), qa, qb, theta, forced());
             prop_assert!(c.max_abs_diff(&d) < 1e-12, "xy pair ({qa},{qb})");
         }
@@ -121,21 +121,21 @@ proptest! {
         let costs: Vec<f64> = (0..state.dim()).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
         let mut a = state.clone();
         let mut b = state.clone();
-        qokit::statevec::diag::apply_phase(a.amplitudes_mut(), &costs, gamma, Backend::Serial);
+        qokit::statevec::diag::apply_phase(a.amplitudes_mut(), &costs, gamma, ExecPolicy::serial());
         qokit::statevec::diag::apply_phase(b.amplitudes_mut(), &costs, gamma, forced());
         prop_assert!(a.max_abs_diff(&b) < 1e-12);
 
-        let e_s = qokit::statevec::diag::expectation(a.amplitudes(), &costs, Backend::Serial);
+        let e_s = qokit::statevec::diag::expectation(a.amplitudes(), &costs, ExecPolicy::serial());
         let e_p = qokit::statevec::diag::expectation(b.amplitudes(), &costs, forced());
         prop_assert!((e_s - e_p).abs() < 1e-12, "{e_s} vs {e_p}");
     }
 
     #[test]
     fn precompute_backends_agree(poly in poly_strategy(9, 24)) {
-        let s = qokit::costvec::precompute_direct(&poly, Backend::Serial);
+        let s = qokit::costvec::precompute_direct(&poly, ExecPolicy::serial());
         let p = qokit::costvec::precompute_direct(&poly, forced());
         prop_assert!(s == p, "direct precompute must be bit-identical");
-        let sf = qokit::costvec::precompute_fwht(&poly, Backend::Serial);
+        let sf = qokit::costvec::precompute_fwht(&poly, ExecPolicy::serial());
         let pf = qokit::costvec::precompute_fwht(&poly, forced());
         for (a, b) in sf.iter().zip(pf.iter()) {
             prop_assert!((a - b).abs() < 1e-12);
@@ -233,16 +233,16 @@ fn explicit_thread_counts_agree_end_to_end() {
 #[test]
 fn costvec_phase_and_energy_backends_agree() {
     let poly = qokit::terms::labs::labs_terms(11);
-    let cv = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, Backend::Serial);
+    let cv = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, ExecPolicy::serial());
     let q = CostVec::quantize_exact(&cv.to_f64_vec(), 1.0).expect("LABS costs are integral");
     let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(64);
     for costs in [&cv, &q] {
         let mut a = StateVec::uniform_superposition(11);
         let mut b = a.clone();
-        costs.apply_phase(a.amplitudes_mut(), 0.37, Backend::Serial);
+        costs.apply_phase(a.amplitudes_mut(), 0.37, ExecPolicy::serial());
         costs.apply_phase(b.amplitudes_mut(), 0.37, forced);
         assert!(a.max_abs_diff(&b) < 1e-12);
-        let es = costs.expectation(a.amplitudes(), Backend::Serial);
+        let es = costs.expectation(a.amplitudes(), ExecPolicy::serial());
         let ep = costs.expectation(b.amplitudes(), forced);
         assert!((es - ep).abs() < 1e-10, "{es} vs {ep}");
     }

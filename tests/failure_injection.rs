@@ -100,7 +100,7 @@ fn poisoned_recycler_shard_does_not_kill_the_next_sweep() {
         .collect();
     let clean = runner.energies(&points);
     runner.debug_poison_recycler();
-    // The serial backend evaluates on this thread, so every checkout hits
+    // The serial policy evaluates on this thread, so every checkout hits
     // the poisoned shard; it must recover (dropping the cached buffers),
     // not panic — and the energies must be unaffected.
     let after = runner.energies(&points);
@@ -425,7 +425,7 @@ fn non_integral_quantized_simulator_degrades_gracefully() {
         &sk.to_terms(),
         SimOptions {
             quantize_u16: true,
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     );

@@ -10,7 +10,7 @@ use qokit::terms::labs;
 /// Minimum LABS energy via the FWHT cost vector (fast enough for n ≈ 20+).
 fn min_energy_via_costvec(n: usize) -> i64 {
     let poly = labs::energy_polynomial(n);
-    let costs = precompute_fwht(&poly, Backend::Rayon);
+    let costs = precompute_fwht(&poly, ExecPolicy::rayon());
     costs.iter().copied().fold(f64::INFINITY, f64::min).round() as i64
 }
 
@@ -42,8 +42,10 @@ fn paper_terms_and_energy_polynomial_share_minimizers() {
     for n in [8usize, 11, 14] {
         let paper = labs::labs_terms(n);
         let energy = labs::energy_polynomial(n);
-        let cv_paper = CostVec::from_polynomial(&paper, PrecomputeMethod::Fwht, Backend::Serial);
-        let cv_energy = CostVec::from_polynomial(&energy, PrecomputeMethod::Fwht, Backend::Serial);
+        let cv_paper =
+            CostVec::from_polynomial(&paper, PrecomputeMethod::Fwht, ExecPolicy::serial());
+        let cv_energy =
+            CostVec::from_polynomial(&energy, PrecomputeMethod::Fwht, ExecPolicy::serial());
         assert_eq!(
             cv_paper.ground_state_indices(1e-9),
             cv_energy.ground_state_indices(1e-9),
@@ -59,7 +61,7 @@ fn ground_state_count_matches_symmetry_orbit() {
     // divides 8; every orbit member must appear in the ground set.
     let n = 13;
     let poly = labs::energy_polynomial(n);
-    let costs = precompute_fwht(&poly, Backend::Serial);
+    let costs = precompute_fwht(&poly, ExecPolicy::serial());
     let min = costs.iter().copied().fold(f64::INFINITY, f64::min);
     let ground: Vec<u64> = (0..costs.len() as u64)
         .filter(|&x| costs[x as usize] <= min + 1e-9)
@@ -123,7 +125,7 @@ fn quantization_headroom_for_large_n() {
         let poly = labs::labs_terms(n);
         let span_bound = 2.0 * poly.weight_norm();
         if n <= 20 {
-            let costs = precompute_fwht(&poly, Backend::Rayon);
+            let costs = precompute_fwht(&poly, ExecPolicy::rayon());
             let q = CostVec::quantize_exact(&costs, 1.0);
             assert!(q.is_ok(), "n = {n} must quantize exactly");
         }

@@ -128,7 +128,7 @@ fn default_simulator_energies_match_f64_diagonal() {
                     "{name}: default options level-code the diagonal"
                 );
                 let plain = FurSimulator::from_cost_vector(
-                    CostVec::F64(precompute_fwht(&poly, Backend::Serial)),
+                    CostVec::F64(precompute_fwht(&poly, ExecPolicy::serial())),
                     options,
                 );
                 for p in 1..=3 {
@@ -151,7 +151,7 @@ fn scan_extrema_match_f64_diagonal() {
     let coded = FurSimulator::new(&poly);
     assert!(matches!(coded.cost_diagonal(), CostVec::Levels { .. }));
     let plain = FurSimulator::from_cost_vector(
-        CostVec::F64(precompute_fwht(&poly, Backend::Serial)),
+        CostVec::F64(precompute_fwht(&poly, ExecPolicy::serial())),
         SimOptions::default(),
     );
     let grid = Grid2d::new(Axis::new(0.0, 1.3, 24), Axis::new(-0.9, 0.0, 24));

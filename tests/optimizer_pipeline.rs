@@ -14,7 +14,7 @@ fn maxcut_sim(n: usize, seed: u64) -> FurSimulator {
     FurSimulator::with_options(
         &maxcut::maxcut_polynomial(&g),
         SimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     )
@@ -103,7 +103,7 @@ fn spsa_improves_labs_objective() {
     let sim = FurSimulator::with_options(
         &poly,
         SimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     );
@@ -165,14 +165,14 @@ fn optimization_through_gate_baseline_matches_fast_path() {
     let fast = FurSimulator::with_options(
         &poly,
         SimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     );
     let gate = qokit::gates::GateSimulator::new(
         poly,
         qokit::gates::GateSimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..qokit::gates::GateSimOptions::default()
         },
     );

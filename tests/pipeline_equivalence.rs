@@ -15,7 +15,7 @@ fn serial_fur(poly: &SpinPolynomial) -> FurSimulator {
     FurSimulator::with_options(
         poly,
         SimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     )
@@ -53,7 +53,7 @@ fn fast_simulator_matches_gate_baseline_on_all_problems() {
                 GateSimOptions {
                     style,
                     mixer: CompiledMixer::X,
-                    exec: Backend::Serial.into(),
+                    exec: ExecPolicy::serial(),
                     fuse: false,
                 },
             );
@@ -74,7 +74,7 @@ fn fused_baseline_matches_unfused() {
     let base = GateSimulator::new(
         poly.clone(),
         GateSimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..GateSimOptions::default()
         },
     );
@@ -82,7 +82,7 @@ fn fused_baseline_matches_unfused() {
         poly,
         GateSimOptions {
             fuse: true,
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..GateSimOptions::default()
         },
     );
@@ -133,7 +133,7 @@ fn precompute_methods_agree_at_pipeline_level() {
             &poly,
             SimOptions {
                 precompute: PrecomputeMethod::Direct,
-                exec: Backend::Serial.into(),
+                exec: ExecPolicy::serial(),
                 ..SimOptions::default()
             },
         );
@@ -141,7 +141,7 @@ fn precompute_methods_agree_at_pipeline_level() {
             &poly,
             SimOptions {
                 precompute: PrecomputeMethod::Fwht,
-                exec: Backend::Serial.into(),
+                exec: ExecPolicy::serial(),
                 ..SimOptions::default()
             },
         );
@@ -159,7 +159,7 @@ fn quantized_pipeline_matches_f64_for_labs() {
         &poly,
         SimOptions {
             quantize_u16: true,
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     );
@@ -187,7 +187,7 @@ fn xy_mixer_gate_baseline_matches_fast_simulator() {
         SimOptions {
             mixer: Mixer::XyRing,
             initial: InitialState::Dicke(3),
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     );
@@ -197,10 +197,10 @@ fn xy_mixer_gate_baseline_matches_fast_simulator() {
     // initial state.
     let mut state = StateVec::dicke_state(7, 3);
     for g in qokit::gates::compile_phase(&poly, 0.3, PhaseStyle::NativeDiagonal) {
-        g.apply(state.amplitudes_mut(), Backend::Serial);
+        g.apply(state.amplitudes_mut(), ExecPolicy::serial());
     }
     for g in qokit::gates::compile_mixer(7, -0.8, CompiledMixer::XyRing) {
-        g.apply(state.amplitudes_mut(), Backend::Serial);
+        g.apply(state.amplitudes_mut(), ExecPolicy::serial());
     }
     assert!(r.state().max_abs_diff(&state) < 1e-10);
 }
@@ -212,7 +212,7 @@ fn parallel_backend_full_pipeline_agrees() {
     let parallel = FurSimulator::with_options(
         &poly,
         SimOptions {
-            exec: Backend::Rayon.into(),
+            exec: ExecPolicy::rayon(),
             ..SimOptions::default()
         },
     );

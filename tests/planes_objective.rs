@@ -145,7 +145,7 @@ fn objective_has_the_bits_of_simulate_then_expectation() {
                             sim.objective(&g, &b).to_bits(),
                             two_step.to_bits(),
                             "{name} {mixer:?} {init} {layout:?} {:?}",
-                            exec.backend
+                            exec.threads
                         );
                     }
                 }

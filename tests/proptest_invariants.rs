@@ -44,8 +44,8 @@ proptest! {
 
     #[test]
     fn precompute_methods_always_agree(poly in poly_strategy(8, 24)) {
-        let direct = qokit::costvec::precompute_direct(&poly, Backend::Serial);
-        let fwht = qokit::costvec::precompute_fwht(&poly, Backend::Serial);
+        let direct = qokit::costvec::precompute_direct(&poly, ExecPolicy::serial());
+        let fwht = qokit::costvec::precompute_fwht(&poly, ExecPolicy::serial());
         for (i, (a, b)) in direct.iter().zip(fwht.iter()).enumerate() {
             prop_assert!((a - b).abs() < 1e-9, "index {i}: {a} vs {b}");
         }
@@ -58,7 +58,7 @@ proptest! {
     #[test]
     fn qaoa_preserves_norm((g, b) in params_strategy(), poly in poly_strategy(7, 16)) {
         let sim = FurSimulator::with_options(&poly, SimOptions {
-            exec: Backend::Serial.into(), ..SimOptions::default()
+            exec: ExecPolicy::serial(), ..SimOptions::default()
         });
         let r = sim.simulate_qaoa(&g, &b);
         prop_assert!((r.state().norm_sqr() - 1.0).abs() < 1e-9);
@@ -67,7 +67,7 @@ proptest! {
     #[test]
     fn expectation_lies_within_cost_extrema((g, b) in params_strategy(), poly in poly_strategy(7, 16)) {
         let sim = FurSimulator::with_options(&poly, SimOptions {
-            exec: Backend::Serial.into(), ..SimOptions::default()
+            exec: ExecPolicy::serial(), ..SimOptions::default()
         });
         let (lo, hi) = sim.cost_diagonal().extrema();
         let e = sim.objective(&g, &b);
@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn overlap_is_a_probability((g, b) in params_strategy(), poly in poly_strategy(6, 12)) {
         let sim = FurSimulator::with_options(&poly, SimOptions {
-            exec: Backend::Serial.into(), ..SimOptions::default()
+            exec: ExecPolicy::serial(), ..SimOptions::default()
         });
         let r = sim.simulate_qaoa(&g, &b);
         let ov = sim.get_overlap(&r);
@@ -87,10 +87,10 @@ proptest! {
     #[test]
     fn gate_baseline_equals_fast_simulator((g, b) in params_strategy(), poly in poly_strategy(6, 10)) {
         let fast = FurSimulator::with_options(&poly, SimOptions {
-            exec: Backend::Serial.into(), ..SimOptions::default()
+            exec: ExecPolicy::serial(), ..SimOptions::default()
         });
         let gate = GateSimulator::new(poly.clone(), GateSimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             style: PhaseStyle::DecomposedCx,
             ..GateSimOptions::default()
         });
@@ -103,8 +103,8 @@ proptest! {
     fn mixer_inverse_round_trips(beta in -2.0f64..2.0) {
         let mut s = StateVec::uniform_superposition(8);
         let orig = s.clone();
-        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::rx(beta), Backend::Serial);
-        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::rx(-beta), Backend::Serial);
+        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::rx(beta), ExecPolicy::serial());
+        apply_uniform_mat2(s.amplitudes_mut(), &Mat2::rx(-beta), ExecPolicy::serial());
         prop_assert!(s.max_abs_diff(&orig) < 1e-9);
     }
 
@@ -116,15 +116,15 @@ proptest! {
     ) {
         // Diagonal operators commute: applying (γ1 then γ2) equals (γ2
         // then γ1) equals (γ1+γ2).
-        let costs = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, Backend::Serial);
+        let costs = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, ExecPolicy::serial());
         let mut a = StateVec::uniform_superposition(6);
         let mut b = a.clone();
         let mut c = a.clone();
-        costs.apply_phase(a.amplitudes_mut(), g1, Backend::Serial);
-        costs.apply_phase(a.amplitudes_mut(), g2, Backend::Serial);
-        costs.apply_phase(b.amplitudes_mut(), g2, Backend::Serial);
-        costs.apply_phase(b.amplitudes_mut(), g1, Backend::Serial);
-        costs.apply_phase(c.amplitudes_mut(), g1 + g2, Backend::Serial);
+        costs.apply_phase(a.amplitudes_mut(), g1, ExecPolicy::serial());
+        costs.apply_phase(a.amplitudes_mut(), g2, ExecPolicy::serial());
+        costs.apply_phase(b.amplitudes_mut(), g2, ExecPolicy::serial());
+        costs.apply_phase(b.amplitudes_mut(), g1, ExecPolicy::serial());
+        costs.apply_phase(c.amplitudes_mut(), g1 + g2, ExecPolicy::serial());
         prop_assert!(a.max_abs_diff(&b) < 1e-10);
         prop_assert!(a.max_abs_diff(&c) < 1e-10);
     }
@@ -137,8 +137,8 @@ proptest! {
         let n = 6;
         let mut s = StateVec::dicke_state(n, k);
         for &b in &betas {
-            Mixer::XyRing.apply(s.amplitudes_mut(), b, Backend::Serial);
-            Mixer::XyComplete.apply(s.amplitudes_mut(), b, Backend::Serial);
+            Mixer::XyRing.apply(s.amplitudes_mut(), b, ExecPolicy::serial());
+            Mixer::XyComplete.apply(s.amplitudes_mut(), b, ExecPolicy::serial());
         }
         let mass: f64 = s.amplitudes().iter().enumerate()
             .filter(|(x, _)| x.count_ones() as usize == k)
@@ -158,8 +158,8 @@ proptest! {
         let fused = qokit::gates::fuse_2q(&gates);
         let mut a = StateVec::uniform_superposition(5);
         let mut b = a.clone();
-        for g in &gates { g.apply(a.amplitudes_mut(), Backend::Serial); }
-        for g in &fused { g.apply(b.amplitudes_mut(), Backend::Serial); }
+        for g in &gates { g.apply(a.amplitudes_mut(), ExecPolicy::serial()); }
+        for g in &fused { g.apply(b.amplitudes_mut(), ExecPolicy::serial()); }
         prop_assert!(a.max_abs_diff(&b) < 1e-9);
     }
 
@@ -172,8 +172,8 @@ proptest! {
         let cancelled = qokit::gates::compile::peephole_cancel(&gates);
         let mut a = StateVec::uniform_superposition(5);
         let mut b = a.clone();
-        for g in &gates { g.apply(a.amplitudes_mut(), Backend::Serial); }
-        for g in &cancelled { g.apply(b.amplitudes_mut(), Backend::Serial); }
+        for g in &gates { g.apply(a.amplitudes_mut(), ExecPolicy::serial()); }
+        for g in &cancelled { g.apply(b.amplitudes_mut(), ExecPolicy::serial()); }
         prop_assert!(a.max_abs_diff(&b) < 1e-9);
         prop_assert!(cancelled.len() <= gates.len());
     }
@@ -186,7 +186,7 @@ proptest! {
             6,
             poly.terms().iter().map(|t| Term::from_mask(t.weight.round(), t.mask)).collect(),
         );
-        let costs = qokit::costvec::precompute_fwht(&int_poly, Backend::Serial);
+        let costs = qokit::costvec::precompute_fwht(&int_poly, ExecPolicy::serial());
         if let Ok(q) = CostVec::quantize_exact(&costs, 1.0) {
             for (x, &v) in costs.iter().enumerate() {
                 prop_assert_eq!(q.value(x), v);
@@ -201,7 +201,7 @@ proptest! {
     ) {
         let ranks = 1usize << ranks_log;
         let fast = FurSimulator::with_options(&poly, SimOptions {
-            exec: Backend::Serial.into(), ..SimOptions::default()
+            exec: ExecPolicy::serial(), ..SimOptions::default()
         });
         let reference = fast.simulate_qaoa(&[0.3], &[-0.6]);
         let dist = qokit::dist::DistSimulator::new(poly.clone(), ranks).unwrap();

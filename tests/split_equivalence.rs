@@ -74,10 +74,10 @@ proptest! {
     fn fwht_split_matches_interleaved(state in state_strategy(2..=10)) {
         let mut inter = state.clone();
         let mut split = SplitStateVec::from(&state);
-        fwht(inter.amplitudes_mut(), Backend::Serial);
+        fwht(inter.amplitudes_mut(), ExecPolicy::serial());
         {
             let (re, im) = split.planes_mut();
-            fwht_split(re, im, Backend::Serial);
+            fwht_split(re, im, ExecPolicy::serial());
         }
         // The complex butterfly never mixes planes: exact equality.
         prop_assert_eq!(split.max_abs_diff_interleaved(inter.amplitudes()), 0.0);
@@ -95,10 +95,10 @@ proptest! {
         for q in 0..n {
             let mut inter = state.clone();
             let mut split = SplitStateVec::from(&state);
-            apply_mat2(inter.amplitudes_mut(), q, &u, Backend::Serial);
+            apply_mat2(inter.amplitudes_mut(), q, &u, ExecPolicy::serial());
             {
                 let (re, im) = split.planes_mut();
-                apply_mat2_split(re, im, q, &u, Backend::Serial);
+                apply_mat2_split(re, im, q, &u, ExecPolicy::serial());
             }
             prop_assert!(split.max_abs_diff_interleaved(inter.amplitudes()) < 1e-12, "qubit {q}");
 
@@ -118,10 +118,10 @@ proptest! {
             }
             let mut inter = state.clone();
             let mut split = SplitStateVec::from(&state);
-            apply_xy(inter.amplitudes_mut(), qa, qb, theta, Backend::Serial);
+            apply_xy(inter.amplitudes_mut(), qa, qb, theta, ExecPolicy::serial());
             {
                 let (re, im) = split.planes_mut();
-                apply_xy_split(re, im, qa, qb, theta, Backend::Serial);
+                apply_xy_split(re, im, qa, qb, theta, ExecPolicy::serial());
             }
             prop_assert!(
                 split.max_abs_diff_interleaved(inter.amplitudes()) < 1e-12,
@@ -140,17 +140,17 @@ proptest! {
         let costs: Vec<f64> = (0..state.dim()).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
         let mut inter = state.clone();
         let mut split = SplitStateVec::from(&state);
-        qokit::statevec::diag::apply_phase(inter.amplitudes_mut(), &costs, gamma, Backend::Serial);
+        qokit::statevec::diag::apply_phase(inter.amplitudes_mut(), &costs, gamma, ExecPolicy::serial());
         {
             let (re, im) = split.planes_mut();
-            qokit::statevec::diag::apply_phase_split(re, im, &costs, gamma, Backend::Serial);
+            qokit::statevec::diag::apply_phase_split(re, im, &costs, gamma, ExecPolicy::serial());
         }
         // Same per-element rotation arithmetic: exact equality.
         prop_assert_eq!(split.max_abs_diff_interleaved(inter.amplitudes()), 0.0);
 
         let (re, im) = split.planes();
-        let e_i = qokit::statevec::diag::expectation(inter.amplitudes(), &costs, Backend::Serial);
-        let e_s = qokit::statevec::diag::expectation_split(re, im, &costs, Backend::Serial);
+        let e_i = qokit::statevec::diag::expectation(inter.amplitudes(), &costs, ExecPolicy::serial());
+        let e_s = qokit::statevec::diag::expectation_split(re, im, &costs, ExecPolicy::serial());
         prop_assert_eq!(e_i, e_s);
         let e_p = qokit::statevec::diag::expectation_split(re, im, &costs, forced());
         prop_assert!((e_s - e_p).abs() < 1e-12, "{} vs {}", e_s, e_p);
@@ -195,7 +195,7 @@ fn layouts_and_pools_match_reference_oracle() {
     let (gamma, beta) = (0.4, 0.7);
 
     // Independent pipeline built from reference kernels.
-    let costs = CostVec::from_polynomial(&poly, PrecomputeMethod::Direct, Backend::Serial);
+    let costs = CostVec::from_polynomial(&poly, PrecomputeMethod::Direct, ExecPolicy::serial());
     let mut expect = StateVec::uniform_superposition(n).into_amplitudes();
     expect = reference::apply_phase_reference(&expect, &costs.to_f64_vec(), gamma);
     for q in 0..n {
@@ -222,7 +222,7 @@ fn layouts_and_pools_match_reference_oracle() {
                     assert!(
                         a.approx_eq(*b, 1e-12),
                         "{layout:?}/{:?}/threads={threads}: {a} vs {b}",
-                        base.backend
+                        base.threads
                     );
                 }
             }
@@ -234,20 +234,20 @@ fn layouts_and_pools_match_reference_oracle() {
 #[test]
 fn costvec_split_matches_interleaved_both_representations() {
     let poly = qokit::terms::labs::labs_terms(11);
-    let cv = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, Backend::Serial);
+    let cv = CostVec::from_polynomial(&poly, PrecomputeMethod::Fwht, ExecPolicy::serial());
     let q = CostVec::quantize_exact(&cv.to_f64_vec(), 1.0).expect("LABS costs are integral");
     for costs in [&cv, &q] {
         let mut inter = StateVec::uniform_superposition(11);
         let mut split = SplitStateVec::from(&inter);
-        costs.apply_phase(inter.amplitudes_mut(), 0.37, Backend::Serial);
+        costs.apply_phase(inter.amplitudes_mut(), 0.37, ExecPolicy::serial());
         {
             let (re, im) = split.planes_mut();
-            costs.apply_phase_split(re, im, 0.37, Backend::Serial);
+            costs.apply_phase_split(re, im, 0.37, ExecPolicy::serial());
         }
         assert_eq!(split.max_abs_diff_interleaved(inter.amplitudes()), 0.0);
         let (re, im) = split.planes();
-        let ei = costs.expectation(inter.amplitudes(), Backend::Serial);
-        let es = costs.expectation_split(re, im, Backend::Serial);
+        let ei = costs.expectation(inter.amplitudes(), ExecPolicy::serial());
+        let es = costs.expectation_split(re, im, ExecPolicy::serial());
         assert_eq!(ei, es);
     }
 }

@@ -22,7 +22,7 @@ fn serial_sim(poly: &SpinPolynomial) -> FurSimulator {
     FurSimulator::with_options(
         poly,
         SimOptions {
-            exec: Backend::Serial.into(),
+            exec: ExecPolicy::serial(),
             ..SimOptions::default()
         },
     )
@@ -170,7 +170,7 @@ proptest! {
             );
             prop_assert_eq!(serial.im.to_bits(), unsliced.im.to_bits());
             for workers in [1usize, 2, 4] {
-                let exec = ExecPolicy::from(Backend::Rayon).with_threads(workers);
+                let exec = ExecPolicy::rayon().with_threads(workers);
                 let pooled = sliced_engine_with(&poly, gammas.len(), exec)
                     .unwrap()
                     .amplitude(&gammas, &betas, x);
@@ -224,18 +224,18 @@ fn lightcone_engines_agree_with_exact_objective() {
     let g = Graph::ring(12, 1.0);
     let (gammas, betas) = (vec![0.45], vec![0.75]);
     let exact = FurSimulator::new(&maxcut_polynomial(&g)).objective(&gammas, &betas);
-    for backend in [Backend::Serial, Backend::Rayon] {
+    for exec in [ExecPolicy::serial(), ExecPolicy::rayon()] {
         let ev = LightConeEvaluator::with_options(
             g.clone(),
             LightConeOptions {
-                exec: backend.into(),
+                exec,
                 ..LightConeOptions::default()
             },
         );
         let e = ev.energy(&gammas, &betas);
         assert!(
             (e - exact).abs() < 1e-9,
-            "{backend:?} light-cone {e} vs exact {exact}"
+            "{exec:?} light-cone {e} vs exact {exact}"
         );
     }
 }
