@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the hot kernels behind every figure:
-//! Algorithm 1/2 butterflies, the precomputed phase operator, the
+//! Algorithm 1/2 butterflies (interleaved generic and the split-plane X
+//! mixer every objective runs), the precomputed phase operator, the
 //! objective inner product, FWHT, the SU(4) XY rotation, and the two
 //! precompute algorithms. `cargo bench -p qokit-bench`.
 
@@ -7,9 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qokit_core::Mixer;
 use qokit_costvec::{precompute_direct, precompute_fwht, CostVec};
 use qokit_gates::{GateSimOptions, GateSimulator, PhaseStyle};
-use qokit_statevec::su2::apply_uniform_mat2;
+use qokit_statevec::su2::{apply_uniform_mat2, apply_x_mixer_split};
 use qokit_statevec::su4::apply_xy;
-use qokit_statevec::{ExecPolicy, Mat2, StateVec};
+use qokit_statevec::{ExecPolicy, Mat2, SplitStateVec, StateVec};
 use qokit_terms::labs::labs_terms;
 use std::time::Duration;
 
@@ -37,6 +38,13 @@ fn bench_mixer(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("algorithm2_rayon", n), &n, |b, _| {
             b.iter(|| {
                 apply_uniform_mat2(state2.amplitudes_mut(), &Mat2::rx(0.3), ExecPolicy::rayon())
+            });
+        });
+        let mut planes = SplitStateVec::uniform_superposition(n);
+        g.bench_with_input(BenchmarkId::new("x_mixer_split", n), &n, |b, _| {
+            b.iter(|| {
+                let (re, im) = planes.planes_mut();
+                apply_x_mixer_split(re, im, 0.3, ExecPolicy::serial())
             });
         });
         let mut state3 = StateVec::uniform_superposition(n);

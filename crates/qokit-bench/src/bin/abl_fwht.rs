@@ -17,19 +17,23 @@
 //! records the result to `BENCH_layout.json` (see [`layout_ablation`]).
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
+use qokit_core::Mixer;
 use qokit_statevec::diag::{apply_phase, apply_phase_split, expectation, expectation_split};
 use qokit_statevec::fwht::{
     apply_x_mixer_fwht_copying, apply_x_mixer_fwht_inplace, fwht, fwht_split,
 };
-use qokit_statevec::su2::{apply_uniform_mat2, apply_uniform_mat2_split};
+use qokit_statevec::su2::apply_uniform_mat2;
 use qokit_statevec::su4::{apply_xy, apply_xy_split};
 use qokit_statevec::{ExecPolicy, Mat2, SplitStateVec, StateVec};
 use std::io::Write;
 
 /// Interleaved-vs-split layout ablation on the hot kernels: same math, two
-/// memory layouts. Emits `BENCH_layout.json` (`abl_layout` schema) and, under
-/// `QOKIT_ABL_ASSERT=1`, fails unless the best kernel reaches ≥1.0× the
-/// interleaved baseline — the CI guard that the split layer pays its way.
+/// memory layouts. The `x_mixer` row times `Mixer::X` on each layout, i.e.
+/// the generic interleaved butterfly against the RX-specialized split pass
+/// every objective runs. Emits `BENCH_layout.json` (`abl_layout` schema)
+/// and, under `QOKIT_ABL_ASSERT=1`, fails unless the best kernel reaches
+/// ≥1.0× the interleaved baseline — the CI guard that the split layer pays
+/// its way.
 fn layout_ablation(n: usize, reps: usize) {
     let hw = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -40,7 +44,7 @@ fn layout_ablation(n: usize, reps: usize) {
     let costs: Vec<f64> = (0..1usize << n)
         .map(|i| ((i * 37) % 101) as f64 - 50.0)
         .collect();
-    let rx = Mat2::rx(-0.44);
+    let beta = -0.44;
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
@@ -69,12 +73,12 @@ fn layout_ablation(n: usize, reps: usize) {
             let (re, im) = split.planes();
             std::hint::black_box(expectation_split(re, im, &costs, ExecPolicy::serial()));
         });
-        let t_su2_i = time_median(reps, || {
-            apply_uniform_mat2(inter.amplitudes_mut(), &rx, ExecPolicy::serial())
+        let t_mix_i = time_median(reps, || {
+            Mixer::X.apply(inter.amplitudes_mut(), beta, ExecPolicy::serial())
         });
-        let t_su2_s = time_median(reps, || {
+        let t_mix_s = time_median(reps, || {
             let (re, im) = split.planes_mut();
-            apply_uniform_mat2_split(re, im, &rx, ExecPolicy::serial());
+            Mixer::X.apply_split(re, im, beta, ExecPolicy::serial());
         });
         let t_xy_i = time_median(reps, || {
             apply_xy(inter.amplitudes_mut(), 0, n - 1, 0.3, ExecPolicy::serial())
@@ -87,7 +91,7 @@ fn layout_ablation(n: usize, reps: usize) {
             ("fwht", t_fwht_i, t_fwht_s),
             ("diag_phase", t_diag_i, t_diag_s),
             ("expectation", t_exp_i, t_exp_s),
-            ("su2_uniform", t_su2_i, t_su2_s),
+            ("x_mixer", t_mix_i, t_mix_s),
             ("xy", t_xy_i, t_xy_s),
         ]
     };

@@ -1,7 +1,10 @@
 //! QAOA mixing operators (§III-B of the paper).
 //!
 //! * [`Mixer::X`] — the transverse-field mixer `e^{-iβΣᵢXᵢ}`, applied with
-//!   the paper's Algorithm 2 (one in-place butterfly pass per qubit).
+//!   the paper's Algorithm 2 (one in-place butterfly pass per qubit). On
+//!   split planes each pass runs the RX-specialized pair body
+//!   (`su2::apply_x_mixer_split`, QOKit's `furx`); the interleaved path
+//!   runs the generic `Mat2` butterfly.
 //! * [`Mixer::XyRing`] / [`Mixer::XyComplete`] — the Hamming-weight-
 //!   preserving XY mixers built from two-qubit `e^{-iβ(XX+YY)/2}` rotations
 //!   over ring / complete-graph edges, using the SU(4) extension of
@@ -12,7 +15,7 @@
 
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::matrices::Mat2;
-use qokit_statevec::su2::{apply_uniform_mat2, apply_uniform_mat2_split};
+use qokit_statevec::su2::{apply_uniform_mat2, apply_x_mixer_split};
 use qokit_statevec::su4::{apply_xy, apply_xy_split};
 use qokit_statevec::C64;
 
@@ -50,11 +53,13 @@ impl Mixer {
     }
 
     /// Split-plane twin of [`Mixer::apply`]: one mixer layer on the
-    /// `re`/`im` planes of a [`qokit_statevec::SplitStateVec`]. Same gate
-    /// order as the interleaved path, so results agree to rounding.
+    /// `re`/`im` planes of a [`qokit_statevec::SplitStateVec`], in the same
+    /// gate order as the interleaved path. The results are bit-identical
+    /// apart from the sign of an exact zero (`tests/planes_objective.rs`
+    /// pins whole objectives to the interleaved route by `to_bits`).
     pub fn apply_split(&self, re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy) {
         match self {
-            Mixer::X => apply_uniform_mat2_split(re, im, &Mat2::rx(beta), policy),
+            Mixer::X => apply_x_mixer_split(re, im, beta, policy),
             Mixer::XyRing => {
                 let n = re.len().trailing_zeros() as usize;
                 for (a, b) in ring_edges(n) {
@@ -213,10 +218,15 @@ mod tests {
             mixer.apply(inter.amplitudes_mut(), 0.67, ExecPolicy::serial());
             let (re, im) = split.planes_mut();
             mixer.apply_split(re, im, 0.67, ExecPolicy::serial());
-            assert!(
-                split.max_abs_diff_interleaved(inter.amplitudes()) < 1e-12,
-                "{mixer:?}"
-            );
+            if mixer == Mixer::X {
+                // f64 `==`: the same bits, except that +0 and −0 compare equal.
+                assert_eq!(split, qokit_statevec::SplitStateVec::from(&inter));
+            } else {
+                assert!(
+                    split.max_abs_diff_interleaved(inter.amplitudes()) < 1e-12,
+                    "{mixer:?}"
+                );
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use qokit::gates::{GateSimOptions, GateSimulator, PhaseStyle};
 use qokit::prelude::*;
-use qokit::statevec::su2::apply_uniform_mat2;
+use qokit::statevec::su2::{apply_mat2_split, apply_uniform_mat2, apply_x_mixer_split};
 use qokit::statevec::Mat2;
 
 /// Strategy: a random spin polynomial on `n` variables.
@@ -39,8 +39,67 @@ fn params_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     })
 }
 
+/// Strategy: a finite plane entry, exactly +0 or −0 a third of the time.
+fn plane_entry() -> impl Strategy<Value = f64> {
+    (0usize..6, -1.0f64..1.0).prop_map(|(k, x)| match k {
+        0 => 0.0,
+        1 => -0.0,
+        _ => x,
+    })
+}
+
+/// Strategy: random finite `re`/`im` planes on 1..=12 qubits.
+fn planes_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (1usize..=12).prop_flat_map(|n| {
+        (
+            prop::collection::vec(plane_entry(), 1usize << n),
+            prop::collection::vec(plane_entry(), 1usize << n),
+        )
+    })
+}
+
+/// Strategy: a mixer angle that is exactly 0, ±π/2 or π half the time and
+/// uniform in [−4, 4) otherwise.
+fn beta_strategy() -> impl Strategy<Value = f64> {
+    use std::f64::consts::{FRAC_PI_2, PI};
+    (0usize..8, -4.0f64..4.0).prop_map(|(k, x)| match k {
+        0 => 0.0,
+        1 => FRAC_PI_2,
+        2 => -FRAC_PI_2,
+        3 => PI,
+        _ => x,
+    })
+}
+
+/// Same bits, except that a component which is ±0 on both sides may differ
+/// in sign.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (*x == 0.0 && *y == 0.0))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn x_mixer_split_has_the_generic_bits((re, im) in planes_strategy(), beta in beta_strategy()) {
+        let n = re.len().trailing_zeros() as usize;
+        let (mut re_ref, mut im_ref) = (re.clone(), im.clone());
+        for q in 0..n {
+            apply_mat2_split(&mut re_ref, &mut im_ref, q, &Mat2::rx(beta), ExecPolicy::serial());
+        }
+        // The forced pool runs both parallel branches: single-block
+        // (the top qubit) and multi-block (every other qubit).
+        let forced = ExecPolicy::rayon().with_threads(2).with_min_len(1).with_min_chunk(1);
+        for policy in [ExecPolicy::serial(), forced] {
+            let (mut re_rx, mut im_rx) = (re.clone(), im.clone());
+            apply_x_mixer_split(&mut re_rx, &mut im_rx, beta, policy);
+            prop_assert!(same_bits(&re_rx, &re_ref), "re, n = {n}, beta = {beta}");
+            prop_assert!(same_bits(&im_rx, &im_ref), "im, n = {n}, beta = {beta}");
+        }
+    }
 
     #[test]
     fn precompute_methods_always_agree(poly in poly_strategy(8, 24)) {
