@@ -37,6 +37,7 @@
 //! ```
 
 use crate::landscape::EnergySink;
+use crate::panic_message;
 use crate::simulator::{FurSimulator, QaoaSimulator};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::{SplitStateVec, StateVec};
@@ -210,16 +211,6 @@ impl std::fmt::Display for SweepError {
 }
 
 impl std::error::Error for SweepError {}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Recycled plane buffers, sharded by pool-worker index so concurrent
 /// tasks rarely contend on one lock. Shard 0 serves threads outside any

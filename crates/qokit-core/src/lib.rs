@@ -46,3 +46,17 @@ pub use simulator::{
     choose_simulator, choose_simulator_xycomplete, choose_simulator_xyring, FurSimulator,
     InitialState, QaoaSimulator, SimOptions, SimResult,
 };
+
+/// The text of a panic payload caught by `catch_unwind`: the `&str` or
+/// `String` it carries, else `"non-string panic payload"`. Every site that
+/// contains a panic and reports it in-band (sweep points, light cones,
+/// distributed workers, served jobs) formats the payload with this.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}

@@ -50,6 +50,7 @@ use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 
 use crate::mixers::Mixer;
+use crate::panic_message;
 use crate::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_costvec::PrecomputeMethod;
 use qokit_statevec::exec::ExecPolicy;
@@ -323,9 +324,8 @@ impl LightConeEvaluator {
     }
 
     /// As [`try_zz_values`](Self::try_zz_values), but with an injectable
-    /// per-cone evaluation `f(unique_index, ego) → ⟨ZZ⟩`. This is the hook
-    /// `qokit-dist` uses to shard unique cones across ranks, and what the
-    /// failure-injection tests use to poison a single cone.
+    /// per-cone evaluation `f(unique_index, ego) → ⟨ZZ⟩`; the
+    /// failure-injection tests use it to poison a single cone.
     pub fn try_zz_values_with<F>(&self, plan: &ConePlan, f: F) -> Result<Vec<f64>, LightConeError>
     where
         F: Fn(usize, &EgoNet) -> f64 + Sync,
@@ -454,16 +454,6 @@ fn cone_simulator(ego: &EgoNet, exec: ExecPolicy) -> FurSimulator {
             initial: InitialState::UniformSuperposition,
         },
     )
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

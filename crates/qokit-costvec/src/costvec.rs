@@ -161,11 +161,7 @@ impl CostVec {
     /// Level-codes `costs` as their grid points `offset + step·k`
     /// ([`snap_to_grid`]), in order of first appearance. `None` when a cost
     /// is off the grid or more than 65536 grid points occur.
-    pub fn on_grid(
-        costs: impl ExactSizeIterator<Item = f64>,
-        offset: f64,
-        step: f64,
-    ) -> Option<Self> {
+    fn on_grid(costs: impl ExactSizeIterator<Item = f64>, offset: f64, step: f64) -> Option<Self> {
         let mut on_grid = true;
         let snapped = costs.map(|c| {
             snap_to_grid(c, offset, step).unwrap_or_else(|| {
@@ -326,11 +322,10 @@ fn max_levels(len: usize) -> usize {
 }
 
 /// `value` as a point of the grid `offset + step·k`: the nearest one, or
-/// `None` when `value` is more than `1e-6` steps from it. The one snapping
-/// rule of the §V-B grid, shared by [`CostVec::quantize_exact`] and the
-/// distributed ranks' global-grid check.
+/// `None` when `value` is more than `1e-6` steps from it. The snapping
+/// rule of the §V-B grid in [`CostVec::quantize_exact`].
 #[inline]
-pub fn snap_to_grid(value: f64, offset: f64, step: f64) -> Option<f64> {
+fn snap_to_grid(value: f64, offset: f64, step: f64) -> Option<f64> {
     let level = (value - offset) / step;
     let k = level.round();
     ((level - k).abs() <= 1e-6).then_some(offset + step * k)

@@ -30,7 +30,7 @@
 pub mod costvec;
 pub mod precompute;
 
-pub use costvec::{snap_to_grid, CostVec, QuantizeError};
+pub use costvec::{CostVec, QuantizeError};
 pub use precompute::{
     fill_direct_slice, precompute, precompute_direct, precompute_from_fn, precompute_fwht,
     PrecomputeMethod,

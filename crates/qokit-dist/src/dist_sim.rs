@@ -4,12 +4,24 @@
 //! Each of K ranks owns a `2^{n-k}`-amplitude slice (fixing the top `k`
 //! qubits to the rank id). Precomputation and the phase operator are local
 //! (the paper's locality argument); only the mixer needs the two all-to-all
-//! transposes. Ranks execute as **work-stealing-pool tasks** (one superstep
-//! between collectives), not OS threads — the pool schedules K ranks onto
-//! however many workers `QOKIT_THREADS` provides, and a failing rank
-//! unwinds through the pool's scoped API instead of leaking a thread.
-//! Within a rank all kernels run serially — one rank models one GPU, and
-//! rank-internal parallelism is the GPU's job, not the host's.
+//! transposes. Every rank stores its cost slice by the single-node
+//! `CostVec::from_f64` rule, so a slice with few distinct costs is
+//! level-coded at 2 B/amp (the paper's §V-B `uint16` diagonal) and any other
+//! slice stays `f64`; both are exact.
+//!
+//! Ranks execute as **work-stealing-pool tasks** (one superstep between
+//! collectives), not OS threads — the pool schedules K ranks onto however
+//! many workers `QOKIT_THREADS` provides, and a failing rank unwinds
+//! through the pool's scoped API instead of leaking a thread. Within a rank
+//! all kernels run serially — one rank models one GPU, and rank-internal
+//! parallelism is the GPU's job, not the host's.
+//!
+//! Two drivers run the same per-rank code (`worker::SimRank`):
+//! [`DistSimulator::simulate_qaoa`] transposes the slices in place with
+//! [`BspComm::alltoall`] and counts the bytes an MPI alltoall would move
+//! (the measured half of Fig. 5), while [`DistSimulator::simulate_qaoa_on`]
+//! routes every step through a [`Transport`] and counts wire bytes. Their
+//! outputs are bit-identical.
 
 use crate::comm::{BspComm, CommStats};
 use crate::transport::{self, Transport, TransportError};
@@ -76,12 +88,6 @@ pub struct DistResult {
     pub overlap: f64,
     /// Global minimum cost.
     pub min_cost: f64,
-    /// `true` when the §V-B integer grid was actually used. The quantized
-    /// entry points fall back to the default slices (level-coded or `f64`)
-    /// when the span exceeds 65535 or the costs are off the integer grid —
-    /// this flag is the signal that the fallback fired. Both codings are
-    /// exact, so on integer costs the outputs are bit-identical either way.
-    pub quantized: bool,
     /// Communication statistics of the whole run.
     pub comm: CommStats,
 }
@@ -130,27 +136,9 @@ impl DistSimulator {
     /// # Panics
     /// If `gammas.len() != betas.len()`.
     pub fn simulate_qaoa(&self, gammas: &[f64], betas: &[f64]) -> DistResult {
-        self.simulate_qaoa_impl(gammas, betas, false)
-    }
-
-    /// As [`simulate_qaoa`](Self::simulate_qaoa), but each rank stores its
-    /// cost slice on the §V-B integer grid, level-coded with a `u16` index
-    /// per entry (the paper's 1,024-GPU runs store the diagonal as a `2^n`
-    /// vector of `uint16`). The grid is agreed globally with a min
-    /// all-reduce so every rank snaps identically; off-grid or too-wide
-    /// costs keep the default slices (see [`DistResult::quantized`]).
-    pub fn simulate_qaoa_quantized(&self, gammas: &[f64], betas: &[f64]) -> DistResult {
-        self.simulate_qaoa_impl(gammas, betas, true)
-    }
-
-    fn simulate_qaoa_impl(&self, gammas: &[f64], betas: &[f64], quantize: bool) -> DistResult {
         assert_eq!(gammas.len(), betas.len(), "gamma/beta length mismatch");
         let mut comm = BspComm::new(self.n_ranks);
         let mut ranks = self.init_ranks(&comm);
-        if quantize {
-            self.quantize_ranks(&comm, &mut ranks);
-        }
-        let quantized = ranks.first().is_some_and(SimRank::quantized);
 
         for (&gamma, &beta) in gammas.iter().zip(betas.iter()) {
             self.apply_layer(&mut comm, &mut ranks, gamma, beta);
@@ -178,7 +166,6 @@ impl DistSimulator {
             expectation,
             overlap,
             min_cost,
-            quantized,
             comm: comm.stats(),
         }
     }
@@ -202,29 +189,6 @@ impl DistSimulator {
         gammas: &[f64],
         betas: &[f64],
     ) -> Result<DistResult, TransportError> {
-        self.simulate_qaoa_on_impl(t, gammas, betas, false)
-    }
-
-    /// The §V-B integer-grid variant of
-    /// [`simulate_qaoa_on`](Self::simulate_qaoa_on) (falls back exactly
-    /// like [`simulate_qaoa_quantized`](Self::simulate_qaoa_quantized);
-    /// check [`DistResult::quantized`]).
-    pub fn simulate_qaoa_quantized_on(
-        &self,
-        t: &mut dyn Transport,
-        gammas: &[f64],
-        betas: &[f64],
-    ) -> Result<DistResult, TransportError> {
-        self.simulate_qaoa_on_impl(t, gammas, betas, true)
-    }
-
-    fn simulate_qaoa_on_impl(
-        &self,
-        t: &mut dyn Transport,
-        gammas: &[f64],
-        betas: &[f64],
-        quantize: bool,
-    ) -> Result<DistResult, TransportError> {
         assert_eq!(gammas.len(), betas.len(), "gamma/beta length mismatch");
         let k = t.size();
         assert_eq!(
@@ -244,35 +208,6 @@ impl DistSimulator {
             .enumerate()
         {
             transport::expect_ok(rank, resp)?;
-        }
-
-        let mut quantized = false;
-        if quantize {
-            // §V-B grid agreement, mirroring `quantize_ranks` reduce for
-            // reduce: global extrema, then a min-reduced integrality flag.
-            let extrema = expect_all(
-                t.exchange(bcast(Request::SimExtrema))?,
-                transport::expect_scalar2,
-            )?;
-            let (local_min, neg_max): (Vec<f64>, Vec<f64>) =
-                extrema.into_iter().map(|(lo, hi)| (lo, -hi)).unzip();
-            let gmin = reduces.allreduce_min(&local_min);
-            let gmax = -reduces.allreduce_min(&neg_max);
-            let fits = gmax - gmin <= u16::MAX as f64;
-            let flags = expect_all(
-                t.exchange(bcast(Request::SimQuantCheck { gmin, fits }))?,
-                transport::expect_scalar,
-            )?;
-            if reduces.allreduce_min(&flags) > 0.5 {
-                for (rank, resp) in t
-                    .exchange(bcast(Request::SimQuantCommit { gmin }))?
-                    .into_iter()
-                    .enumerate()
-                {
-                    transport::expect_ok(rank, resp)?;
-                }
-                quantized = true;
-            }
         }
 
         let mut alltoall_calls = 0u64;
@@ -311,22 +246,18 @@ impl DistSimulator {
         )?;
         let overlap = reduces.allreduce_sum(&local_overlap);
 
+        // Gather: the ranks hand over their slices (moved, not cloned).
         let slices = expect_all(
-            t.exchange(bcast(Request::SimGather))?,
+            t.exchange(bcast(Request::SimTakeSlice))?,
             transport::expect_amps,
         )?;
-        let mut full = Vec::with_capacity(1usize << self.n);
-        for slice in &slices {
-            full.extend_from_slice(slice);
-        }
         let mut comm = t.stats();
         comm.alltoall_calls = alltoall_calls;
         Ok(DistResult {
-            state: StateVec::from_amplitudes(full),
+            state: StateVec::from_amplitudes(slices.concat()),
             expectation,
             overlap,
             min_cost,
-            quantized,
             comm,
         })
     }
@@ -381,27 +312,6 @@ impl DistSimulator {
         comm.superstep_map(&mut vec![(); k], |rank, _| {
             SimRank::init(&self.poly, rank, k)
         })
-    }
-
-    /// §V-B: quantize every rank's slice onto a globally agreed integer
-    /// grid (offset = global min, step 1). Costs a few scalar all-reduces
-    /// and a local integrality check — still no bulk traffic. Non-integral
-    /// or too-wide costs silently keep their slices.
-    fn quantize_ranks(&self, comm: &BspComm, ranks: &mut [SimRank]) {
-        let extrema = comm.superstep_map(ranks, |_, s| s.extrema());
-        let (local_min, neg_max): (Vec<f64>, Vec<f64>) =
-            extrema.into_iter().map(|(lo, hi)| (lo, -hi)).unzip();
-        let gmin = comm.allreduce_min(&local_min);
-        let gmax = -comm.allreduce_min(&neg_max);
-        let fits = gmax - gmin <= u16::MAX as f64;
-        // Every rank computes `fits` identically (global extrema), but
-        // integrality is local: agree with a min-reduce.
-        let flags = comm.superstep_map(ranks, |_, s| s.quant_check(gmin, fits));
-        if comm.allreduce_min(&flags) > 0.5 {
-            comm.superstep(ranks, |_, s| {
-                assert!(s.quant_commit(gmin), "every rank passed quant_check");
-            });
-        }
     }
 
     /// One QAOA layer: local phase, then the Algorithm-4 mixer — gates on
@@ -561,95 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_distributed_matches_f64_distributed() {
-        // §V-B: the grid diagonal must not change the physics. LABS costs
-        // are integers, so quantization is exact.
-        let poly = labs_terms(9);
-        let dist = DistSimulator::new(poly, 4).unwrap();
-        let (g, b) = ([0.3, 0.15], [-0.55, -0.2]);
-        let plain = dist.simulate_qaoa(&g, &b);
-        let quant = dist.simulate_qaoa_quantized(&g, &b);
-        assert!(plain.state.max_abs_diff(&quant.state) < 1e-10);
-        assert!((plain.expectation - quant.expectation).abs() < 1e-9);
-        assert!((plain.overlap - quant.overlap).abs() < 1e-9);
-        assert!((plain.min_cost - quant.min_cost).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantized_runs_are_bit_identical_to_the_default_run() {
-        use crate::transport::InProcessTransport;
-        let bits = |r: &DistResult| -> Vec<u64> {
-            let amps = r.state.amplitudes().iter();
-            let mut v: Vec<u64> = amps
-                .flat_map(|a| [a.re.to_bits(), a.im.to_bits()])
-                .collect();
-            v.extend([r.expectation, r.overlap, r.min_cost].map(f64::to_bits));
-            v
-        };
-        let dist = DistSimulator::new(labs_terms(10), 4).unwrap();
-        let (g, b) = ([0.3, 0.15, -0.4], [-0.55, -0.2, 0.35]);
-        let plain = dist.simulate_qaoa(&g, &b);
-        let quant = dist.simulate_qaoa_quantized(&g, &b);
-        let mut t = InProcessTransport::new(4);
-        let quant_on = dist.simulate_qaoa_quantized_on(&mut t, &g, &b).unwrap();
-        assert!(!plain.quantized && quant.quantized && quant_on.quantized);
-        assert_eq!(bits(&quant), bits(&plain));
-        assert_eq!(bits(&quant_on), bits(&plain));
-    }
-
-    #[test]
-    fn quantized_falls_back_for_non_integral_costs() {
-        // Weighted MaxCut with weight 0.3 is off the integer grid: the
-        // quantized path must silently produce the same result as f64.
-        let poly = qokit_terms::maxcut::all_to_all_terms(8, 0.3);
-        let dist = DistSimulator::new(poly, 2).unwrap();
-        let plain = dist.simulate_qaoa(&[0.4], &[-0.6]);
-        let quant = dist.simulate_qaoa_quantized(&[0.4], &[-0.6]);
-        assert!(plain.state.max_abs_diff(&quant.state) < 1e-10);
-        assert!((plain.expectation - quant.expectation).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantized_reports_the_u16_path_was_taken() {
-        let poly = labs_terms(8);
-        let dist = DistSimulator::new(poly, 4).unwrap();
-        assert!(!dist.simulate_qaoa(&[0.3], &[0.5]).quantized);
-        assert!(dist.simulate_qaoa_quantized(&[0.3], &[0.5]).quantized);
-    }
-
-    #[test]
-    fn quantized_falls_back_when_span_exceeds_u16() {
-        // Regression for silent saturation: a cost span beyond 65535 must
-        // take the fallback (and say so), not overflow the grid's levels.
-        use qokit_terms::Term;
-        let poly = SpinPolynomial::new(
-            6,
-            vec![
-                Term::new(40000.0, &[0, 1]), // span 80000 > u16::MAX
-                Term::new(1.0, &[2, 3]),
-            ],
-        );
-        let dist = DistSimulator::new(poly, 4).unwrap();
-        let plain = dist.simulate_qaoa(&[0.37], &[-0.21]);
-        let quant = dist.simulate_qaoa_quantized(&[0.37], &[-0.21]);
-        assert!(!quant.quantized, "span > 65535 must fall back to f64");
-        // The fallback runs the identical f64 path: bit-identical outputs.
-        assert_eq!(plain.state.max_abs_diff(&quant.state), 0.0);
-        assert_eq!(plain.expectation.to_bits(), quant.expectation.to_bits());
-        assert_eq!(plain.min_cost.to_bits(), quant.min_cost.to_bits());
-    }
-
-    #[test]
-    fn quantized_matches_single_node_reference() {
-        let poly = labs_terms(8);
-        let reference = reference_sim(&poly);
-        let ref_r = reference.simulate_qaoa(&[0.25], &[-0.45]);
-        let dist = DistSimulator::new(poly, 8).unwrap();
-        let r = dist.simulate_qaoa_quantized(&[0.25], &[-0.45]);
-        assert!(r.state.max_abs_diff(ref_r.state()) < 1e-10);
-    }
-
-    #[test]
     fn transport_run_is_bit_identical_to_in_process() {
         use crate::transport::InProcessTransport;
         let poly = labs_terms(8);
@@ -664,35 +485,7 @@ mod tests {
             assert_eq!(r.overlap.to_bits(), classic.overlap.to_bits());
             assert_eq!(r.min_cost.to_bits(), classic.min_cost.to_bits());
             assert_eq!(r.comm.alltoall_calls, classic.comm.alltoall_calls);
-            assert!(!r.quantized);
         }
-    }
-
-    #[test]
-    fn transport_quantized_run_matches_and_reports_the_flag() {
-        use crate::transport::InProcessTransport;
-        // Integer LABS costs quantize; the flag must say so.
-        let poly = labs_terms(8);
-        let dist = DistSimulator::new(poly, 4).unwrap();
-        let classic = dist.simulate_qaoa_quantized(&[0.25], &[-0.45]);
-        let mut t = InProcessTransport::new(4);
-        let r = dist
-            .simulate_qaoa_quantized_on(&mut t, &[0.25], &[-0.45])
-            .unwrap();
-        assert!(r.quantized && classic.quantized);
-        assert_eq!(r.state.max_abs_diff(&classic.state), 0.0);
-        assert_eq!(r.expectation.to_bits(), classic.expectation.to_bits());
-
-        // Non-integral costs must fall back — and say so.
-        let poly = qokit_terms::maxcut::all_to_all_terms(8, 0.3);
-        let dist = DistSimulator::new(poly, 2).unwrap();
-        let mut t = InProcessTransport::new(2);
-        let r = dist
-            .simulate_qaoa_quantized_on(&mut t, &[0.4], &[-0.6])
-            .unwrap();
-        assert!(!r.quantized, "fallback must clear the flag");
-        let plain = dist.simulate_qaoa(&[0.4], &[-0.6]);
-        assert_eq!(r.expectation.to_bits(), plain.expectation.to_bits());
     }
 
     #[test]

@@ -18,7 +18,20 @@
 //! the pool, and folds energies into a
 //! [`LandscapeAggregator`](qokit_core::landscape::LandscapeAggregator)
 //! merged in rank order, so `>2^20`-point scans run in `O(ranks · top_k)`
-//! memory. See `docs/PARALLELISM.md` at the repository root for how the
+//! memory. A [`DistLightCone`] shards the unique cones of a light-cone
+//! MaxCut evaluation the same way.
+//!
+//! On a [`Transport`], every rank step is one [`wire::Request`] handled by
+//! [`worker::handle`], whether the rank is a pool task behind an
+//! [`InProcessTransport`] or a worker process behind a [`TcpTransport`],
+//! so the two give the same bits. `DistLightCone` always runs this way.
+//! [`DistSimulator::simulate_qaoa`] (in-place alltoall with modeled MPI
+//! byte counts, for Fig. 5) and [`DistSweepRunner::try_scan`] (ranks
+//! sharing one cost vector) also have a direct in-process engine with the
+//! same outputs. Each Algorithm-4 rank stores
+//! its cost slice by the single-node `CostVec::from_f64` rule: level-coded
+//! at 2 B/amp (§V-B) when the slice has few distinct costs, `f64`
+//! otherwise. See `docs/PARALLELISM.md` at the repository root for how the
 //! BSP layer composes with the pool, subset pools, and sweep nesting.
 //!
 //! ```

@@ -1,17 +1,18 @@
-//! Distributed light-cone evaluation: unique cones sharded across BSP
-//! ranks.
+//! Distributed light-cone evaluation: unique cones sharded across ranks.
 //!
 //! For million-edge graphs the per-evaluation work is the set of *unique*
-//! cones of a [`ConePlan`] (after ego-graph deduplication, usually far
+//! cones of a [`ConePlan`](qokit_core::lightcone::ConePlan) (after ego-graph deduplication, usually far
 //! smaller than the edge count). [`DistLightCone`] splits that set into
-//! `K` contiguous shards, simulates each shard inside one rank's
-//! [`BspComm::superstep_map`] task, concatenates the per-rank `⟨ZZ⟩`
-//! vectors in rank order, and hands the result to
+//! `K` contiguous shards, sends shard `r` to rank `r` of a [`Transport`] as
+//! one `ConeShard` request, concatenates the per-rank `⟨ZZ⟩` vectors in
+//! rank order, and hands the result to
 //! [`LightConeEvaluator::accumulate`] for the sequential edge-order fold.
-//! Every cone runs with serial kernels, the shard boundaries depend only
-//! on the cone count, and both the concatenation and the accumulation are
-//! rank-ordered — so the energy is bit-identical to the single-process
-//! evaluator at every rank count and pool size.
+//! [`DistLightCone::try_energy`] runs the ranks as pool tasks on an
+//! [`InProcessTransport`]; [`DistLightCone::try_energy_on`] takes any
+//! transport. Every cone runs with serial kernels, the shard boundaries
+//! depend only on the cone count, and both the concatenation and the
+//! accumulation are rank-ordered — so the energy is bit-identical to the
+//! single-process evaluator at every rank count, pool size and transport.
 //!
 //! ```
 //! use qokit_core::lightcone::LightConeEvaluator;
@@ -26,13 +27,10 @@
 //! assert_eq!(dist.energy.to_bits(), local.energy.to_bits());
 //! ```
 
-use crate::comm::{BspComm, CommStats};
-use crate::transport::{self, Transport, TransportError};
+use crate::comm::CommStats;
+use crate::transport::{self, InProcessTransport, Transport, TransportError};
 use crate::wire::Request;
-use qokit_core::lightcone::{
-    cone_zz, ConePlan, LightConeError, LightConeEvaluator, LightConeStats,
-};
-use std::panic::{self, AssertUnwindSafe};
+use qokit_core::lightcone::{LightConeError, LightConeEvaluator, LightConeStats};
 
 /// Errors from a distributed light-cone evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,13 +100,13 @@ pub struct DistLightConeRun {
     pub energy: f64,
     /// Dedup-cache counters of the underlying plan.
     pub stats: LightConeStats,
-    /// Communicator traffic counters (zero bytes moved: only scalar
-    /// `⟨ZZ⟩` values cross rank boundaries, gathered by the driver).
+    /// The transport's traffic counters: zero bytes in process, framed
+    /// cone lists and `⟨ZZ⟩` replies over TCP.
     pub comm: CommStats,
 }
 
-/// Shards the unique cones of a light-cone evaluation across `K` BSP
-/// ranks (see the [module docs](self)).
+/// Shards the unique cones of a light-cone evaluation across `K` ranks
+/// (see the [module docs](self)).
 #[derive(Debug)]
 pub struct DistLightCone {
     evaluator: LightConeEvaluator,
@@ -138,8 +136,8 @@ impl DistLightCone {
     }
 
     /// Plans, simulates the unique cones in `K` contiguous shards (one
-    /// per rank), and accumulates the depth-`p` objective
-    /// (`p = gammas.len()`).
+    /// per rank, on an [`InProcessTransport`]), and accumulates the
+    /// depth-`p` objective (`p = gammas.len()`).
     ///
     /// # Panics
     /// If `gammas.len() != betas.len()`.
@@ -148,22 +146,7 @@ impl DistLightCone {
         gammas: &[f64],
         betas: &[f64],
     ) -> Result<DistLightConeRun, DistLightConeError> {
-        assert_eq!(
-            gammas.len(),
-            betas.len(),
-            "gamma and beta must have the same length p"
-        );
-        let plan = self
-            .evaluator
-            .plan(gammas.len())
-            .map_err(DistLightConeError::Plan)?;
-        let comm = BspComm::new(self.ranks);
-        let zz = self.shard_zz(&comm, &plan, gammas, betas)?;
-        Ok(DistLightConeRun {
-            energy: self.evaluator.accumulate(&plan, &zz),
-            stats: plan.stats(),
-            comm: comm.stats(),
-        })
+        self.try_energy_on(&mut InProcessTransport::new(self.ranks), gammas, betas)
     }
 
     /// As [`try_energy`](Self::try_energy), but sharding the unique cones
@@ -221,56 +204,6 @@ impl DistLightCone {
             stats: plan.stats(),
             comm: t.stats(),
         })
-    }
-
-    /// Runs one superstep in which rank `r` simulates the contiguous
-    /// unique-cone shard `[r·C/K, (r+1)·C/K)` and returns its `⟨ZZ⟩`
-    /// values; the driver concatenates the shards in rank order.
-    fn shard_zz(
-        &self,
-        comm: &BspComm,
-        plan: &ConePlan,
-        gammas: &[f64],
-        betas: &[f64],
-    ) -> Result<Vec<f64>, DistLightConeError> {
-        let k = self.ranks;
-        let cones = plan.cones();
-        let n = cones.len();
-        let mut bounds: Vec<(usize, usize)> =
-            (0..k).map(|r| (r * n / k, (r + 1) * n / k)).collect();
-        let shards = comm.superstep_map(&mut bounds, |rank, &mut (start, end)| {
-            let mut values = Vec::with_capacity(end - start);
-            for cone in &cones[start..end] {
-                let outcome =
-                    panic::catch_unwind(AssertUnwindSafe(|| cone_zz(cone.ego(), gammas, betas)));
-                match outcome {
-                    Ok(zz) => values.push(zz),
-                    Err(payload) => {
-                        return Err(DistLightConeError::ConePanicked {
-                            rank,
-                            edge: cone.edge() as u64,
-                            message: panic_message(payload),
-                        })
-                    }
-                }
-            }
-            Ok(values)
-        });
-        let mut zz = Vec::with_capacity(n);
-        for shard in shards {
-            zz.extend(shard?);
-        }
-        Ok(zz)
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

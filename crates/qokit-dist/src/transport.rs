@@ -7,8 +7,10 @@
 //! responses come back in rank order. Two implementations:
 //!
 //! - [`InProcessTransport`] — ranks are work-stealing-pool tasks in this
-//!   process (the engine `dist_sim`/`dist_sweep`/`lightcone` always had);
-//!   requests and responses are passed by value, nothing is serialized.
+//!   process (the schedule of the direct `dist_sim`/`dist_sweep` engines;
+//!   [`DistLightCone::try_energy`](crate::DistLightCone::try_energy) runs
+//!   on it); requests and responses are passed by value, nothing is
+//!   serialized.
 //! - [`TcpTransport`] — ranks are **spawned worker processes** connected
 //!   over loopback TCP. Every message is a checksummed frame (see
 //!   [`crate::wire`]), every collective runs under a deadline, and the

@@ -159,22 +159,6 @@ pub enum Request {
         /// Total rank count K (the worker knows its own rank).
         n_ranks: usize,
     },
-    /// Report this rank's local cost extrema `(min, max)`.
-    SimExtrema,
-    /// Check §V-B quantizability against the global grid: returns `1.0`
-    /// when the local slice is integral on `gmin + k` **and** the global
-    /// range fits, else `0.0`.
-    SimQuantCheck {
-        /// Globally agreed offset (global cost minimum).
-        gmin: f64,
-        /// Whether the global span fits 65536 grid points.
-        fits: bool,
-    },
-    /// Commit to the quantized representation (all ranks voted yes).
-    SimQuantCommit {
-        /// Globally agreed offset.
-        gmin: f64,
-    },
     /// One layer's local work: phase + mixer gates on local qubits.
     SimLayerLocal {
         /// Phase angle γ.
@@ -187,7 +171,8 @@ pub enum Request {
         /// Mixer angle β.
         beta: f64,
     },
-    /// Move the amplitude slice to the driver (for the all-to-all).
+    /// Move the amplitude slice to the driver (for the all-to-all and the
+    /// final gather).
     SimTakeSlice,
     /// Install a transposed amplitude slice from the driver.
     SimSetSlice {
@@ -201,8 +186,6 @@ pub enum Request {
         /// Global minimum cost.
         min_cost: f64,
     },
-    /// Return the rank's amplitude slice (final gather).
-    SimGather,
 }
 
 /// One worker→driver reply.
@@ -233,16 +216,14 @@ const REQ_SWEEP_INIT: u8 = 2;
 const REQ_SWEEP_CHUNK: u8 = 3;
 const REQ_CONE_SHARD: u8 = 4;
 const REQ_SIM_INIT: u8 = 5;
-const REQ_SIM_EXTREMA: u8 = 6;
-const REQ_SIM_QUANT_CHECK: u8 = 7;
-const REQ_SIM_QUANT_COMMIT: u8 = 8;
+// Tags 6–8 and 15 are retired. Never reuse them: a request from an older
+// driver must fail as `BadTag`, not decode as a different message.
 const REQ_SIM_LAYER_LOCAL: u8 = 9;
 const REQ_SIM_MIX_HIGH: u8 = 10;
 const REQ_SIM_TAKE_SLICE: u8 = 11;
 const REQ_SIM_SET_SLICE: u8 = 12;
 const REQ_SIM_REDUCE: u8 = 13;
 const REQ_SIM_OVERLAP: u8 = 14;
-const REQ_SIM_GATHER: u8 = 15;
 
 const RESP_OK: u8 = 0;
 const RESP_SCALAR: u8 = 1;
@@ -323,16 +304,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.usize(*n_ranks);
             put_poly(&mut w, poly);
         }
-        Request::SimExtrema => w.u8(REQ_SIM_EXTREMA),
-        Request::SimQuantCheck { gmin, fits } => {
-            w.u8(REQ_SIM_QUANT_CHECK);
-            w.f64(*gmin);
-            w.u8(*fits as u8);
-        }
-        Request::SimQuantCommit { gmin } => {
-            w.u8(REQ_SIM_QUANT_COMMIT);
-            w.f64(*gmin);
-        }
         Request::SimLayerLocal { gamma, beta } => {
             w.u8(REQ_SIM_LAYER_LOCAL);
             w.f64(*gamma);
@@ -352,7 +323,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.u8(REQ_SIM_OVERLAP);
             w.f64(*min_cost);
         }
-        Request::SimGather => w.u8(REQ_SIM_GATHER),
     }
     w.into_vec()
 }
@@ -396,13 +366,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             let poly = get_poly(&mut r)?;
             Request::SimInit { poly, n_ranks }
         }
-        REQ_SIM_EXTREMA => Request::SimExtrema,
-        REQ_SIM_QUANT_CHECK => {
-            let gmin = r.f64()?;
-            let fits = r.u8()? != 0;
-            Request::SimQuantCheck { gmin, fits }
-        }
-        REQ_SIM_QUANT_COMMIT => Request::SimQuantCommit { gmin: r.f64()? },
         REQ_SIM_LAYER_LOCAL => {
             let gamma = r.f64()?;
             let beta = r.f64()?;
@@ -415,7 +378,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         },
         REQ_SIM_REDUCE => Request::SimReduce,
         REQ_SIM_OVERLAP => Request::SimOverlap { min_cost: r.f64()? },
-        REQ_SIM_GATHER => Request::SimGather,
         t => return Err(WireError::BadTag(t)),
     };
     if !r.is_exhausted() {
@@ -566,10 +528,6 @@ mod tests {
             poly: maxcut::maxcut_polynomial(&Graph::ring(6, 1.0)),
             n_ranks: 4,
         });
-        roundtrip_req(Request::SimQuantCheck {
-            gmin: -12.5,
-            fits: true,
-        });
         roundtrip_req(Request::SimLayerLocal {
             gamma: 0.7,
             beta: -0.3,
@@ -577,6 +535,22 @@ mod tests {
         roundtrip_req(Request::SimSetSlice {
             amps: vec![C64::new(0.1, -0.2), C64::new(f64::MIN_POSITIVE, 1e300)],
         });
+    }
+
+    #[test]
+    fn retired_sim_tags_are_bad_tags() {
+        // Each retired request as it used to be encoded: tag, then body.
+        for (tag, body_f64s, body_u8s) in [(6u8, 0, 0), (7, 1, 1), (8, 1, 0), (15, 0, 0)] {
+            let mut w = ByteWriter::new();
+            w.u8(tag);
+            for _ in 0..body_f64s {
+                w.f64(-3.0);
+            }
+            for _ in 0..body_u8s {
+                w.u8(1);
+            }
+            assert_eq!(decode_request(&w.into_vec()), Err(WireError::BadTag(tag)));
+        }
     }
 
     #[test]

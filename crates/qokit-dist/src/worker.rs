@@ -24,8 +24,8 @@ use crate::wire::{self, read_frame, write_frame, Request, Response, SweepSimSpec
 use qokit_core::batch::{SweepError, SweepNesting, SweepOptions, SweepRunner};
 use qokit_core::lightcone::cone_zz;
 use qokit_core::simulator::{FurSimulator, InitialState, SimOptions};
-use qokit_core::Mixer;
-use qokit_costvec::{fill_direct_slice, snap_to_grid, CostVec};
+use qokit_core::{panic_message, Mixer};
+use qokit_costvec::{fill_direct_slice, CostVec};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::su2::apply_mat2_serial;
 use qokit_statevec::{Mat2, C64};
@@ -69,15 +69,13 @@ impl WorkerState {
 /// One type for both executions of a rank — a pool task of the in-process
 /// `DistSimulator` and a worker behind any [`Transport`](crate::Transport)
 /// — so their per-step arithmetic is the same code. The cost slice is
-/// level-coded when it has few distinct values, and always after
-/// [`quant_commit`](Self::quant_commit) puts it on the §V-B grid; every
-/// kernel runs serially.
+/// level-coded when it has few distinct values (the `CostVec::from_f64`
+/// rule); every kernel runs serially.
 pub(crate) struct SimRank {
     n: usize,
     k_bits: usize,
     pub(crate) amps: Vec<C64>,
     costs: CostVec,
-    quantized: bool,
 }
 
 impl SimRank {
@@ -97,45 +95,7 @@ impl SimRank {
             k_bits,
             amps: vec![C64::from_re(amp0); slice_len],
             costs: CostVec::from_f64(costs),
-            quantized: false,
         }
-    }
-
-    /// Local cost extrema.
-    pub(crate) fn extrema(&self) -> (f64, f64) {
-        self.costs.extrema()
-    }
-
-    /// `1.0` when every local cost is on the global integer grid from
-    /// `gmin` and the global span `fits` 65536 grid points, else `0.0`
-    /// (min-reduced by the caller).
-    pub(crate) fn quant_check(&self, gmin: f64, fits: bool) -> f64 {
-        let integral =
-            (0..self.costs.len()).all(|x| snap_to_grid(self.costs.value(x), gmin, 1.0).is_some());
-        if integral && fits {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Re-stores the cost slice on the agreed grid `gmin + k`, level-coded.
-    /// `false`, with the slice untouched, when a local cost is off that grid
-    /// or more than 65536 grid points occur (a commit `quant_check` would
-    /// have refused).
-    pub(crate) fn quant_commit(&mut self, gmin: f64) -> bool {
-        let costs = (0..self.costs.len()).map(|x| self.costs.value(x));
-        let Some(costs) = CostVec::on_grid(costs, gmin, 1.0) else {
-            return false;
-        };
-        self.costs = costs;
-        self.quantized = true;
-        true
-    }
-
-    /// `true` once the cost slice is on the §V-B grid.
-    pub(crate) fn quantized(&self) -> bool {
-        self.quantized
     }
 
     /// The local half of a layer: phase, then the mixer on local qubits.
@@ -162,7 +122,7 @@ impl SimRank {
     pub(crate) fn reduce(&self) -> (f64, f64) {
         (
             self.costs.expectation(&self.amps, ExecPolicy::serial()),
-            self.extrema().0,
+            self.costs.extrema().0,
         )
     }
 
@@ -199,16 +159,6 @@ fn sweep_runner_for(poly: &SpinPolynomial, spec: SweepSimSpec) -> SweepRunner {
             nested: SweepNesting::PointsParallel,
         },
     )
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Executes one request against a rank's state — the single dispatch both
@@ -268,27 +218,6 @@ pub fn handle(state: &mut WorkerState, req: Request) -> Response {
             state.sim = Some(SimRank::init(&poly, state.rank, n_ranks));
             Response::Ok
         }
-        Request::SimExtrema => match &state.sim {
-            None => Response::Error("SimExtrema before SimInit".into()),
-            Some(sim) => {
-                let (lo, hi) = sim.extrema();
-                Response::Scalar2(lo, hi)
-            }
-        },
-        Request::SimQuantCheck { gmin, fits } => match &state.sim {
-            None => Response::Error("SimQuantCheck before SimInit".into()),
-            Some(sim) => Response::Scalar(sim.quant_check(gmin, fits)),
-        },
-        Request::SimQuantCommit { gmin } => match &mut state.sim {
-            None => Response::Error("SimQuantCommit before SimInit".into()),
-            Some(sim) => {
-                if sim.quant_commit(gmin) {
-                    Response::Ok
-                } else {
-                    Response::Error(format!("a cost is off the grid {gmin} + k"))
-                }
-            }
-        },
         Request::SimLayerLocal { gamma, beta } => match &mut state.sim {
             None => Response::Error("SimLayerLocal before SimInit".into()),
             Some(sim) => {
@@ -324,10 +253,6 @@ pub fn handle(state: &mut WorkerState, req: Request) -> Response {
         Request::SimOverlap { min_cost } => match &state.sim {
             None => Response::Error("SimOverlap before SimInit".into()),
             Some(sim) => Response::Scalar(sim.overlap(min_cost)),
-        },
-        Request::SimGather => match &state.sim {
-            None => Response::Error("SimGather before SimInit".into()),
-            Some(sim) => Response::Amps(sim.amps.clone()),
         },
     }
 }
@@ -413,21 +338,5 @@ mod tests {
         assert!(matches!(sim_init(0, 16), Response::Error(e) if e.contains("2k ≤ n")));
         // Rank outside [0, n_ranks).
         assert!(matches!(sim_init(4, 4), Response::Error(e) if e.contains("out of range")));
-    }
-
-    #[test]
-    fn quant_commit_off_the_grid_is_an_error_not_a_panic() {
-        let mut state = WorkerState::new(0);
-        let poly = labs_terms(6);
-        handle(&mut state, Request::SimInit { poly, n_ranks: 2 });
-        for gmin in [0.5, f64::NAN, f64::INFINITY] {
-            let resp = handle(&mut state, Request::SimQuantCommit { gmin });
-            assert!(matches!(resp, Response::Error(e) if e.contains("off the grid")));
-        }
-        assert!(!state.sim.as_ref().unwrap().quantized());
-        // The integer LABS slice is on the grid from any integer offset.
-        let resp = handle(&mut state, Request::SimQuantCommit { gmin: -3.0 });
-        assert!(matches!(resp, Response::Ok));
-        assert!(state.sim.as_ref().unwrap().quantized());
     }
 }

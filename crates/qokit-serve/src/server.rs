@@ -36,6 +36,7 @@ use crate::proto::{
 use qokit_core::batch::{SweepError, SweepNesting, SweepOptions, SweepPoint, SweepRunner};
 use qokit_core::landscape::{EnergySink, LandscapeAggregator};
 use qokit_core::lightcone::{LightConeEvaluator, LightConeOptions};
+use qokit_core::panic_message;
 use qokit_dist::frame::{read_frame, write_frame, FrameReadError};
 use qokit_dist::PointSource;
 use qokit_optim::{MultiStart, MultiStartError, NelderMead, RestartMethod};
@@ -108,16 +109,6 @@ impl ServerConfig {
 
 fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// One job's write side + lifecycle flags, shared between its connection

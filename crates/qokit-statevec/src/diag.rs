@@ -96,12 +96,6 @@ pub fn apply_phase_indexed(amps: &mut [C64], index: &[u16], table: &[C64], exec:
     apply_factors(amps, index, |j| table[j as usize], exec);
 }
 
-/// Applies an arbitrary complex diagonal: `ψ_k ← d_k ψ_k`.
-pub fn apply_diagonal(amps: &mut [C64], diag: &[C64], exec: ExecPolicy) {
-    assert_eq!(amps.len(), diag.len(), "diagonal length mismatch");
-    apply_factors(amps, diag, |d| d, exec);
-}
-
 /// Objective: `⟨ψ|Ĉ|ψ⟩ = Σ c_k |ψ_k|²`.
 #[inline]
 pub fn expectation(amps: &[C64], costs: &[f64], exec: ExecPolicy) -> f64 {
@@ -457,14 +451,5 @@ mod tests {
             &table,
             ExecPolicy::serial(),
         );
-    }
-
-    #[test]
-    fn diagonal_identity_is_noop() {
-        let mut s = StateVec::uniform_superposition(5);
-        let orig = s.clone();
-        let diag = vec![C64::ONE; s.dim()];
-        apply_diagonal(s.amplitudes_mut(), &diag, ExecPolicy::serial());
-        assert!(s.max_abs_diff(&orig) < 1e-15);
     }
 }

@@ -259,21 +259,6 @@ pub fn apply_x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: Ex
     });
 }
 
-/// Generalized Algorithm 2 with a per-qubit matrix: applies
-/// `U_{n-1} ⊗ … ⊗ U_1 ⊗ U_0` (qubit `i` receives `us[i]`).
-///
-/// # Panics
-/// If `us.len()` does not match the qubit count of the vector.
-pub fn apply_mat2_sequence(amps: &mut [C64], us: &[Mat2], policy: ExecPolicy) {
-    let n = amps.len().trailing_zeros() as usize;
-    assert_eq!(us.len(), n, "need one matrix per qubit");
-    policy.install(|| {
-        for (q, u) in us.iter().enumerate() {
-            apply_mat2(amps, q, u, policy);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,19 +363,6 @@ mod tests {
         apply_uniform_mat2(s.amplitudes_mut(), &u, ExecPolicy::serial());
         apply_uniform_mat2(s.amplitudes_mut(), &u.dagger(), ExecPolicy::serial());
         assert!(s.max_abs_diff(&orig) < 1e-10);
-    }
-
-    #[test]
-    fn sequence_applies_per_qubit() {
-        let n = 3;
-        let us = [Mat2::rx(0.1), Mat2::ry(0.2), Mat2::rz(0.3)];
-        let mut s = random_state(n, 5);
-        let mut expect = s.amplitudes().to_vec();
-        for (q, u) in us.iter().enumerate() {
-            expect = reference::apply_1q_reference(&expect, q, u);
-        }
-        apply_mat2_sequence(s.amplitudes_mut(), &us, ExecPolicy::serial());
-        assert_close(s.amplitudes(), &expect, 1e-12);
     }
 
     #[test]

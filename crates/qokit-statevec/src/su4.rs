@@ -305,122 +305,6 @@ pub fn apply_xy_split(
     });
 }
 
-/// The 4×4 complex matrix split into coefficient planes.
-struct Mat4Planes {
-    re: [[f64; 4]; 4],
-    im: [[f64; 4]; 4],
-}
-
-impl Mat4Planes {
-    fn new(u: &Mat4) -> Mat4Planes {
-        let mut re = [[0.0; 4]; 4];
-        let mut im = [[0.0; 4]; 4];
-        for r in 0..4 {
-            for c in 0..4 {
-                re[r][c] = u.m[r][c].re;
-                im[r][c] = u.m[r][c].im;
-            }
-        }
-        Mat4Planes { re, im }
-    }
-}
-
-/// Dense quad sweep over one block-aligned window of the planes, in local
-/// coordinates.
-fn mat4_split_chunk(
-    re: &mut [f64],
-    im: &mut [f64],
-    ql: usize,
-    qh: usize,
-    qa: usize,
-    u: &Mat4Planes,
-) {
-    let sl = 1usize << ql;
-    let mh = 1usize << qh;
-    let qa_is_low = qa == ql;
-    for_each_base_run(re.len(), ql, qh, |b| {
-        let ranges = [
-            b..b + sl,
-            b + sl..b + 2 * sl,
-            b + mh..b + mh + sl,
-            b + mh + sl..b + mh + 2 * sl,
-        ];
-        let [r00, r_l, r_h, r11] = re
-            .get_disjoint_mut(ranges.clone())
-            .expect("quad runs are disjoint");
-        let [i00, i_l, i_h, i11] = im.get_disjoint_mut(ranges).expect("quad runs are disjoint");
-        let (r01, i01, r10, i10) = if qa_is_low {
-            (r_l, i_l, r_h, i_h)
-        } else {
-            (r_h, i_h, r_l, i_l)
-        };
-        for k in 0..sl {
-            let xr = [r00[k], r01[k], r10[k], r11[k]];
-            let xi = [i00[k], i01[k], i10[k], i11[k]];
-            let mut yr = [0.0f64; 4];
-            let mut yi = [0.0f64; 4];
-            for r in 0..4 {
-                let mut sr = 0.0;
-                let mut si = 0.0;
-                for c in 0..4 {
-                    sr += u.re[r][c] * xr[c] - u.im[r][c] * xi[c];
-                    si += u.re[r][c] * xi[c] + u.im[r][c] * xr[c];
-                }
-                yr[r] = sr;
-                yi[r] = si;
-            }
-            r00[k] = yr[0];
-            r01[k] = yr[1];
-            r10[k] = yr[2];
-            r11[k] = yr[3];
-            i00[k] = yi[0];
-            i01[k] = yi[1];
-            i10[k] = yi[2];
-            i11[k] = yi[3];
-        }
-    });
-}
-
-/// Serial split-plane two-qubit gate application.
-///
-/// # Panics
-/// If plane lengths differ, `qa == qb`, or a qubit is out of range.
-pub fn apply_mat4_split_serial(re: &mut [f64], im: &mut [f64], qa: usize, qb: usize, u: &Mat4) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
-    let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
-    assert!(1usize << (qh + 1) <= re.len(), "qubit {qh} out of range");
-    mat4_split_chunk(re, im, ql, qh, qa, &Mat4Planes::new(u));
-}
-
-/// Policy-dispatched split-plane two-qubit gate application. Falls back to
-/// the serial sweep when the high qubit's block spans the whole vector
-/// (the remaining work is one cache-resident block).
-pub fn apply_mat4_split(
-    re: &mut [f64],
-    im: &mut [f64],
-    qa: usize,
-    qb: usize,
-    u: &Mat4,
-    policy: ExecPolicy,
-) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let len = re.len();
-    let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
-    let block = 1usize << (qh + 1);
-    if !policy.parallel(len) || block >= len {
-        return apply_mat4_split_serial(re, im, qa, qb, u);
-    }
-    assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
-    let planes = Mat4Planes::new(u);
-    let chunk = policy.chunk_len(len, block);
-    policy.install(|| {
-        re.par_chunks_mut(chunk)
-            .zip(im.par_chunks_mut(chunk))
-            .for_each(|(rc, ic)| mat4_split_chunk(rc, ic, ql, qh, qa, &planes));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,29 +479,9 @@ mod tests {
     }
 
     #[test]
-    fn mat4_split_matches_interleaved_all_pairs() {
-        let n = 4;
-        let u = Mat4::xx_plus_yy(0.8).matmul(&Mat4::rzz(0.3));
-        for qa in 0..n {
-            for qb in 0..n {
-                if qa == qb {
-                    continue;
-                }
-                let mut inter = random_state(n, (qa * 11 + qb) as u64);
-                let mut split = crate::split::SplitStateVec::from(&inter);
-                apply_mat4_serial(inter.amplitudes_mut(), qa, qb, &u);
-                let (re, im) = split.planes_mut();
-                apply_mat4_split_serial(re, im, qa, qb, &u);
-                assert!(split.max_abs_diff_interleaved(inter.amplitudes()) < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn split_forced_parallel_matches_serial() {
         let n = 8;
         let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(4);
-        let u = Mat4::xx_plus_yy(0.35).matmul(&Mat4::rzz(0.9));
         for (qa, qb) in [(0usize, 1usize), (3, 6), (7, 2), (n - 1, 0)] {
             let base = crate::split::SplitStateVec::from(&random_state(n, 77 + qa as u64));
             let mut serial = base.clone();
@@ -625,12 +489,10 @@ mod tests {
             {
                 let (re, im) = serial.planes_mut();
                 apply_xy_split_serial(re, im, qa, qb, 0.51);
-                apply_mat4_split_serial(re, im, qa, qb, &u);
             }
             {
                 let (re, im) = par.planes_mut();
                 apply_xy_split(re, im, qa, qb, 0.51, forced);
-                apply_mat4_split(re, im, qa, qb, &u, forced);
             }
             // Same per-element arithmetic, only traversal order differs.
             assert_eq!(serial, par);
