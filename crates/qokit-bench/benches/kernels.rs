@@ -27,6 +27,14 @@ fn configured<'a>(
 
 fn bench_mixer(c: &mut Criterion) {
     let mut g = configured(c, "x_mixer_layer");
+    // The X mixer alone also at n = 10, the `scan_maxcut` benchmark's size.
+    let mut small = SplitStateVec::uniform_superposition(10);
+    g.bench_with_input(BenchmarkId::new("x_mixer_split", 10), &10, |b, _| {
+        b.iter(|| {
+            let (re, im) = small.planes_mut();
+            apply_x_mixer_split(re, im, 0.3, ExecPolicy::serial())
+        });
+    });
     for &n in &[14usize, 18] {
         let mut state = StateVec::uniform_superposition(n);
         g.bench_with_input(BenchmarkId::new("algorithm2_serial", n), &n, |b, _| {

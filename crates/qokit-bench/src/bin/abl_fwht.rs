@@ -29,8 +29,8 @@ use std::io::Write;
 
 /// Interleaved-vs-split layout ablation on the hot kernels: same math, two
 /// memory layouts. The `x_mixer` row times `Mixer::X` on each layout, i.e.
-/// the generic interleaved butterfly against the RX-specialized split pass
-/// every objective runs. Emits `BENCH_layout.json` (`abl_layout` schema)
+/// the generic interleaved butterfly against the RX-specialized split
+/// sweeps every objective runs. Emits `BENCH_layout.json` (`abl_layout` schema)
 /// and, under `QOKIT_ABL_ASSERT=1`, fails unless the best kernel reaches
 /// ≥1.0× the interleaved baseline — the CI guard that the split layer pays
 /// its way.

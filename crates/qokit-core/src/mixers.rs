@@ -1,10 +1,10 @@
 //! QAOA mixing operators (§III-B of the paper).
 //!
 //! * [`Mixer::X`] — the transverse-field mixer `e^{-iβΣᵢXᵢ}`, applied with
-//!   the paper's Algorithm 2 (one in-place butterfly pass per qubit). On
-//!   split planes each pass runs the RX-specialized pair body
-//!   (`su2::apply_x_mixer_split`, QOKit's `furx`); the interleaved path
-//!   runs the generic `Mat2` butterfly.
+//!   the paper's Algorithm 2 (an in-place butterfly on every qubit). On
+//!   split planes it runs the RX-specialized body (`su2::apply_x_mixer_split`,
+//!   QOKit's `furx`) in `⌈n/2⌉` fused sweeps with Algorithm 2's bits; the
+//!   interleaved path runs the generic `Mat2` butterfly, one pass per qubit.
 //! * [`Mixer::XyRing`] / [`Mixer::XyComplete`] — the Hamming-weight-
 //!   preserving XY mixers built from two-qubit `e^{-iβ(XX+YY)/2}` rotations
 //!   over ring / complete-graph edges, using the SU(4) extension of

@@ -12,10 +12,14 @@
 //! approach (see `fwht`).
 //!
 //! The `*_split` entry points run on `re`/`im` planes and share one block
-//! walk (`split_pass`) over a four-slice pair body. `apply_x_mixer_split`,
-//! the X mixer every objective runs, is Algorithm 2 with the RX-specialized
-//! body of Algorithm 3 (`a = cos β`, `b = sin β`; QOKit's `furx`): 8
-//! multiplies per pair instead of the generic 16, and the generic bits up to
+//! walk (`split_pass`) that cuts each block into equal runs for a run body.
+//! `apply_x_mixer_split`, the X mixer every objective runs, is Algorithm 2
+//! with the RX-specialized body of Algorithm 3 (`a = cos β`, `b = sin β`;
+//! QOKit's `furx`): 8 multiplies per pair instead of the generic 16. It
+//! fuses qubits into `⌈n/2⌉` sweeps instead of `n`: one sweep applies
+//! qubits 0–1 to each 4-amplitude tile in registers, each further sweep a
+//! radix-4 qubit pair. Every amplitude still sees Algorithm 2's operations
+//! in Algorithm 2's qubit order, so the result keeps the generic bits up to
 //! the sign of an exact zero.
 //!
 //! Every entry point takes `ExecPolicy`; parallel sweeps split by
@@ -25,6 +29,7 @@ use crate::complex::C64;
 use crate::exec::ExecPolicy;
 use crate::matrices::Mat2;
 use rayon::prelude::*;
+use std::mem::take;
 
 /// Mixes one amplitude pair: `(x0, x1) ← U · (x0, x1)`.
 #[inline(always)]
@@ -94,8 +99,12 @@ pub fn apply_mat2(amps: &mut [C64], q: usize, u: &Mat2, policy: ExecPolicy) {
 /// Algorithm 2: applies the same `U` to **every** qubit, i.e. `U^{⊗n}`,
 /// in place. For `U = Mat2::rx(β)` this is the full transverse-field mixer.
 pub fn apply_uniform_mat2(amps: &mut [C64], u: &Mat2, policy: ExecPolicy) {
+    assert!(
+        amps.len().is_power_of_two(),
+        "state length {} is not a power of two",
+        amps.len()
+    );
     let n = amps.len().trailing_zeros() as usize;
-    debug_assert!(amps.len().is_power_of_two());
     // One install covers all n per-qubit sweeps.
     policy.install(|| {
         for q in 0..n {
@@ -140,83 +149,161 @@ fn mix_planes(rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64], m:
     }
 }
 
-/// [`mix_planes`] specialized to `Mat2::rx(β)` (`s, c = sin β, cos β`):
-/// a real diagonal `c` and an imaginary off-diagonal `−i·s`, so 8
-/// multiplies and 4 adds per pair instead of 16 and 12. Every dropped term is a product with an
-/// exact ±0, so for finite inputs the output has the generic formula's
-/// bits; only the sign of an exactly-zero result may differ.
+/// Qubits the X mixer's first sweep handles in registers: qubits
+/// `0..TILE_QUBITS` of one `TILE`-amplitude tile at a time.
+const TILE_QUBITS: usize = 2;
+const TILE: usize = 1 << TILE_QUBITS;
+
+/// The RX body (Algorithm 3 with `a = cos β`, `b = sin β`; QOKit's `furx`)
+/// in permutation form: amplitude `x` of a pair from its partner `p`,
+/// `re' = c·re[x] + s·im[p]`, `im' = c·im[x] − s·re[p]`. This is
+/// [`mix_planes`] for `Mat2::rx(β)` with every product by an exact ±0
+/// dropped (and, for the bit-1 amplitude, the two remaining terms of the
+/// real part swapped, which IEEE addition does exactly), so for finite
+/// inputs the output has the generic formula's bits; only the sign of an
+/// exactly-zero result may differ.
+#[inline(always)]
+fn rx_amp(s: f64, c: f64, xr: f64, xi: f64, pr: f64, pi: f64) -> (f64, f64) {
+    (c * xr + s * pi, c * xi - s * pr)
+}
+
+/// In-register Algorithm 2 over `N` amplitudes: RX on index bit 0, then
+/// bit 1, …, up to bit `log₂ N − 1`.
+#[inline(always)]
+fn rx_butterflies<const N: usize>(r: &mut [f64; N], i: &mut [f64; N], s: f64, c: f64) {
+    let mut m = 1;
+    while m < N {
+        let (r0, i0) = (*r, *i);
+        for x in 0..N {
+            (r[x], i[x]) = rx_amp(s, c, r0[x], i0[x], r0[x ^ m], i0[x ^ m]);
+        }
+        m <<= 1;
+    }
+}
+
+/// The low-qubit tile body: qubits `0..TILE_QUBITS` of every contiguous
+/// `TILE`-amplitude tile, in registers.
+#[inline]
+fn rx_tiles(re: &mut [f64], im: &mut [f64], s: f64, c: f64) {
+    let (re_tiles, im_tiles) = (re.as_chunks_mut::<TILE>().0, im.as_chunks_mut::<TILE>().0);
+    for (rt, it) in re_tiles.iter_mut().zip(im_tiles) {
+        rx_butterflies(rt, it, s, c);
+    }
+}
+
+/// The single-qubit run body: RX on qubit `q` over the bit-`q` = 0/1 runs
+/// of a `2^{q+1}` block, element by element.
 #[inline]
 fn rx_planes(rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64], s: f64, c: f64) {
     let n = rl.len();
+    // Equal-length reslices let the compiler drop the bounds checks.
     let (il, rh, ih) = (&mut il[..n], &mut rh[..n], &mut ih[..n]);
     for k in 0..n {
-        let (xr0, xi0, xr1, xi1) = (rl[k], il[k], rh[k], ih[k]);
-        rl[k] = c * xr0 + s * xi1;
-        il[k] = c * xi0 - s * xr1;
-        rh[k] = s * xi0 + c * xr1;
-        ih[k] = c * xi1 - s * xr0;
+        let mut r = [rl[k], rh[k]];
+        let mut i = [il[k], ih[k]];
+        rx_butterflies(&mut r, &mut i, s, c);
+        [rl[k], rh[k]] = r;
+        [il[k], ih[k]] = i;
     }
 }
 
-/// Serial split-plane pass over qubit `q`: calls `body(re_lo, im_lo,
-/// re_hi, im_hi)` on the bit-`q` = 0/1 halves of every `2^{q+1}` block.
-fn split_pass_serial<F>(re: &mut [f64], im: &mut [f64], q: usize, body: &F)
-where
-    F: Fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64]),
-{
-    let stride = 1usize << q;
-    debug_assert!(stride * 2 <= re.len(), "qubit {q} out of range");
-    for (rb, ib) in re
-        .chunks_exact_mut(stride * 2)
-        .zip(im.chunks_exact_mut(stride * 2))
-    {
-        let (rl, rh) = rb.split_at_mut(stride);
-        let (il, ih) = ib.split_at_mut(stride);
-        body(rl, il, rh, ih);
-    }
-}
-
-/// Parallel [`split_pass_serial`] splitting by `policy`.
-fn split_pass_parallel<F>(re: &mut [f64], im: &mut [f64], q: usize, body: &F, policy: &ExecPolicy)
-where
-    F: Fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64]) + Sync,
-{
-    let len = re.len();
-    let stride = 1usize << q;
-    let block = stride * 2;
-    debug_assert!(block <= len, "qubit {q} out of range");
-    if block >= len {
-        // Single block: parallelize across the pair index. The four plane
-        // halves chunk identically, so index-aligned zips stay in lockstep.
-        let (rl, rh) = re.split_at_mut(stride);
-        let (il, ih) = im.split_at_mut(stride);
-        let chunk = policy.chunk_len(stride, 1);
-        rl.par_chunks_mut(chunk)
-            .zip(il.par_chunks_mut(chunk))
-            .zip(rh.par_chunks_mut(chunk))
-            .zip(ih.par_chunks_mut(chunk))
-            .for_each(|(((rlc, ilc), rhc), ihc)| body(rlc, ilc, rhc, ihc));
-        return;
-    }
-    let chunk = policy.chunk_len(len, block);
-    re.par_chunks_mut(chunk)
-        .zip(im.par_chunks_mut(chunk))
-        .for_each(|(rc, ic)| split_pass_serial(rc, ic, q, body));
-}
-
-/// Policy-dispatched split-plane pass: the one block walk every split
-/// single-qubit kernel shares.
+/// The radix-4 run body: RX on the qubit pair `(q, q+1)` over the four
+/// `2^q` runs of a `2^{q+2}` block, element by element — qubit `q` on runs
+/// (0,1) and (2,3), then qubit `q+1` on runs (0,2) and (1,3). Each run is
+/// its own argument so the compiler knows the eight streams are disjoint.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-fn split_pass<F>(re: &mut [f64], im: &mut [f64], q: usize, policy: ExecPolicy, body: &F)
+fn rx_radix4(
+    r0: &mut [f64],
+    r1: &mut [f64],
+    r2: &mut [f64],
+    r3: &mut [f64],
+    i0: &mut [f64],
+    i1: &mut [f64],
+    i2: &mut [f64],
+    i3: &mut [f64],
+    s: f64,
+    c: f64,
+) {
+    let n = r0.len();
+    let (r1, r2, r3) = (&mut r1[..n], &mut r2[..n], &mut r3[..n]);
+    let (i0, i1, i2, i3) = (&mut i0[..n], &mut i1[..n], &mut i2[..n], &mut i3[..n]);
+    for k in 0..n {
+        let mut r = [r0[k], r1[k], r2[k], r3[k]];
+        let mut i = [i0[k], i1[k], i2[k], i3[k]];
+        rx_butterflies(&mut r, &mut i, s, c);
+        [r0[k], r1[k], r2[k], r3[k]] = r;
+        [i0[k], i1[k], i2[k], i3[k]] = i;
+    }
+}
+
+/// Cuts a block into its `R` runs of `run` elements.
+#[inline]
+fn runs<const R: usize>(block: &mut [f64], run: usize) -> [&mut [f64]; R] {
+    let mut it = block.chunks_exact_mut(run);
+    std::array::from_fn(|_| it.next().expect("a block holds R runs"))
+}
+
+/// Serial block walk: calls `body(re_runs, im_runs)` on every `R·run`
+/// block of the planes, cut into its `R` runs.
+fn split_blocks<const R: usize, F>(re: &mut [f64], im: &mut [f64], run: usize, body: &F)
 where
-    F: Fn(&mut [f64], &mut [f64], &mut [f64], &mut [f64]) + Sync,
+    F: Fn([&mut [f64]; R], [&mut [f64]; R]),
+{
+    let block = R * run;
+    debug_assert!(block <= re.len(), "block of {block} out of range");
+    for (rb, ib) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
+        body(runs(rb, run), runs(ib, run));
+    }
+}
+
+/// Policy-dispatched [`split_blocks`]: the one block walk every split
+/// kernel shares. A parallel walk hands each task whole blocks or, when
+/// one block spans the planes, the same `TILE`-aligned slice of all `R`
+/// runs (each run body is elementwise along its runs, the tile body tile
+/// by tile).
+fn split_pass<const R: usize, F>(
+    re: &mut [f64],
+    im: &mut [f64],
+    run: usize,
+    policy: ExecPolicy,
+    body: &F,
+) where
+    F: Fn([&mut [f64]; R], [&mut [f64]; R]) + Sync,
 {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
-    if policy.parallel(re.len()) {
-        policy.install(|| split_pass_parallel(re, im, q, body, &policy));
-    } else {
-        split_pass_serial(re, im, q, body);
+    let len = re.len();
+    if !policy.parallel(len) {
+        return split_blocks(re, im, run, body);
     }
+    let block = R * run;
+    debug_assert!(block <= len, "block of {block} out of range");
+    policy.install(|| {
+        if block < len {
+            let chunk = policy.chunk_len(len, block);
+            re.par_chunks_mut(chunk)
+                .zip(im.par_chunks_mut(chunk))
+                .for_each(|(rc, ic)| split_blocks(rc, ic, run, body));
+            return;
+        }
+        let chunk = policy.chunk_len(run, TILE.min(run));
+        let mut re_runs = runs::<R>(re, run).map(|r| r.chunks_mut(chunk));
+        let mut im_runs = runs::<R>(im, run).map(|r| r.chunks_mut(chunk));
+        // Equal runs cut alike: the short last chunks (a multiple of
+        // `TILE.min(run)`, like `chunk`) stay in lockstep.
+        let mut tasks: Vec<_> = (0..run.div_ceil(chunk))
+            .map(|_| {
+                let next = "every run has the same chunk count";
+                (
+                    re_runs.each_mut().map(|c| c.next().expect(next)),
+                    im_runs.each_mut().map(|c| c.next().expect(next)),
+                )
+            })
+            .collect();
+        tasks
+            .par_iter_mut()
+            .for_each(|(r, i)| body(r.each_mut().map(take), i.each_mut().map(take)));
+    });
 }
 
 /// Serial split-plane Algorithm 1: applies `U` to qubit `q` of the
@@ -227,34 +314,60 @@ where
 pub fn apply_mat2_split_serial(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     let m = mat2_planes(u);
-    split_pass_serial(re, im, q, &|rl, il, rh, ih| mix_planes(rl, il, rh, ih, &m));
+    split_blocks(re, im, 1 << q, &|[rl, rh], [il, ih]| {
+        mix_planes(rl, il, rh, ih, &m)
+    });
 }
 
 /// Policy-dispatched split-plane Algorithm 1.
 #[inline]
 pub fn apply_mat2_split(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2, policy: ExecPolicy) {
     let m = mat2_planes(u);
-    split_pass(re, im, q, policy, &|rl, il, rh, ih| {
+    split_pass(re, im, 1 << q, policy, &|[rl, rh], [il, ih]| {
         mix_planes(rl, il, rh, ih, &m)
     });
 }
 
 /// The transverse-field mixer `e^{-iβΣᵢXᵢ}` on the `re`/`im` planes:
-/// split-plane Algorithm 2 for `U = Mat2::rx(β)`, one in-place pass per
-/// qubit with the RX-specialized pair body (QOKit's `furx`). Same bits as
-/// `n` calls of [`apply_mat2_split`] with `Mat2::rx(β)`, except the sign of
-/// an exactly-zero amplitude component.
+/// split-plane Algorithm 2 for `U = Mat2::rx(β)` with the RX-specialized
+/// body (QOKit's `furx`), in `⌈n/2⌉` sweeps over the planes instead of `n`
+/// (n = 10: 5). The first sweep applies qubits 0–1 to each 4-amplitude
+/// tile in registers; each further sweep applies a radix-4 qubit pair
+/// `(q, q+1)` to the four `2^q` runs of every `2^{q+2}` block; an odd top
+/// qubit gets a single pass. Every amplitude sees the same IEEE operations
+/// in the same qubit order as `n` calls of [`apply_mat2_split`] with
+/// `Mat2::rx(β)`, so the result has their bits, except the sign of an
+/// exactly-zero amplitude component.
+///
+/// # Panics
+/// If plane lengths differ or are not a power of two.
 pub fn apply_x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
+    assert!(
+        re.len().is_power_of_two(),
+        "plane length {} is not a power of two",
+        re.len()
+    );
     let n = re.len().trailing_zeros() as usize;
-    debug_assert!(re.len().is_power_of_two());
     let (s, c) = beta.sin_cos();
-    let body = |rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64]| {
-        rx_planes(rl, il, rh, ih, s, c)
-    };
     policy.install(|| {
-        for q in 0..n {
-            split_pass(re, im, q, policy, &body);
+        let mut q = 0;
+        if n >= TILE_QUBITS {
+            // One run spanning the planes: the walk cuts it into whole tiles.
+            split_pass(re, im, 1 << n, policy, &|[r], [i]| rx_tiles(r, i, s, c));
+            q = TILE_QUBITS;
+        }
+        while q + 2 <= n {
+            let body = |[r0, r1, r2, r3]: [&mut [f64]; 4], [i0, i1, i2, i3]: [&mut [f64]; 4]| {
+                rx_radix4(r0, r1, r2, r3, i0, i1, i2, i3, s, c)
+            };
+            split_pass(re, im, 1 << q, policy, &body);
+            q += 2;
+        }
+        if q < n {
+            split_pass(re, im, 1 << q, policy, &|[rl, rh], [il, ih]| {
+                rx_planes(rl, il, rh, ih, s, c)
+            });
         }
     });
 }
@@ -386,21 +499,28 @@ mod tests {
     #[test]
     fn split_forced_parallel_matches_serial() {
         let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(1);
+        // A task floor that does not divide the run leaves a short last task.
+        let odd = ExecPolicy::rayon().with_min_len(1).with_min_chunk(12);
         let n = 9;
         let u = Mat2::ry(1.3).matmul(&Mat2::rz(0.7));
-        for q in [0usize, 4, n - 1] {
-            let s = random_state(n, 400 + q as u64);
-            let mut a = crate::split::SplitStateVec::from(&s);
-            let mut b = a.clone();
-            {
-                let (re, im) = a.planes_mut();
-                apply_mat2_split_serial(re, im, q, &u);
+        for policy in [forced, odd] {
+            for q in [0usize, 4, n - 1] {
+                let s = random_state(n, 400 + q as u64);
+                let mut a = crate::split::SplitStateVec::from(&s);
+                let mut b = a.clone();
+                {
+                    let (re, im) = a.planes_mut();
+                    apply_mat2_split_serial(re, im, q, &u);
+                }
+                {
+                    let (re, im) = b.planes_mut();
+                    apply_mat2_split(re, im, q, &u, policy);
+                }
+                assert_eq!(
+                    a, b,
+                    "qubit {q}, {policy:?}: split kernel is split-invariant"
+                );
             }
-            {
-                let (re, im) = b.planes_mut();
-                apply_mat2_split(re, im, q, &u, forced);
-            }
-            assert_eq!(a, b, "qubit {q}: split kernel is split-invariant");
         }
     }
 
@@ -420,6 +540,77 @@ mod tests {
         apply_x_mixer_split(re, im, beta, ExecPolicy::serial());
         // f64 `==`: the same bits, except that +0 and −0 compare equal.
         assert_eq!(split, crate::split::SplitStateVec::from(&interleaved));
+    }
+
+    #[test]
+    fn x_mixer_sweeps_have_the_generic_bits_at_every_size() {
+        // n = 1..=16 covers n below the tile width, odd n (a leftover
+        // single pass) and even n, and the top radix-4 block spanning the
+        // whole state; the default thresholds go parallel from n = 13.
+        let forced = ExecPolicy::rayon()
+            .with_threads(2)
+            .with_min_len(1)
+            .with_min_chunk(1);
+        // A task floor that does not divide the run leaves a short last task.
+        let odd = forced.with_min_chunk(12);
+        let pooled = ExecPolicy::rayon().with_threads(2);
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (*x == 0.0 && *y == 0.0))
+        };
+        for n in 1..=16usize {
+            let s = crate::split::SplitStateVec::from(&random_state(n, 600 + n as u64));
+            let (mut re, mut im) = (s.planes().0.to_vec(), s.planes().1.to_vec());
+            // Exact ±0 entries exercise the one allowed difference.
+            let len = re.len();
+            for k in (0..len).step_by(5) {
+                re[k] = 0.0;
+                im[(k + 2) % len] = -0.0;
+            }
+            for beta in [0.59, std::f64::consts::FRAC_PI_2] {
+                let (mut re_ref, mut im_ref) = (re.clone(), im.clone());
+                for q in 0..n {
+                    apply_mat2_split(
+                        &mut re_ref,
+                        &mut im_ref,
+                        q,
+                        &Mat2::rx(beta),
+                        ExecPolicy::serial(),
+                    );
+                }
+                let mut policies = vec![ExecPolicy::serial(), forced, odd];
+                if n >= 15 {
+                    policies.push(pooled);
+                }
+                for policy in policies {
+                    let (mut re_rx, mut im_rx) = (re.clone(), im.clone());
+                    apply_x_mixer_split(&mut re_rx, &mut im_rx, beta, policy);
+                    assert!(
+                        same_bits(&re_rx, &re_ref),
+                        "re, n = {n}, beta = {beta}, {policy:?}"
+                    );
+                    assert!(
+                        same_bits(&im_rx, &im_ref),
+                        "im, n = {n}, beta = {beta}, {policy:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn x_mixer_rejects_a_non_power_of_two_length() {
+        let (mut re, mut im) = (vec![0.5; 6], vec![0.0; 6]);
+        apply_x_mixer_split(&mut re, &mut im, 0.3, ExecPolicy::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn uniform_mat2_rejects_a_non_power_of_two_length() {
+        let mut amps = vec![C64::ONE; 6];
+        apply_uniform_mat2(&mut amps, &Mat2::rx(0.3), ExecPolicy::serial());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! The central idea: precompute the diagonal cost Hamiltonian `Ĉ` once
 //! into a `2^n` **cost vector**; every QAOA phase operator then costs one
-//! elementwise product, the objective one inner product, and the mixer one
-//! in-place butterfly pass per qubit (Algorithms 1–3). The cost vector
+//! elementwise product, the objective one inner product, and the mixer an
+//! in-place butterfly on every qubit (Algorithms 1–3; the X mixer fuses
+//! them into `⌈n/2⌉` sweeps with the same bits). The cost vector
 //! distributes over K workers with zero-communication precomputation and
 //! two all-to-all transposes per mixer (Algorithm 4).
 //!

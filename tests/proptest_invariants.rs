@@ -91,7 +91,8 @@ proptest! {
             apply_mat2_split(&mut re_ref, &mut im_ref, q, &Mat2::rx(beta), ExecPolicy::serial());
         }
         // The forced pool runs both parallel branches: single-block
-        // (the top qubit) and multi-block (every other qubit).
+        // (the low-qubit tile and the top sweep) and multi-block (the
+        // sweeps between).
         let forced = ExecPolicy::rayon().with_threads(2).with_min_len(1).with_min_chunk(1);
         for policy in [ExecPolicy::serial(), forced] {
             let (mut re_rx, mut im_rx) = (re.clone(), im.clone());
