@@ -4,7 +4,8 @@
 //! The statevector engine stops at ~30 qubits; the light-cone engine's
 //! budget is edges, not qubits. This measures the two costs that govern
 //! it on a large 3-regular MaxCut instance (~10⁶ edges in full mode): the
-//! per-edge cone extraction, and the per-*unique*-cone simulation that
+//! per-edge planning pass (cone key, width check, grouping), and the
+//! per-*unique*-cone simulation that
 //! deduplication amortizes — on regular graphs nearly every radius-`p`
 //! neighborhood is the same local tree, so the cache collapses a million
 //! edges to a handful of simulations.
@@ -100,7 +101,7 @@ fn main() {
         ],
     );
     println!(
-        "\n(dedup on/off energies at p = 1: {} — the cache only ever merges cones whose\n labeled neighborhoods and weights are bitwise identical, so the energy cannot\n move. Extraction dominates once the cache absorbs the simulations.)",
+        "\n(dedup on/off energies at p = 1: {} — the cache only ever merges cones whose\n labeled neighborhoods and weights are bitwise identical, so the energy cannot\n move. Planning dominates once the cache absorbs the simulations.)",
         if bits_ok {
             "bit-identical"
         } else {

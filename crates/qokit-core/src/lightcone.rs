@@ -10,12 +10,19 @@
 //!
 //! The pipeline, per energy evaluation:
 //!
-//! 1. **Plan** ([`LightConeEvaluator::plan`]): extract the radius-`p` ego
-//!    subgraph around every edge ([`Adjacency::edge_ego`]), relabel it to a
-//!    compact qubit space, and — when deduplication is on — collapse
-//!    identical labeled cones via [`EgoNet::canonical_key`]. On regular
-//!    graphs nearly every cone is a copy of the same local tree, so the
-//!    unique-cone count is tiny compared to the edge count.
+//! 1. **Plan** ([`LightConeEvaluator::plan`]): one sequential pass in
+//!    edge order computes each edge's canonical cone key
+//!    ([`EgoNet::canonical_key`]) in reused scratch buffers
+//!    ([`Adjacency::cone_key`]), refusing a too-wide cone before the walk
+//!    grows past the cap, and — when deduplication is on — collapses
+//!    identical labeled cones into groups. Only the first edge of each
+//!    group has its radius-`p` ego subgraph extracted and relabeled to a
+//!    compact qubit space ([`Adjacency::edge_ego`]). On regular graphs
+//!    nearly every cone is a copy of the same local tree, so the
+//!    unique-cone count is tiny compared to the edge count. The pass is
+//!    serial on purpose: keying a cone takes under a microsecond, and the
+//!    extraction fan-out it replaced was never faster on two workers than
+//!    on one (measured on a 2-core x86-64 host, `docs/PARALLELISM.md`).
 //! 2. **Simulate** ([`LightConeEvaluator::try_zz_values`]): run the small
 //!    QAOA subcircuit on each *unique* cone with [`FurSimulator`] and read
 //!    off `⟨Z_u Z_v⟩`. Unique cones fan out across the pool through
@@ -45,6 +52,7 @@
 //!
 //! [`maxcut_polynomial`]: qokit_terms::maxcut::maxcut_polynomial
 //! [`Adjacency::edge_ego`]: qokit_terms::graphs::Adjacency::edge_ego
+//! [`Adjacency::cone_key`]: qokit_terms::graphs::Adjacency::cone_key
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -54,7 +62,7 @@ use crate::panic_message;
 use crate::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_costvec::PrecomputeMethod;
 use qokit_statevec::exec::ExecPolicy;
-use qokit_terms::graphs::{Adjacency, EgoNet, Graph};
+use qokit_terms::graphs::{Adjacency, EgoKey, EgoNet, EgoScratch, Graph};
 use qokit_terms::{SpinPolynomial, Term};
 
 /// Configuration for [`LightConeEvaluator`].
@@ -150,8 +158,7 @@ impl PlannedCone {
 
 /// The result of [`LightConeEvaluator::plan`]: every edge's cone, grouped
 /// by canonical form. Group indices are assigned by first occurrence in
-/// edge order, so the plan is identical however the extraction was
-/// parallelized.
+/// edge order.
 #[derive(Clone, Debug)]
 pub struct ConePlan {
     radius: usize,
@@ -261,41 +268,45 @@ impl LightConeEvaluator {
         &self.options
     }
 
-    /// Extracts and deduplicates the radius-`radius` cone of every edge.
+    /// Keys, width-checks and deduplicates the radius-`radius` cone of
+    /// every edge.
     ///
-    /// Extraction fans out across the pool; grouping assigns unique-cone
-    /// indices by first occurrence in edge order, so the same plan comes
-    /// out at every pool size.
+    /// One sequential pass in edge order: each edge's canonical key comes
+    /// from a capped walk in one reused [`EgoScratch`]
+    /// ([`Adjacency::cone_key`]), so an edge whose cone is wider than
+    /// [`LightConeOptions::max_cone_qubits`] is refused before any later
+    /// edge is touched, and a cone's [`EgoNet`] is built only for the first
+    /// edge of its group (for every edge when dedup is off). Group indices
+    /// are assigned by first occurrence, so the plan is a pure function of
+    /// the graph and the options.
     pub fn plan(&self, radius: usize) -> Result<ConePlan, LightConeError> {
         let edges = self.graph.edges();
-        let egos = self.fan_out(edges.len(), |e| {
-            let (u, v, _) = edges[e];
-            let ego = self.adjacency.edge_ego(u, v, radius);
-            let key = self.options.dedup.then(|| ego.canonical_key());
-            (ego, key)
-        });
-
+        let max = self.options.max_cone_qubits;
+        let mut scratch = EgoScratch::default();
         let mut cones: Vec<PlannedCone> = Vec::new();
         let mut group_of = Vec::with_capacity(edges.len());
-        let mut groups = HashMap::new();
+        let mut groups: HashMap<EgoKey, usize> = HashMap::new();
         let mut max_qubits_seen = 0;
-        for (edge, (ego, key)) in egos.into_iter().enumerate() {
-            let qubits = ego.n_qubits();
-            if qubits > self.options.max_cone_qubits {
+        for (edge, &(u, v, _)) in edges.iter().enumerate() {
+            let Some(key) = self.adjacency.cone_key(u, v, radius, max, &mut scratch) else {
                 return Err(LightConeError::ConeTooWide {
                     edge,
-                    qubits,
-                    max: self.options.max_cone_qubits,
+                    qubits: self.adjacency.ball(&[u, v], radius).len(),
+                    max,
                 });
-            }
-            max_qubits_seen = max_qubits_seen.max(qubits);
-            let group = match key {
-                Some(key) => *groups.entry(key).or_insert_with(|| {
-                    cones.push(PlannedCone { ego, edge });
-                    cones.len() - 1
-                }),
+            };
+            // The key's first word is the cone's qubit count.
+            max_qubits_seen = max_qubits_seen.max(key[0] as usize);
+            let group = match self.options.dedup.then(|| groups.get(key)).flatten() {
+                Some(&group) => group,
                 None => {
-                    cones.push(PlannedCone { ego, edge });
+                    if self.options.dedup {
+                        groups.insert(EgoKey::from(key), cones.len());
+                    }
+                    cones.push(PlannedCone {
+                        ego: self.adjacency.edge_ego(u, v, radius),
+                        edge,
+                    });
                     cones.len() - 1
                 }
             };
@@ -613,6 +624,99 @@ mod tests {
         // The evaluator (and the pool underneath) stays usable.
         let zz = ev.try_zz_values(&plan, &[0.3], &[0.5]).unwrap();
         assert_eq!(zz.len(), 12);
+    }
+
+    /// The plan as it was built before the keyed pass: extract every
+    /// edge's cone with `edge_ego`, check its width, then group by
+    /// `canonical_key` through a `HashMap` in edge order.
+    fn reference_plan(ev: &LightConeEvaluator, radius: usize) -> Result<ConePlan, LightConeError> {
+        let max = ev.options.max_cone_qubits;
+        let mut cones: Vec<PlannedCone> = Vec::new();
+        let mut group_of = Vec::new();
+        let mut groups = HashMap::new();
+        let mut max_qubits_seen = 0;
+        for (edge, &(u, v, _)) in ev.graph.edges().iter().enumerate() {
+            let ego = ev.adjacency.edge_ego(u, v, radius);
+            let qubits = ego.n_qubits();
+            if qubits > max {
+                return Err(LightConeError::ConeTooWide { edge, qubits, max });
+            }
+            max_qubits_seen = max_qubits_seen.max(qubits);
+            let group = if ev.options.dedup {
+                *groups.entry(ego.canonical_key()).or_insert_with(|| {
+                    cones.push(PlannedCone { ego, edge });
+                    cones.len() - 1
+                })
+            } else {
+                cones.push(PlannedCone { ego, edge });
+                cones.len() - 1
+            };
+            group_of.push(group);
+        }
+        Ok(ConePlan {
+            radius,
+            cones,
+            group_of,
+            max_qubits_seen,
+        })
+    }
+
+    #[test]
+    fn keyed_plan_is_the_extract_then_group_plan() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let graphs = [
+            ("ring", Graph::ring(24, 1.0)),
+            ("3-regular", Graph::random_regular(30, 3, &mut rng)),
+            ("4-regular", Graph::random_regular(26, 4, &mut rng)),
+            (
+                "weighted ER",
+                Graph::erdos_renyi(28, 0.12, &mut rng).with_random_weights(0.2, 1.8, &mut rng),
+            ),
+            (
+                "weighted ER, uniform weights",
+                Graph::erdos_renyi(22, 0.15, &mut rng),
+            ),
+        ];
+        let mut refused = 0;
+        for (name, g) in &graphs {
+            for dedup in [true, false] {
+                // 22 (the default) refuses the wider cones; 64 plans them
+                // all, since planning never allocates a cone state.
+                for max_cone_qubits in [22, 64] {
+                    let ev = LightConeEvaluator::with_options(
+                        g.clone(),
+                        LightConeOptions {
+                            dedup,
+                            max_cone_qubits,
+                            ..LightConeOptions::default()
+                        },
+                    );
+                    for p in 1..=3 {
+                        let at = format!("{name}, dedup {dedup}, max {max_cone_qubits}, p = {p}");
+                        let (got, want) = match (ev.plan(p), reference_plan(&ev, p)) {
+                            (Ok(got), Ok(want)) => (got, want),
+                            (Err(got), Err(want)) => {
+                                assert_eq!(got, want, "{at}");
+                                refused += 1;
+                                continue;
+                            }
+                            (got, want) => panic!("{at}: {got:?} vs {want:?}"),
+                        };
+                        assert_eq!(got.radius(), want.radius(), "{at}");
+                        assert_eq!(got.group_of(), want.group_of(), "{at}");
+                        assert_eq!(got.stats(), want.stats(), "{at}");
+                        assert_eq!(got.cones().len(), want.cones().len(), "{at}");
+                        for (a, b) in got.cones().iter().zip(want.cones()) {
+                            assert_eq!(a.edge(), b.edge(), "{at}");
+                            assert_eq!(a.ego(), b.ego(), "{at}, edge {}", a.edge());
+                            assert_eq!(a.ego().canonical_key(), b.ego().canonical_key(), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+        // Both the refusal and the planned paths were exercised.
+        assert!(refused > 0 && refused < graphs.len() * 2 * 2 * 3);
     }
 
     /// `⟨Z_0 Z_1⟩` as it was computed on an interleaved state: simulate,

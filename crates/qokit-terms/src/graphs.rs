@@ -6,10 +6,13 @@
 //! and the neighborhood substrate for light-cone evaluation: a CSR
 //! [`Adjacency`] view ([`Graph::adjacency`]) and per-edge radius-`p` ego
 //! extraction ([`Adjacency::edge_ego`]) with compact BFS relabeling and a
-//! canonical deduplication key ([`EgoNet::canonical_key`]).
+//! canonical deduplication key ([`EgoNet::canonical_key`]). The key can
+//! also be had without building the cone, from a capped walk in reusable
+//! buffers ([`Adjacency::cone_key`] with an [`EgoScratch`]).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::HashMap;
 
 /// An undirected weighted graph on vertices `0..n`.
 #[derive(Clone, Debug, PartialEq)]
@@ -243,7 +246,7 @@ impl Adjacency {
     /// # Panics
     /// If a seed is out of range or repeated.
     pub fn ball(&self, seeds: &[usize], radius: usize) -> Vec<usize> {
-        let (vertices, _) = self.bfs(seeds, radius);
+        let (vertices, _, _) = self.bfs(seeds, radius);
         vertices
     }
 
@@ -264,13 +267,8 @@ impl Adjacency {
     /// If `u == v` or an endpoint is out of range. `(u, v)` need not be an
     /// edge of the graph (any vertex pair has a well-defined cone).
     pub fn edge_ego(&self, u: usize, v: usize, radius: usize) -> EgoNet {
-        let (vertices, dist) = self.bfs(&[u, v], radius);
-        // Compact labels = BFS discovery positions.
-        let compact: std::collections::HashMap<usize, usize> = vertices
-            .iter()
-            .enumerate()
-            .map(|(c, &orig)| (orig, c))
-            .collect();
+        // Compact labels = BFS discovery positions, which `seen` records.
+        let (vertices, dist, seen) = self.bfs(&[u, v], radius);
         // Deterministic edge order: interior vertices in compact order,
         // neighbors in sorted-id order. Interior–interior edges are pushed
         // from their smaller compact endpoint only; interior–frontier edges
@@ -281,7 +279,7 @@ impl Adjacency {
                 continue;
             }
             for &(b, w) in self.neighbors(a) {
-                let cb = compact[&b];
+                let cb = seen[&b];
                 if dist[cb] < radius && cb < ca {
                     continue; // already pushed when `cb` was the source
                 }
@@ -296,12 +294,92 @@ impl Adjacency {
         }
     }
 
-    /// Multi-source BFS to depth `radius`; returns vertices in discovery
-    /// order with their distances. The frontier (distance == radius) is
-    /// recorded but not expanded.
-    fn bfs(&self, seeds: &[usize], radius: usize) -> (Vec<usize>, Vec<usize>) {
+    /// The words of `edge_ego(u, v, radius).canonical_key()`, computed in
+    /// `scratch` without building the cone — or `None` when the cone has
+    /// more than `cap` vertices (`ball(&[u, v], radius).len() > cap`).
+    ///
+    /// The walk is [`edge_ego`](Self::edge_ego)'s BFS in the same discovery
+    /// order, but it tests membership by a linear scan of the ball and
+    /// stops as soon as the ball passes `cap`, so its cost is bounded by
+    /// the cap, not by the degrees of the graph. Once `scratch` has grown
+    /// to the largest cone it allocates nothing. The first word of the key
+    /// is the cone's qubit count.
+    ///
+    /// # Panics
+    /// If `u == v` or an endpoint is out of range.
+    pub fn cone_key<'s>(
+        &self,
+        u: usize,
+        v: usize,
+        radius: usize,
+        cap: usize,
+        scratch: &'s mut EgoScratch,
+    ) -> Option<&'s [u64]> {
         let n = self.n_vertices();
-        let mut seen = std::collections::HashMap::new();
+        assert!(u < n && v < n, "seed ({u},{v}) out of range for n = {n}");
+        assert!(u != v, "repeated seed {u}");
+        let EgoScratch {
+            vertices,
+            dist,
+            edges,
+            key,
+        } = scratch;
+        vertices.clear();
+        dist.clear();
+        vertices.extend([u, v]);
+        dist.extend([0, 0]);
+        if vertices.len() > cap {
+            return None;
+        }
+        let mut head = 0;
+        while head < vertices.len() {
+            let (a, da) = (vertices[head], dist[head]);
+            head += 1;
+            if da >= radius {
+                continue;
+            }
+            for &(b, _) in self.neighbors(a) {
+                if !vertices.contains(&b) {
+                    if vertices.len() == cap {
+                        return None;
+                    }
+                    vertices.push(b);
+                    dist.push(da + 1);
+                }
+            }
+        }
+        // Every neighbor of an interior vertex is in the ball, so the
+        // position scan always finds it. A pushed edge has `ca < cb`:
+        // interior–interior edges come from their smaller endpoint, and
+        // discovery order puts every frontier vertex after every interior
+        // one.
+        edges.clear();
+        for ca in 0..vertices.len() {
+            if dist[ca] >= radius {
+                continue;
+            }
+            for &(b, w) in self.neighbors(vertices[ca]) {
+                let cb = vertices.iter().position(|&x| x == b).expect("in the ball");
+                if dist[cb] < radius && cb < ca {
+                    continue;
+                }
+                edges.push(pack_edge(ca, cb, w));
+            }
+        }
+        encode_key(vertices.len(), radius, edges, key);
+        Some(key)
+    }
+
+    /// Multi-source BFS to depth `radius`; returns vertices in discovery
+    /// order with their distances, and the vertex → discovery position
+    /// map. The frontier (distance == radius) is recorded but not expanded.
+    fn bfs(
+        &self,
+        seeds: &[usize],
+        radius: usize,
+    ) -> (Vec<usize>, Vec<usize>, HashMap<usize, usize>) {
+        let n = self.n_vertices();
+        let mut seen = HashMap::new();
         let mut vertices = Vec::with_capacity(seeds.len());
         let mut dist = Vec::with_capacity(seeds.len());
         for &s in seeds {
@@ -328,8 +406,19 @@ impl Adjacency {
                 }
             }
         }
-        (vertices, dist)
+        (vertices, dist, seen)
     }
+}
+
+/// Reusable buffers for [`Adjacency::cone_key`]: one scratch serves every
+/// edge of a plan, so keying a cone allocates nothing once the buffers
+/// have grown to the widest cone.
+#[derive(Clone, Debug, Default)]
+pub struct EgoScratch {
+    vertices: Vec<usize>,
+    dist: Vec<usize>,
+    edges: Vec<(u64, u64)>,
+    key: Vec<u64>,
 }
 
 /// The compact-relabeled light cone of one edge, produced by
@@ -428,24 +517,48 @@ impl EgoNet {
             .graph
             .edges()
             .iter()
-            .map(|&(a, b, w)| (((a as u64) << 32) | b as u64, w.to_bits()))
+            .map(|&(a, b, w)| pack_edge(a, b, w))
             .collect();
-        packed.sort_unstable();
         let mut key = Vec::with_capacity(3 + 2 * packed.len());
-        key.push(self.graph.n_vertices() as u64);
-        key.push(self.radius as u64);
-        key.push(packed.len() as u64);
-        for (ab, w) in packed {
-            key.push(ab);
-            key.push(w);
-        }
+        encode_key(self.graph.n_vertices(), self.radius, &mut packed, &mut key);
         EgoKey(key)
+    }
+}
+
+/// One normalized compact edge `(a, b, w)`, `a < b`, as two key words.
+fn pack_edge(a: usize, b: usize, w: f64) -> (u64, u64) {
+    (((a as u64) << 32) | b as u64, w.to_bits())
+}
+
+/// Writes the canonical key words into `key`: the qubit count, the
+/// radius, the edge count, then the sorted packed edges.
+fn encode_key(qubits: usize, radius: usize, packed: &mut [(u64, u64)], key: &mut Vec<u64>) {
+    packed.sort_unstable();
+    key.clear();
+    key.extend([qubits as u64, radius as u64, packed.len() as u64]);
+    for &(ab, w) in packed.iter() {
+        key.extend([ab, w]);
     }
 }
 
 /// Canonical-form key of an [`EgoNet`] (see [`EgoNet::canonical_key`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EgoKey(Vec<u64>);
+
+impl From<&[u64]> for EgoKey {
+    fn from(words: &[u64]) -> Self {
+        EgoKey(words.to_vec())
+    }
+}
+
+/// Keys are looked up by the words [`Adjacency::cone_key`] writes, so a
+/// key is allocated only for a new group. The derived `Hash` and `Eq`
+/// delegate to the `Vec`, which hashes and compares as its slice.
+impl std::borrow::Borrow<[u64]> for EgoKey {
+    fn borrow(&self) -> &[u64] {
+        &self.0
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -3,30 +3,34 @@
 //! canonical deduplication key.
 
 use proptest::prelude::*;
-use qokit_terms::graphs::Graph;
+use qokit_terms::graphs::{EgoScratch, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 
-/// A random Erdős–Rényi graph with at least one edge, plus one of its
-/// edges picked by index.
+/// A random weighted Erdős–Rényi graph with at least one edge.
+fn weighted_graph() -> impl Strategy<Value = Graph> {
+    (4usize..14, 0.15f64..0.6, 0u64..u64::MAX).prop_map(|(n, p, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = Graph::erdos_renyi(n, p, &mut rng);
+        // Fall back to a ring when the draw came out edgeless, so the
+        // edge-index strategy below always has something to pick.
+        let g = if g.n_edges() == 0 {
+            Graph::ring(n, 1.0)
+        } else {
+            g
+        };
+        g.with_random_weights(0.2, 1.8, &mut rng)
+    })
+}
+
+/// A random weighted Erdős–Rényi graph plus one of its edges picked by
+/// index.
 fn graph_with_edge() -> impl Strategy<Value = (Graph, usize)> {
-    (4usize..14, 0.15f64..0.6, 0u64..u64::MAX)
-        .prop_map(|(n, p, seed)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = Graph::erdos_renyi(n, p, &mut rng);
-            // Fall back to a ring when the draw came out edgeless, so the
-            // edge-index strategy below always has something to pick.
-            let g = if g.n_edges() == 0 {
-                Graph::ring(n, 1.0)
-            } else {
-                g
-            };
-            g.with_random_weights(0.2, 1.8, &mut rng)
-        })
-        .prop_flat_map(|g| {
-            let m = g.n_edges();
-            (Just(g), 0..m)
-        })
+    weighted_graph().prop_flat_map(|g| {
+        let m = g.n_edges();
+        (Just(g), 0..m)
+    })
 }
 
 proptest! {
@@ -127,6 +131,33 @@ proptest! {
                 adj2.edge_ego(a0, b0, radius).canonical_key(),
                 adj.edge_ego(a0, b0, radius).canonical_key()
             );
+        }
+    }
+
+    /// The scratch walk writes exactly `edge_ego(..).canonical_key()`, and
+    /// reports "too wide" exactly when the ball is larger than the cap.
+    /// One scratch serves every edge, both orientations and every radius,
+    /// so a buffer left stale by a longer or refused walk would show.
+    #[test]
+    fn scratch_key_matches_canonical_key(g in weighted_graph(), cap in 0usize..16) {
+        let adj = g.adjacency();
+        let mut scratch = EgoScratch::default();
+        for &(a, b, _) in g.edges() {
+            for (u, v) in [(a, b), (b, a)] {
+                for radius in 0..3 {
+                    let want = adj.edge_ego(u, v, radius).canonical_key();
+                    let want: &[u64] = want.borrow();
+                    let got = adj.cone_key(u, v, radius, usize::MAX, &mut scratch);
+                    prop_assert_eq!(got, Some(want));
+
+                    let too_wide = adj.ball(&[u, v], radius).len() > cap;
+                    let capped = adj.cone_key(u, v, radius, cap, &mut scratch);
+                    prop_assert_eq!(capped.is_none(), too_wide);
+                    if let Some(key) = capped {
+                        prop_assert_eq!(key, want);
+                    }
+                }
+            }
         }
     }
 }

@@ -415,6 +415,58 @@ fn too_wide_light_cone_is_an_error_not_an_allocation() {
 }
 
 #[test]
+fn hub_graph_light_cone_is_refused_at_edge_zero() {
+    // A star's first cone spans every vertex. With default options it must
+    // be refused at edge 0 with the exact width, whatever the depth and
+    // dedup setting, before any other edge's cone is walked: holding every
+    // edge's full-graph cone would take memory quadratic in the leaf
+    // count. A server given the same job answers with that error and
+    // keeps serving.
+    use qokit::core::lightcone::LightConeError;
+    use qokit::serve::{ClientError, LightConeJob, ServeClient, Server, ServerConfig};
+    const LEAVES: usize = 20_000;
+    let edges: Vec<(usize, usize, f64)> = (1..=LEAVES).map(|leaf| (0, leaf, 1.0)).collect();
+    let star = Graph::new(LEAVES + 1, edges.clone());
+    let want = LightConeError::ConeTooWide {
+        edge: 0,
+        qubits: LEAVES + 1,
+        max: 22,
+    };
+    for dedup in [true, false] {
+        let ev = LightConeEvaluator::with_options(
+            star.clone(),
+            LightConeOptions {
+                dedup,
+                ..LightConeOptions::default()
+            },
+        );
+        assert_eq!(ev.plan(1).unwrap_err(), want, "dedup {dedup}");
+        assert_eq!(ev.plan(2).unwrap_err(), want, "dedup {dedup}");
+    }
+
+    let handle = Server::bind(ServerConfig::default())
+        .expect("bind")
+        .spawn_thread()
+        .expect("spawn");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let job = LightConeJob {
+        n_vertices: LEAVES + 1,
+        edges,
+        gammas: vec![0.3],
+        betas: vec![0.5],
+        max_cone_qubits: LightConeOptions::default().max_cone_qubits,
+        deadline_ms: 0,
+    };
+    match client.submit_lightcone(&job) {
+        Err(ClientError::Server(message)) => assert_eq!(message, want.to_string()),
+        other => panic!("expected the ConeTooWide error, got {other:?}"),
+    }
+    client.ping().expect("server answers after the refused job");
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
+#[test]
 fn non_integral_quantized_simulator_degrades_gracefully() {
     // SK with Gaussian couplings cannot quantize exactly: the option must
     // silently fall back to f64, not corrupt the diagonal.

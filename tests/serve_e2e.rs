@@ -213,6 +213,41 @@ fn served_lightcone_is_bit_identical_to_oneshot() {
     handle.join();
 }
 
+/// A hub graph cannot take the server down: the first cone of a
+/// 20 000-leaf star spans every vertex, so the job comes back as the
+/// `ConeTooWide` error for edge 0, and the same connection is answered
+/// right after.
+#[test]
+fn served_star_graph_is_refused_and_server_stays_usable() {
+    use qokit::core::lightcone::{LightConeError, LightConeOptions};
+    use qokit::serve::ClientError;
+    const LEAVES: usize = 20_000;
+    let handle = start_server(2);
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    let job = LightConeJob {
+        n_vertices: LEAVES + 1,
+        edges: (1..=LEAVES).map(|leaf| (0, leaf, 1.0)).collect(),
+        gammas: vec![0.4, -0.2],
+        betas: vec![0.6, 0.3],
+        max_cone_qubits: LightConeOptions::default().max_cone_qubits,
+        deadline_ms: 0,
+    };
+    let want = LightConeError::ConeTooWide {
+        edge: 0,
+        qubits: LEAVES + 1,
+        max: 22,
+    };
+    match client.submit_lightcone(&job) {
+        Err(ClientError::Server(message)) => assert_eq!(message, want.to_string()),
+        other => panic!("expected the ConeTooWide error, got {other:?}"),
+    }
+    client.ping().expect("server answers after the refused job");
+
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
 #[test]
 fn second_identical_submission_hits_the_cache() {
     let handle = start_server(4);
