@@ -1,29 +1,30 @@
 //! Batch-sharded landscape-scan ablation — throughput (points/sec) of
-//! `DistSweepRunner` against a sequential streaming loop.
+//! `DistSweepRunner` against a serial `SweepRunner::scan_into`.
 //!
 //! The paper's amortization argument peaks here: one `2^n` precompute,
 //! then a `≥2^20`-point `(γ, β)` grid evaluated through it. This measures
-//! the batch-sharded BSP layer built for that scale — K ranks each owning
-//! a contiguous slice of the grid, chunked supersteps, per-rank streaming
-//! `LandscapeAggregator`s merged in rank order — against the honest
-//! baseline (a serial loop over the same lazily generated grid feeding one
-//! aggregator, reusing one state buffer). Neither side ever materializes a
-//! full energy vector.
+//! the batch-sharded BSP layer built for that scale — K in-process ranks
+//! sharing the one precomputed diagonal, each owning a contiguous slice of
+//! the grid, chunked supersteps, per-rank streaming `LandscapeAggregator`s
+//! merged in rank order — against the library's own single-runner path: a
+//! serial `SweepRunner::scan_into` over the same lazily generated grid with
+//! the same chunk size, evaluating on the same split planes. Neither side
+//! ever materializes a full energy vector.
 //!
 //! Besides the human-readable table, the run is recorded to
 //! `BENCH_landscape.json` (override the path with `QOKIT_BENCH_JSON`);
 //! the schema is validated by the `schema_check` binary in CI.
 //!
 //! With `QOKIT_ABL_ASSERT=1` the binary exits non-zero unless the best
-//! rank count reaches at least 0.9× the sequential throughput — the CI
+//! rank count reaches at least 0.9× the serial scan's throughput — the CI
 //! guard that sharding never *costs* performance (real speedup requires
 //! more than one core; `hw_threads` in the JSON records the context) —
-//! or a scan's argmin disagrees with the sequential reference.
+//! or a scan's argmin disagrees with the serial reference.
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
-use qokit_core::batch::SweepOptions;
-use qokit_core::landscape::{EnergySink, LandscapeAggregator};
-use qokit_core::{FurSimulator, QaoaSimulator, SimOptions};
+use qokit_core::batch::{SweepOptions, SweepRunner};
+use qokit_core::landscape::LandscapeAggregator;
+use qokit_core::{FurSimulator, SimOptions};
 use qokit_dist::{Axis, DistSweepOptions, DistSweepRunner, Grid2d, PointSource};
 use qokit_statevec::ExecPolicy;
 use qokit_terms::labs::labs_terms;
@@ -46,36 +47,33 @@ fn main() {
         .unwrap_or(1);
     let width = rayon::current_num_threads().max(1);
 
-    // Sequential baseline: serial kernels, one reused buffer, one running
-    // aggregator — what a pre-sharding optimizer script would stream.
-    let serial_sim = FurSimulator::with_options(
-        &poly,
-        SimOptions {
+    // Serial baseline: the same scan through one serial SweepRunner —
+    // serial kernels on split planes, one chunk buffer, one running
+    // aggregator.
+    let serial = SweepRunner::with_options(
+        FurSimulator::with_options(
+            &poly,
+            SimOptions {
+                exec: ExecPolicy::serial(),
+                ..SimOptions::default()
+            },
+        ),
+        SweepOptions {
             exec: ExecPolicy::serial(),
-            ..SimOptions::default()
+            ..SweepOptions::default()
         },
     );
-    let init = serial_sim.initial_state();
-    let mut buf = init.clone();
     let mut seq_agg = LandscapeAggregator::new(top_k);
     let t_seq = time_median(reps, || {
         seq_agg = LandscapeAggregator::new(top_k);
-        for i in 0..points {
-            let p = grid.point(i);
-            buf.amplitudes_mut().copy_from_slice(init.amplitudes());
-            serial_sim.evolve_in_place(&mut buf, &p.gammas, &p.betas);
-            seq_agg.observe(
-                i,
-                serial_sim
-                    .cost_diagonal()
-                    .expectation(buf.amplitudes(), ExecPolicy::serial()),
-            );
-        }
+        serial
+            .scan_into((0..points).map(|i| grid.point(i)), chunk, &mut seq_agg)
+            .expect("serial scan");
     });
     let seq_pps = points as f64 / t_seq;
 
     let mut rows = vec![vec![
-        "seq".to_string(),
+        "serial".to_string(),
         fmt_time(t_seq),
         format!("{seq_pps:.2}"),
         "1.00x".to_string(),
@@ -132,7 +130,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\n(each rank owns a contiguous slice of the batch — not the state — and streams\n it through a rank-local SweepRunner into an O(top-k) aggregator; no mode ever\n holds {points} energies. Expect near-linear scaling with cores; ~1.0x on a\n single-core box.)"
+        "\n(each rank owns a contiguous slice of the batch — not the state — and streams\n it through a SweepRunner over the shared diagonal into an O(top-k) aggregator;\n no mode ever holds {points} energies. Expect near-linear scaling with cores;\n ~1.0x on a single-core box.)"
     );
 
     let json_path =
@@ -152,7 +150,7 @@ fn main() {
             std::process::exit(1);
         }
         // CI gate: the best rank count must never fall below 0.9x the
-        // sequential streaming loop (speedup beyond 1.0x needs >1 core).
+        // serial scan_into baseline (speedup beyond 1.0x needs >1 core).
         if best_speedup < 0.9 {
             eprintln!("ASSERT FAILED: best sharded speedup {best_speedup:.2}x < 0.9x sequential");
             std::process::exit(1);

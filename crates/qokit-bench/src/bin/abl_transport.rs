@@ -14,8 +14,10 @@
 //! the schema is validated by the `schema_check` binary in CI.
 //!
 //! With `QOKIT_ABL_ASSERT=1` the binary exits non-zero unless every
-//! transport/rank combination reproduces the lane engine's aggregate bits
-//! and the TCP runs moved a nonzero number of wire bytes.
+//! transport/rank combination reproduces the aggregate bits of
+//! `DistSweepRunner::scan` (whose in-process ranks share the runner's
+//! precomputed diagonal instead of rebuilding it from a `SweepInit`) and
+//! the TCP runs moved a nonzero number of wire bytes.
 
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_core::batch::{SweepNesting, SweepOptions};
@@ -67,7 +69,7 @@ fn main() {
             },
         )
     };
-    // Lane-engine reference: the aggregate bits every transport must hit.
+    // The aggregate bits every transport must hit: the shared-diagonal scan.
     let reference = runner(1).scan(&grid, LandscapeAggregator::new(top_k));
 
     let spawn = WorkerSpawn::current_exe().expect("current_exe");
@@ -104,7 +106,7 @@ fn main() {
                 || scan.agg.argmin() != reference.agg.argmin()
                 || scan.agg.top_k() != reference.agg.top_k()
             {
-                eprintln!("WARNING: {kind} K = {ranks} diverged from the lane engine");
+                eprintln!("WARNING: {kind} K = {ranks} diverged from the shared-diagonal scan");
                 bits_ok = false;
             }
             if kind == "tcp" && wire_bytes == 0 {
@@ -156,6 +158,8 @@ fn main() {
             eprintln!("ASSERT FAILED: TCP transport moved zero wire bytes");
             std::process::exit(1);
         }
-        println!("assert ok: all transports bit-identical to the lane engine, TCP traffic real");
+        println!(
+            "assert ok: all transports bit-identical to the shared-diagonal scan, TCP traffic real"
+        );
     }
 }

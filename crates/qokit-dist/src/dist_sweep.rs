@@ -6,39 +6,39 @@
 //! invert the economics: the state is small enough to fit one rank, but
 //! the **batch** of `(γ, β)` points is enormous. A [`DistSweepRunner`]
 //! therefore shards the batch instead: each of K ranks owns a *contiguous
-//! slice* of the point sequence, evaluates it through a rank-local
-//! [`SweepRunner`] in chunked BSP supersteps (ranks are pool tasks between
-//! driver barriers, the same schedule as [`BspComm::superstep`], driven
-//! through [`rayon::strided_lanes`]), and folds every
-//! energy into a rank-local [`LandscapeAggregator`] —
-//! so a million-point scan holds K chunks and K aggregates in memory,
-//! never a million energies. After the last superstep the per-rank
-//! aggregates merge through [`BspComm::allreduce_with`] in rank order,
-//! byte-deterministically.
+//! slice* of the point sequence and evaluates it in chunked BSP
+//! supersteps, one [`Request::SweepChunk`] per rank per superstep over a
+//! [`Transport`]. The driver folds every energy into a per-rank
+//! [`LandscapeAggregator`] in index order, so a million-point scan holds
+//! K chunks and K aggregates in memory, never a million energies. After
+//! the last superstep the per-rank aggregates merge through
+//! [`BspComm::allreduce_with`] in rank order, byte-deterministically.
 //!
-//! Inside a superstep each rank inherits the configured
-//! [`SweepNesting`](qokit_core::batch::SweepNesting) on *its own slice of
-//! the pool*: the ranks run as lanes pinned to disjoint
-//! [`rayon::SubsetPool`]s (via [`rayon::strided_lanes`]), so a
-//! 16-worker pool runs 4 ranks × 4 kernel workers without the ranks
-//! stealing each other's kernel tasks. Sharding moves no amplitude data —
-//! precompute happens once, in the shared simulator — so the only
-//! collective is the final aggregate merge.
+//! One superstep loop serves both entry points.
+//! [`try_scan`](DistSweepRunner::try_scan) runs it over an
+//! [`InProcessTransport`] whose ranks wrap the runner's own simulator, so
+//! the `2^n` diagonal is precomputed once and shared by reference; the
+//! ranks are pool tasks inside the [`DistSweepOptions::sweep`] policy's
+//! pool. [`try_scan_on`](DistSweepRunner::try_scan_on) first sends every
+//! rank a `SweepInit`, from which each worker rebuilds its own simulator.
+//! Sharding moves no amplitude data, so the only collective is the final
+//! aggregate merge.
 
 use crate::comm::BspComm;
-use crate::transport::{self, Transport, TransportError};
+use crate::transport::{self, InProcessTransport, Transport, TransportError};
 use crate::wire::{Request, SweepSimSpec};
-use qokit_core::batch::{SweepError, SweepOptions, SweepPoint, SweepRunner};
+use qokit_core::batch::{SweepOptions, SweepPoint, SweepRunner};
 use qokit_core::landscape::{EnergySink, LandscapeAggregator};
-use qokit_core::FurSimulator;
+use qokit_core::simulator::InitialState;
+use qokit_core::{FurSimulator, Mixer};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_terms::SpinPolynomial;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A random-access sequence of sweep points, generated on demand — the
 /// input shape that lets a `2^20`-point scan exist without `2^20`
-/// materialized [`SweepPoint`]s. Rank `r` of a [`DistSweepRunner`] reads
-/// only its contiguous index range.
+/// materialized [`SweepPoint`]s. Rank `r` of a [`DistSweepRunner`] is
+/// sent only the points of its contiguous index range.
 pub trait PointSource: Sync {
     /// Number of points in the scan.
     fn len(&self) -> u64;
@@ -147,9 +147,10 @@ pub struct DistSweepOptions {
     /// is valid — batch sharding has none of the power-of-two / `2k ≤ n`
     /// constraints of state sharding.
     pub ranks: usize,
-    /// Rank-local sweep configuration: the [`ExecPolicy`] the whole scan
-    /// installs, and the [`SweepNesting`](qokit_core::batch::SweepNesting)
-    /// every rank applies within its pool slice.
+    /// Rank-local sweep configuration: the [`ExecPolicy`] whose pool
+    /// [`try_scan`](DistSweepRunner::try_scan) installs, and the rank
+    /// runners' options. Every rank shares that pool and applies its
+    /// [`SweepNesting`](qokit_core::batch::SweepNesting) to each chunk.
     pub sweep: SweepOptions,
     /// Points each rank evaluates per superstep (the streaming granularity
     /// — peak memory is `O(ranks · chunk)` point buffers, never the scan).
@@ -166,11 +167,16 @@ impl Default for DistSweepOptions {
     }
 }
 
-/// Error from a distributed scan: the lowest-rank poisoned point, with its
-/// **global** index. Only that point's evaluation was lost; sibling ranks
-/// completed their superstep and the pool stays reusable.
+/// Error from a distributed scan. A poisoned point is the lowest-rank one,
+/// with its **global** index. Only that point's evaluation was lost;
+/// sibling ranks completed their superstep and the pool stays reusable.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DistSweepError {
+    /// [`try_scan_on`](DistSweepRunner::try_scan_on) cannot reproduce the
+    /// runner's circuit on transport workers (they rebuild only the X
+    /// mixer from `|+⟩`); nothing was sent. The message names what is
+    /// unsupported.
+    Unsupported(String),
     /// A point's evaluation panicked inside one rank's superstep.
     PointPanicked {
         /// Rank whose slice contained the poisoned point.
@@ -189,6 +195,9 @@ pub enum DistSweepError {
 impl std::fmt::Display for DistSweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DistSweepError::Unsupported(what) => {
+                write!(f, "distributed scan unsupported: {what}")
+            }
             DistSweepError::PointPanicked {
                 rank,
                 index,
@@ -205,7 +214,7 @@ impl std::error::Error for DistSweepError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DistSweepError::Transport(e) => Some(e),
-            DistSweepError::PointPanicked { .. } => None,
+            DistSweepError::Unsupported(_) | DistSweepError::PointPanicked { .. } => None,
         }
     }
 }
@@ -227,16 +236,6 @@ pub struct DistScan {
     pub ranks: usize,
     /// BSP supersteps the scan took (`⌈max slice length / chunk⌉`).
     pub supersteps: u64,
-}
-
-/// Per-rank state between supersteps.
-struct RankScan {
-    runner: SweepRunner,
-    agg: LandscapeAggregator,
-    cursor: u64,
-    end: u64,
-    buf: Vec<SweepPoint>,
-    failed: Option<(u64, String)>,
 }
 
 /// Batch-sharded landscape scans over one shared simulator: K BSP ranks,
@@ -328,10 +327,9 @@ impl DistSweepRunner {
     }
 
     /// Options of the rank-local runners. A parallel scan policy becomes
-    /// `threads: 0`, so rank kernels execute in whatever context the rank
-    /// runs under — its SubsetPool slice when one is pinned, the shared
-    /// pool otherwise — never escaping into a differently-sized pool. A
-    /// serial policy keeps `threads: 1`.
+    /// `threads: 0`, so rank kernels execute on the pool
+    /// [`try_scan`](Self::try_scan) installed, never escaping into a
+    /// differently-sized pool. A serial policy keeps `threads: 1`.
     fn rank_options(&self) -> SweepOptions {
         let exec = self.opts.sweep.exec;
         SweepOptions {
@@ -343,10 +341,12 @@ impl DistSweepRunner {
         }
     }
 
-    /// Runs the scan; a panicking point aborts it after its superstep
-    /// drains, reporting the lowest-rank poisoned point with its global
-    /// index. Sibling ranks complete the superstep and the pool stays
-    /// reusable.
+    /// Runs the scan on in-process ranks, pool tasks under
+    /// [`DistSweepOptions::sweep`]'s policy, each a [`SweepRunner`] over
+    /// this runner's own simulator (no `SweepInit`, no second precompute).
+    /// A panicking point aborts the scan after its superstep drains,
+    /// reporting the lowest-rank poisoned point with its global index.
+    /// Sibling ranks complete the superstep and the pool stays reusable.
     pub fn try_scan<P>(
         &self,
         points: &P,
@@ -355,119 +355,24 @@ impl DistSweepRunner {
     where
         P: PointSource + ?Sized,
     {
-        let k = self.opts.ranks;
-        let total = points.len();
-        let chunk = self.opts.chunk as u64;
-        let comm = BspComm::new(k);
         let rank_opts = self.rank_options();
-        // Contiguous batch shards: rank r owns [r·N/K, (r+1)·N/K). Each
-        // rank's state sits behind its own (uncontended) Mutex so the lane
-        // fan-out below can reach it mutably; lane r is the only locker.
-        let cells: Vec<Mutex<RankScan>> = (0..k as u64)
-            .map(|r| {
-                Mutex::new(RankScan {
-                    runner: SweepRunner::from_arc(Arc::clone(&self.sim), rank_opts),
-                    agg: proto.clone(),
-                    cursor: total * r / k as u64,
-                    end: total * (r + 1) / k as u64,
-                    buf: Vec::with_capacity(self.opts.chunk),
-                    failed: None,
-                })
-            })
-            .collect();
-
+        let mut ranks = InProcessTransport::with_sweep_runners(self.opts.ranks, || {
+            SweepRunner::from_arc(Arc::clone(&self.sim), rank_opts)
+        });
         let policy = self.opts.sweep.exec;
-        let mut supersteps = 0u64;
-        let failure = policy.install(|| {
-            loop {
-                if cells
-                    .iter()
-                    .all(|c| c.lock().map(|st| st.cursor >= st.end).unwrap())
-                {
-                    return None;
-                }
-                // One BSP superstep: the K ranks run as strided lanes
-                // pinned to disjoint pool slices ([`rayon::strided_lanes`]
-                // opens `min(K, width)` lanes, so narrow pools simply run
-                // several ranks per lane), with the lane drain as the
-                // implicit barrier before the driver inspects failures.
-                rayon::strided_lanes(k, |rank| {
-                    let mut guard = cells[rank].lock().unwrap();
-                    let st = &mut *guard;
-                    if st.cursor >= st.end || st.failed.is_some() {
-                        return;
-                    }
-                    let n = chunk.min(st.end - st.cursor);
-                    st.buf.clear();
-                    st.buf
-                        .extend((st.cursor..st.cursor + n).map(|i| points.point(i)));
-                    let RankScan {
-                        runner,
-                        agg,
-                        cursor,
-                        buf,
-                        failed,
-                        ..
-                    } = st;
-                    let result = runner.fold_energies_into(*cursor, buf, agg);
-                    if let Err(SweepError::PointPanicked { index, message }) = result {
-                        *failed = Some((index as u64, message));
-                    }
-                    st.cursor += n;
-                });
-                supersteps += 1;
-                if let Some((rank, (index, message))) = cells
-                    .iter()
-                    .enumerate()
-                    .find_map(|(r, c)| c.lock().unwrap().failed.clone().map(|f| (r, f)))
-                {
-                    return Some(DistSweepError::PointPanicked {
-                        rank,
-                        index,
-                        message,
-                    });
-                }
-            }
-        });
-        if let Some(err) = failure {
-            return Err(err);
-        }
-
-        // The rank-order aggregate merge — the scan's one collective.
-        let aggs: Vec<LandscapeAggregator> = cells
-            .into_iter()
-            .map(|c| c.into_inner().unwrap().agg)
-            .collect();
-        let agg = comm.allreduce_with(aggs, |mut a, b| {
-            a.merge(b);
-            a
-        });
-        Ok(DistScan {
-            agg,
-            points: total,
-            ranks: k,
-            supersteps,
-        })
+        policy.install(|| self.drive(&mut ranks, points, proto))
     }
 
-    /// As [`try_scan`](Self::try_scan), but sharding the batch over the
-    /// ranks of a [`Transport`] instead of the in-process lane engine —
-    /// with a [`TcpTransport`](crate::TcpTransport) the point chunks and
-    /// energies genuinely leave the process. `poly` is the problem
-    /// definition each worker rebuilds its rank-local simulator from; it
-    /// must describe the same cost function as [`simulator`](Self::simulator)
-    /// (workers cannot share the precomputed cost vector by reference).
-    ///
-    /// Semantics match `try_scan` exactly: rank `r` owns the contiguous
-    /// slice `[r·N/K, (r+1)·N/K)`, chunks stream in supersteps of
-    /// [`DistSweepOptions::chunk`] points, every energy folds into a
-    /// per-rank aggregate in index order, failures report the lowest-rank
-    /// poisoned point after its superstep drains, and the per-rank
-    /// aggregates merge in rank order. Workers evaluate each point with
-    /// serial kernels on split planes — the same per-point
-    /// inner policy the lane engine's points-parallel nesting uses — so
-    /// the merged aggregate is **bit-identical** to `try_scan` (and
-    /// between transports) for any rank count.
+    /// As [`try_scan`](Self::try_scan), the same superstep loop, but over
+    /// the ranks of any [`Transport`]: with a [`TcpTransport`](crate::TcpTransport)
+    /// the point chunks and energies genuinely leave the process. Each
+    /// worker first rebuilds its simulator from `poly`, which must be the
+    /// cost function of [`simulator`](Self::simulator), and evaluates each
+    /// point with serial kernels on split planes, so the aggregate is
+    /// **bit-identical** to a points-parallel `try_scan` for any rank
+    /// count. Workers build only the X mixer from `|+⟩`; any other
+    /// simulator is refused with [`DistSweepError::Unsupported`] before
+    /// anything is sent.
     pub fn try_scan_on<P>(
         &self,
         transport: &mut dyn Transport,
@@ -478,15 +383,28 @@ impl DistSweepRunner {
     where
         P: PointSource + ?Sized,
     {
-        let k = transport.size();
-        let total = points.len();
-        let chunk = self.opts.chunk as u64;
+        let sim = self.sim.options();
+        let plus = matches!(
+            sim.initial,
+            InitialState::Auto | InitialState::UniformSuperposition
+        );
+        if sim.mixer != Mixer::X || !plus {
+            let initial = match &sim.initial {
+                InitialState::Custom(_) => "Custom".to_string(),
+                other => format!("{other:?}"),
+            };
+            return Err(DistSweepError::Unsupported(format!(
+                "transport workers run only the X mixer from |+⟩, not the {:?} mixer \
+                 from the {initial} initial state",
+                sim.mixer
+            )));
+        }
         let spec = SweepSimSpec {
-            precompute: self.sim.options().precompute,
-            quantize_u16: self.sim.options().quantize_u16,
+            precompute: sim.precompute,
+            quantize_u16: sim.quantize_u16,
             layout: self.opts.sweep.exec.layout,
         };
-        let init: Vec<Request> = (0..k)
+        let init: Vec<Request> = (0..transport.size())
             .map(|_| Request::SweepInit {
                 poly: poly.clone(),
                 spec,
@@ -495,8 +413,28 @@ impl DistSweepRunner {
         for (rank, resp) in transport.exchange(init)?.into_iter().enumerate() {
             transport::expect_ok(rank, resp)?;
         }
+        self.drive(transport, points, proto)
+    }
 
-        // Contiguous batch shards, exactly as in `try_scan`.
+    /// The one superstep loop. Rank `r` owns the contiguous slice
+    /// `[r·N/K, (r+1)·N/K)` and receives up to
+    /// [`chunk`](DistSweepOptions::chunk) of its points per superstep.
+    /// Every energy folds into that rank's aggregate in index order (the
+    /// [`SweepRunner::fold_energies_into`] contract), the lowest-rank
+    /// poisoned point ends the scan after its superstep, and the per-rank
+    /// aggregates merge in rank order.
+    fn drive<P>(
+        &self,
+        transport: &mut dyn Transport,
+        points: &P,
+        proto: LandscapeAggregator,
+    ) -> Result<DistScan, DistSweepError>
+    where
+        P: PointSource + ?Sized,
+    {
+        let k = transport.size();
+        let total = points.len();
+        let chunk = self.opts.chunk as u64;
         let mut cursors: Vec<u64> = (0..k as u64).map(|r| total * r / k as u64).collect();
         let ends: Vec<u64> = (1..=k as u64).map(|r| total * r / k as u64).collect();
         let mut aggs: Vec<LandscapeAggregator> = (0..k).map(|_| proto.clone()).collect();
@@ -566,8 +504,7 @@ impl DistSweepRunner {
             }
         }
 
-        // The rank-order aggregate merge — identical to `try_scan`'s one
-        // collective.
+        // The rank-order aggregate merge — the scan's one collective.
         let comm = BspComm::new(k);
         let agg = comm.allreduce_with(aggs, |mut a, b| {
             a.merge(b);
@@ -879,5 +816,95 @@ mod tests {
             .try_scan_on(&mut t, &poly, &pts[..7], LandscapeAggregator::new(1))
             .unwrap();
         assert_eq!(ok.agg.count(), 7);
+    }
+
+    fn xy_ring_sim(n: usize) -> FurSimulator {
+        FurSimulator::with_options(
+            &labs_terms(n),
+            SimOptions {
+                mixer: Mixer::XyRing,
+                exec: ExecPolicy::serial(),
+                ..SimOptions::default()
+            },
+        )
+    }
+
+    #[test]
+    fn xy_mixer_scan_shares_the_runners_circuit() {
+        // In-process ranks wrap the runner's own simulator, so a non-X
+        // mixer (here from its Dicke initial state) scans exactly the
+        // sequential loop's circuit.
+        let grid = Grid2d::new(Axis::new(-0.6, 0.6, 6), Axis::new(-0.6, 0.6, 6));
+        let reference = sequential_reference(&xy_ring_sim(6), &grid, LandscapeAggregator::new(4));
+        for ranks in [1usize, 2, 3] {
+            let runner = DistSweepRunner::with_options(
+                Arc::new(xy_ring_sim(6)),
+                DistSweepOptions {
+                    ranks,
+                    sweep: SweepOptions {
+                        exec: ExecPolicy::rayon().with_threads(2),
+                        nested: SweepNesting::PointsParallel,
+                    },
+                    chunk: 5,
+                },
+            );
+            let scan = runner.try_scan(&grid, LandscapeAggregator::new(4)).unwrap();
+            assert_eq!(scan.agg.count(), 36);
+            assert_eq!(scan.agg.argmin(), reference.argmin(), "ranks = {ranks}");
+            assert_eq!(
+                scan.agg.min_energy().unwrap().to_bits(),
+                reference.min_energy().unwrap().to_bits()
+            );
+            assert_eq!(scan.agg.top_k(), reference.top_k());
+        }
+    }
+
+    #[test]
+    fn transport_scan_refuses_a_circuit_workers_cannot_build() {
+        use crate::transport::InProcessTransport;
+        let poly = labs_terms(6);
+        let grid = Grid2d::new(Axis::new(-0.6, 0.6, 6), Axis::new(-0.6, 0.6, 6));
+        let opts = DistSweepOptions {
+            ranks: 2,
+            sweep: SweepOptions::default(),
+            chunk: 8,
+        };
+        let mut t = InProcessTransport::new(2);
+        let xy = DistSweepRunner::with_options(Arc::new(xy_ring_sim(6)), opts);
+        let err = xy
+            .try_scan_on(&mut t, &poly, &grid, LandscapeAggregator::new(1))
+            .unwrap_err();
+        assert!(
+            matches!(&err, DistSweepError::Unsupported(m) if m.contains("XyRing")),
+            "{err:?}"
+        );
+        let basis = DistSweepRunner::with_options(
+            Arc::new(FurSimulator::with_options(
+                &poly,
+                SimOptions {
+                    initial: InitialState::Basis(0),
+                    ..SimOptions::default()
+                },
+            )),
+            opts,
+        );
+        let err = basis
+            .try_scan_on(&mut t, &poly, &grid, LandscapeAggregator::new(1))
+            .unwrap_err();
+        assert!(
+            matches!(&err, DistSweepError::Unsupported(m) if m.contains("Basis(0)")),
+            "{err:?}"
+        );
+        // Nothing reached the workers: the same transport then runs an
+        // X-mixer scan to completion.
+        let x = DistSweepRunner::with_options(Arc::new(serial_sim(6)), opts);
+        let scan = x
+            .try_scan_on(&mut t, &poly, &grid, LandscapeAggregator::new(1))
+            .unwrap();
+        assert_eq!(scan.agg.count(), 36);
+        assert_eq!(
+            scan.agg.argmin(),
+            x.scan(&grid, LandscapeAggregator::new(1)).agg.argmin()
+        );
     }
 }

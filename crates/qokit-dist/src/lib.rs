@@ -14,8 +14,8 @@
 //! The same BSP engine also shards along the *other* axis: a
 //! [`DistSweepRunner`] distributes the **batch** of a huge `(γ, β)`
 //! landscape scan — each rank owns a contiguous slice of the point
-//! sequence, streams it through a rank-local sweep runner on its slice of
-//! the pool, and folds energies into a
+//! sequence, streams it through a rank-local sweep runner, and folds
+//! energies into a
 //! [`LandscapeAggregator`](qokit_core::landscape::LandscapeAggregator)
 //! merged in rank order, so `>2^20`-point scans run in `O(ranks · top_k)`
 //! memory. A [`DistLightCone`] shards the unique cones of a light-cone
@@ -24,10 +24,11 @@
 //! On a [`Transport`], every rank step is one [`wire::Request`] handled by
 //! [`worker::handle`], whether the rank is a pool task behind an
 //! [`InProcessTransport`] or a worker process behind a [`TcpTransport`],
-//! so the two give the same bits. `DistLightCone` always runs this way.
+//! so the two give the same bits. `DistLightCone` and `DistSweepRunner`
+//! always run this way; [`DistSweepRunner::try_scan`]'s in-process ranks
+//! share the runner's one cost vector instead of rebuilding it.
 //! [`DistSimulator::simulate_qaoa`] (in-place alltoall with modeled MPI
-//! byte counts, for Fig. 5) and [`DistSweepRunner::try_scan`] (ranks
-//! sharing one cost vector) also have a direct in-process engine with the
+//! byte counts, for Fig. 5) also has a direct in-process engine with the
 //! same outputs. Each Algorithm-4 rank stores
 //! its cost slice by the single-node `CostVec::from_f64` rule: level-coded
 //! at 2 B/amp (§V-B) when the slice has few distinct costs, `f64`

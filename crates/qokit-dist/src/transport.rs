@@ -7,8 +7,9 @@
 //! responses come back in rank order. Two implementations:
 //!
 //! - [`InProcessTransport`] — ranks are work-stealing-pool tasks in this
-//!   process (the schedule of the direct `dist_sim`/`dist_sweep` engines;
-//!   [`DistLightCone::try_energy`](crate::DistLightCone::try_energy) runs
+//!   process (the schedule of the direct `dist_sim` engine;
+//!   [`DistSweepRunner::try_scan`](crate::DistSweepRunner::try_scan) and
+//!   [`DistLightCone::try_energy`](crate::DistLightCone::try_energy) run
 //!   on it); requests and responses are passed by value, nothing is
 //!   serialized.
 //! - [`TcpTransport`] — ranks are **spawned worker processes** connected
@@ -32,6 +33,7 @@
 use crate::comm::{BspComm, CommStats};
 use crate::wire::{self, read_frame, write_frame, FrameReadError, Request, Response};
 use crate::worker::{self, WorkerState, WORKER_ADDR_ENV, WORKER_RANK_ENV};
+use qokit_core::batch::SweepRunner;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -151,6 +153,17 @@ impl InProcessTransport {
             comm: BspComm::new(ranks),
             workers: (0..ranks).map(WorkerState::new).collect(),
         }
+    }
+
+    /// In-process ranks that start with a sweep runner already in place,
+    /// `runner()` called once per rank, so `SweepChunk`s need no
+    /// `SweepInit` first.
+    pub(crate) fn with_sweep_runners(ranks: usize, runner: impl Fn() -> SweepRunner) -> Self {
+        let mut t = Self::new(ranks);
+        for w in &mut t.workers {
+            w.sweep = Some(runner());
+        }
+        t
     }
 }
 

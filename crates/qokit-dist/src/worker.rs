@@ -46,7 +46,7 @@ pub const WORKER_STALL_ENV: &str = "QOKIT_WORKER_STALL_MS";
 #[derive(Default)]
 pub struct WorkerState {
     rank: usize,
-    sweep: Option<SweepRunner>,
+    pub(crate) sweep: Option<SweepRunner>,
     sim: Option<SimRank>,
 }
 
@@ -138,9 +138,10 @@ impl SimRank {
 }
 
 fn sweep_runner_for(poly: &SpinPolynomial, spec: SweepSimSpec) -> SweepRunner {
-    // Serial kernels: exactly the per-point inner policy the in-process
-    // lane engine uses, so energies are bit-identical to a points-parallel
-    // sweep regardless of which transport ran them.
+    // Serial kernels: exactly the per-point inner policy of a
+    // points-parallel sweep, so energies are bit-identical to one (and to
+    // `DistSweepRunner::try_scan`'s shared-simulator ranks running it)
+    // regardless of which transport ran them.
     let exec = ExecPolicy::serial();
     let sim = FurSimulator::with_options(
         poly,

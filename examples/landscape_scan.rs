@@ -2,8 +2,9 @@
 //! production scale.
 //!
 //! Scans a 128×128 `(γ, β)` grid (16,384 points) of a LABS instance
-//! through a `DistSweepRunner`: 4 BSP ranks each own a contiguous quarter
-//! of the batch, stream it through rank-local `SweepRunner`s in chunked
+//! through a `DistSweepRunner`: 4 in-process BSP ranks, all sharing the
+//! one precomputed cost vector, each own a contiguous quarter of the
+//! batch, evaluate it through rank-local `SweepRunner`s in chunked
 //! supersteps, and fold energies into streaming `LandscapeAggregator`s
 //! (running min/argmin, top-k, coarse 2-D histogram) merged in rank order
 //! — no full energy vector ever exists. The result is checked against a
