@@ -22,7 +22,7 @@ use qokit_statevec::diag::{apply_phase, apply_phase_split, expectation, expectat
 use qokit_statevec::fwht::{
     apply_x_mixer_fwht_copying, apply_x_mixer_fwht_inplace, fwht, fwht_split,
 };
-use qokit_statevec::su2::apply_uniform_mat2;
+use qokit_statevec::su2::{apply_uniform_mat2, block_walk_isa};
 use qokit_statevec::su4::{apply_xy, apply_xy_split};
 use qokit_statevec::{ExecPolicy, Mat2, SplitStateVec, StateVec};
 use std::io::Write;
@@ -30,7 +30,9 @@ use std::io::Write;
 /// Interleaved-vs-split layout ablation on the hot kernels: same math, two
 /// memory layouts. The `x_mixer` row times `Mixer::X` on each layout, i.e.
 /// the generic interleaved butterfly against the RX-specialized split
-/// sweeps every objective runs. Emits `BENCH_layout.json` (`abl_layout` schema)
+/// sweeps every objective runs; `kernel_isa` records which compilation of
+/// the split block walk ran (`su2::block_walk_isa`). Emits
+/// `BENCH_layout.json` (`abl_layout` schema)
 /// and, under `QOKIT_ABL_ASSERT=1`, fails unless the best kernel reaches
 /// ≥1.0× the interleaved baseline — the CI guard that the split layer pays
 /// its way.
@@ -120,8 +122,9 @@ fn layout_ablation(n: usize, reps: usize) {
     let json_path =
         std::env::var("QOKIT_BENCH_JSON").unwrap_or_else(|_| "BENCH_layout.json".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"abl_layout\",\n  \"n_qubits\": {n},\n  \"hw_threads\": {hw},\n  \"reps\": {reps},\n  \"layout_baseline\": \"interleaved\",\n  \"best_speedup\": {best_speedup:.4},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        records.join(",\n")
+        "{{\n  \"bench\": \"abl_layout\",\n  \"n_qubits\": {n},\n  \"hw_threads\": {hw},\n  \"reps\": {reps},\n  \"layout_baseline\": \"interleaved\",\n  \"kernel_isa\": \"{isa}\",\n  \"best_speedup\": {best_speedup:.4},\n  \"kernels\": [\n{}\n  ]\n}}\n",
+        records.join(",\n"),
+        isa = block_walk_isa(),
     );
     match std::fs::File::create(&json_path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote {json_path}"),

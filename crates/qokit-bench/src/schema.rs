@@ -463,6 +463,7 @@ pub fn validate_bench_json(text: &str) -> Result<String, String> {
                 finite_positive(&root, key)?;
             }
             non_empty_string(&root, "layout_baseline")?;
+            non_empty_string(&root, "kernel_isa")?;
             let kernels = match root.get("kernels") {
                 Some(Json::Arr(rows)) if !rows.is_empty() => rows,
                 other => {
@@ -797,7 +798,7 @@ mod tests {
     fn layout_fixture(kernels: &str) -> String {
         format!(
             r#"{{"bench": "abl_layout", "n_qubits": 18, "hw_threads": 1, "reps": 3,
-                "layout_baseline": "interleaved", "best_speedup": 1.31,
+                "layout_baseline": "interleaved", "kernel_isa": "avx2", "best_speedup": 1.31,
                 "kernels": [{kernels}]}}"#
         )
     }
@@ -820,6 +821,16 @@ mod tests {
         let bad_row = GOOD_LAYOUT_ROW.replace("\"speedup\": 1.31", "\"speedup\": 0.0");
         let err = validate_bench_json(&layout_fixture(&bad_row)).unwrap_err();
         assert!(err.contains("speedup"), "{err}");
+    }
+
+    #[test]
+    fn layout_requires_the_kernel_isa() {
+        let record = layout_fixture(GOOD_LAYOUT_ROW);
+        let err =
+            validate_bench_json(&record.replace(r#""kernel_isa": "avx2", "#, "")).unwrap_err();
+        assert!(err.contains("kernel_isa"), "{err}");
+        let err = validate_bench_json(&record.replace(r#""avx2""#, r#""""#)).unwrap_err();
+        assert!(err.contains("kernel_isa"), "{err}");
     }
 
     fn tn_fixture(slices: &str) -> String {

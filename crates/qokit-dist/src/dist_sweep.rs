@@ -750,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn transport_scan_matches_lane_engine_bit_for_bit() {
+    fn transport_scan_matches_shared_diagonal_scan_bit_for_bit() {
         use crate::transport::InProcessTransport;
         let poly = labs_terms(6);
         let grid = Grid2d::new(Axis::new(-0.6, 0.6, 9), Axis::new(-0.4, 0.4, 7));

@@ -36,6 +36,7 @@
 //! crate-by-crate architecture table and build/test/bench instructions.*
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod complex;
 pub mod diag;

@@ -22,6 +22,14 @@
 //! in Algorithm 2's qubit order, so the result keeps the generic bits up to
 //! the sign of an exact zero.
 //!
+//! The block walk and its run bodies are compiled twice from the same
+//! loops: for the baseline target (SSE2 on `x86_64`, two doubles a vector)
+//! and, on `x86_64`, once more with AVX2 enabled (four). Only AVX2 is
+//! enabled, not FMA, so both perform the same IEEE operations and give the
+//! same bits. Each process picks one by CPU detection, and
+//! [`block_walk_isa`] names it. There are no intrinsics and no option that
+//! selects the walk.
+//!
 //! Every entry point takes `ExecPolicy`; parallel sweeps split by
 //! the policy's chunking thresholds.
 
@@ -54,10 +62,10 @@ fn mix_block(block: &mut [C64], stride: usize, u: &Mat2) {
 /// Serial Algorithm 1: applies `U` to qubit `q` of the state in place.
 ///
 /// # Panics
-/// If `q` is out of range for the vector length (debug builds).
+/// If the length is not a power of two, or `q` is out of range.
 pub fn apply_mat2_serial(amps: &mut [C64], q: usize, u: &Mat2) {
+    check_qubit(q, amps.len());
     let stride = 1usize << q;
-    debug_assert!(stride * 2 <= amps.len(), "qubit {q} out of range");
     for block in amps.chunks_exact_mut(stride * 2) {
         mix_block(block, stride, u);
     }
@@ -68,7 +76,6 @@ fn apply_mat2_parallel(amps: &mut [C64], q: usize, u: &Mat2, policy: &ExecPolicy
     let len = amps.len();
     let stride = 1usize << q;
     let block = stride * 2;
-    debug_assert!(block <= len, "qubit {q} out of range");
     if block >= len {
         // Single block: parallelize across the pair index instead.
         let (lo, hi) = amps.split_at_mut(stride);
@@ -87,9 +94,13 @@ fn apply_mat2_parallel(amps: &mut [C64], q: usize, u: &Mat2, policy: &ExecPolicy
 }
 
 /// Policy-dispatched Algorithm 1.
+///
+/// # Panics
+/// If the length is not a power of two, or `q` is out of range.
 #[inline]
 pub fn apply_mat2(amps: &mut [C64], q: usize, u: &Mat2, policy: ExecPolicy) {
     if policy.parallel(amps.len()) {
+        check_qubit(q, amps.len());
         policy.install(|| apply_mat2_parallel(amps, q, u, &policy));
     } else {
         apply_mat2_serial(amps, q, u);
@@ -134,7 +145,7 @@ fn mat2_planes(u: &Mat2) -> [f64; 8] {
 /// Plane-wise pair mix over four equal-length lane runs: the split twin of
 /// [`mix_pair`], with no complex multiplies in the loop — four independent
 /// `f64` output streams the autovectorizer packs.
-#[inline]
+#[inline(always)]
 fn mix_planes(rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64], m: &[f64; 8]) {
     let n = rl.len();
     let [ar, ai, br, bi, cr, ci, dr, di] = *m;
@@ -183,7 +194,7 @@ fn rx_butterflies<const N: usize>(r: &mut [f64; N], i: &mut [f64; N], s: f64, c:
 
 /// The low-qubit tile body: qubits `0..TILE_QUBITS` of every contiguous
 /// `TILE`-amplitude tile, in registers.
-#[inline]
+#[inline(always)]
 fn rx_tiles(re: &mut [f64], im: &mut [f64], s: f64, c: f64) {
     let (re_tiles, im_tiles) = (re.as_chunks_mut::<TILE>().0, im.as_chunks_mut::<TILE>().0);
     for (rt, it) in re_tiles.iter_mut().zip(im_tiles) {
@@ -193,7 +204,7 @@ fn rx_tiles(re: &mut [f64], im: &mut [f64], s: f64, c: f64) {
 
 /// The single-qubit run body: RX on qubit `q` over the bit-`q` = 0/1 runs
 /// of a `2^{q+1}` block, element by element.
-#[inline]
+#[inline(always)]
 fn rx_planes(rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64], s: f64, c: f64) {
     let n = rl.len();
     // Equal-length reslices let the compiler drop the bounds checks.
@@ -212,7 +223,7 @@ fn rx_planes(rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64], s: 
 /// (0,1) and (2,3), then qubit `q+1` on runs (0,2) and (1,3). Each run is
 /// its own argument so the compiler knows the eight streams are disjoint.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn rx_radix4(
     r0: &mut [f64],
     r1: &mut [f64],
@@ -238,52 +249,162 @@ fn rx_radix4(
 }
 
 /// Cuts a block into its `R` runs of `run` elements.
-#[inline]
+#[inline(always)]
 fn runs<const R: usize>(block: &mut [f64], run: usize) -> [&mut [f64]; R] {
     let mut it = block.chunks_exact_mut(run);
     std::array::from_fn(|_| it.next().expect("a block holds R runs"))
 }
 
-/// Serial block walk: calls `body(re_runs, im_runs)` on every `R·run`
-/// block of the planes, cut into its `R` runs.
-fn split_blocks<const R: usize, F>(re: &mut [f64], im: &mut [f64], run: usize, body: &F)
-where
-    F: Fn([&mut [f64]; R], [&mut [f64]; R]),
-{
-    let block = R * run;
-    debug_assert!(block <= re.len(), "block of {block} out of range");
-    for (rb, ib) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
-        body(runs(rb, run), runs(ib, run));
+/// A run body of the block walk: the work on one block, given as its `R`
+/// runs in each plane. A trait rather than a closure, so that the AVX2
+/// walk compiles the body inline at its own width: a closure does not
+/// inherit `#[target_feature]`, and a closure called out of line stays
+/// at the baseline width.
+trait RunBody<const R: usize>: Sync {
+    fn run(&self, re: [&mut [f64]; R], im: [&mut [f64]; R]);
+}
+
+/// The X mixer's low-qubit tile sweep ([`rx_tiles`]) over one run
+/// spanning the planes.
+struct RxTiles {
+    s: f64,
+    c: f64,
+}
+
+impl RunBody<1> for RxTiles {
+    #[inline(always)]
+    fn run(&self, [r]: [&mut [f64]; 1], [i]: [&mut [f64]; 1]) {
+        rx_tiles(r, i, self.s, self.c)
     }
 }
 
-/// Policy-dispatched [`split_blocks`]: the one block walk every split
-/// kernel shares. A parallel walk hands each task whole blocks or, when
-/// one block spans the planes, the same `TILE`-aligned slice of all `R`
-/// runs (each run body is elementwise along its runs, the tile body tile
-/// by tile).
-fn split_pass<const R: usize, F>(
+/// The X mixer's radix-4 qubit-pair sweep ([`rx_radix4`]).
+struct RxRadix4 {
+    s: f64,
+    c: f64,
+}
+
+impl RunBody<4> for RxRadix4 {
+    #[inline(always)]
+    fn run(&self, [r0, r1, r2, r3]: [&mut [f64]; 4], [i0, i1, i2, i3]: [&mut [f64]; 4]) {
+        rx_radix4(r0, r1, r2, r3, i0, i1, i2, i3, self.s, self.c)
+    }
+}
+
+/// The X mixer's single pass on an odd top qubit ([`rx_planes`]).
+struct RxPass {
+    s: f64,
+    c: f64,
+}
+
+impl RunBody<2> for RxPass {
+    #[inline(always)]
+    fn run(&self, [rl, rh]: [&mut [f64]; 2], [il, ih]: [&mut [f64]; 2]) {
+        rx_planes(rl, il, rh, ih, self.s, self.c)
+    }
+}
+
+/// The generic `Mat2` body ([`mix_planes`]) on one qubit.
+struct Mix([f64; 8]);
+
+impl RunBody<2> for Mix {
+    #[inline(always)]
+    fn run(&self, [rl, rh]: [&mut [f64]; 2], [il, ih]: [&mut [f64]; 2]) {
+        mix_planes(rl, il, rh, ih, &self.0)
+    }
+}
+
+/// The blocks one walk visits.
+enum Blocks<'a, const R: usize> {
+    /// Every `R·run` block of the `re` and `im` planes, each cut into its
+    /// `R` runs of `run`.
+    Planes(&'a mut [f64], &'a mut [f64], usize),
+    /// One block, given as its `R` runs in the `re` and in the `im` plane.
+    Runs([&'a mut [f64]; R], [&'a mut [f64]; R]),
+}
+
+/// Which compilation of the one block walk runs (see the module docs).
+/// Only `avx2` is enabled, not `fma`, and rustc never contracts
+/// `a * b + c`, so both compilations give the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Walk {
+    Portable,
+    /// Built only by [`Walk::detect`] on a CPU that has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Walk {
+    /// The widest walk this CPU runs. The feature test caches its answer,
+    /// so a process always picks the same walk.
+    fn detect() -> Walk {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Walk::Avx2;
+        }
+        Walk::Portable
+    }
+
+    /// Calls `body` on every block.
+    fn blocks<const R: usize, B: RunBody<R>>(self, blocks: Blocks<'_, R>, body: &B) {
+        match self {
+            Walk::Portable => walk(blocks, body),
+            // SAFETY: `walk_avx2` needs AVX2, and `Walk::Avx2` is only
+            // built by `Walk::detect` after the CPU reported AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Walk::Avx2 => unsafe { walk_avx2(blocks, body) },
+        }
+    }
+}
+
+/// The block walk: `body` on every block, inlined into each caller.
+#[inline(always)]
+fn walk<const R: usize, B: RunBody<R>>(blocks: Blocks<'_, R>, body: &B) {
+    match blocks {
+        Blocks::Planes(re, im, run) => {
+            let block = R * run;
+            for (rb, ib) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
+                body.run(runs(rb, run), runs(ib, run));
+            }
+        }
+        Blocks::Runs(r, i) => body.run(r, i),
+    }
+}
+
+/// [`walk`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn walk_avx2<const R: usize, B: RunBody<R>>(blocks: Blocks<'_, R>, body: &B) {
+    walk(blocks, body)
+}
+
+/// The one block walk every split kernel shares, policy-dispatched: calls
+/// `body` on every `R·run` block of the planes, cut into its `R` runs, on
+/// `walk`'s compilation. A parallel walk hands each task whole blocks or,
+/// when one block spans the planes, the same `TILE`-aligned slice of all
+/// `R` runs (each run body is elementwise along its runs, the tile body
+/// tile by tile).
+fn split_pass<const R: usize, B: RunBody<R>>(
     re: &mut [f64],
     im: &mut [f64],
     run: usize,
     policy: ExecPolicy,
-    body: &F,
-) where
-    F: Fn([&mut [f64]; R], [&mut [f64]; R]) + Sync,
-{
+    walk: Walk,
+    body: &B,
+) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     let len = re.len();
-    if !policy.parallel(len) {
-        return split_blocks(re, im, run, body);
-    }
     let block = R * run;
     debug_assert!(block <= len, "block of {block} out of range");
+    if !policy.parallel(len) {
+        return walk.blocks(Blocks::Planes(re, im, run), body);
+    }
     policy.install(|| {
         if block < len {
             let chunk = policy.chunk_len(len, block);
             re.par_chunks_mut(chunk)
                 .zip(im.par_chunks_mut(chunk))
-                .for_each(|(rc, ic)| split_blocks(rc, ic, run, body));
+                .for_each(|(rc, ic)| walk.blocks(Blocks::Planes(rc, ic, run), body));
             return;
         }
         let chunk = policy.chunk_len(run, TILE.min(run));
@@ -300,32 +421,55 @@ fn split_pass<const R: usize, F>(
                 )
             })
             .collect();
-        tasks
-            .par_iter_mut()
-            .for_each(|(r, i)| body(r.each_mut().map(take), i.each_mut().map(take)));
+        tasks.par_iter_mut().for_each(|(r, i)| {
+            let task = Blocks::Runs(r.each_mut().map(take), i.each_mut().map(take));
+            walk.blocks(task, body)
+        });
     });
+}
+
+/// Checks that `len` amplitudes form a whole state of `n` qubits and that
+/// qubit `q` is one of them. The walks cut the state into `2^{q+1}`
+/// blocks, so a larger `q` or a ragged tail would leave amplitudes unmixed.
+fn check_qubit(q: usize, len: usize) {
+    assert!(
+        len.is_power_of_two(),
+        "state length {len} is not a power of two"
+    );
+    let n = len.trailing_zeros() as usize;
+    assert!(q < n, "qubit {q} out of range for {n} qubits");
 }
 
 /// Serial split-plane Algorithm 1: applies `U` to qubit `q` of the
 /// `re`/`im` planes in place.
 ///
 /// # Panics
-/// If plane lengths differ, or `q` is out of range (debug builds).
+/// If plane lengths differ or are not a power of two, or `q` is out of
+/// range.
 pub fn apply_mat2_split_serial(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let m = mat2_planes(u);
-    split_blocks(re, im, 1 << q, &|[rl, rh], [il, ih]| {
-        mix_planes(rl, il, rh, ih, &m)
-    });
+    apply_mat2_split(re, im, q, u, ExecPolicy::serial());
 }
 
 /// Policy-dispatched split-plane Algorithm 1.
+///
+/// # Panics
+/// If plane lengths differ or are not a power of two, or `q` is out of
+/// range.
 #[inline]
 pub fn apply_mat2_split(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2, policy: ExecPolicy) {
-    let m = mat2_planes(u);
-    split_pass(re, im, 1 << q, policy, &|[rl, rh], [il, ih]| {
-        mix_planes(rl, il, rh, ih, &m)
-    });
+    check_qubit(q, re.len());
+    split_pass(re, im, 1 << q, policy, Walk::detect(), &Mix(mat2_planes(u)));
+}
+
+/// Which compilation of the split block walk this process runs: `"avx2"`
+/// on an `x86_64` CPU with AVX2, else `"portable"`. Every split-plane
+/// kernel of this module (the X mixer and [`apply_mat2_split`]) runs it.
+pub fn block_walk_isa() -> &'static str {
+    if Walk::detect() == Walk::Portable {
+        "portable"
+    } else {
+        "avx2"
+    }
 }
 
 /// The transverse-field mixer `e^{-iβΣᵢXᵢ}` on the `re`/`im` planes:
@@ -337,11 +481,17 @@ pub fn apply_mat2_split(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2, poli
 /// qubit gets a single pass. Every amplitude sees the same IEEE operations
 /// in the same qubit order as `n` calls of [`apply_mat2_split`] with
 /// `Mat2::rx(β)`, so the result has their bits, except the sign of an
-/// exactly-zero amplitude component.
+/// exactly-zero amplitude component. The sweeps run the block walk this
+/// CPU runs widest ([`block_walk_isa`]), with the same bits on either.
 ///
 /// # Panics
 /// If plane lengths differ or are not a power of two.
 pub fn apply_x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy) {
+    x_mixer_split(re, im, beta, policy, Walk::detect());
+}
+
+/// [`apply_x_mixer_split`] on a given walk.
+fn x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy, walk: Walk) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     assert!(
         re.len().is_power_of_two(),
@@ -354,20 +504,15 @@ pub fn apply_x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: Ex
         let mut q = 0;
         if n >= TILE_QUBITS {
             // One run spanning the planes: the walk cuts it into whole tiles.
-            split_pass(re, im, 1 << n, policy, &|[r], [i]| rx_tiles(r, i, s, c));
+            split_pass(re, im, 1 << n, policy, walk, &RxTiles { s, c });
             q = TILE_QUBITS;
         }
         while q + 2 <= n {
-            let body = |[r0, r1, r2, r3]: [&mut [f64]; 4], [i0, i1, i2, i3]: [&mut [f64]; 4]| {
-                rx_radix4(r0, r1, r2, r3, i0, i1, i2, i3, s, c)
-            };
-            split_pass(re, im, 1 << q, policy, &body);
+            split_pass(re, im, 1 << q, policy, walk, &RxRadix4 { s, c });
             q += 2;
         }
         if q < n {
-            split_pass(re, im, 1 << q, policy, &|[rl, rh], [il, ih]| {
-                rx_planes(rl, il, rh, ih, s, c)
-            });
+            split_pass(re, im, 1 << q, policy, walk, &RxPass { s, c });
         }
     });
 }
@@ -611,6 +756,108 @@ mod tests {
     fn uniform_mat2_rejects_a_non_power_of_two_length() {
         let mut amps = vec![C64::ONE; 6];
         apply_uniform_mat2(&mut amps, &Mat2::rx(0.3), ExecPolicy::serial());
+    }
+
+    #[test]
+    fn the_detected_walk_has_the_portable_walks_bits() {
+        let detected = Walk::detect();
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(detected, Walk::Avx2, "an AVX2 CPU runs the AVX2 walk");
+        }
+        // Written past the test harness's output capture, so every test
+        // log names the walk that was compared.
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "su2: comparing the {} block walk with the portable walk",
+            block_walk_isa()
+        );
+        let forced = ExecPolicy::rayon()
+            .with_threads(2)
+            .with_min_len(1)
+            .with_min_chunk(1);
+        // A task floor that does not divide the run leaves a short last task.
+        let odd = forced.with_min_chunk(12);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1..=16usize {
+            let s = crate::split::SplitStateVec::from(&random_state(n, 700 + n as u64));
+            let (mut re, mut im) = (s.planes().0.to_vec(), s.planes().1.to_vec());
+            let len = re.len();
+            for k in (0..len).step_by(5) {
+                re[k] = 0.0;
+                im[(k + 2) % len] = -0.0;
+            }
+            for beta in [0.59, std::f64::consts::FRAC_PI_2] {
+                for policy in [ExecPolicy::serial(), forced, odd] {
+                    let (mut re_p, mut im_p) = (re.clone(), im.clone());
+                    x_mixer_split(&mut re_p, &mut im_p, beta, policy, Walk::Portable);
+                    let (mut re_d, mut im_d) = (re.clone(), im.clone());
+                    x_mixer_split(&mut re_d, &mut im_d, beta, policy, detected);
+                    let at = format!("X mixer, n = {n}, beta = {beta}, {policy:?}");
+                    assert_eq!(bits(&re_d), bits(&re_p), "re, {at}");
+                    assert_eq!(bits(&im_d), bits(&im_p), "im, {at}");
+                }
+            }
+            for q in 0..n {
+                let ab = random_state(1, 800 + (n * 16 + q) as u64);
+                let u = Mat2::su2(ab.amplitudes()[0], ab.amplitudes()[1]);
+                let body = Mix(mat2_planes(&u));
+                for policy in [ExecPolicy::serial(), forced] {
+                    let (mut re_p, mut im_p) = (re.clone(), im.clone());
+                    split_pass(&mut re_p, &mut im_p, 1 << q, policy, Walk::Portable, &body);
+                    let (mut re_d, mut im_d) = (re.clone(), im.clone());
+                    split_pass(&mut re_d, &mut im_d, 1 << q, policy, detected, &body);
+                    let at = format!("Mat2, n = {n}, qubit {q}, {policy:?}");
+                    assert_eq!(bits(&re_d), bits(&re_p), "re, {at}");
+                    assert_eq!(bits(&im_d), bits(&im_p), "im, {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 4 out of range for 4 qubits")]
+    fn split_mat2_rejects_an_out_of_range_qubit_serially() {
+        let (mut re, mut im) = (vec![0.25; 16], vec![0.0; 16]);
+        apply_mat2_split(&mut re, &mut im, 4, &Mat2::hadamard(), ExecPolicy::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 4 out of range for 4 qubits")]
+    fn split_mat2_rejects_an_out_of_range_qubit_in_parallel() {
+        let forced = ExecPolicy::rayon()
+            .with_threads(2)
+            .with_min_len(1)
+            .with_min_chunk(1);
+        let (mut re, mut im) = (vec![0.25; 16], vec![0.0; 16]);
+        apply_mat2_split(&mut re, &mut im, 4, &Mat2::hadamard(), forced);
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 7 out of range for 4 qubits")]
+    fn mat2_rejects_an_out_of_range_qubit_serially() {
+        let mut amps = vec![C64::ONE; 16];
+        apply_mat2(&mut amps, 7, &Mat2::hadamard(), ExecPolicy::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "state length 6 is not a power of two")]
+    fn mat2_rejects_a_non_power_of_two_length() {
+        // Qubit 1's 4-amplitude block fits once; the last 2 would stay unmixed.
+        let mut amps = vec![C64::ONE; 6];
+        apply_mat2(&mut amps, 1, &Mat2::hadamard(), ExecPolicy::serial());
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 4 out of range for 4 qubits")]
+    fn mat2_rejects_an_out_of_range_qubit_in_parallel() {
+        let forced = ExecPolicy::rayon()
+            .with_threads(2)
+            .with_min_len(1)
+            .with_min_chunk(1);
+        let mut amps = vec![C64::ONE; 16];
+        apply_mat2(&mut amps, 4, &Mat2::hadamard(), forced);
     }
 
     #[test]

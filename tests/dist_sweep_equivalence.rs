@@ -226,10 +226,10 @@ fn tcp_worker_entry() {
     qokit::dist::worker::maybe_run_from_env();
 }
 
-/// The same aggregate bits come out of the lane engine, the in-process
-/// transport, and real worker processes over loopback TCP, at 2 and 4
-/// ranks — the scan payloads genuinely leave the process and come back
-/// bit-identical.
+/// The same aggregate bits come out of `DistSweepRunner::scan` (in-process
+/// ranks sharing the runner's diagonal), the in-process transport, and
+/// real worker processes over loopback TCP, at 2 and 4 ranks — the scan
+/// payloads genuinely leave the process and come back bit-identical.
 #[test]
 fn tcp_scan_matches_in_process_scan_bit_for_bit() {
     use qokit::dist::{InProcessTransport, TcpTransport, Transport, WorkerSpawn};
@@ -257,7 +257,7 @@ fn tcp_scan_matches_in_process_scan_bit_for_bit() {
             },
         )
     };
-    // Ground truth: the classic lane-engine scan (rank count is irrelevant
+    // Ground truth: the shared-diagonal `scan` (rank count is irrelevant
     // to its bits, pinned by the proptest above).
     let reference = runner(1).scan(&grid, proto());
 
