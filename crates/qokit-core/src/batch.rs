@@ -7,9 +7,16 @@
 //! workers through one [`Arc`]`<`[`FurSimulator`]`>`, split-plane state
 //! buffers are recycled through a per-worker pool instead of being
 //! reallocated per point, and the points of a batch run as pool tasks under
-//! an [`ExecPolicy`]. Each batch fills its initial planes once; every point
-//! copies them into a recycled buffer, evolves it, and takes the split
-//! objective, so an energy never transposes or allocates.
+//! an [`ExecPolicy`]. Each batch fills its initial planes once and is cut
+//! into *runs*: maximal stretches of consecutive points whose first γ has
+//! the same bits, such as one row of a row-major `(γ, β)` grid. The state
+//! after the first phase depends on γ₁ alone, so a run of two or more
+//! points phases one start state once; each point copies its start (the
+//! run's phased state, or the initial planes for a run of one) into a
+//! recycled buffer, evolves the rest of its schedule, and takes the split
+//! objective, so an energy never transposes or allocates. Every point
+//! sees the same IEEE operations in the same order either way, so sharing
+//! a start never changes a bit.
 //!
 //! The [`SweepNesting`] knob picks where the parallelism goes:
 //!
@@ -212,6 +219,24 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
+/// One point's result slot in a batch; `None` until the point is
+/// evaluated. The error is boxed, so an energy slot is 16 bytes, not the
+/// 32 of `Result<f64, SweepError>`: a scan chunk's result vector is the
+/// largest block a batch allocates on the calling thread, and it sets the
+/// scan's peak memory.
+type Slot<R> = Option<Result<R, Box<SweepError>>>;
+
+/// A filled slot's result.
+fn filled<R>(slot: Slot<R>) -> Result<R, SweepError> {
+    slot.expect("every point fills its slot").map_err(|e| *e)
+}
+
+/// The QAOA energy of an evolved state: the `eval` of energy sweeps.
+fn energy(sim: &FurSimulator, state: &SplitStateVec, policy: ExecPolicy) -> f64 {
+    let (re, im) = state.planes();
+    sim.cost_diagonal().expectation_split(re, im, policy)
+}
+
 /// Recycled plane buffers, sharded by pool-worker index so concurrent
 /// tasks rarely contend on one lock. Shard 0 serves threads outside any
 /// pool; worker `i` maps to shard `1 + i mod (shards − 1)`.
@@ -375,27 +400,44 @@ impl SweepRunner {
     }
 
     /// [`evaluate_with`](Self::evaluate_with) on the evolved planes
-    /// themselves: the engine every batched evaluation runs.
+    /// themselves.
     fn evaluate_planes<R, F>(&self, points: &[SweepPoint], eval: F) -> Vec<Result<R, SweepError>>
     where
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
+        self.evaluate_slots(points, eval)
+            .into_iter()
+            .map(filled)
+            .collect()
+    }
+
+    /// The engine every batched evaluation runs. Every result goes straight
+    /// into its slot of the one output vector (slot `i` = point `i`), so a
+    /// batch never holds its results twice.
+    fn evaluate_slots<R, F>(&self, points: &[SweepPoint], eval: F) -> Vec<Slot<R>>
+    where
+        R: Send,
+        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
+    {
+        let mut slots: Vec<Slot<R>> = std::iter::repeat_with(|| None).take(points.len()).collect();
         let policy = self.opts.exec;
         if policy.threads == 1 {
-            return self.run_sequential(points, policy, &eval);
+            self.run_sequential(points, &mut slots, policy, &eval);
+        } else {
+            // Kernels-parallel points keep the policy's thresholds and run
+            // on the pool `install` entered; `threads: 0` stops each kernel
+            // from entering its own.
+            let sequential = ExecPolicy {
+                threads: 0,
+                ..policy
+            };
+            policy.install(|| match self.resolve_nesting(points.len()) {
+                SweepNesting::PointsParallel => self.run_points_parallel(points, &mut slots, &eval),
+                _ => self.run_sequential(points, &mut slots, sequential, &eval),
+            });
         }
-        // Kernels-parallel points keep the policy's thresholds and run on
-        // the pool `install` entered; `threads: 0` stops each kernel from
-        // entering its own.
-        let sequential = ExecPolicy {
-            threads: 0,
-            ..policy
-        };
-        policy.install(|| match self.resolve_nesting(points.len()) {
-            SweepNesting::PointsParallel => self.run_points_parallel(points, &eval),
-            _ => self.run_sequential(points, sequential, &eval),
-        })
+        slots
     }
 
     /// Batched QAOA energies `⟨ψ(γ,β)|Ĉ|ψ(γ,β)⟩`, one per point, keyed by
@@ -412,16 +454,16 @@ impl SweepRunner {
     /// error. The remaining points still evaluate and the pool remains
     /// reusable afterwards.
     pub fn try_energies(&self, points: &[SweepPoint]) -> Result<Vec<f64>, SweepError> {
-        self.energies_checked(points).into_iter().collect()
+        self.evaluate_slots(points, energy)
+            .into_iter()
+            .map(filled)
+            .collect()
     }
 
     /// Per-point energies with per-point failure: slot `i` is `Err` iff
     /// point `i` panicked.
     pub fn energies_checked(&self, points: &[SweepPoint]) -> Vec<Result<f64, SweepError>> {
-        self.evaluate_planes(points, |sim, state, policy| {
-            let (re, im) = state.planes();
-            sim.cost_diagonal().expectation_split(re, im, policy)
-        })
+        self.evaluate_planes(points, energy)
     }
 
     /// Depth-1 convenience: energies over `(γ, β)` pairs — the shape grid
@@ -445,8 +487,8 @@ impl SweepRunner {
         sink: &mut S,
     ) -> Result<(), SweepError> {
         let mut first_err = None;
-        for (i, result) in self.energies_checked(points).into_iter().enumerate() {
-            match result {
+        for (i, slot) in self.evaluate_slots(points, energy).into_iter().enumerate() {
+            match filled(slot) {
                 Ok(e) => sink.observe(base + i as u64, e),
                 Err(SweepError::PointPanicked { message, .. }) => {
                     if first_err.is_none() {
@@ -551,7 +593,9 @@ impl SweepRunner {
     {
         assert!(chunk > 0, "chunk size must be at least 1");
         let mut iter = points.into_iter();
-        let mut buf: Vec<SweepPoint> = Vec::with_capacity(chunk);
+        // Sized by what the iterator yields, never by `chunk` alone: a
+        // caller-chosen chunk may be far larger than the scan (or memory).
+        let mut buf: Vec<SweepPoint> = Vec::with_capacity(chunk.min(iter.size_hint().0));
         let mut base = 0u64;
         loop {
             if cancel.load(Ordering::Relaxed) {
@@ -589,25 +633,35 @@ impl SweepRunner {
         }
     }
 
-    /// One point per pool task, serial kernels inside.
-    fn run_points_parallel<R, F>(
-        &self,
-        points: &[SweepPoint],
-        eval: &F,
-    ) -> Vec<Result<R, SweepError>>
+    /// One run per pool task and, inside a run, one point per pool task;
+    /// kernels serial throughout. Runs are the outer tasks, so only the
+    /// runs in flight hold a start.
+    fn run_points_parallel<R, F>(&self, points: &[SweepPoint], slots: &mut [Slot<R>], eval: &F)
     where
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let init = self.sim.initial_planes();
         let inner = ExecPolicy::serial();
-        // The position-preserving parallel collect keeps slot i = point i.
-        points
-            .par_iter()
+        let mut runs = Vec::new();
+        let (mut base, mut free) = (0, slots);
+        for run in gamma_runs(points) {
+            let (run_slots, rest) = std::mem::take(&mut free).split_at_mut(run.len());
+            runs.push((base, run, run_slots));
+            base += run.len();
+            free = rest;
+        }
+        runs.par_iter_mut()
             .with_min_len(1)
-            .enumerate()
-            .map(|(index, point)| self.eval_one(index, point, &init, inner, eval))
-            .collect()
+            .for_each(|(base, run, slots)| {
+                self.eval_run(*base, run, &init, inner, eval, |point| {
+                    slots
+                        .par_iter_mut()
+                        .with_min_len(1)
+                        .enumerate()
+                        .for_each(|(k, slot)| *slot = Some(point(k).map_err(Box::new)));
+                });
+            });
     }
 
     /// Sequential outer loop; kernels run under `inner` (parallel in
@@ -615,26 +669,68 @@ impl SweepRunner {
     fn run_sequential<R, F>(
         &self,
         points: &[SweepPoint],
+        slots: &mut [Slot<R>],
         inner: ExecPolicy,
         eval: &F,
-    ) -> Vec<Result<R, SweepError>>
-    where
+    ) where
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let init = self.sim.initial_planes();
-        points
-            .iter()
-            .enumerate()
-            .map(|(index, point)| self.eval_one(index, point, &init, inner, eval))
-            .collect()
+        let mut base = 0;
+        for run in gamma_runs(points) {
+            self.eval_run(base, run, &init, inner, eval, |point| {
+                for (k, slot) in slots[base..base + run.len()].iter_mut().enumerate() {
+                    *slot = Some(point(k).map_err(Box::new));
+                }
+            });
+            base += run.len();
+        }
     }
 
+    /// Evaluates one run of [`gamma_runs`] (global indices from `base`).
+    /// A run of two or more points fills and phases one shared start by
+    /// `γ₁` — the state after the first phase depends on `γ₁` alone — and
+    /// each point copies it and evolves the rest of its schedule; a lone
+    /// point runs its whole schedule from `init`. Either way a point sees
+    /// the same IEEE operations in the same order, so the energies have the
+    /// bits of one-at-a-time objective calls. `each` receives the per-point
+    /// evaluation (argument: offset in the run) and drives it serially or
+    /// in parallel.
+    fn eval_run<R, F>(
+        &self,
+        base: usize,
+        run: &[SweepPoint],
+        init: &SplitStateVec,
+        inner: ExecPolicy,
+        eval: &F,
+        each: impl FnOnce(&(dyn Fn(usize) -> Result<R, SweepError> + Sync)),
+    ) where
+        R: Send,
+        F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
+    {
+        let shared = (run.len() > 1).then(|| {
+            let mut start = self.buffers.checkout(init.n_qubits());
+            start.copy_from(init);
+            self.sim.first_phase(&mut start, run[0].gammas[0], inner);
+            start
+        });
+        let phased = shared.is_some();
+        let start = shared.as_ref().unwrap_or(init);
+        each(&|k| self.eval_one(base + k, &run[k], start, phased, inner, eval));
+        if let Some(start) = shared {
+            self.buffers.checkin(start);
+        }
+    }
+
+    /// Evaluates one point from `start`: the initial planes, or — when
+    /// `phased` — its run's state after the first phase.
     fn eval_one<R, F>(
         &self,
         index: usize,
         point: &SweepPoint,
-        init: &SplitStateVec,
+        start: &SplitStateVec,
+        phased: bool,
         inner: ExecPolicy,
         eval: &F,
     ) -> Result<R, SweepError>
@@ -642,21 +738,36 @@ impl SweepRunner {
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        let mut buf = self.buffers.checkout(init.n_qubits());
+        let mut buf = self.buffers.checkout(start.n_qubits());
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            buf.copy_from(init);
-            self.sim
-                .evolve_planes(&mut buf, &point.gammas, &point.betas, inner);
+            buf.copy_from(start);
+            let (gammas, betas) = (&point.gammas, &point.betas);
+            if phased {
+                self.sim
+                    .evolve_after_first_phase(&mut buf, gammas, betas, inner);
+            } else {
+                self.sim.evolve_planes(&mut buf, gammas, betas, inner);
+            }
             eval(&self.sim, &buf, inner)
         }));
         // A poisoned buffer is still safe to recycle: the next evaluation
-        // overwrites it with the initial state before any kernel runs.
+        // overwrites it with its start state before any kernel runs.
         self.buffers.checkin(buf);
         outcome.map_err(|payload| SweepError::PointPanicked {
             index,
             message: panic_message(payload),
         })
     }
+}
+
+/// Splits a batch into runs: maximal stretches of consecutive points whose
+/// first γ has the same bits (`+0.0` and `-0.0` differ; NaNs with equal
+/// bits match). A point with an empty schedule is a run of its own.
+fn gamma_runs(points: &[SweepPoint]) -> impl Iterator<Item = &[SweepPoint]> {
+    points.chunk_by(|a, b| match (a.gammas.first(), b.gammas.first()) {
+        (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
+        _ => false,
+    })
 }
 
 #[cfg(test)]
@@ -988,5 +1099,73 @@ mod tests {
         assert_eq!(a.sum().to_bits(), b.sum().to_bits());
         assert_eq!(a.argmin(), b.argmin());
         assert_eq!(a.top_k(), b.top_k());
+    }
+
+    fn run_lengths(points: &[SweepPoint]) -> Vec<usize> {
+        gamma_runs(points).map(<[SweepPoint]>::len).collect()
+    }
+
+    #[test]
+    fn grid_chunk_splits_into_gamma_rows() {
+        // The first 16384 points of a row-major 256 x 256 grid: 64 rows.
+        let chunk: Vec<SweepPoint> = (0..16384)
+            .map(|i| SweepPoint::p1(0.01 * (i / 256) as f64, 0.001 * (i % 256) as f64))
+            .collect();
+        assert_eq!(run_lengths(&chunk), vec![256; 64]);
+    }
+
+    #[test]
+    fn runs_key_on_gamma_bits() {
+        let p = |g: f64| SweepPoint::p1(g, 0.3);
+        // +0.0 == -0.0 as floats, but the bits differ.
+        assert_eq!(run_lengths(&[p(0.0), p(-0.0), p(-0.0)]), [1, 2]);
+        // Two NaNs with equal bits share a run, though NaN != NaN.
+        let nan = f64::NAN;
+        assert_eq!(run_lengths(&[p(nan), p(nan), p(1.0)]), [2, 1]);
+        // Only the first γ keys a run; later layers may differ.
+        let deep = |g2: f64| SweepPoint::new(vec![0.1, g2], vec![0.2, 0.3]);
+        assert_eq!(run_lengths(&[deep(0.4), deep(0.5), p(0.1)]), [3]);
+    }
+
+    #[test]
+    fn empty_schedules_are_singleton_runs() {
+        let empty = || SweepPoint::new(vec![], vec![]);
+        let p = SweepPoint::p1(0.2, 0.3);
+        let batch = [empty(), empty(), p.clone(), p.clone(), empty(), p];
+        assert_eq!(run_lengths(&batch), [1, 1, 2, 1, 1]);
+        assert_eq!(run_lengths(&[]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn runs_are_cut_at_scan_chunk_boundaries() {
+        // One 10-point γ row, scanned 4 points per chunk: each chunk is a
+        // batch of its own, so the row splits into runs of 4, 4 and 2 —
+        // with the bits of a single-chunk scan.
+        let row = || (0..10).map(|i| SweepPoint::p1(0.25, 0.05 * i as f64));
+        let batch: Vec<SweepPoint> = row().collect();
+        let per_chunk: Vec<Vec<usize>> = batch.chunks(4).map(run_lengths).collect();
+        assert_eq!(per_chunk, [vec![4], vec![4], vec![2]]);
+        let runner = SweepRunner::new(serial_sim(6));
+        let mut whole = LandscapeAggregator::new(3);
+        let mut chunked = LandscapeAggregator::new(3);
+        runner.scan_into(row(), 16, &mut whole).unwrap();
+        runner.scan_into(row(), 4, &mut chunked).unwrap();
+        assert_eq!(whole.sum().to_bits(), chunked.sum().to_bits());
+        assert_eq!(whole.top_k(), chunked.top_k());
+    }
+
+    #[test]
+    fn huge_chunk_sizes_the_buffer_by_the_scan() {
+        // A chunk far past addressable memory must not be allocated up
+        // front: 3 points are one batch of 3.
+        let runner = SweepRunner::new(serial_sim(5));
+        let points = || (0..3).map(|i| SweepPoint::p1(0.1 * i as f64, 0.3));
+        let mut small = LandscapeAggregator::new(2);
+        let mut huge = LandscapeAggregator::new(2);
+        assert_eq!(runner.scan_into(points(), 16, &mut small), Ok(3));
+        assert_eq!(runner.scan_into(points(), 1 << 40, &mut huge), Ok(3));
+        assert_eq!(small.sum().to_bits(), huge.sum().to_bits());
+        assert_eq!(small.argmin(), huge.argmin());
+        assert_eq!(small.top_k(), huge.top_k());
     }
 }

@@ -282,8 +282,9 @@ impl FurSimulator {
     }
 
     /// The `p` QAOA layers on split planes, in place, under `policy` — the
-    /// one evolve loop every objective, sweep point, observer layer and
-    /// light-cone cone runs.
+    /// one evolve path every objective, sweep point, observer layer and
+    /// light-cone cone runs: [`first_phase`](Self::first_phase), then
+    /// [`evolve_after_first_phase`](Self::evolve_after_first_phase).
     pub(crate) fn evolve_planes(
         &self,
         state: &mut SplitStateVec,
@@ -291,14 +292,45 @@ impl FurSimulator {
         betas: &[f64],
         policy: ExecPolicy,
     ) {
-        self.check_schedule(state.n_qubits(), gammas, betas);
-        let (re, im) = state.planes_mut();
         policy.install(|| {
-            for (&gamma, &beta) in gammas.iter().zip(betas.iter()) {
-                self.costs.apply_phase_split(re, im, gamma, policy);
-                self.options.mixer.apply_split(re, im, beta, policy);
+            if let Some(&gamma) = gammas.first() {
+                self.first_phase(state, gamma, policy);
             }
+            self.evolve_after_first_phase(state, gammas, betas, policy);
         });
+    }
+
+    /// `e^{-iγ₁Ĉ}` on split planes, in place. The state it leaves depends on
+    /// `γ₁` alone, so sweep points that share `γ₁` can share it. Runs on
+    /// the calling thread's pool: callers install `policy` first.
+    pub(crate) fn first_phase(&self, state: &mut SplitStateVec, gamma: f64, policy: ExecPolicy) {
+        let (re, im) = state.planes_mut();
+        self.costs.apply_phase_split(re, im, gamma, policy);
+    }
+
+    /// Everything after [`first_phase`](Self::first_phase): the mixer at
+    /// `β₁`, then layers `2..p`. A `p = 0` schedule is a no-op. Runs on the
+    /// calling thread's pool: callers install `policy` first.
+    ///
+    /// # Panics
+    /// If the schedule lengths differ or `state` has the wrong qubit count.
+    pub(crate) fn evolve_after_first_phase(
+        &self,
+        state: &mut SplitStateVec,
+        gammas: &[f64],
+        betas: &[f64],
+        policy: ExecPolicy,
+    ) {
+        self.check_schedule(state.n_qubits(), gammas, betas);
+        let Some((&beta, betas)) = betas.split_first() else {
+            return;
+        };
+        let (re, im) = state.planes_mut();
+        self.options.mixer.apply_split(re, im, beta, policy);
+        for (&gamma, &beta) in gammas[1..].iter().zip(betas) {
+            self.costs.apply_phase_split(re, im, gamma, policy);
+            self.options.mixer.apply_split(re, im, beta, policy);
+        }
     }
 
     /// `⟨ψ|Ĉ|ψ⟩` of a plane state under the constructed policy — the same

@@ -576,3 +576,53 @@ fn client_disconnect_mid_job_is_reaped_and_server_stays_serviceable() {
     client.shutdown_server().expect("shutdown");
     handle.join();
 }
+
+/// A sweep `chunk` is decoded straight off the socket; a huge one must size
+/// the chunk buffer by the grid, not abort the server on an impossible
+/// allocation (which per-job `catch_unwind` cannot contain).
+#[test]
+fn huge_socket_chunk_is_a_normal_sweep_not_an_abort() {
+    use qokit::dist::wire::SweepSimSpec;
+    use qokit::serve::{ProgressAction, ServeClient, Server, ServerConfig, SweepJob};
+
+    let handle = Server::bind(ServerConfig::default())
+        .expect("bind")
+        .spawn_thread()
+        .expect("spawn");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let small = SweepJob {
+        poly: labs_terms(6),
+        spec: SweepSimSpec {
+            precompute: PrecomputeMethod::Direct,
+            quantize_u16: false,
+            layout: Layout::Split,
+        },
+        grid: Grid2d::new(Axis::new(-0.5, 0.5, 2), Axis::new(-0.4, 0.4, 2)),
+        top_k: 2,
+        chunk: 2,
+        deadline_ms: 0,
+        progress_every: 0,
+    };
+    let huge = SweepJob {
+        chunk: 1 << 40,
+        ..small.clone()
+    };
+    let mut sweep = |job: &SweepJob| {
+        client
+            .submit_sweep(job, |_| ProgressAction::Continue)
+            .expect("rpc")
+            .done()
+            .expect("sweep completes")
+    };
+    let (a, b) = (sweep(&small), sweep(&huge));
+    assert_eq!(b.evaluated, 4);
+    assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+    assert_eq!(a.min_energy.to_bits(), b.min_energy.to_bits());
+    assert_eq!(a.argmin, b.argmin);
+    client
+        .ping()
+        .expect("the server still answers after the huge chunk");
+
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
