@@ -23,16 +23,22 @@
 //!    serial on purpose: keying a cone takes under a microsecond, and the
 //!    extraction fan-out it replaced was never faster on two workers than
 //!    on one (measured on a 2-core x86-64 host, `docs/PARALLELISM.md`).
-//! 2. **Simulate** ([`LightConeEvaluator::try_zz_values`]): run the small
+//! 2. **Simulate** ([`ConePlan::try_zz_values_with`]): run the small
 //!    QAOA subcircuit on each *unique* cone with [`FurSimulator`] and read
 //!    off `⟨Z_u Z_v⟩`. Unique cones fan out across the pool through
 //!    [`rayon::strided_lanes`]; each cone runs with strictly serial kernels
 //!    so its value is bit-identical wherever it is computed.
-//! 3. **Accumulate** ([`LightConeEvaluator::accumulate`]): fold
+//! 3. **Accumulate** ([`ConePlan::accumulate`]): fold
 //!    `Σ_e ½·w_e·⟨Z_u Z_v⟩ − W/2` sequentially in edge order — the same
 //!    convention as [`maxcut_polynomial`], so the result matches the exact
 //!    full-statevector objective to floating-point accuracy, and is
 //!    bit-identical across pool sizes.
+//!
+//! Steps 2 and 3 are one evaluate step, [`ConePlan::try_evaluate`], which
+//! reads only the plan and the edge weights. The plan depends on the
+//! graph, the depth, the cap and `dedup` but never on the angles, so a
+//! plan kept across calls — `qokit-serve` caches one per graph — gives
+//! the one-shot [`LightConeEvaluator::try_energy`] bits on every call.
 //!
 //! Only the X mixer is supported: XY mixers couple every qubit pair (ring
 //! or complete), which destroys the locality the light cone relies on.
@@ -193,6 +199,107 @@ impl ConePlan {
             max_cone_qubits_seen: self.max_qubits_seen,
         }
     }
+
+    /// Bytes the plan holds: its group index plus its cone nets (each
+    /// cone's edge list, vertex map and distances).
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let cones: usize = self
+            .cones
+            .iter()
+            .map(|c| {
+                c.ego.graph().n_edges() * size_of::<(usize, usize, f64)>()
+                    + (c.ego.vertices().len() + c.ego.distances().len()) * size_of::<usize>()
+            })
+            .sum();
+        self.group_of.len() * size_of::<usize>() + cones
+    }
+
+    /// The evaluate step: simulates every unique cone under `exec` and
+    /// folds the values over `edges` ([`accumulate`](Self::accumulate)).
+    /// It reads only the plan and the edge weights, so a plan built once
+    /// (and kept, as a server keeps it) gives the one-shot
+    /// [`LightConeEvaluator::try_energy`] bits on every call.
+    ///
+    /// # Panics
+    /// If `gammas.len() != betas.len()`, the depth is not the plan's
+    /// radius, or `edges` is not the planned edge list's length.
+    pub fn try_evaluate(
+        &self,
+        edges: &[(usize, usize, f64)],
+        gammas: &[f64],
+        betas: &[f64],
+        exec: ExecPolicy,
+    ) -> Result<LightConeRun, LightConeError> {
+        assert_eq!(
+            gammas.len(),
+            betas.len(),
+            "gamma and beta must have the same length p"
+        );
+        assert_eq!(
+            gammas.len(),
+            self.radius,
+            "the plan is for depth {}",
+            self.radius
+        );
+        let zz = self.try_zz_values_with(exec, |_, ego| cone_zz(ego, gammas, betas))?;
+        Ok(LightConeRun {
+            energy: self.accumulate(edges, &zz),
+            stats: self.stats(),
+        })
+    }
+
+    /// Runs `f(unique_index, ego) → ⟨ZZ⟩` on every unique cone and
+    /// returns the values indexed like [`cones`](Self::cones): one after
+    /// another in the calling thread when `exec.threads == 1`, through
+    /// [`rayon::strided_lanes`] on the (possibly sized) pool otherwise.
+    /// A panicking cone poisons only this call
+    /// ([`LightConeError::ConePanicked`] with the cone's representative
+    /// edge); sibling cones still complete.
+    pub fn try_zz_values_with<F>(&self, exec: ExecPolicy, f: F) -> Result<Vec<f64>, LightConeError>
+    where
+        F: Fn(usize, &EgoNet) -> f64 + Sync,
+    {
+        let run = |i: usize| {
+            let cone = &self.cones[i];
+            panic::catch_unwind(AssertUnwindSafe(|| f(i, &cone.ego))).map_err(|payload| {
+                LightConeError::ConePanicked {
+                    edge: cone.edge,
+                    message: panic_message(payload),
+                }
+            })
+        };
+        let n = self.cones.len();
+        if exec.threads == 1 {
+            (0..n).map(run).collect()
+        } else {
+            let slots = exec.install(|| rayon::strided_lanes(n, run));
+            slots.into_iter().collect()
+        }
+    }
+
+    /// Folds per-cone `⟨Z_u Z_v⟩` values into the global objective
+    /// `Σ_e ½·w_e·zz[group_of[e]] − W/2`, sequentially in edge order —
+    /// the accumulation order never depends on how `zz` was computed.
+    /// `edges` is the planned edge list (only its weights are read).
+    ///
+    /// # Panics
+    /// If `zz.len()` does not match the unique-cone count, or `edges` the
+    /// edge count.
+    pub fn accumulate(&self, edges: &[(usize, usize, f64)], zz: &[f64]) -> f64 {
+        assert_eq!(zz.len(), self.cones.len(), "one ⟨ZZ⟩ value per unique cone");
+        assert_eq!(
+            edges.len(),
+            self.group_of.len(),
+            "one weight per planned edge"
+        );
+        let mut energy = 0.0;
+        for (&(_, _, w), &group) in edges.iter().zip(&self.group_of) {
+            energy += 0.5 * w * zz[group];
+        }
+        let total_weight: f64 = edges.iter().map(|&(_, _, w)| w).sum();
+        energy - 0.5 * total_weight
+    }
 }
 
 /// Ego-graph dedup-cache counters, surfaced next to every energy (the
@@ -320,56 +427,10 @@ impl LightConeEvaluator {
         })
     }
 
-    /// Simulates every unique cone of `plan` and returns its `⟨Z_u Z_v⟩`,
-    /// indexed like [`ConePlan::cones`]. A panicking cone poisons only
-    /// this call ([`LightConeError::ConePanicked`] with the cone's
-    /// representative edge); sibling cones still complete. Each cone runs
-    /// the state-vector simulation [`cone_zz`].
-    pub fn try_zz_values(
-        &self,
-        plan: &ConePlan,
-        gammas: &[f64],
-        betas: &[f64],
-    ) -> Result<Vec<f64>, LightConeError> {
-        self.try_zz_values_with(plan, |_, ego| cone_zz(ego, gammas, betas))
-    }
-
-    /// As [`try_zz_values`](Self::try_zz_values), but with an injectable
-    /// per-cone evaluation `f(unique_index, ego) → ⟨ZZ⟩`; the
-    /// failure-injection tests use it to poison a single cone.
-    pub fn try_zz_values_with<F>(&self, plan: &ConePlan, f: F) -> Result<Vec<f64>, LightConeError>
-    where
-        F: Fn(usize, &EgoNet) -> f64 + Sync,
-    {
-        let slots = self.fan_out(plan.cones.len(), |i| {
-            let cone = &plan.cones[i];
-            panic::catch_unwind(AssertUnwindSafe(|| f(i, &cone.ego))).map_err(|payload| {
-                LightConeError::ConePanicked {
-                    edge: cone.edge,
-                    message: panic_message(payload),
-                }
-            })
-        });
-        slots.into_iter().collect()
-    }
-
-    /// Folds per-cone `⟨Z_u Z_v⟩` values into the global objective
-    /// `Σ_e ½·w_e·zz[group_of[e]] − W/2`, sequentially in edge order —
-    /// the accumulation order never depends on how `zz` was computed.
-    ///
-    /// # Panics
-    /// If `zz.len()` does not match the plan's unique-cone count.
-    pub fn accumulate(&self, plan: &ConePlan, zz: &[f64]) -> f64 {
-        assert_eq!(zz.len(), plan.cones.len(), "one ⟨ZZ⟩ value per unique cone");
-        let mut energy = 0.0;
-        for (&(_, _, w), &group) in self.graph.edges().iter().zip(&plan.group_of) {
-            energy += 0.5 * w * zz[group];
-        }
-        energy - 0.5 * self.graph.total_weight()
-    }
-
-    /// Plans, simulates, and accumulates the depth-`p` objective in one
-    /// call (`p = gammas.len()`, the cone radius).
+    /// Plans and evaluates the depth-`p` objective in one call
+    /// (`p = gammas.len()`, the cone radius): [`plan`](Self::plan), then
+    /// [`ConePlan::try_evaluate`] over this evaluator's edges — the same
+    /// evaluate step a cached plan runs.
     ///
     /// # Panics
     /// If `gammas.len() != betas.len()`.
@@ -383,12 +444,8 @@ impl LightConeEvaluator {
             betas.len(),
             "gamma and beta must have the same length p"
         );
-        let plan = self.plan(gammas.len())?;
-        let zz = self.try_zz_values(&plan, gammas, betas)?;
-        Ok(LightConeRun {
-            energy: self.accumulate(&plan, &zz),
-            stats: plan.stats(),
-        })
+        self.plan(gammas.len())?
+            .try_evaluate(self.graph.edges(), gammas, betas, self.options.exec)
     }
 
     /// As [`try_energy`](Self::try_energy), but panics on error.
@@ -396,22 +453,6 @@ impl LightConeEvaluator {
         match self.try_energy(gammas, betas) {
             Ok(run) => run.energy,
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs `body(0..n)` under the configured fan-out policy, results
-    /// keyed by index: sequentially for `threads == 1`, through
-    /// [`rayon::strided_lanes`] on the (possibly sized) pool otherwise.
-    fn fan_out<R, F>(&self, n: usize, body: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Send + Sync,
-    {
-        let exec = self.options.exec;
-        if exec.threads == 1 {
-            (0..n).map(body).collect()
-        } else {
-            exec.install(|| rayon::strided_lanes(n, body))
         }
     }
 }
@@ -606,8 +647,8 @@ mod tests {
             },
         );
         let plan = ev.plan(1).unwrap();
-        let err = ev
-            .try_zz_values_with(&plan, |i, ego| {
+        let err = plan
+            .try_zz_values_with(ev.options().exec, |i, ego| {
                 if i == 5 {
                     panic!("boom at cone {i}");
                 }
@@ -621,8 +662,10 @@ mod tests {
                 message: "boom at cone 5".to_string()
             }
         );
-        // The evaluator (and the pool underneath) stays usable.
-        let zz = ev.try_zz_values(&plan, &[0.3], &[0.5]).unwrap();
+        // The plan (and the pool underneath) stays usable.
+        let zz = plan
+            .try_zz_values_with(ev.options().exec, |_, ego| cone_zz(ego, &[0.3], &[0.5]))
+            .unwrap();
         assert_eq!(zz.len(), 12);
     }
 
@@ -717,6 +760,68 @@ mod tests {
         }
         // Both the refusal and the planned paths were exercised.
         assert!(refused > 0 && refused < graphs.len() * 2 * 2 * 3);
+    }
+
+    #[test]
+    fn order_preserving_relabel_keeps_plan_and_bits() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let graphs = [
+            ("3-regular", Graph::random_regular(40, 3, &mut rng)),
+            (
+                "weighted ring",
+                Graph::ring(16, 1.0).with_random_weights(0.2, 1.8, &mut rng),
+            ),
+        ];
+        let (gammas, betas) = ([0.35, -0.2], [0.6, 0.25]);
+        for (name, g) in graphs {
+            // Spread the ids out (an untouched vertex between every pair)
+            // without changing their order; compacting undoes it.
+            let spread = |x: usize| 3 * x + 2;
+            let sparse = Graph::new(
+                spread(g.n_vertices()),
+                g.edges()
+                    .iter()
+                    .map(|&(u, v, w)| (spread(u), spread(v), w))
+                    .collect(),
+            );
+            assert_eq!(sparse.clone().compacted(), g, "{name}");
+            let want = LightConeEvaluator::new(g);
+            let got = LightConeEvaluator::new(sparse);
+            for p in 1..=2 {
+                let (a, b) = (want.plan(p).unwrap(), got.plan(p).unwrap());
+                assert_eq!(a.group_of(), b.group_of(), "{name}, p = {p}");
+                assert_eq!(a.stats(), b.stats(), "{name}, p = {p}");
+            }
+            let (a, b) = (
+                want.try_energy(&gammas, &betas).unwrap(),
+                got.try_energy(&gammas, &betas).unwrap(),
+            );
+            assert_eq!(a.stats.unique_cones, b.stats.unique_cones, "{name}");
+            assert_eq!(a.stats.cache_hits, b.stats.cache_hits, "{name}");
+            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{name}");
+        }
+    }
+
+    #[test]
+    fn kept_plan_evaluates_with_the_one_shot_bits() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let g = Graph::random_regular(30, 3, &mut rng).with_random_weights(0.5, 1.5, &mut rng);
+        let ev = LightConeEvaluator::new(g.clone());
+        let plan = ev.plan(2).unwrap();
+        for (gammas, betas) in [([0.3, 0.1], [0.5, 0.7]), ([-0.4, 0.2], [0.1, -0.3])] {
+            let once = ev.try_energy(&gammas, &betas).unwrap();
+            let kept = plan
+                .try_evaluate(g.edges(), &gammas, &betas, ExecPolicy::serial())
+                .unwrap();
+            assert_eq!(once.energy.to_bits(), kept.energy.to_bits());
+            assert_eq!(once.stats, kept.stats);
+        }
+        // The ring's one cone: 20 group slots, 4 vertices with their
+        // distances, 3 edges.
+        let ring = LightConeEvaluator::new(Graph::ring(20, 1.0))
+            .plan(1)
+            .unwrap();
+        assert_eq!(ring.memory_bytes(), 20 * 8 + (4 + 4) * 8 + 3 * 24);
     }
 
     /// `⟨Z_0 Z_1⟩` as it was computed on an interleaved state: simulate,

@@ -6,7 +6,8 @@
 //! `K` contiguous shards, sends shard `r` to rank `r` of a [`Transport`] as
 //! one `ConeShard` request, concatenates the per-rank `⟨ZZ⟩` vectors in
 //! rank order, and hands the result to
-//! [`LightConeEvaluator::accumulate`] for the sequential edge-order fold.
+//! [`ConePlan::accumulate`](qokit_core::lightcone::ConePlan::accumulate)
+//! for the sequential edge-order fold.
 //! [`DistLightCone::try_energy`] runs the ranks as pool tasks on an
 //! [`InProcessTransport`]; [`DistLightCone::try_energy_on`] takes any
 //! transport. Every cone runs with serial kernels, the shard boundaries
@@ -200,7 +201,7 @@ impl DistLightCone {
             }
         }
         Ok(DistLightConeRun {
-            energy: self.evaluator.accumulate(&plan, &zz),
+            energy: plan.accumulate(self.evaluator.graph().edges(), &zz),
             stats: plan.stats(),
             comm: t.stats(),
         })

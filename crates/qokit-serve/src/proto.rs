@@ -57,8 +57,9 @@ pub struct MultiStartJob {
     pub deadline_ms: u64,
 }
 
-/// A light-cone MaxCut energy job (huge sparse graphs; no cache entry —
-/// the cone planner has its own per-job dedup cache).
+/// A light-cone MaxCut energy job (huge sparse graphs). Its cone plan is
+/// cached, keyed by the exact edge list, the depth and `max_cone_qubits`,
+/// so a repeated graph runs only the cone simulations.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LightConeJob {
     /// Vertex count of the problem graph.
@@ -99,16 +100,23 @@ pub enum ServeRequest {
 /// [`ServeResponse::CacheStats`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStatsView {
-    /// Resident entries.
+    /// Resident entries: cost diagonals and light-cone plans.
     pub entries: u64,
-    /// Resident cost-vector bytes.
+    /// Priced bytes of the resident entries: each diagonal's cost-vector
+    /// bytes and each plan's group index and cone nets (keys are not
+    /// priced).
     pub bytes: u64,
     /// Byte budget evictions keep the cache under.
     pub capacity_bytes: u64,
-    /// Lookups served from a resident entry.
+    /// Diagonal lookups (sweep and multi-start jobs) served from a
+    /// resident entry.
     pub hits: u64,
-    /// Lookups that had to build the simulator.
+    /// Diagonal lookups that had to build the simulator.
     pub misses: u64,
+    /// Light-cone jobs whose plan was resident.
+    pub plan_hits: u64,
+    /// Light-cone jobs that had to plan (refused plans included).
+    pub plan_misses: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
 }
@@ -466,6 +474,8 @@ pub fn encode_response(resp: &ServeResponse) -> Vec<u8> {
             w.u64(s.capacity_bytes);
             w.u64(s.hits);
             w.u64(s.misses);
+            w.u64(s.plan_hits);
+            w.u64(s.plan_misses);
             w.u64(s.evictions);
         }
         ServeResponse::Error(msg) => {
@@ -553,6 +563,8 @@ pub fn decode_response(payload: &[u8]) -> Result<ServeResponse, WireError> {
             let capacity_bytes = r.u64()?;
             let hits = r.u64()?;
             let misses = r.u64()?;
+            let plan_hits = r.u64()?;
+            let plan_misses = r.u64()?;
             let evictions = r.u64()?;
             ServeResponse::CacheStats(CacheStatsView {
                 entries,
@@ -560,6 +572,8 @@ pub fn decode_response(payload: &[u8]) -> Result<ServeResponse, WireError> {
                 capacity_bytes,
                 hits,
                 misses,
+                plan_hits,
+                plan_misses,
                 evictions,
             })
         }
@@ -673,6 +687,8 @@ mod tests {
             capacity_bytes: 1 << 28,
             hits: 10,
             misses: 3,
+            plan_hits: 7,
+            plan_misses: 2,
             evictions: 1,
         }));
         roundtrip_resp(ServeResponse::Error("lane panicked".into()));

@@ -13,10 +13,23 @@
 //!     Ping/CacheStats inline,          QOKIT_SERVE_QUEUE,    │ disjoint
 //!     submits jobs, then polls         else Rejected)        │ SubsetPool
 //!     for Cancel / disconnect                                ▼
-//!                ▲                                   run job (sweep /
+//!                ▲                                   precompute cache
+//!                │                                   (diagonal / plan,
+//!                │                                    built on a miss)
+//!                │                                           ▼
+//!                │                                   run job (sweep /
 //!                └────── progress + terminal frames ─ multistart /
 //!                        through one shared writer    lightcone)
 //! ```
+//!
+//! Every job kind looks up its angle-independent part in the shared
+//! [`PrecomputeCache`] before it runs: sweep and multi-start jobs their
+//! cost diagonal, light-cone jobs their cone plan. A light-cone hit runs
+//! only the cone simulations and the edge-order accumulate
+//! ([`ConePlan::try_evaluate`](qokit_core::lightcone::ConePlan::try_evaluate)),
+//! the same evaluate step as the one-shot
+//! [`LightConeEvaluator::try_energy`](qokit_core::lightcone::LightConeEvaluator::try_energy),
+//! so served and one-shot energies have the same bits.
 //!
 //! Admission counts **outstanding** jobs (queued + running), so a
 //! saturated server answers `Rejected` deterministically and never
@@ -35,13 +48,11 @@ use crate::proto::{
 };
 use qokit_core::batch::{SweepError, SweepNesting, SweepOptions, SweepPoint, SweepRunner};
 use qokit_core::landscape::{EnergySink, LandscapeAggregator};
-use qokit_core::lightcone::{LightConeEvaluator, LightConeOptions};
 use qokit_core::panic_message;
 use qokit_dist::frame::{read_frame, write_frame, FrameReadError};
 use qokit_dist::PointSource;
 use qokit_optim::{MultiStart, MultiStartError, NelderMead, RestartMethod};
 use qokit_statevec::exec::ExecPolicy;
-use qokit_terms::graphs::Graph;
 use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -461,7 +472,7 @@ fn run_job(shared: &Shared, job: &QueuedJob) -> ServeResponse {
     match &job.kind {
         JobKind::Sweep(sweep) => run_sweep(shared, sweep, &job.conn),
         JobKind::MultiStart(ms) => run_multistart(shared, ms, &job.conn),
-        JobKind::LightCone(lc) => run_lightcone(lc, &job.conn),
+        JobKind::LightCone(lc) => run_lightcone(shared, lc, &job.conn),
     }
 }
 
@@ -591,7 +602,7 @@ fn run_multistart(shared: &Shared, job: &MultiStartJob, conn: &JobConn) -> Serve
     }
 }
 
-fn run_lightcone(job: &LightConeJob, conn: &JobConn) -> ServeResponse {
+fn run_lightcone(shared: &Shared, job: &LightConeJob, conn: &JobConn) -> ServeResponse {
     // Light-cone evaluation has no chunk loop to checkpoint; honor a
     // cancellation or an already-expired deadline before starting (a
     // cone batch is short — bounded by `max_cone_qubits`).
@@ -603,22 +614,15 @@ fn run_lightcone(job: &LightConeJob, conn: &JobConn) -> ServeResponse {
     if conn.cancel.load(Ordering::Relaxed) {
         return ServeResponse::Cancelled { evaluated: 0 };
     }
-    let graph = match Graph::try_new(job.n_vertices, job.edges.clone()) {
-        Ok(graph) => graph,
+    let cached = match shared.cache.get_or_plan(job) {
+        Ok((cached, _)) => cached,
         Err(e) => return ServeResponse::Error(e),
     };
-    let n_edges = graph.n_edges() as u64;
-    let evaluator = LightConeEvaluator::with_options(
-        graph,
-        LightConeOptions {
-            max_cone_qubits: job.max_cone_qubits,
-            ..Default::default()
-        },
-    );
-    match evaluator.try_energy(&job.gammas, &job.betas) {
+    let (plan, edges) = (cached.plan(), cached.edges());
+    match plan.try_evaluate(edges, &job.gammas, &job.betas, ExecPolicy::auto()) {
         Ok(run) => ServeResponse::LightConeDone(LightConeSummary {
             energy: run.energy,
-            edges: n_edges,
+            edges: run.stats.edges as u64,
             unique_cones: run.stats.unique_cones as u64,
             cache_hits: run.stats.cache_hits as u64,
         }),

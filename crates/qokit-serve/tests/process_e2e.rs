@@ -4,7 +4,8 @@
 //!
 //! Covered here (and nowhere else): the `SERVE_ADDR=` stdout handshake,
 //! env-var configuration, all three job kinds against a separate OS
-//! process, warm-cache behaviour across requests, deterministic
+//! process, warm-cache behaviour across requests (a cached diagonal and
+//! a cached light-cone plan), deterministic
 //! `Rejected` under a saturated 1-slot queue, and a clean `Shutdown`
 //! exit.
 
@@ -162,21 +163,38 @@ fn binary_serves_all_job_kinds_with_cache_and_admission_control() {
     assert!(ms.cache_hit, "labs(8) + same spec is already cached");
 
     let ring: Vec<(usize, usize, f64)> = (0..64).map(|i| (i, (i + 1) % 64, 1.0)).collect();
+    let lc_job = LightConeJob {
+        n_vertices: 64,
+        edges: ring,
+        gammas: vec![0.4],
+        betas: vec![0.6],
+        max_cone_qubits: 22,
+        deadline_ms: 0,
+    };
     let lc = client
-        .submit_lightcone(&LightConeJob {
-            n_vertices: 64,
-            edges: ring,
-            gammas: vec![0.4],
-            betas: vec![0.6],
-            max_cone_qubits: 22,
-            deadline_ms: 0,
-        })
+        .submit_lightcone(&lc_job)
         .expect("lightcone rpc")
         .done()
         .expect("lightcone completed");
     assert!(lc.energy.is_finite());
     assert_eq!(lc.edges, 64);
     assert_eq!(lc.unique_cones, 1, "every ring cone is the same local line");
+
+    // --- Identical light-cone resubmission: the cached cone plan -------
+    let before = client.cache_stats().expect("stats");
+    let warm_lc = client
+        .submit_lightcone(&lc_job)
+        .expect("warm lightcone rpc")
+        .done()
+        .expect("warm lightcone completed");
+    assert_eq!(warm_lc.energy.to_bits(), lc.energy.to_bits());
+    assert_eq!(warm_lc, lc);
+    let after = client.cache_stats().expect("stats");
+    assert_eq!(
+        (after.plan_hits, after.plan_misses),
+        (before.plan_hits + 1, before.plan_misses),
+        "second identical light-cone submission must hit the plan cache"
+    );
 
     // --- Saturated 1-slot queue: clean Rejected, never a hang ----------
     let addr = server.addr.clone();

@@ -184,6 +184,30 @@ impl Graph {
             .sum()
     }
 
+    /// The same graph on only the vertices its edges touch, relabeled
+    /// `0..k` in id order; edge order and weights are kept. The relabel
+    /// preserves the relative order of ids, so every traversal of the
+    /// [`adjacency`](Self::adjacency) (sorted neighbor rows, BFS discovery
+    /// order, cone keys) is the same walk — and the adjacency is sized by
+    /// the edge count, not by a vertex count an edge list merely claims.
+    pub fn compacted(self) -> Graph {
+        let mut ids: Vec<usize> = self.edges.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let label = |x| {
+            ids.binary_search(&x)
+                .expect("an endpoint is a touched vertex")
+        };
+        let mut edges = self.edges;
+        for e in &mut edges {
+            *e = (label(e.0), label(e.1), e.2);
+        }
+        Graph {
+            n: ids.len(),
+            edges,
+        }
+    }
+
     /// Builds the compressed sparse adjacency view of this graph — the
     /// random-access neighborhood substrate behind [`Adjacency::edge_ego`]
     /// light-cone extraction. Neighbor lists are sorted by vertex id, so
@@ -624,6 +648,22 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn new_rejects_duplicate_edge() {
         let _ = Graph::new(3, vec![(0, 1, 1.0), (1, 0, 2.0)]);
+    }
+
+    #[test]
+    fn compacted_relabels_touched_vertices_in_id_order() {
+        // Vertex 3 is isolated; ids past it shift down, edge order stays.
+        let g = Graph::new(
+            1 << 40,
+            vec![(7, (1 << 40) - 1, 0.5), (0, 7, 1.5), (2, 0, -1.0)],
+        );
+        let c = g.compacted();
+        assert_eq!(c.n_vertices(), 4);
+        assert_eq!(c.edges(), &[(2, 3, 0.5), (0, 2, 1.5), (0, 1, -1.0)]);
+        assert_eq!(c.adjacency().n_vertices(), 4);
+        // A graph whose vertices are all touched is its own compaction.
+        let ring = Graph::ring(9, 1.0);
+        assert_eq!(ring.clone().compacted(), ring);
     }
 
     #[test]

@@ -365,8 +365,8 @@ fn panicking_edge_cone_poisons_only_its_evaluation() {
     );
     let plan = ev.plan(1).unwrap();
     let finished = AtomicUsize::new(0);
-    let err = ev
-        .try_zz_values_with(&plan, |i, ego| {
+    let err = plan
+        .try_zz_values_with(ev.options().exec, |i, ego| {
             if i == 7 {
                 panic!("injected cone failure");
             }

@@ -248,6 +248,124 @@ fn served_star_graph_is_refused_and_server_stays_usable() {
     handle.join();
 }
 
+/// A light-cone job's plan is cached: the same job served twice plans
+/// once and has the one-shot bits both times. A different depth, cap or
+/// weight bit is a new plan; a refused plan is never cached.
+#[test]
+fn served_lightcone_plans_once_per_graph() {
+    use qokit::core::lightcone::{LightConeError, LightConeOptions};
+    use qokit::serve::ClientError;
+    let handle = start_server(4);
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    let mut rng = StdRng::seed_from_u64(5);
+    let graph = Graph::random_regular(400, 3, &mut rng);
+    let job = LightConeJob {
+        n_vertices: 400,
+        edges: graph.edges().to_vec(),
+        gammas: vec![0.4, -0.2],
+        betas: vec![0.6, 0.3],
+        max_cone_qubits: 22,
+        deadline_ms: 0,
+    };
+    let oracle = LightConeEvaluator::new(graph)
+        .try_energy(&job.gammas, &job.betas)
+        .expect("one-shot light cone");
+    let serve = |client: &mut ServeClient, job: &LightConeJob| {
+        client
+            .submit_lightcone(job)
+            .expect("rpc")
+            .done()
+            .expect("job completed")
+    };
+    let cold = serve(&mut client, &job);
+    let warm = serve(&mut client, &job);
+    for served in [&cold, &warm] {
+        assert_eq!(served.energy.to_bits(), oracle.energy.to_bits());
+        assert_eq!(served.unique_cones as usize, oracle.stats.unique_cones);
+        assert_eq!(served.cache_hits as usize, oracle.stats.cache_hits);
+    }
+    let stats = client.cache_stats().expect("stats");
+    assert_eq!((stats.plan_misses, stats.plan_hits), (1, 1));
+    assert_eq!((stats.misses, stats.hits), (0, 0));
+    assert_eq!(stats.entries, 1);
+
+    let mut shallower = job.clone();
+    shallower.gammas.truncate(1);
+    shallower.betas.truncate(1);
+    let narrower = LightConeJob {
+        max_cone_qubits: 21,
+        ..job.clone()
+    };
+    let mut reweighted = job.clone();
+    reweighted.edges[9].2 = f64::from_bits(1.0f64.to_bits() + 1);
+    for variant in [&shallower, &narrower, &reweighted] {
+        serve(&mut client, variant);
+    }
+    let stats = client.cache_stats().expect("stats");
+    assert_eq!((stats.plan_misses, stats.plan_hits), (4, 1));
+    assert_eq!(stats.entries, 4);
+
+    const LEAVES: usize = 20_000;
+    let star = LightConeJob {
+        n_vertices: LEAVES + 1,
+        edges: (1..=LEAVES).map(|leaf| (0, leaf, 1.0)).collect(),
+        max_cone_qubits: LightConeOptions::default().max_cone_qubits,
+        ..job.clone()
+    };
+    let want = LightConeError::ConeTooWide {
+        edge: 0,
+        qubits: LEAVES + 1,
+        max: 22,
+    };
+    let before = client.cache_stats().expect("stats");
+    for _ in 0..2 {
+        match client.submit_lightcone(&star) {
+            Err(ClientError::Server(message)) => assert_eq!(message, want.to_string()),
+            other => panic!("expected the ConeTooWide error, got {other:?}"),
+        }
+    }
+    let after = client.cache_stats().expect("stats");
+    assert_eq!(after.plan_misses, before.plan_misses + 2);
+    assert_eq!((after.entries, after.bytes), (before.entries, before.bytes));
+
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
+/// A vertex count far beyond memory is only a number: the adjacency is
+/// built on the vertices the edges touch, so the job runs with the bits
+/// of the same edge relabelled to two vertices, and the server lives on.
+#[test]
+fn huge_vertex_count_is_a_normal_lightcone_job_not_an_abort() {
+    let handle = start_server(2);
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    let small = LightConeEvaluator::new(Graph::new(2, vec![(0, 1, 1.0)]))
+        .try_energy(&[0.4, -0.2], &[0.6, 0.3])
+        .expect("one-shot light cone");
+    for edge in [(0, 1, 1.0), (0, (1 << 40) - 1, 1.0)] {
+        let served = client
+            .submit_lightcone(&LightConeJob {
+                n_vertices: 1 << 40,
+                edges: vec![edge],
+                gammas: vec![0.4, -0.2],
+                betas: vec![0.6, 0.3],
+                max_cone_qubits: 22,
+                deadline_ms: 0,
+            })
+            .expect("rpc")
+            .done()
+            .expect("job completed");
+        assert_eq!(served.energy.to_bits(), small.energy.to_bits(), "{edge:?}");
+        assert_eq!(served.edges, 1);
+        client.ping().expect("server answers after the job");
+    }
+
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
 #[test]
 fn second_identical_submission_hits_the_cache() {
     let handle = start_server(4);
