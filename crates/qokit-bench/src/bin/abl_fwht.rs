@@ -19,10 +19,11 @@
 use qokit_bench::{bench_n, fast_mode, fmt_time, print_table, time_median};
 use qokit_core::Mixer;
 use qokit_statevec::diag::{apply_phase, apply_phase_split, expectation, expectation_split};
+use qokit_statevec::exec::kernel_isa;
 use qokit_statevec::fwht::{
     apply_x_mixer_fwht_copying, apply_x_mixer_fwht_inplace, fwht, fwht_split,
 };
-use qokit_statevec::su2::{apply_uniform_mat2, block_walk_isa};
+use qokit_statevec::su2::apply_uniform_mat2;
 use qokit_statevec::su4::{apply_xy, apply_xy_split};
 use qokit_statevec::{ExecPolicy, Mat2, SplitStateVec, StateVec};
 use std::io::Write;
@@ -31,7 +32,8 @@ use std::io::Write;
 /// memory layouts. The `x_mixer` row times `Mixer::X` on each layout, i.e.
 /// the generic interleaved butterfly against the RX-specialized split
 /// sweeps every objective runs; `kernel_isa` records which compilation of
-/// the split block walk ran (`su2::block_walk_isa`). Emits
+/// the split block walk and the indexed phase ran (`exec::kernel_isa`).
+/// Emits
 /// `BENCH_layout.json` (`abl_layout` schema)
 /// and, under `QOKIT_ABL_ASSERT=1`, fails unless the best kernel reaches
 /// ≥1.0× the interleaved baseline — the CI guard that the split layer pays
@@ -124,7 +126,7 @@ fn layout_ablation(n: usize, reps: usize) {
     let json = format!(
         "{{\n  \"bench\": \"abl_layout\",\n  \"n_qubits\": {n},\n  \"hw_threads\": {hw},\n  \"reps\": {reps},\n  \"layout_baseline\": \"interleaved\",\n  \"kernel_isa\": \"{isa}\",\n  \"best_speedup\": {best_speedup:.4},\n  \"kernels\": [\n{}\n  ]\n}}\n",
         records.join(",\n"),
-        isa = block_walk_isa(),
+        isa = kernel_isa(),
     );
     match std::fs::File::create(&json_path).and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote {json_path}"),

@@ -134,7 +134,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\n(in-process ranks are pool tasks — zero wire bytes; TCP ranks are spawned\n worker processes on loopback, every frame length-prefixed and FNV-1a-64\n checksummed. Same worker dispatch on both sides, so the aggregates match bit\n for bit: {}.)",
+        "\n(in-process ranks are pool tasks — zero wire bytes; TCP ranks are spawned\n worker processes on loopback, every frame length-prefixed and\n checksummed. Same worker dispatch on both sides, so the aggregates match bit\n for bit: {}.)",
         if bits_ok { "verified" } else { "DIVERGED" }
     );
 

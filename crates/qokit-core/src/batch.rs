@@ -7,16 +7,18 @@
 //! workers through one [`Arc`]`<`[`FurSimulator`]`>`, split-plane state
 //! buffers are recycled through a per-worker pool instead of being
 //! reallocated per point, and the points of a batch run as pool tasks under
-//! an [`ExecPolicy`]. Each batch fills its initial planes once and is cut
-//! into *runs*: maximal stretches of consecutive points whose first γ has
-//! the same bits, such as one row of a row-major `(γ, β)` grid. The state
-//! after the first phase depends on γ₁ alone, so a run of two or more
-//! points phases one start state once; each point copies its start (the
-//! run's phased state, or the initial planes for a run of one) into a
-//! recycled buffer, evolves the rest of its schedule, and takes the split
-//! objective, so an energy never transposes or allocates. Every point
-//! sees the same IEEE operations in the same order either way, so sharing
-//! a start never changes a bit.
+//! an [`ExecPolicy`]. Each batch is cut into *runs*: maximal stretches of
+//! consecutive points whose first γ has the same bits, such as one row of
+//! a row-major `(γ, β)` grid. The state after the first phase depends on
+//! γ₁ alone, so a run of two or more points writes one phased start
+//! state; each point copies it into a recycled buffer, or, in a run of
+//! one, writes its own start there, evolves the rest of its schedule, and
+//! takes the split objective, so an energy never transposes or allocates.
+//! Starts come from the simulator's one start path: from `|+⟩` one
+//! write-only pass with the first phase folded in, so a batch fills no
+//! initial state; any other initial state is filled once per batch and
+//! copied. Every point sees the same IEEE operations in the same order
+//! either way, so sharing a start never changes a bit.
 //!
 //! The [`SweepNesting`] knob picks where the parallelism goes:
 //!
@@ -45,7 +47,7 @@
 
 use crate::landscape::EnergySink;
 use crate::panic_message;
-use crate::simulator::{FurSimulator, QaoaSimulator};
+use crate::simulator::{FurSimulator, QaoaSimulator, Start};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::{SplitStateVec, StateVec};
 use rayon::prelude::*;
@@ -641,7 +643,7 @@ impl SweepRunner {
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        let init = self.sim.initial_planes();
+        let start = self.sim.start();
         let inner = ExecPolicy::serial();
         let mut runs = Vec::new();
         let (mut base, mut free) = (0, slots);
@@ -654,7 +656,7 @@ impl SweepRunner {
         runs.par_iter_mut()
             .with_min_len(1)
             .for_each(|(base, run, slots)| {
-                self.eval_run(*base, run, &init, inner, eval, |point| {
+                self.eval_run(*base, run, &start, inner, eval, |point| {
                     slots
                         .par_iter_mut()
                         .with_min_len(1)
@@ -676,10 +678,10 @@ impl SweepRunner {
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        let init = self.sim.initial_planes();
+        let start = self.sim.start();
         let mut base = 0;
         for run in gamma_runs(points) {
-            self.eval_run(base, run, &init, inner, eval, |point| {
+            self.eval_run(base, run, &start, inner, eval, |point| {
                 for (k, slot) in slots[base..base + run.len()].iter_mut().enumerate() {
                     *slot = Some(point(k).map_err(Box::new));
                 }
@@ -689,19 +691,19 @@ impl SweepRunner {
     }
 
     /// Evaluates one run of [`gamma_runs`] (global indices from `base`).
-    /// A run of two or more points fills and phases one shared start by
-    /// `γ₁` — the state after the first phase depends on `γ₁` alone — and
-    /// each point copies it and evolves the rest of its schedule; a lone
-    /// point runs its whole schedule from `init`. Either way a point sees
-    /// the same IEEE operations in the same order, so the energies have the
-    /// bits of one-at-a-time objective calls. `each` receives the per-point
-    /// evaluation (argument: offset in the run) and drives it serially or
-    /// in parallel.
+    /// A run of two or more points writes one shared start phased by `γ₁`
+    /// — the state after the first phase depends on `γ₁` alone — and each
+    /// point copies it and evolves the rest of its schedule; a lone point
+    /// runs its whole schedule from `start`. Either way a point sees the
+    /// same IEEE operations in the same order, so the energies have the
+    /// bits of one-at-a-time objective calls. `each` receives the
+    /// per-point evaluation (argument: offset in the run) and drives it
+    /// serially or in parallel.
     fn eval_run<R, F>(
         &self,
         base: usize,
         run: &[SweepPoint],
-        init: &SplitStateVec,
+        start: &Start,
         inner: ExecPolicy,
         eval: &F,
         each: impl FnOnce(&(dyn Fn(usize) -> Result<R, SweepError> + Sync)),
@@ -710,27 +712,26 @@ impl SweepRunner {
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let shared = (run.len() > 1).then(|| {
-            let mut start = self.buffers.checkout(init.n_qubits());
-            start.copy_from(init);
-            self.sim.first_phase(&mut start, run[0].gammas[0], inner);
-            start
+            let mut phased = self.buffers.checkout(self.sim.n_qubits());
+            let gamma = run[0].gammas[0];
+            self.sim.write_start(start, &mut phased, Some(gamma), inner);
+            phased
         });
-        let phased = shared.is_some();
-        let start = shared.as_ref().unwrap_or(init);
+        let phased = shared.as_ref();
         each(&|k| self.eval_one(base + k, &run[k], start, phased, inner, eval));
-        if let Some(start) = shared {
-            self.buffers.checkin(start);
+        if let Some(phased) = shared {
+            self.buffers.checkin(phased);
         }
     }
 
-    /// Evaluates one point from `start`: the initial planes, or — when
-    /// `phased` — its run's state after the first phase.
+    /// Evaluates one point: from its run's state after the first phase
+    /// when `phased` holds one, else from `start`.
     fn eval_one<R, F>(
         &self,
         index: usize,
         point: &SweepPoint,
-        start: &SplitStateVec,
-        phased: bool,
+        start: &Start,
+        phased: Option<&SplitStateVec>,
         inner: ExecPolicy,
         eval: &F,
     ) -> Result<R, SweepError>
@@ -738,15 +739,16 @@ impl SweepRunner {
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        let mut buf = self.buffers.checkout(start.n_qubits());
+        let mut buf = self.buffers.checkout(self.sim.n_qubits());
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            buf.copy_from(start);
             let (gammas, betas) = (&point.gammas, &point.betas);
-            if phased {
-                self.sim
-                    .evolve_after_first_phase(&mut buf, gammas, betas, inner);
-            } else {
-                self.sim.evolve_planes(&mut buf, gammas, betas, inner);
+            match phased {
+                Some(phased) => {
+                    buf.copy_from(phased);
+                    self.sim
+                        .evolve_after_first_phase(&mut buf, gammas, betas, inner);
+                }
+                None => self.sim.evolve_from(start, &mut buf, gammas, betas, inner),
             }
             eval(&self.sim, &buf, inner)
         }));

@@ -468,8 +468,7 @@ impl LightConeEvaluator {
 pub fn cone_zz(ego: &EgoNet, gammas: &[f64], betas: &[f64]) -> f64 {
     let exec = ExecPolicy::serial();
     let sim = cone_simulator(ego, exec);
-    let mut state = sim.initial_planes();
-    sim.evolve_planes(&mut state, gammas, betas, exec);
+    let state = sim.evolved(gammas, betas, exec);
     let (re, im) = state.planes();
     let (s0, s1) = ego.seeds();
     re.iter()

@@ -152,9 +152,15 @@ where
     F: FnMut(LayerSnapshot),
 {
     assert_eq!(gammas.len(), betas.len(), "gamma/beta length mismatch");
-    let mut state = sim.initial_planes();
+    let exec = sim.options().exec;
+    let first = gammas.len().min(1);
+    // Layer 1 from the configured start (one pass from `|+⟩`); `p = 0`
+    // leaves the start itself.
+    let mut state = sim.evolved(&gammas[..first], &betas[..first], exec);
     for (l, (&g, &b)) in gammas.iter().zip(betas.iter()).enumerate() {
-        sim.evolve_planes(&mut state, &[g], &[b], sim.options().exec);
+        if l > 0 {
+            sim.evolve_planes(&mut state, &[g], &[b], exec);
+        }
         let (re, im) = state.planes();
         observer(LayerSnapshot {
             layer: l + 1,

@@ -58,6 +58,15 @@ impl Default for SimOptions {
     }
 }
 
+/// The initial state as the start path reads it
+/// ([`FurSimulator::write_start`]).
+pub(crate) enum Start {
+    /// `|+⟩^{⊗n}`, written together with the first phase and never stored.
+    Uniform,
+    /// Any other initial state, filled into planes once.
+    Planes(SplitStateVec),
+}
+
 /// The result object returned by `simulate_qaoa`: a representation of the
 /// evolved state vector. Use the simulator's `get_*` methods to extract
 /// portable outputs (mirrors QOKit's result-object convention).
@@ -219,13 +228,95 @@ impl FurSimulator {
     /// The configured initial state on split planes. The uniform and basis
     /// states are filled straight into the planes; Dicke and custom states
     /// are built interleaved and transposed once.
-    pub(crate) fn initial_planes(&self) -> SplitStateVec {
+    fn initial_planes(&self) -> SplitStateVec {
         match (&self.options.initial, self.options.mixer) {
             (InitialState::Auto, Mixer::X) | (InitialState::UniformSuperposition, _) => {
                 SplitStateVec::uniform_superposition(self.n)
             }
             (InitialState::Basis(x), _) => SplitStateVec::basis_state(self.n, *x),
             _ => SplitStateVec::from(&self.initial_state()),
+        }
+    }
+
+    /// The configured initial state as [`write_start`](Self::write_start)
+    /// reads it: `|+⟩` is never stored, any other state is filled into
+    /// planes once, for every start to copy.
+    pub(crate) fn start(&self) -> Start {
+        match (&self.options.initial, self.options.mixer) {
+            (InitialState::Auto, Mixer::X) | (InitialState::UniformSuperposition, _) => {
+                Start::Uniform
+            }
+            _ => Start::Planes(self.initial_planes()),
+        }
+    }
+
+    /// The one start path: overwrites `state` with `e^{-iγ₁Ĉ}|ψ₀⟩` for
+    /// `gamma = Some(γ₁)`, or with `|ψ₀⟩` itself for a `p = 0` schedule
+    /// (`None`). From `|+⟩` that is one write-only pass with the bits of a
+    /// fill and [`first_phase`](Self::first_phase); any other start is
+    /// copied and then phased. Runs on the calling thread's pool: callers
+    /// install `policy` first.
+    pub(crate) fn write_start(
+        &self,
+        start: &Start,
+        state: &mut SplitStateVec,
+        gamma: Option<f64>,
+        policy: ExecPolicy,
+    ) {
+        match (start, gamma) {
+            (Start::Uniform, Some(gamma)) => {
+                let (re, im) = state.planes_mut();
+                self.costs.write_phased_uniform_split(re, im, gamma, policy);
+            }
+            (Start::Uniform, None) => {
+                *state = SplitStateVec::uniform_superposition(self.n);
+            }
+            (Start::Planes(init), gamma) => {
+                state.copy_from(init);
+                if let Some(gamma) = gamma {
+                    self.first_phase(state, gamma, policy);
+                }
+            }
+        }
+    }
+
+    /// The `p` QAOA layers from `start`, written into `state` (whose
+    /// contents are overwritten): [`write_start`](Self::write_start), then
+    /// [`evolve_after_first_phase`](Self::evolve_after_first_phase).
+    pub(crate) fn evolve_from(
+        &self,
+        start: &Start,
+        state: &mut SplitStateVec,
+        gammas: &[f64],
+        betas: &[f64],
+        policy: ExecPolicy,
+    ) {
+        self.check_schedule(state.n_qubits(), gammas, betas);
+        policy.install(|| {
+            self.write_start(start, state, gammas.first().copied(), policy);
+            self.evolve_after_first_phase(state, gammas, betas, policy);
+        });
+    }
+
+    /// A new plane state evolved by the `p` QAOA layers from the
+    /// configured initial state: the objective's, an observer's first
+    /// layer's and a light-cone cone's state.
+    pub(crate) fn evolved(
+        &self,
+        gammas: &[f64],
+        betas: &[f64],
+        policy: ExecPolicy,
+    ) -> SplitStateVec {
+        match self.start() {
+            Start::Uniform => {
+                let mut state = SplitStateVec::zero_state(self.n);
+                self.evolve_from(&Start::Uniform, &mut state, gammas, betas, policy);
+                state
+            }
+            Start::Planes(mut state) => {
+                self.evolve_planes(&mut state, gammas, betas, policy);
+                state
+            }
         }
     }
 
@@ -281,10 +372,11 @@ impl FurSimulator {
         });
     }
 
-    /// The `p` QAOA layers on split planes, in place, under `policy` — the
-    /// one evolve path every objective, sweep point, observer layer and
-    /// light-cone cone runs: [`first_phase`](Self::first_phase), then
-    /// [`evolve_after_first_phase`](Self::evolve_after_first_phase).
+    /// The `p` QAOA layers on split planes, in place, under `policy`:
+    /// [`first_phase`](Self::first_phase), then
+    /// [`evolve_after_first_phase`](Self::evolve_after_first_phase). The
+    /// path for a state that already holds its start; an evolution from
+    /// the initial state takes [`evolve_from`](Self::evolve_from).
     pub(crate) fn evolve_planes(
         &self,
         state: &mut SplitStateVec,
@@ -372,13 +464,13 @@ impl QaoaSimulator for FurSimulator {
         policy.install(|| self.costs.expectation(result.state().amplitudes(), policy))
     }
 
-    /// The objective on split planes end to end: the initial state is
-    /// filled into planes, evolved, and reduced by the split objective,
-    /// with no interleaved state. Bit-identical to
-    /// `get_expectation(&simulate_qaoa(..))` under either layout.
+    /// The objective on split planes end to end: the start is written
+    /// into planes (from `|+⟩` in one pass together with the first phase),
+    /// evolved, and reduced by the split objective, with no interleaved
+    /// state. Bit-identical to `get_expectation(&simulate_qaoa(..))` under
+    /// either layout.
     fn objective(&self, gammas: &[f64], betas: &[f64]) -> f64 {
-        let mut state = self.initial_planes();
-        self.evolve_planes(&mut state, gammas, betas, self.options.exec);
+        let state = self.evolved(gammas, betas, self.options.exec);
         self.expectation_planes(&state)
     }
 }
@@ -740,6 +832,47 @@ mod tests {
         assert_eq!(sim.n_qubits(), 6);
         let r = sim.simulate_qaoa(&[0.2], &[0.4]);
         assert!((r.state().norm_sqr() - 1.0).abs() < 1e-10);
+    }
+
+    /// The one start path writes `e^{-iγ₁Ĉ}|+⟩` with the bits of filling
+    /// `|+⟩` and running the first phase, on an `F64` and on a `Levels`
+    /// diagonal that both hold a 0.0 cost, and leaves `|+⟩` itself for
+    /// `p = 0`.
+    #[test]
+    fn the_uniform_start_has_the_bits_of_fill_then_first_phase() {
+        let costs: Vec<f64> = (0..64)
+            .map(|x| [0.0, -0.0, 1.5, -2.25, 4e-320][x % 5] + (x / 5 % 3) as f64)
+            .collect();
+        let f64_diag = CostVec::F64(costs.clone());
+        let levels = CostVec::from_f64(costs);
+        assert!(matches!(levels, CostVec::Levels { .. }));
+        let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(4);
+        let bits = |s: &SplitStateVec| {
+            let (re, im) = s.planes();
+            let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (b(re), b(im))
+        };
+        for diag in [f64_diag, levels] {
+            for exec in [ExecPolicy::serial(), forced] {
+                let sim = FurSimulator::from_cost_vector(
+                    diag.clone(),
+                    SimOptions {
+                        exec,
+                        ..SimOptions::default()
+                    },
+                );
+                assert!(matches!(sim.start(), Start::Uniform));
+                for gamma in [Some(0.0), Some(0.47), Some(-3.1), None] {
+                    let mut want = sim.initial_planes();
+                    if let Some(gamma) = gamma {
+                        sim.first_phase(&mut want, gamma, exec);
+                    }
+                    let mut got = SplitStateVec::basis_state(6, 9);
+                    sim.write_start(&Start::Uniform, &mut got, gamma, exec);
+                    assert_eq!(bits(&got), bits(&want), "{diag:?} {exec:?} {gamma:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -248,6 +248,27 @@ impl CostVec {
         }
     }
 
+    /// The first phase of an evolution from `|+⟩`, `e^{-iγĈ}|+⟩`, written
+    /// into the `re`/`im` planes in one write-only pass: the bits of
+    /// filling them with `|+⟩` and calling
+    /// [`apply_phase_split`](CostVec::apply_phase_split), without reading
+    /// them.
+    pub fn write_phased_uniform_split(
+        &self,
+        re: &mut [f64],
+        im: &mut [f64],
+        gamma: f64,
+        exec: ExecPolicy,
+    ) {
+        match self {
+            CostVec::F64(v) => diag::write_phased_uniform_split(re, im, v, gamma, exec),
+            CostVec::Levels { levels, index } => {
+                let table = diag::phase_table(levels.iter().copied(), gamma);
+                diag::write_phased_uniform_indexed_split(re, im, index, &table, exec)
+            }
+        }
+    }
+
     /// Split-plane twin of [`CostVec::expectation`].
     pub fn expectation_split(&self, re: &[f64], im: &[f64], exec: ExecPolicy) -> f64 {
         match self {

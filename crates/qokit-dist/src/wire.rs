@@ -1,6 +1,6 @@
 //! Message codec for the rank-transport layer ([`crate::transport`]),
 //! built on the shared frame codec in [`crate::frame`] (magic + u32
-//! length + FNV-1a-64 checksum; see that module for the byte layout).
+//! length + word-wise checksum; see that module for the byte layout).
 //! This module owns only the *messages*: the [`Request`]/[`Response`]
 //! enums and the domain value codecs (polynomials, sweep points,
 //! amplitude slices, ego nets) they are built from. The serve layer
@@ -15,7 +15,7 @@ use qokit_terms::graphs::{EgoNet, Graph};
 use qokit_terms::{SpinPolynomial, Term};
 
 pub use crate::frame::{
-    check_payload, decode_header, encode_frame, fnv1a64, read_frame, write_frame, ByteReader,
+    check_payload, decode_header, encode_frame, hash64, read_frame, write_frame, ByteReader,
     ByteWriter, FrameReadError, WireError, MAGIC, MAX_PAYLOAD,
 };
 

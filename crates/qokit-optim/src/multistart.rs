@@ -88,8 +88,9 @@ impl MultiStartRun {
 }
 
 /// Error from [`MultiStart::try_minimize`]: one restart's objective
-/// panicked, or the driver was cooperatively cancelled. Only a panicking
-/// restart is poisoned; in both cases the pool stays reusable.
+/// panicked, the driver was cooperatively cancelled, or its restart count
+/// does not fit in memory. Only a panicking restart is poisoned; in every
+/// case the pool stays reusable.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MultiStartError {
     /// A restart's optimizer or objective panicked.
@@ -106,6 +107,12 @@ pub enum MultiStartError {
         /// the flag was honored.
         completed: usize,
     },
+    /// A buffer with one entry per restart (the starting points, the
+    /// result slots) could not be allocated. Nothing ran.
+    TooManyRestarts {
+        /// The requested restart count.
+        restarts: usize,
+    },
 }
 
 impl std::fmt::Display for MultiStartError {
@@ -116,6 +123,9 @@ impl std::fmt::Display for MultiStartError {
             }
             MultiStartError::Cancelled { completed } => {
                 write!(f, "multi-start cancelled after {completed} restarts")
+            }
+            MultiStartError::TooManyRestarts { restarts } => {
+                write!(f, "{restarts} restarts do not fit in memory")
             }
         }
     }
@@ -137,17 +147,52 @@ impl MultiStart {
     /// The starting points the restarts will use, drawn sequentially from
     /// one RNG seeded with `seed` — independent of pool size and restart
     /// scheduling by construction.
+    ///
+    /// # Panics
+    /// If `bounds` is empty, or the points do not fit in memory (see
+    /// [`try_starting_points`](Self::try_starting_points)).
     pub fn starting_points(&self) -> Vec<Vec<f64>> {
+        self.try_starting_points().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`starting_points`](Self::starting_points), with the restart-sized
+    /// buffer allocated fallibly: a restart count too large for memory is
+    /// [`MultiStartError::TooManyRestarts`], not an abort.
+    ///
+    /// # Panics
+    /// If `bounds` is empty.
+    pub fn try_starting_points(&self) -> Result<Vec<Vec<f64>>, MultiStartError> {
         assert!(!self.bounds.is_empty(), "need at least one dimension");
+        let mut starts = self.restart_buffer()?;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..self.restarts)
-            .map(|_| {
+        for _ in 0..self.restarts {
+            starts.push(
                 self.bounds
                     .iter()
                     .map(|&(lo, hi)| rng.gen_range(lo..hi))
-                    .collect()
-            })
-            .collect()
+                    .collect(),
+            );
+        }
+        Ok(starts)
+    }
+
+    /// An empty vector with room for one entry per restart, or
+    /// [`MultiStartError::TooManyRestarts`] when that room cannot be had.
+    fn restart_buffer<T>(&self) -> Result<Vec<T>, MultiStartError> {
+        let mut buffer = Vec::new();
+        buffer
+            .try_reserve_exact(self.restarts)
+            .map_err(|_| MultiStartError::TooManyRestarts {
+                restarts: self.restarts,
+            })?;
+        Ok(buffer)
+    }
+
+    /// One empty result slot per restart, allocated fallibly.
+    fn restart_slots<T>(&self) -> Result<Vec<Option<T>>, MultiStartError> {
+        let mut slots = self.restart_buffer()?;
+        slots.resize_with(self.restarts, || None);
+        Ok(slots)
     }
 
     /// Runs all restarts as pool tasks and returns every result keyed by
@@ -171,18 +216,21 @@ impl MultiStart {
         F: Fn(&[f64]) -> f64 + Sync,
     {
         assert!(self.restarts > 0, "need at least one restart");
-        let starts = self.starting_points();
-        // The position-preserving parallel collect keeps slot i = restart i.
-        let slots: Vec<Result<OptimizeResult, String>> = starts
-            .par_iter()
+        let mut slots = self.restart_slots()?;
+        let starts = self.try_starting_points()?;
+        // Slot i is written by restart i's task alone.
+        slots
+            .par_iter_mut()
             .with_min_len(1)
+            .zip(starts.par_iter())
             .enumerate()
-            .map(|(i, x0)| {
-                panic::catch_unwind(AssertUnwindSafe(|| self.run_one(i, x0, f)))
-                    .map_err(panic_message)
-            })
-            .collect();
-        Self::collect_run(slots)
+            .for_each(|(i, (slot, x0))| {
+                *slot = Some(
+                    panic::catch_unwind(AssertUnwindSafe(|| self.run_one(i, x0, f)))
+                        .map_err(panic_message),
+                );
+            });
+        Self::collect_run(slots.into_iter().flatten().collect())
     }
 
     /// [`try_minimize`](Self::try_minimize) with a cooperative cancellation
@@ -204,23 +252,24 @@ impl MultiStart {
     {
         use std::sync::atomic::Ordering;
         assert!(self.restarts > 0, "need at least one restart");
-        let starts = self.starting_points();
-        // `None` marks a restart skipped by the flag; completed slots stay
-        // keyed by restart index exactly as in the plain driver.
-        let slots: Vec<Option<Result<OptimizeResult, String>>> = starts
-            .par_iter()
+        let mut slots = self.restart_slots()?;
+        let starts = self.try_starting_points()?;
+        // A slot left `None` marks a restart skipped by the flag; completed
+        // slots stay keyed by restart index exactly as in the plain driver.
+        slots
+            .par_iter_mut()
             .with_min_len(1)
+            .zip(starts.par_iter())
             .enumerate()
-            .map(|(i, x0)| {
+            .for_each(|(i, (slot, x0))| {
                 if cancel.load(Ordering::Relaxed) {
-                    return None;
+                    return;
                 }
-                Some(
+                *slot = Some(
                     panic::catch_unwind(AssertUnwindSafe(|| self.run_one(i, x0, f)))
                         .map_err(panic_message),
-                )
-            })
-            .collect();
+                );
+            });
         if slots.iter().any(|s| s.is_none()) {
             let completed = slots.iter().filter(|s| s.is_some()).count();
             return Err(MultiStartError::Cancelled { completed });
@@ -267,7 +316,7 @@ impl MultiStart {
         F: Fn(&[Vec<f64>]) -> Vec<f64> + Sync,
     {
         assert!(self.restarts > 0, "need at least one restart");
-        let starts = self.starting_points();
+        let starts = self.try_starting_points()?;
         // Restart lanes × candidate batches ([`rayon::strided_lanes`]):
         // `lanes = min(restarts, width)`, and lane l owns restarts
         // l, l + lanes, … and a disjoint `width / lanes`-worker subset;
@@ -552,5 +601,23 @@ mod tests {
         }
         .starting_points();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn huge_restart_count_is_an_error_before_any_restart_runs() {
+        let huge = driver(1 << 40);
+        let want = MultiStartError::TooManyRestarts { restarts: 1 << 40 };
+        let never = |_: &[f64]| -> f64 { unreachable!("no restart may run") };
+        let never_batched = |_: &[Vec<f64>]| -> Vec<f64> { unreachable!("no restart may run") };
+        let cancel = std::sync::atomic::AtomicBool::new(false);
+        assert_eq!(huge.try_starting_points().unwrap_err(), want);
+        assert_eq!(huge.try_minimize(&never).unwrap_err(), want);
+        assert_eq!(
+            huge.try_minimize_cancellable(&never, &cancel).unwrap_err(),
+            want
+        );
+        assert_eq!(huge.try_minimize_batched(&never_batched).unwrap_err(), want);
+        // The driver still runs a sane restart count afterwards.
+        assert_eq!(driver(3).minimize(&two_basin).restarts.len(), 3);
     }
 }

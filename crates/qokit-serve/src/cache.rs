@@ -25,9 +25,10 @@
 //!
 //! Keys are not priced, for either kind: a key is the job's own input,
 //! and pricing a plan's edge list would let one large graph evict every
-//! diagonal. Every key is hashed (FNV-1a for diagonals, a word-wise mix
-//! for edge lists) only to pick its slot, and compared in full — outside
-//! the cache lock, so a megabyte edge list never holds up sibling lanes.
+//! diagonal. Every key is hashed (the frame checksum's word-wise mix,
+//! over a diagonal key's bytes or an edge list's fields) only to pick
+//! its slot, and compared in full — outside the cache lock, so a
+//! megabyte edge list never holds up sibling lanes.
 //! A key whose hash lands on another key's slot is served from a fresh
 //! build and not cached. Eviction is LRU by priced bytes against a byte
 //! budget, never by entry count, so a few 26-qubit diagonals and many
@@ -37,7 +38,7 @@ use crate::proto::{CacheStatsView, LightConeJob};
 use qokit_core::lightcone::{ConePlan, LightConeEvaluator, LightConeOptions};
 use qokit_core::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_core::{Mixer, QaoaSimulator};
-use qokit_dist::frame::{fnv1a64, ByteWriter};
+use qokit_dist::frame::{hash64, ByteWriter, WordHash};
 use qokit_dist::wire::{put_poly, spec_byte, SweepSimSpec};
 use qokit_statevec::exec::{ExecPolicy, Layout};
 use qokit_terms::graphs::Graph;
@@ -47,7 +48,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Canonical cache key: the byte encoding of `(spec, polynomial)`.
-/// Hashed by FNV-1a-64, compared by full bytes (collision-proof).
+/// Hashed by the frame checksum's word-wise hash, compared by full bytes
+/// (collision-proof).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheKey {
     bytes: Vec<u8>,
@@ -68,10 +70,10 @@ impl CacheKey {
         }
     }
 
-    /// The key's FNV-1a-64 hash (slot placement only; equality is on the
-    /// full encoding).
+    /// The key's hash (slot placement only; equality is on the full
+    /// encoding): [`hash64`] of its bytes.
     pub fn hash64(&self) -> u64 {
-        fnv1a64(&self.bytes)
+        hash64(&self.bytes)
     }
 }
 
@@ -108,22 +110,21 @@ impl<'a> PlanKey<'a> {
         }
     }
 
-    /// A word-at-a-time multiply-rotate hash (slot placement only): an
-    /// edge list is hundreds of kilobytes, which byte-wise FNV-1a would
-    /// walk at a byte per step.
+    /// A word-at-a-time multiply-rotate hash (slot placement only), the
+    /// frame checksum's step over the key's fields without encoding them:
+    /// an edge list is hundreds of kilobytes.
     fn hash64(&self) -> u64 {
-        let mut h = 0u64;
-        let mut mix = |word: u64| h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        let mut h = WordHash::new();
         for word in [self.n_vertices, self.radius, self.max_cone_qubits] {
-            mix(word as u64);
+            h.mix(word as u64);
         }
-        mix(self.dedup as u64);
+        h.mix(self.dedup as u64);
         for &(u, v, w) in self.edges {
-            mix(u as u64);
-            mix(v as u64);
-            mix(w.to_bits());
+            h.mix(u as u64);
+            h.mix(v as u64);
+            h.mix(w.to_bits());
         }
-        h
+        h.finish()
     }
 }
 

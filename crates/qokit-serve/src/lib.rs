@@ -27,7 +27,7 @@
 //!
 //! The wire protocol is the workspace's dependency-free length-prefixed
 //! framing ([`qokit_dist::frame`]): magic, `u32` payload length,
-//! FNV-1a-64 checksum, payload; `f64`s travel as exact IEEE-754 bits, so
+//! 64-bit word-wise checksum, payload; `f64`s travel as exact IEEE-754 bits, so
 //! a served result is bit-for-bit the one-shot API's result.
 //!
 //! # Quick start

@@ -1,7 +1,7 @@
 //! Serve-protocol messages and their byte codec.
 //!
 //! The serving layer reuses the workspace frame format
-//! ([`qokit_dist::frame`]: magic + u32 length + FNV-1a-64 checksum) and
+//! ([`qokit_dist::frame`]: magic + u32 length + 64-bit checksum) and
 //! the domain value codecs of [`qokit_dist::wire`] (polynomials travel as
 //! `(n_vars, (weight, mask)*)`, every `f64` as its exact IEEE-754 bits) —
 //! only the message set is new. One connection carries a sequence of

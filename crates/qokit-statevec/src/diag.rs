@@ -17,11 +17,26 @@
 //! entries use the per-element expression, so the indexed kernels are
 //! bit-identical to the `f64` ones by construction.
 //!
+//! The split-plane indexed phase checks its largest index against the
+//! table once per chunk, so its gather loop has no bounds check per
+//! amplitude and vectorizes. That loop is compiled twice, for the baseline
+//! target and, on `x86_64`, with AVX2 enabled (no FMA, no intrinsics): the
+//! same two compilations as the mixers' block walk, picked by the same
+//! one-time CPU detection and named by
+//! [`kernel_isa`](crate::exec::kernel_isa). Both give the same bits.
+//!
+//! An evolution from `|+⟩` starts with one write-only pass
+//! ([`write_phased_uniform_split`], [`write_phased_uniform_indexed_split`])
+//! that computes each amplitude of `e^{-iγ₁Ĉ}|+⟩` exactly as filling the
+//! planes with `|+⟩` and phasing them would, so the fill, the copy and the
+//! read of the start state drop out with no bit changed.
+//!
 //! Every dispatcher takes an [`ExecPolicy`]; parallel sweeps split by the
 //! policy's chunking thresholds.
 
 use crate::complex::C64;
-use crate::exec::ExecPolicy;
+use crate::exec::{ExecPolicy, Isa};
+use crate::state::uniform_amplitude;
 use rayon::prelude::*;
 
 /// The per-layer phase table `t_j = e^{-iγ v_j}`: one `sin_cos` per
@@ -119,41 +134,135 @@ pub fn probability_mass(amps: &[C64], indices: &[usize]) -> f64 {
 
 // ------------------------------------------------------------ split-plane
 
-/// `(r, i) ← (r, i)·t` on split planes, in the operation order of the
-/// interleaved `ψ·t`: `re' = r·t.re − i·t.im`, `im' = r·t.im + i·t.re`.
+/// `(r0, i0)·t` on split planes, in the operation order of the
+/// interleaved `ψ·t`: `re' = r0·t.re − i0·t.im`, `im' = r0·t.im + i0·t.re`.
 #[inline(always)]
-fn rotate_by(r: &mut f64, i: &mut f64, t: C64) {
-    let (r0, i0) = (*r, *i);
-    *r = r0 * t.re - i0 * t.im;
-    *i = r0 * t.im + i0 * t.re;
+fn rotate(r0: f64, i0: f64, t: C64) -> (f64, f64) {
+    (r0 * t.re - i0 * t.im, r0 * t.im + i0 * t.re)
 }
 
-/// Split-plane twin of [`apply_factors`]: the body of every split phase
-/// kernel.
+/// The chunk driver of every split phase kernel: `body` on the whole of
+/// the planes and the diagonal, or, on the parallel path, on matching
+/// chunks of them, one per pool task.
 #[inline]
-fn apply_factors_split<T, F>(re: &mut [f64], im: &mut [f64], diag: &[T], f: F, policy: ExecPolicy)
+fn split_chunks<T, B>(re: &mut [f64], im: &mut [f64], diag: &[T], policy: ExecPolicy, body: B)
 where
-    T: Copy + Sync,
-    F: Fn(T) -> C64 + Sync,
+    T: Sync,
+    B: Fn(&mut [f64], &mut [f64], &[T]) + Sync,
 {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     assert_eq!(re.len(), diag.len(), "cost vector length mismatch");
-    let rotate = |rc: &mut [f64], ic: &mut [f64], dc: &[T]| {
-        for ((r, i), &d) in rc.iter_mut().zip(ic.iter_mut()).zip(dc.iter()) {
-            rotate_by(r, i, f(d));
-        }
-    };
     if policy.parallel(re.len()) {
         let chunk = policy.chunk_len(re.len(), 1);
         policy.install(|| {
             re.par_chunks_mut(chunk)
                 .zip(im.par_chunks_mut(chunk))
                 .zip(diag.par_chunks(chunk))
-                .for_each(|((rc, ic), dc)| rotate(rc, ic, dc));
+                .for_each(|((rc, ic), dc)| body(rc, ic, dc));
         });
     } else {
-        rotate(re, im, diag);
+        body(re, im, diag);
     }
+}
+
+/// `(r, i) ← (r, i)·e^{-iγ c}` over one chunk; with `UNIFORM`, the
+/// amplitudes are `(amp, 0)` instead and the planes are only written.
+#[inline(always)]
+fn phase_chunk<const UNIFORM: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    costs: &[f64],
+    gamma: f64,
+    amp: f64,
+) {
+    for ((r, i), &c) in re.iter_mut().zip(im.iter_mut()).zip(costs) {
+        let (r0, i0) = if UNIFORM { (amp, 0.0) } else { (*r, *i) };
+        (*r, *i) = rotate(r0, i0, C64::cis(-gamma * c));
+    }
+}
+
+/// `(r, i) ← (r, i)·table[j]` over one chunk; with `UNIFORM`, the
+/// amplitudes are `(amp, 0)` instead and the planes are only written. The
+/// loop of the indexed phase, compiled once per [`Isa`].
+///
+/// # Safety
+/// Every entry of `index` is below `table.len()`.
+#[inline(always)]
+unsafe fn gather_chunk<const UNIFORM: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u16],
+    table: &[C64],
+    amp: f64,
+) {
+    for ((r, i), &j) in re.iter_mut().zip(im.iter_mut()).zip(index) {
+        // SAFETY: the caller guarantees `j < table.len()`.
+        let t = unsafe { *table.get_unchecked(usize::from(j)) };
+        let (r0, i0) = if UNIFORM { (amp, 0.0) } else { (*r, *i) };
+        (*r, *i) = rotate(r0, i0, t);
+    }
+}
+
+/// [`gather_chunk`] compiled with AVX2.
+///
+/// # Safety
+/// Every entry of `index` is below `table.len()`, and the CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gather_chunk_avx2<const UNIFORM: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u16],
+    table: &[C64],
+    amp: f64,
+) {
+    // SAFETY: the caller's guarantee is `gather_chunk`'s.
+    unsafe { gather_chunk::<UNIFORM>(re, im, index, table, amp) }
+}
+
+/// The indexed phase on one chunk, on the `isa` compilation of its loop.
+/// The largest index is checked against the table first, in one fold
+/// that vectorizes, so the loop gathers without a bounds check per
+/// amplitude; an index outside the table panics before any amplitude
+/// changes.
+fn indexed_chunk<const UNIFORM: bool>(
+    isa: Isa,
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u16],
+    table: &[C64],
+    amp: f64,
+) {
+    let top = index.iter().copied().max().map_or(0, usize::from);
+    assert!(
+        index.is_empty() || top < table.len(),
+        "phase index {top} outside a table of {} levels",
+        table.len()
+    );
+    match isa {
+        // SAFETY: every index is at most `top`, which is in the table.
+        Isa::Portable => unsafe { gather_chunk::<UNIFORM>(re, im, index, table, amp) },
+        // SAFETY: as above, and `Isa::Avx2` is only built by `Isa::detect`
+        // after the CPU reported AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { gather_chunk_avx2::<UNIFORM>(re, im, index, table, amp) },
+    }
+}
+
+/// The indexed phase on the `isa` compilation: rotates the planes in
+/// place, or, with `UNIFORM`, writes the phased `|+⟩` into them.
+fn phase_indexed_split_on<const UNIFORM: bool>(
+    isa: Isa,
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u16],
+    table: &[C64],
+    exec: ExecPolicy,
+) {
+    let amp = uniform_amplitude(re.len());
+    split_chunks(re, im, index, exec, |rc, ic, dc| {
+        indexed_chunk::<UNIFORM>(isa, rc, ic, dc, table, amp)
+    });
 }
 
 /// Split-plane twin of [`weighted_norm`]: `Σ w(d_k) (re_k² + im_k²)`.
@@ -204,11 +313,36 @@ pub fn apply_phase_split(
     gamma: f64,
     exec: ExecPolicy,
 ) {
-    apply_factors_split(re, im, costs, |c| C64::cis(-gamma * c), exec);
+    split_chunks(re, im, costs, exec, |rc, ic, cc| {
+        phase_chunk::<false>(rc, ic, cc, gamma, 0.0)
+    });
+}
+
+/// The first phase of an evolution from `|+⟩`, `e^{-iγĈ}|+⟩`, written
+/// straight into the `re`/`im` planes in one write-only pass. Each
+/// amplitude is computed as `(1/√N, 0)·e^{-iγ c_k}` with both products by
+/// the zero kept, so the planes get the bits of filling them with `|+⟩`
+/// and calling [`apply_phase_split`], `−0.0` and NaN included.
+///
+/// # Panics
+/// If plane and cost-vector lengths differ.
+pub fn write_phased_uniform_split(
+    re: &mut [f64],
+    im: &mut [f64],
+    costs: &[f64],
+    gamma: f64,
+    exec: ExecPolicy,
+) {
+    let amp = uniform_amplitude(re.len());
+    split_chunks(re, im, costs, exec, |rc, ic, cc| {
+        phase_chunk::<true>(rc, ic, cc, gamma, amp)
+    });
 }
 
 /// Split-plane twin of [`apply_phase_indexed`]. Bit-identical to it and to
-/// [`apply_phase_split`] on the costs `levels[index_k]`.
+/// [`apply_phase_split`] on the costs `levels[index_k]`. Its loop runs the
+/// compilation this CPU runs widest ([`kernel_isa`](crate::exec::kernel_isa)),
+/// with the same bits on either.
 ///
 /// # Panics
 /// If plane and index lengths differ, or an index is outside the table.
@@ -219,7 +353,23 @@ pub fn apply_phase_indexed_split(
     table: &[C64],
     exec: ExecPolicy,
 ) {
-    apply_factors_split(re, im, index, |j| table[j as usize], exec);
+    phase_indexed_split_on::<false>(Isa::detect(), re, im, index, table, exec);
+}
+
+/// Indexed twin of [`write_phased_uniform_split`]: `e^{-iγĈ}|+⟩` written
+/// into the planes from the layer's [`phase_table`], with the bits of
+/// filling them with `|+⟩` and calling [`apply_phase_indexed_split`].
+///
+/// # Panics
+/// If plane and index lengths differ, or an index is outside the table.
+pub fn write_phased_uniform_indexed_split(
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u16],
+    table: &[C64],
+    exec: ExecPolicy,
+) {
+    phase_indexed_split_on::<true>(Isa::detect(), re, im, index, table, exec);
 }
 
 /// Split-plane objective: `Σ c_k (re_k² + im_k²)`. Serially bit-identical
@@ -253,6 +403,7 @@ mod tests {
     use super::*;
     use crate::reference;
     use crate::state::StateVec;
+    use proptest::prelude::*;
 
     fn ramp_costs(len: usize) -> Vec<f64> {
         (0..len).map(|i| (i as f64) * 0.25 - 3.0).collect()
@@ -438,6 +589,154 @@ mod tests {
                 expectation_split(re, im, &costs, policy).to_bits()
             );
         }
+    }
+
+    /// A random level table, an index into it and random planes, of
+    /// lengths that are mostly not multiples of 4.
+    fn indexed_case() -> impl Strategy<Value = (Vec<f64>, Vec<u16>, Vec<(f64, f64)>)> {
+        (1usize..40, 1usize..300).prop_flat_map(|(levels, len)| {
+            (
+                prop::collection::vec(-4.0f64..4.0, levels),
+                prop::collection::vec(0..levels as u16, len),
+                prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), len),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The indexed phase and the fused `|+⟩` write on the portable and
+        /// on the detected compilation of their loop (AVX2 on an AVX2
+        /// CPU): the same bits, for tables holding `±0.0`, a NaN payload
+        /// and subnormals, at `γ = 0` too.
+        #[test]
+        fn the_detected_indexed_phase_has_the_portable_bits(
+            (mut levels, index, amps) in indexed_case(),
+            g in 0usize..3,
+        ) {
+            let detected = Isa::detect();
+            // Written once past the test harness's output capture, so
+            // every test log names the compilation that was compared.
+            static NAMED: std::sync::Once = std::sync::Once::new();
+            NAMED.call_once(|| {
+                use std::io::Write;
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "diag: comparing the {} indexed phase with the portable one",
+                    crate::exec::kernel_isa()
+                );
+            });
+            let specials = [-0.0, 0.0, f64::from_bits(0x7ff8_0000_dead_beef), 4e-320, -1e-310];
+            for (k, v) in specials.into_iter().enumerate() {
+                if let Some(level) = levels.get_mut(2 * k) {
+                    *level = v;
+                }
+            }
+            let gamma = [0.0, 0.83, -2.9][g];
+            let table = phase_table(levels.iter().copied(), gamma);
+            let (mut re, mut im): (Vec<f64>, Vec<f64>) = amps.into_iter().unzip();
+            let len = re.len();
+            for k in (0..len).step_by(7) {
+                re[k] = -0.0;
+                im[(k + 3) % len] = 0.0;
+            }
+            let forced = ExecPolicy::rayon().with_threads(2).with_min_len(1).with_min_chunk(5);
+            for policy in [ExecPolicy::serial(), forced] {
+                // The amplitudes' bits, `re` then `im`.
+                let run = |isa, uniform: bool| {
+                    let (mut r, mut i) = (re.clone(), im.clone());
+                    if uniform {
+                        phase_indexed_split_on::<true>(isa, &mut r, &mut i, &index, &table, policy);
+                    } else {
+                        phase_indexed_split_on::<false>(isa, &mut r, &mut i, &index, &table, policy);
+                    }
+                    r.iter().chain(&i).map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                for uniform in [false, true] {
+                    let (got, want) = (run(detected, uniform), run(Isa::Portable, uniform));
+                    let first = got.iter().zip(&want).position(|(a, b)| a != b);
+                    prop_assert_eq!(
+                        first,
+                        None,
+                        "{:?}, uniform start {}, gamma {}, {} amplitudes", policy, uniform, gamma, len
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_fused_uniform_start_has_the_bits_of_fill_then_phase() {
+        let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(3);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, 3, 7] {
+            let len = 1usize << n;
+            // Amplitude 0 sits on a 0.0 level.
+            let (mut levels, index, _) = indexed(len);
+            levels[usize::from(index[0])] = 0.0;
+            let costs: Vec<f64> = index.iter().map(|&j| levels[usize::from(j)]).collect();
+            for gamma in [0.0, 0.61, -1.7] {
+                let table = phase_table(levels.iter().copied(), gamma);
+                for policy in [ExecPolicy::serial(), forced] {
+                    let plus = crate::split::SplitStateVec::uniform_superposition(n);
+                    let (mut re_p, mut im_p) = (plus.planes().0.to_vec(), plus.planes().1.to_vec());
+                    apply_phase_split(&mut re_p, &mut im_p, &costs, gamma, policy);
+                    let (mut re, mut im) = (vec![7.0; len], vec![f64::NAN; len]);
+                    write_phased_uniform_split(&mut re, &mut im, &costs, gamma, policy);
+                    assert_eq!((bits(&re), bits(&im)), (bits(&re_p), bits(&im_p)));
+
+                    let (mut re_p, mut im_p) = (plus.planes().0.to_vec(), plus.planes().1.to_vec());
+                    apply_phase_indexed_split(&mut re_p, &mut im_p, &index, &table, policy);
+                    let (mut re, mut im) = (vec![7.0; len], vec![f64::NAN; len]);
+                    write_phased_uniform_indexed_split(&mut re, &mut im, &index, &table, policy);
+                    assert_eq!((bits(&re), bits(&im)), (bits(&re_p), bits(&im_p)));
+                }
+            }
+        }
+    }
+
+    /// The indexed split phase and the fused write check their indices
+    /// once per chunk instead of per amplitude: an index outside the table
+    /// still panics, serially and on a forced-parallel policy, and never
+    /// reads past the table.
+    #[test]
+    fn split_index_outside_the_table_panics() {
+        let forced = ExecPolicy::rayon()
+            .with_threads(2)
+            .with_min_len(1)
+            .with_min_chunk(2);
+        let table = phase_table([0.0, 1.0], 0.5);
+        let index = [0, 1, 1, 0, 0, 2, 1, 0];
+        for policy in [ExecPolicy::serial(), forced] {
+            for uniform in [false, true] {
+                let outcome = std::panic::catch_unwind(|| {
+                    let (mut re, mut im) = (vec![0.5; 8], vec![0.0; 8]);
+                    if uniform {
+                        write_phased_uniform_indexed_split(
+                            &mut re, &mut im, &index, &table, policy,
+                        );
+                    } else {
+                        apply_phase_indexed_split(&mut re, &mut im, &index, &table, policy);
+                    }
+                });
+                assert!(outcome.is_err(), "{policy:?}, uniform start {uniform}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "phase index 2 outside a table of 2 levels")]
+    fn split_index_outside_the_table_names_the_index() {
+        let table = phase_table([0.0, 1.0], 0.5);
+        let (mut re, mut im) = (vec![0.5; 4], vec![0.0; 4]);
+        apply_phase_indexed_split(
+            &mut re,
+            &mut im,
+            &[0, 1, 2, 0],
+            &table,
+            ExecPolicy::serial(),
+        );
     }
 
     #[test]

@@ -203,6 +203,45 @@ fn sized_pool(threads: usize) -> Arc<rayon::ThreadPool> {
     }))
 }
 
+/// Which compilation of the vector loops runs: the split block walk under
+/// every mixer (`su2`) and the indexed phase loop (`diag`) are each
+/// compiled for the baseline target (SSE2 on `x86_64`, two doubles a
+/// vector) and, on `x86_64`, once more with AVX2 enabled (four). Only
+/// `avx2` is enabled, not `fma`, and rustc never contracts `a * b + c`,
+/// so both compilations perform the same IEEE operations and give the
+/// same bits. There is no option that selects one; [`kernel_isa`] names
+/// the one this process runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    Portable,
+    /// Built only by [`Isa::detect`] on a CPU that has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The widest compilation this CPU runs. The feature test caches its
+    /// answer, so a process always picks the same one.
+    pub(crate) fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Portable
+    }
+}
+
+/// Which compilation of the vector loops this process runs: `"avx2"` on
+/// an `x86_64` CPU with AVX2, else `"portable"`. Both the split block walk
+/// under the mixers and the level-coded phase loop run it.
+pub fn kernel_isa() -> &'static str {
+    if Isa::detect() == Isa::Portable {
+        "portable"
+    } else {
+        "avx2"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

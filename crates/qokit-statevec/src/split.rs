@@ -8,9 +8,10 @@
 //! layout here: two dense planes of `2^n` doubles.
 //!
 //! It is the layout the simulator runs in end to end: the objective, batched
-//! sweeps, the per-layer observer and light-cone cones fill the initial
-//! state straight into planes, evolve them, and reduce them with the
-//! `*_split` objective, never building an interleaved state. Only calls that
+//! sweeps, the per-layer observer and light-cone cones write their start
+//! straight into planes (from `|+⟩` in one pass together with the first
+//! phase, `diag::write_phased_uniform_split`), evolve them, and reduce
+//! them with the `*_split` objective, never building an interleaved state. Only calls that
 //! hand back a [`StateVec`] (`simulate_qaoa`, custom sweep extractors)
 //! interleave once at the end.
 //!
@@ -24,7 +25,7 @@
 //! for both layouts.
 
 use crate::complex::C64;
-use crate::state::{checked_dim, StateVec, MAX_QUBITS};
+use crate::state::{checked_dim, uniform_amplitude, StateVec, MAX_QUBITS};
 
 /// A pure quantum state on `n` qubits stored as two `2^n`-element `f64`
 /// planes (structure-of-arrays): `re[x] + i·im[x]` is the amplitude of
@@ -64,7 +65,7 @@ impl SplitStateVec {
         let dim = checked_dim(n);
         SplitStateVec {
             n,
-            re: vec![1.0 / (dim as f64).sqrt(); dim],
+            re: vec![uniform_amplitude(dim); dim],
             im: vec![0.0; dim],
         }
     }

@@ -18,6 +18,15 @@ pub(crate) fn checked_dim(n: usize) -> usize {
     1usize << n
 }
 
+/// The amplitude `1/√dim` of every basis state in `|+⟩` on `dim` basis
+/// states: the one expression every `|+⟩` constructor and the fused
+/// first-phase write (`diag::write_phased_uniform_split`) share, so they
+/// agree bit for bit.
+#[inline]
+pub(crate) fn uniform_amplitude(dim: usize) -> f64 {
+    1.0 / (dim as f64).sqrt()
+}
+
 /// The single dim-checked amplitude allocator every constructor funnels
 /// through: validates `n ≤ MAX_QUBITS` via [`checked_dim`], allocates `2^n`
 /// amplitudes filled with `fill`, and debug-asserts the natural alignment
@@ -65,7 +74,7 @@ impl StateVec {
     /// state for the transverse-field mixer.
     pub fn uniform_superposition(n: usize) -> Self {
         let dim = checked_dim(n);
-        let amps = alloc_amps(n, C64::from_re(1.0 / (dim as f64).sqrt()));
+        let amps = alloc_amps(n, C64::from_re(uniform_amplitude(dim)));
         StateVec { n, amps }
     }
 

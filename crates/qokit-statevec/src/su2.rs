@@ -26,15 +26,15 @@
 //! loops: for the baseline target (SSE2 on `x86_64`, two doubles a vector)
 //! and, on `x86_64`, once more with AVX2 enabled (four). Only AVX2 is
 //! enabled, not FMA, so both perform the same IEEE operations and give the
-//! same bits. Each process picks one by CPU detection, and
-//! [`block_walk_isa`] names it. There are no intrinsics and no option that
-//! selects the walk.
+//! same bits. Each process picks one by the CPU detection the level-coded
+//! phase loop (`diag`) shares, and [`kernel_isa`](crate::exec::kernel_isa)
+//! names it. There are no intrinsics and no option that selects the walk.
 //!
 //! Every entry point takes `ExecPolicy`; parallel sweeps split by
 //! the policy's chunking thresholds.
 
 use crate::complex::C64;
-use crate::exec::ExecPolicy;
+use crate::exec::{ExecPolicy, Isa};
 use crate::matrices::Mat2;
 use rayon::prelude::*;
 use std::mem::take;
@@ -323,37 +323,14 @@ enum Blocks<'a, const R: usize> {
     Runs([&'a mut [f64]; R], [&'a mut [f64]; R]),
 }
 
-/// Which compilation of the one block walk runs (see the module docs).
-/// Only `avx2` is enabled, not `fma`, and rustc never contracts
-/// `a * b + c`, so both compilations give the same bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Walk {
-    Portable,
-    /// Built only by [`Walk::detect`] on a CPU that has AVX2.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Walk {
-    /// The widest walk this CPU runs. The feature test caches its answer,
-    /// so a process always picks the same walk.
-    fn detect() -> Walk {
+/// Calls `body` on every block, on the `isa` compilation of the walk.
+fn walk_on<const R: usize, B: RunBody<R>>(isa: Isa, blocks: Blocks<'_, R>, body: &B) {
+    match isa {
+        Isa::Portable => walk(blocks, body),
+        // SAFETY: `walk_avx2` needs AVX2, and `Isa::Avx2` is only built by
+        // `Isa::detect` after the CPU reported AVX2.
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            return Walk::Avx2;
-        }
-        Walk::Portable
-    }
-
-    /// Calls `body` on every block.
-    fn blocks<const R: usize, B: RunBody<R>>(self, blocks: Blocks<'_, R>, body: &B) {
-        match self {
-            Walk::Portable => walk(blocks, body),
-            // SAFETY: `walk_avx2` needs AVX2, and `Walk::Avx2` is only
-            // built by `Walk::detect` after the CPU reported AVX2.
-            #[cfg(target_arch = "x86_64")]
-            Walk::Avx2 => unsafe { walk_avx2(blocks, body) },
-        }
+        Isa::Avx2 => unsafe { walk_avx2(blocks, body) },
     }
 }
 
@@ -389,7 +366,7 @@ fn split_pass<const R: usize, B: RunBody<R>>(
     im: &mut [f64],
     run: usize,
     policy: ExecPolicy,
-    walk: Walk,
+    walk: Isa,
     body: &B,
 ) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
@@ -397,14 +374,14 @@ fn split_pass<const R: usize, B: RunBody<R>>(
     let block = R * run;
     debug_assert!(block <= len, "block of {block} out of range");
     if !policy.parallel(len) {
-        return walk.blocks(Blocks::Planes(re, im, run), body);
+        return walk_on(walk, Blocks::Planes(re, im, run), body);
     }
     policy.install(|| {
         if block < len {
             let chunk = policy.chunk_len(len, block);
             re.par_chunks_mut(chunk)
                 .zip(im.par_chunks_mut(chunk))
-                .for_each(|(rc, ic)| walk.blocks(Blocks::Planes(rc, ic, run), body));
+                .for_each(|(rc, ic)| walk_on(walk, Blocks::Planes(rc, ic, run), body));
             return;
         }
         let chunk = policy.chunk_len(run, TILE.min(run));
@@ -423,7 +400,7 @@ fn split_pass<const R: usize, B: RunBody<R>>(
             .collect();
         tasks.par_iter_mut().for_each(|(r, i)| {
             let task = Blocks::Runs(r.each_mut().map(take), i.each_mut().map(take));
-            walk.blocks(task, body)
+            walk_on(walk, task, body)
         });
     });
 }
@@ -458,18 +435,7 @@ pub fn apply_mat2_split_serial(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat
 #[inline]
 pub fn apply_mat2_split(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2, policy: ExecPolicy) {
     check_qubit(q, re.len());
-    split_pass(re, im, 1 << q, policy, Walk::detect(), &Mix(mat2_planes(u)));
-}
-
-/// Which compilation of the split block walk this process runs: `"avx2"`
-/// on an `x86_64` CPU with AVX2, else `"portable"`. Every split-plane
-/// kernel of this module (the X mixer and [`apply_mat2_split`]) runs it.
-pub fn block_walk_isa() -> &'static str {
-    if Walk::detect() == Walk::Portable {
-        "portable"
-    } else {
-        "avx2"
-    }
+    split_pass(re, im, 1 << q, policy, Isa::detect(), &Mix(mat2_planes(u)));
 }
 
 /// The transverse-field mixer `e^{-iβΣᵢXᵢ}` on the `re`/`im` planes:
@@ -482,16 +448,17 @@ pub fn block_walk_isa() -> &'static str {
 /// in the same qubit order as `n` calls of [`apply_mat2_split`] with
 /// `Mat2::rx(β)`, so the result has their bits, except the sign of an
 /// exactly-zero amplitude component. The sweeps run the block walk this
-/// CPU runs widest ([`block_walk_isa`]), with the same bits on either.
+/// CPU runs widest ([`kernel_isa`](crate::exec::kernel_isa)), with the
+/// same bits on either.
 ///
 /// # Panics
 /// If plane lengths differ or are not a power of two.
 pub fn apply_x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy) {
-    x_mixer_split(re, im, beta, policy, Walk::detect());
+    x_mixer_split(re, im, beta, policy, Isa::detect());
 }
 
 /// [`apply_x_mixer_split`] on a given walk.
-fn x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy, walk: Walk) {
+fn x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy, walk: Isa) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     assert!(
         re.len().is_power_of_two(),
@@ -760,10 +727,10 @@ mod tests {
 
     #[test]
     fn the_detected_walk_has_the_portable_walks_bits() {
-        let detected = Walk::detect();
+        let detected = Isa::detect();
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
-            assert_eq!(detected, Walk::Avx2, "an AVX2 CPU runs the AVX2 walk");
+            assert_eq!(detected, Isa::Avx2, "an AVX2 CPU runs the AVX2 walk");
         }
         // Written past the test harness's output capture, so every test
         // log names the walk that was compared.
@@ -771,7 +738,7 @@ mod tests {
         let _ = writeln!(
             std::io::stderr(),
             "su2: comparing the {} block walk with the portable walk",
-            block_walk_isa()
+            crate::exec::kernel_isa()
         );
         let forced = ExecPolicy::rayon()
             .with_threads(2)
@@ -791,7 +758,7 @@ mod tests {
             for beta in [0.59, std::f64::consts::FRAC_PI_2] {
                 for policy in [ExecPolicy::serial(), forced, odd] {
                     let (mut re_p, mut im_p) = (re.clone(), im.clone());
-                    x_mixer_split(&mut re_p, &mut im_p, beta, policy, Walk::Portable);
+                    x_mixer_split(&mut re_p, &mut im_p, beta, policy, Isa::Portable);
                     let (mut re_d, mut im_d) = (re.clone(), im.clone());
                     x_mixer_split(&mut re_d, &mut im_d, beta, policy, detected);
                     let at = format!("X mixer, n = {n}, beta = {beta}, {policy:?}");
@@ -805,7 +772,7 @@ mod tests {
                 let body = Mix(mat2_planes(&u));
                 for policy in [ExecPolicy::serial(), forced] {
                     let (mut re_p, mut im_p) = (re.clone(), im.clone());
-                    split_pass(&mut re_p, &mut im_p, 1 << q, policy, Walk::Portable, &body);
+                    split_pass(&mut re_p, &mut im_p, 1 << q, policy, Isa::Portable, &body);
                     let (mut re_d, mut im_d) = (re.clone(), im.clone());
                     split_pass(&mut re_d, &mut im_d, 1 << q, policy, detected, &body);
                     let at = format!("Mat2, n = {n}, qubit {q}, {policy:?}");

@@ -626,3 +626,49 @@ fn huge_socket_chunk_is_a_normal_sweep_not_an_abort() {
     client.shutdown_server().expect("shutdown");
     handle.join();
 }
+
+#[test]
+fn huge_restart_count_is_an_error_not_an_abort() {
+    use qokit::dist::wire::SweepSimSpec;
+    use qokit::serve::{ClientError, MultiStartJob, ServeClient, Server, ServerConfig};
+
+    let restarts = 1usize << 40;
+    let driver = MultiStart {
+        method: RestartMethod::NelderMead(NelderMead::default()),
+        restarts,
+        seed: 3,
+        bounds: vec![(-0.5, 0.5), (-0.4, 0.4)],
+    };
+    let want = MultiStartError::TooManyRestarts { restarts };
+    assert_eq!(driver.try_starting_points().unwrap_err(), want);
+    let never = |_: &[f64]| -> f64 { unreachable!("no restart may run") };
+    assert_eq!(driver.try_minimize(&never).unwrap_err(), want);
+
+    let handle = Server::bind(ServerConfig::default())
+        .expect("bind")
+        .spawn_thread()
+        .expect("spawn");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let job = MultiStartJob {
+        poly: labs_terms(6),
+        spec: SweepSimSpec {
+            precompute: PrecomputeMethod::Direct,
+            quantize_u16: false,
+            layout: Layout::Split,
+        },
+        depth: 1,
+        restarts,
+        seed: 3,
+        bounds: vec![(-0.5, 0.5), (-0.4, 0.4)],
+        deadline_ms: 0,
+    };
+    match client.submit_multistart(&job) {
+        Err(ClientError::Server(message)) => assert_eq!(message, want.to_string()),
+        other => panic!("expected the TooManyRestarts error, got {other:?}"),
+    }
+    client
+        .ping()
+        .expect("the server still answers after the huge restart count");
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
