@@ -18,6 +18,7 @@
 
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::fwht::fwht_f64;
+use qokit_statevec::state::checked_dim;
 use qokit_terms::SpinPolynomial;
 use rayon::prelude::*;
 
@@ -46,9 +47,12 @@ pub fn fill_direct_slice(poly: &SpinPolynomial, start: u64, out: &mut [f64]) {
 }
 
 /// Direct-kernel precompute of the full `2^n` cost vector.
+///
+/// # Panics
+/// If `n > MAX_QUBITS`, before anything is allocated.
 pub fn precompute_direct(poly: &SpinPolynomial, policy: ExecPolicy) -> Vec<f64> {
     let n = poly.n_vars();
-    let dim = 1usize << n;
+    let dim = checked_dim(n);
     let mut out = vec![0.0f64; dim];
     if policy.parallel(dim) {
         let chunk = policy.min_chunk;
@@ -64,9 +68,12 @@ pub fn precompute_direct(poly: &SpinPolynomial, policy: ExecPolicy) -> Vec<f64> 
 }
 
 /// FWHT-spectrum precompute of the full `2^n` cost vector.
+///
+/// # Panics
+/// If `n > MAX_QUBITS`, before anything is allocated.
 pub fn precompute_fwht(poly: &SpinPolynomial, exec: ExecPolicy) -> Vec<f64> {
     let n = poly.n_vars();
-    let dim = 1usize << n;
+    let dim = checked_dim(n);
     let mut out = vec![0.0f64; dim];
     for t in poly.terms() {
         // Duplicate masks simply accumulate — no canonicalization needed.
@@ -87,11 +94,14 @@ pub fn precompute(poly: &SpinPolynomial, method: PrecomputeMethod, exec: ExecPol
 /// Precomputes from an arbitrary cost closure (`f(bitstring) → cost`), the
 /// analogue of QOKit's Python-lambda input path. Always direct (a closure
 /// has no Walsh spectrum to exploit).
+///
+/// # Panics
+/// If `n > MAX_QUBITS`, before anything is allocated.
 pub fn precompute_from_fn<F>(n: usize, f: F, policy: ExecPolicy) -> Vec<f64>
 where
     F: Fn(u64) -> f64 + Sync,
 {
-    let dim = 1usize << n;
+    let dim = checked_dim(n);
     let mut out = vec![0.0f64; dim];
     if policy.parallel(dim) {
         policy.install(|| {
@@ -232,6 +242,27 @@ mod tests {
         }
         let via_fn_par = precompute_from_fn(7, |x| poly.evaluate_bits(x), ExecPolicy::rayon());
         assert_eq!(via_fn, via_fn_par);
+    }
+
+    /// A qubit count past `MAX_QUBITS` is a panic that names the limit,
+    /// not an allocation abort (n = 48) or a shift overflow (n = 64).
+    #[test]
+    fn oversized_cost_vectors_panic_before_allocating() {
+        let message = |n: usize, run: &dyn Fn() -> Vec<f64>| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("an oversized precompute must panic");
+            let text = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(text, format!("n = {n} exceeds MAX_QUBITS = 40"));
+        };
+        for n in [48usize, 64] {
+            let ring = maxcut_polynomial(&Graph::ring(n, 1.0));
+            message(n, &|| precompute_direct(&ring, ExecPolicy::serial()));
+            message(n, &|| precompute_fwht(&ring, ExecPolicy::serial()));
+            message(n, &|| precompute_from_fn(n, |_| 0.0, ExecPolicy::serial()));
+        }
     }
 
     #[test]

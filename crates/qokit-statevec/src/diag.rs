@@ -19,11 +19,13 @@
 //!
 //! The split-plane indexed phase checks its largest index against the
 //! table once per chunk, so its gather loop has no bounds check per
-//! amplitude and vectorizes. That loop is compiled twice, for the baseline
-//! target and, on `x86_64`, with AVX2 enabled (no FMA, no intrinsics): the
-//! same two compilations as the mixers' block walk, picked by the same
-//! one-time CPU detection and named by
-//! [`kernel_isa`](crate::exec::kernel_isa). Both give the same bits.
+//! amplitude and vectorizes. That loop is compiled three times, for the
+//! baseline target and, on `x86_64`, with AVX2 and with AVX-512F enabled
+//! (no contracted FMA, no intrinsics): the same three compilations as the
+//! mixers' block walk, picked by the same one-time CPU detection and named
+//! by [`kernel_isa`](crate::exec::kernel_isa). All give the same bits. The
+//! gather has no run-length rule: on an AVX-512 CPU it runs the AVX-512
+//! loop at every chunk length.
 //!
 //! An evolution from `|+⟩` starts with one write-only pass
 //! ([`write_phased_uniform_split`], [`write_phased_uniform_indexed_split`])
@@ -220,6 +222,23 @@ unsafe fn gather_chunk_avx2<const UNIFORM: bool>(
     unsafe { gather_chunk::<UNIFORM>(re, im, index, table, amp) }
 }
 
+/// [`gather_chunk`] compiled with AVX-512F.
+///
+/// # Safety
+/// Every entry of `index` is below `table.len()`, and the CPU has AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gather_chunk_avx512<const UNIFORM: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    index: &[u16],
+    table: &[C64],
+    amp: f64,
+) {
+    // SAFETY: the caller's guarantee is `gather_chunk`'s.
+    unsafe { gather_chunk::<UNIFORM>(re, im, index, table, amp) }
+}
+
 /// The indexed phase on one chunk, on the `isa` compilation of its loop.
 /// The largest index is checked against the table first, in one fold
 /// that vectorizes, so the loop gathers without a bounds check per
@@ -246,6 +265,10 @@ fn indexed_chunk<const UNIFORM: bool>(
         // after the CPU reported AVX2.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { gather_chunk_avx2::<UNIFORM>(re, im, index, table, amp) },
+        // SAFETY: as above, and `Isa::Avx512` is only built by
+        // `Isa::detect` after the CPU reported AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { gather_chunk_avx512::<UNIFORM>(re, im, index, table, amp) },
     }
 }
 
@@ -603,66 +626,123 @@ mod tests {
         })
     }
 
+    /// Where a wider compilation of the indexed phase first gives other
+    /// bits than the portable one, or `None` if every compilation this CPU
+    /// runs agrees: in place and as the fused `|+⟩` write, serial, forced
+    /// onto 2 workers, and with a task floor of 12. The table gets `±0.0`,
+    /// a NaN payload and subnormals, the planes exact `±0.0` entries.
+    fn first_wide_difference(
+        mut levels: Vec<f64>,
+        index: &[u16],
+        mut re: Vec<f64>,
+        mut im: Vec<f64>,
+        gamma: f64,
+    ) -> Option<String> {
+        let wide = Isa::wider();
+        // Written once past the test harness's output capture, so every
+        // test log names the compilations that were compared.
+        static NAMED: std::sync::Once = std::sync::Once::new();
+        NAMED.call_once(|| {
+            use std::io::Write;
+            let names: Vec<&str> = wide.iter().map(|isa| isa.name()).collect();
+            let _ = writeln!(
+                std::io::stderr(),
+                "diag: comparing the [{}] indexed phases with the portable one",
+                names.join(", ")
+            );
+        });
+        let specials = [
+            -0.0,
+            0.0,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            4e-320,
+            -1e-310,
+        ];
+        for (k, v) in specials.into_iter().enumerate() {
+            if let Some(level) = levels.get_mut(2 * k) {
+                *level = v;
+            }
+        }
+        let table = phase_table(levels.iter().copied(), gamma);
+        let len = re.len();
+        for k in (0..len).step_by(7) {
+            re[k] = -0.0;
+            im[(k + 3) % len] = 0.0;
+        }
+        let forced = ExecPolicy::rayon()
+            .with_threads(2)
+            .with_min_len(1)
+            .with_min_chunk(5);
+        for policy in [ExecPolicy::serial(), forced, forced.with_min_chunk(12)] {
+            // The amplitudes' bits, `re` then `im`.
+            let run = |isa, uniform: bool| {
+                let (mut r, mut i) = (re.clone(), im.clone());
+                if uniform {
+                    phase_indexed_split_on::<true>(isa, &mut r, &mut i, index, &table, policy);
+                } else {
+                    phase_indexed_split_on::<false>(isa, &mut r, &mut i, index, &table, policy);
+                }
+                r.iter().chain(&i).map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            for uniform in [false, true] {
+                let want = run(Isa::Portable, uniform);
+                for &isa in &wide {
+                    let got = run(isa, uniform);
+                    if let Some(k) = got.iter().zip(&want).position(|(a, b)| a != b) {
+                        return Some(format!(
+                            "{isa:?}, {policy:?}, uniform start {uniform}, gamma {gamma}, \
+                             {len} amplitudes: bits differ at {k}"
+                        ));
+                    }
+                }
+            }
+        }
+        None
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The indexed phase and the fused `|+⟩` write on the portable and
-        /// on the detected compilation of their loop (AVX2 on an AVX2
-        /// CPU): the same bits, for tables holding `±0.0`, a NaN payload
-        /// and subnormals, at `γ = 0` too.
+        /// on every wider compilation of their loop this CPU runs: the
+        /// same bits, for random tables and planes, at `γ = 0` too.
         #[test]
         fn the_detected_indexed_phase_has_the_portable_bits(
-            (mut levels, index, amps) in indexed_case(),
+            (levels, index, amps) in indexed_case(),
             g in 0usize..3,
         ) {
-            let detected = Isa::detect();
-            // Written once past the test harness's output capture, so
-            // every test log names the compilation that was compared.
-            static NAMED: std::sync::Once = std::sync::Once::new();
-            NAMED.call_once(|| {
-                use std::io::Write;
-                let _ = writeln!(
-                    std::io::stderr(),
-                    "diag: comparing the {} indexed phase with the portable one",
-                    crate::exec::kernel_isa()
-                );
-            });
-            let specials = [-0.0, 0.0, f64::from_bits(0x7ff8_0000_dead_beef), 4e-320, -1e-310];
-            for (k, v) in specials.into_iter().enumerate() {
-                if let Some(level) = levels.get_mut(2 * k) {
-                    *level = v;
-                }
-            }
+            let (re, im) = amps.into_iter().unzip();
             let gamma = [0.0, 0.83, -2.9][g];
-            let table = phase_table(levels.iter().copied(), gamma);
-            let (mut re, mut im): (Vec<f64>, Vec<f64>) = amps.into_iter().unzip();
-            let len = re.len();
-            for k in (0..len).step_by(7) {
-                re[k] = -0.0;
-                im[(k + 3) % len] = 0.0;
-            }
-            let forced = ExecPolicy::rayon().with_threads(2).with_min_len(1).with_min_chunk(5);
-            for policy in [ExecPolicy::serial(), forced] {
-                // The amplitudes' bits, `re` then `im`.
-                let run = |isa, uniform: bool| {
-                    let (mut r, mut i) = (re.clone(), im.clone());
-                    if uniform {
-                        phase_indexed_split_on::<true>(isa, &mut r, &mut i, &index, &table, policy);
-                    } else {
-                        phase_indexed_split_on::<false>(isa, &mut r, &mut i, &index, &table, policy);
-                    }
-                    r.iter().chain(&i).map(|x| x.to_bits()).collect::<Vec<_>>()
-                };
-                for uniform in [false, true] {
-                    let (got, want) = (run(detected, uniform), run(Isa::Portable, uniform));
-                    let first = got.iter().zip(&want).position(|(a, b)| a != b);
-                    prop_assert_eq!(
-                        first,
-                        None,
-                        "{:?}, uniform start {}, gamma {}, {} amplitudes", policy, uniform, gamma, len
-                    );
-                }
-            }
+            prop_assert_eq!(first_wide_difference(levels, &index, re, im, gamma), None);
+        }
+    }
+
+    /// [`first_wide_difference`] at every length from 1 to 299, so every
+    /// remainder of an 8-lane loop shows, and an AVX-512 CPU runs the
+    /// AVX-512 compilation.
+    #[test]
+    fn every_indexed_phase_compilation_has_the_portable_bits_at_every_length() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            assert_eq!(
+                Isa::detect(),
+                Isa::Avx512,
+                "an AVX-512 CPU runs the AVX-512 phase"
+            );
+        } else if is_x86_feature_detected!("avx2") {
+            assert_eq!(Isa::detect(), Isa::Avx2, "an AVX2 CPU runs the AVX2 phase");
+        }
+        // Deterministic stand-ins for random values in [-1, 1).
+        let value = |k: usize| ((k * 7919 + 13) % 2003) as f64 / 1001.5 - 1.0;
+        for len in 1..300usize {
+            let levels: Vec<f64> = (0..10 + len % 30).map(|k| 4.0 * value(k + len)).collect();
+            let index: Vec<u16> = (0..len)
+                .map(|k| ((k * 31 + len) % levels.len()) as u16)
+                .collect();
+            let re = (0..len).map(|k| value(2 * k)).collect();
+            let im = (0..len).map(|k| value(2 * k + 1)).collect();
+            let gamma = [0.0, 0.83, -2.9][len % 3];
+            assert_eq!(first_wide_difference(levels, &index, re, im, gamma), None);
         }
     }
 

@@ -206,40 +206,73 @@ fn sized_pool(threads: usize) -> Arc<rayon::ThreadPool> {
 /// Which compilation of the vector loops runs: the split block walk under
 /// every mixer (`su2`) and the indexed phase loop (`diag`) are each
 /// compiled for the baseline target (SSE2 on `x86_64`, two doubles a
-/// vector) and, on `x86_64`, once more with AVX2 enabled (four). Only
-/// `avx2` is enabled, not `fma`, and rustc never contracts `a * b + c`,
-/// so both compilations perform the same IEEE operations and give the
-/// same bits. There is no option that selects one; [`kernel_isa`] names
-/// the one this process runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// vector) and, on `x86_64`, twice more: with AVX2 enabled (four) and with
+/// AVX-512F enabled (eight). Neither enables FMA for the loops' sake
+/// (`avx512f` implies it, but rustc never contracts `a * b + c`), so all
+/// three compilations perform the same IEEE operations and give the same
+/// bits. On an AVX-512 CPU, a block walk whose runs hold fewer than 8
+/// doubles stays on the AVX2 compilation, where an 8-lane loop would run
+/// them in its scalar remainder. There is no option that selects one;
+/// [`kernel_isa`] names the one this process runs. The variants are
+/// ordered narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Isa {
     Portable,
     /// Built only by [`Isa::detect`] on a CPU that has AVX2.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// Built only by [`Isa::detect`] on a CPU that has AVX2 and AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
-    /// The widest compilation this CPU runs. The feature test caches its
-    /// answer, so a process always picks the same one.
+    /// The widest compilation this CPU runs. The feature tests cache their
+    /// answers, so a process always picks the same one.
     pub(crate) fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
             return Isa::Avx2;
         }
         Isa::Portable
     }
+
+    /// Every compilation this CPU runs besides the portable one, narrowest
+    /// first.
+    #[cfg(test)]
+    pub(crate) fn wider() -> Vec<Isa> {
+        let all = [
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512,
+        ];
+        let widest = Isa::detect();
+        all.into_iter().filter(|&isa| isa <= widest).collect()
+    }
+
+    /// The name [`kernel_isa`] reports for this compilation.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Isa::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
+        }
+    }
 }
 
-/// Which compilation of the vector loops this process runs: `"avx2"` on
-/// an `x86_64` CPU with AVX2, else `"portable"`. Both the split block walk
-/// under the mixers and the level-coded phase loop run it.
+/// Which compilation of the vector loops this process runs: `"avx512"` on
+/// an `x86_64` CPU with AVX-512F, `"avx2"` on one with AVX2 only, else
+/// `"portable"`. Both the split block walk under the mixers and the
+/// level-coded phase loop run it, except that under `"avx512"` a block
+/// walk whose runs hold fewer than 8 doubles runs the AVX2 compilation.
 pub fn kernel_isa() -> &'static str {
-    if Isa::detect() == Isa::Portable {
-        "portable"
-    } else {
-        "avx2"
-    }
+    Isa::detect().name()
 }
 
 #[cfg(test)]

@@ -7,13 +7,14 @@ use crate::complex::C64;
 pub const MAX_QUBITS: usize = 40;
 
 /// Validates `n ≤ MAX_QUBITS` and returns the Hilbert-space dimension
-/// `2^n`. Every constructor's dim check funnels through here so the guard
-/// (and its panic message) exists exactly once.
+/// `2^n`. Every constructor's dim check, and the cost-vector
+/// precompute's, funnels through here so the guard (and its panic
+/// message) exists exactly once.
 ///
 /// # Panics
 /// If `n > MAX_QUBITS`.
 #[inline]
-pub(crate) fn checked_dim(n: usize) -> usize {
+pub fn checked_dim(n: usize) -> usize {
     assert!(n <= MAX_QUBITS, "n = {n} exceeds MAX_QUBITS = {MAX_QUBITS}");
     1usize << n
 }

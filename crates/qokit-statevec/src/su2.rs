@@ -22,13 +22,18 @@
 //! in Algorithm 2's qubit order, so the result keeps the generic bits up to
 //! the sign of an exact zero.
 //!
-//! The block walk and its run bodies are compiled twice from the same
-//! loops: for the baseline target (SSE2 on `x86_64`, two doubles a vector)
-//! and, on `x86_64`, once more with AVX2 enabled (four). Only AVX2 is
-//! enabled, not FMA, so both perform the same IEEE operations and give the
-//! same bits. Each process picks one by the CPU detection the level-coded
+//! The block walk and its run bodies are compiled three times from the
+//! same loops: for the baseline target (SSE2 on `x86_64`, two doubles a
+//! vector) and, on `x86_64`, once with AVX2 enabled (four) and once with
+//! AVX-512F enabled (eight). None of them contracts a multiply and an add
+//! into an FMA, so all perform the same IEEE operations and give the same
+//! bits. Each process picks the widest by the CPU detection the level-coded
 //! phase loop (`diag`) shares, and [`kernel_isa`](crate::exec::kernel_isa)
-//! names it. There are no intrinsics and no option that selects the walk.
+//! names it. On an AVX-512 CPU, a pass whose runs hold fewer than 8
+//! doubles (the qubit-2–3 radix-4 sweep, `Mat2` on qubits 0–2, a short
+//! parallel slice) stays on the AVX2 walk, where an 8-lane loop would run
+//! it in its scalar remainder. There are no intrinsics and no option that
+//! selects the walk.
 //!
 //! Every entry point takes `ExecPolicy`; parallel sweeps split by
 //! the policy's chunking thresholds.
@@ -256,8 +261,8 @@ fn runs<const R: usize>(block: &mut [f64], run: usize) -> [&mut [f64]; R] {
 }
 
 /// A run body of the block walk: the work on one block, given as its `R`
-/// runs in each plane. A trait rather than a closure, so that the AVX2
-/// walk compiles the body inline at its own width: a closure does not
+/// runs in each plane. A trait rather than a closure, so that the AVX2 and
+/// AVX-512 walks compile the body inline at their own width: a closure does not
 /// inherit `#[target_feature]`, and a closure called out of line stays
 /// at the baseline width.
 trait RunBody<const R: usize>: Sync {
@@ -323,14 +328,34 @@ enum Blocks<'a, const R: usize> {
     Runs([&'a mut [f64]; R], [&'a mut [f64]; R]),
 }
 
-/// Calls `body` on every block, on the `isa` compilation of the walk.
+impl<const R: usize> Blocks<'_, R> {
+    /// The length of each run.
+    #[cfg(target_arch = "x86_64")]
+    fn run(&self) -> usize {
+        match self {
+            Blocks::Planes(_, _, run) => *run,
+            Blocks::Runs(r, _) => r[0].len(),
+        }
+    }
+}
+
+/// The shortest run the AVX-512 walk takes: one 8-double vector.
+#[cfg(target_arch = "x86_64")]
+const AVX512_MIN_RUN: usize = 8;
+
+/// Calls `body` on every block, on the `isa` compilation of the walk, or on
+/// the AVX2 one for runs shorter than [`AVX512_MIN_RUN`] under `Avx512`.
 fn walk_on<const R: usize, B: RunBody<R>>(isa: Isa, blocks: Blocks<'_, R>, body: &B) {
     match isa {
         Isa::Portable => walk(blocks, body),
-        // SAFETY: `walk_avx2` needs AVX2, and `Isa::Avx2` is only built by
-        // `Isa::detect` after the CPU reported AVX2.
+        // SAFETY: `walk_avx512` needs AVX-512F, and `Isa::Avx512` is only
+        // built by `Isa::detect` after the CPU reported AVX-512F.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { walk_avx2(blocks, body) },
+        Isa::Avx512 if blocks.run() >= AVX512_MIN_RUN => unsafe { walk_avx512(blocks, body) },
+        // SAFETY: `walk_avx2` needs AVX2, and `Isa::Avx2` and `Isa::Avx512`
+        // are only built by `Isa::detect` after the CPU reported AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 | Isa::Avx512 => unsafe { walk_avx2(blocks, body) },
     }
 }
 
@@ -352,6 +377,13 @@ fn walk<const R: usize, B: RunBody<R>>(blocks: Blocks<'_, R>, body: &B) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn walk_avx2<const R: usize, B: RunBody<R>>(blocks: Blocks<'_, R>, body: &B) {
+    walk(blocks, body)
+}
+
+/// [`walk`] compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn walk_avx512<const R: usize, B: RunBody<R>>(blocks: Blocks<'_, R>, body: &B) {
     walk(blocks, body)
 }
 
@@ -725,20 +757,32 @@ mod tests {
         apply_uniform_mat2(&mut amps, &Mat2::rx(0.3), ExecPolicy::serial());
     }
 
+    /// Every compilation of the walk this CPU runs has the portable walk's
+    /// bits: the X mixer at n = 1–16 (runs on both sides of the AVX-512
+    /// walk's 8-double floor, the tile sweep and the odd top pass) and
+    /// `Mat2` on every qubit, each serial, forced onto 2 workers, and with a
+    /// task floor of 12 that leaves parallel slices shorter than 8.
     #[test]
     fn the_detected_walk_has_the_portable_walks_bits() {
-        let detected = Isa::detect();
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            assert_eq!(detected, Isa::Avx2, "an AVX2 CPU runs the AVX2 walk");
+        if is_x86_feature_detected!("avx512f") {
+            assert_eq!(
+                Isa::detect(),
+                Isa::Avx512,
+                "an AVX-512 CPU runs the AVX-512 walk"
+            );
+        } else if is_x86_feature_detected!("avx2") {
+            assert_eq!(Isa::detect(), Isa::Avx2, "an AVX2 CPU runs the AVX2 walk");
         }
+        let wide = Isa::wider();
         // Written past the test harness's output capture, so every test
-        // log names the walk that was compared.
+        // log names the walks that were compared.
         use std::io::Write;
+        let names: Vec<&str> = wide.iter().map(|isa| isa.name()).collect();
         let _ = writeln!(
             std::io::stderr(),
-            "su2: comparing the {} block walk with the portable walk",
-            crate::exec::kernel_isa()
+            "su2: comparing the [{}] block walks with the portable walk",
+            names.join(", ")
         );
         let forced = ExecPolicy::rayon()
             .with_threads(2)
@@ -746,6 +790,7 @@ mod tests {
             .with_min_chunk(1);
         // A task floor that does not divide the run leaves a short last task.
         let odd = forced.with_min_chunk(12);
+        let policies = [ExecPolicy::serial(), forced, odd];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for n in 1..=16usize {
             let s = crate::split::SplitStateVec::from(&random_state(n, 700 + n as u64));
@@ -756,28 +801,32 @@ mod tests {
                 im[(k + 2) % len] = -0.0;
             }
             for beta in [0.59, std::f64::consts::FRAC_PI_2] {
-                for policy in [ExecPolicy::serial(), forced, odd] {
+                for policy in policies {
                     let (mut re_p, mut im_p) = (re.clone(), im.clone());
                     x_mixer_split(&mut re_p, &mut im_p, beta, policy, Isa::Portable);
-                    let (mut re_d, mut im_d) = (re.clone(), im.clone());
-                    x_mixer_split(&mut re_d, &mut im_d, beta, policy, detected);
-                    let at = format!("X mixer, n = {n}, beta = {beta}, {policy:?}");
-                    assert_eq!(bits(&re_d), bits(&re_p), "re, {at}");
-                    assert_eq!(bits(&im_d), bits(&im_p), "im, {at}");
+                    for &isa in &wide {
+                        let (mut re_w, mut im_w) = (re.clone(), im.clone());
+                        x_mixer_split(&mut re_w, &mut im_w, beta, policy, isa);
+                        let at = format!("X mixer, {isa:?}, n = {n}, beta = {beta}, {policy:?}");
+                        assert_eq!(bits(&re_w), bits(&re_p), "re, {at}");
+                        assert_eq!(bits(&im_w), bits(&im_p), "im, {at}");
+                    }
                 }
             }
             for q in 0..n {
                 let ab = random_state(1, 800 + (n * 16 + q) as u64);
                 let u = Mat2::su2(ab.amplitudes()[0], ab.amplitudes()[1]);
                 let body = Mix(mat2_planes(&u));
-                for policy in [ExecPolicy::serial(), forced] {
+                for policy in policies {
                     let (mut re_p, mut im_p) = (re.clone(), im.clone());
                     split_pass(&mut re_p, &mut im_p, 1 << q, policy, Isa::Portable, &body);
-                    let (mut re_d, mut im_d) = (re.clone(), im.clone());
-                    split_pass(&mut re_d, &mut im_d, 1 << q, policy, detected, &body);
-                    let at = format!("Mat2, n = {n}, qubit {q}, {policy:?}");
-                    assert_eq!(bits(&re_d), bits(&re_p), "re, {at}");
-                    assert_eq!(bits(&im_d), bits(&im_p), "im, {at}");
+                    for &isa in &wide {
+                        let (mut re_w, mut im_w) = (re.clone(), im.clone());
+                        split_pass(&mut re_w, &mut im_w, 1 << q, policy, isa, &body);
+                        let at = format!("Mat2, {isa:?}, n = {n}, qubit {q}, {policy:?}");
+                        assert_eq!(bits(&re_w), bits(&re_p), "re, {at}");
+                        assert_eq!(bits(&im_w), bits(&im_p), "im, {at}");
+                    }
                 }
             }
         }

@@ -672,3 +672,43 @@ fn huge_restart_count_is_an_error_not_an_abort() {
     client.shutdown_server().expect("shutdown");
     handle.join();
 }
+
+/// A served sweep on more qubits than a cost vector can hold is an `Error`
+/// frame from the job's precompute, not an allocation abort of the server.
+#[test]
+fn oversized_served_sweep_is_an_error_not_an_abort() {
+    use qokit::dist::wire::SweepSimSpec;
+    use qokit::serve::{ClientError, ProgressAction, ServeClient, Server, ServerConfig, SweepJob};
+    use qokit::terms::maxcut::maxcut_polynomial;
+
+    let handle = Server::bind(ServerConfig::default())
+        .expect("bind")
+        .spawn_thread()
+        .expect("spawn");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    let job = SweepJob {
+        poly: maxcut_polynomial(&Graph::ring(48, 1.0)),
+        spec: SweepSimSpec {
+            precompute: PrecomputeMethod::Direct,
+            quantize_u16: false,
+            layout: Layout::Split,
+        },
+        grid: Grid2d::new(Axis::new(-0.5, 0.5, 2), Axis::new(-0.4, 0.4, 2)),
+        top_k: 2,
+        chunk: 2,
+        deadline_ms: 0,
+        progress_every: 0,
+    };
+    match client.submit_sweep(&job, |_| ProgressAction::Continue) {
+        Err(ClientError::Server(message)) => assert!(
+            message.contains("n = 48 exceeds MAX_QUBITS = 40"),
+            "{message}"
+        ),
+        other => panic!("expected a MAX_QUBITS error, got {other:?}"),
+    }
+    client
+        .ping()
+        .expect("the server still answers after the oversized sweep");
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
