@@ -21,8 +21,10 @@
 //! table once per chunk, so its gather loop has no bounds check per
 //! amplitude and vectorizes. That loop is compiled three times, for the
 //! baseline target and, on `x86_64`, with AVX2 and with AVX-512F enabled
-//! (no contracted FMA, no intrinsics): the same three compilations as the
-//! mixers' block walk, picked by the same one-time CPU detection and named
+//! (no contracted FMA, no intrinsics; the crate's one intrinsics body is
+//! the X mixer's register-block pass in `su2`, whose portable forms lost):
+//! the same three compilations as the mixers' block walk, picked by the
+//! same one-time CPU detection and named
 //! by [`kernel_isa`](crate::exec::kernel_isa). All give the same bits. The
 //! gather has no run-length rule: on an AVX-512 CPU it runs the AVX-512
 //! loop at every chunk length.

@@ -271,6 +271,8 @@ impl Isa {
 /// `"portable"`. Both the split block walk under the mixers and the
 /// level-coded phase loop run it, except that under `"avx512"` a block
 /// walk whose runs hold fewer than 8 doubles runs the AVX2 compilation.
+/// Under `"avx512"` the X mixer's first sweep from n = 6 is also `su2`'s
+/// register-block pass over 64-amplitude blocks.
 pub fn kernel_isa() -> &'static str {
     Isa::detect().name()
 }

@@ -16,11 +16,13 @@
 //! `apply_x_mixer_split`, the X mixer every objective runs, is Algorithm 2
 //! with the RX-specialized body of Algorithm 3 (`a = cos β`, `b = sin β`;
 //! QOKit's `furx`): 8 multiplies per pair instead of the generic 16. It
-//! fuses qubits into `⌈n/2⌉` sweeps instead of `n`: one sweep applies
-//! qubits 0–1 to each 4-amplitude tile in registers, each further sweep a
-//! radix-4 qubit pair. Every amplitude still sees Algorithm 2's operations
-//! in Algorithm 2's qubit order, so the result keeps the generic bits up to
-//! the sign of an exact zero.
+//! fuses qubits into fewer sweeps than `n`: a first sweep applies qubits
+//! 0–5 to each 64-amplitude block in `zmm` registers on an AVX-512 CPU
+//! from n = 6 (n = 10: 3 sweeps), and elsewhere qubits 0–1 to each
+//! 4-amplitude tile (`⌈n/2⌉` sweeps, n = 10: 5); each further sweep
+//! applies a radix-4 qubit pair. Every amplitude still sees Algorithm 2's
+//! operations in Algorithm 2's qubit order, so the result keeps the
+//! generic bits up to the sign of an exact zero.
 //!
 //! The block walk and its run bodies are compiled three times from the
 //! same loops: for the baseline target (SSE2 on `x86_64`, two doubles a
@@ -30,10 +32,17 @@
 //! bits. Each process picks the widest by the CPU detection the level-coded
 //! phase loop (`diag`) shares, and [`kernel_isa`](crate::exec::kernel_isa)
 //! names it. On an AVX-512 CPU, a pass whose runs hold fewer than 8
-//! doubles (the qubit-2–3 radix-4 sweep, `Mat2` on qubits 0–2, a short
-//! parallel slice) stays on the AVX2 walk, where an 8-lane loop would run
-//! it in its scalar remainder. There are no intrinsics and no option that
-//! selects the walk.
+//! doubles (`Mat2` on qubits 0–2, a short parallel slice) stays on the
+//! AVX2 walk, where an 8-lane loop would run it in its scalar remainder.
+//! No option selects the walk.
+//!
+//! The X mixer's AVX-512 register-block pass (`rx_block`) is the one body
+//! written in `core::arch` intrinsics, reached only after the CPU detection
+//! returned AVX-512. It is there because its portable forms lost to the
+//! three sweeps it replaces: `rx_butterflies::<8>` on 8-amplitude tiles
+//! under the AVX-512 walk ran 10–12 % slower, and a transposed
+//! 64-amplitude block of `[[f64; 8]; 8]` arrays ~2× slower. It uses no FMA
+//! either, so it keeps the portable bits.
 //!
 //! Every entry point takes `ExecPolicy`; parallel sweeps split by
 //! the policy's chunking thresholds.
@@ -266,6 +275,10 @@ fn runs<const R: usize>(block: &mut [f64], run: usize) -> [&mut [f64]; R] {
 /// inherit `#[target_feature]`, and a closure called out of line stays
 /// at the baseline width.
 trait RunBody<const R: usize>: Sync {
+    /// The amplitudes of a run the body works on together: a parallel walk
+    /// that cuts one block's runs cuts them at multiples of this.
+    const GRAIN: usize = TILE;
+
     fn run(&self, re: [&mut [f64]; R], im: [&mut [f64]; R]);
 }
 
@@ -387,12 +400,105 @@ fn walk_avx512<const R: usize, B: RunBody<R>>(blocks: Blocks<'_, R>, body: &B) {
     walk(blocks, body)
 }
 
+/// The X mixer's qubits 0–5 in one AVX-512 register pass over 64-amplitude
+/// blocks, each eight `zmm` vectors per plane. Qubits 0, 1 and 2 are mixed
+/// inside each vector, with one lane permute per plane per qubit; qubits 3,
+/// 4 and 5 across the eight vectors. Every butterfly is `rx_amp`'s
+/// `(c·xr + s·pi, c·xi − s·pr)` as separate multiplies and adds, and each
+/// amplitude sees qubits 0–5 in order, so the pass has the bits of the tile
+/// sweep and the two radix-4 sweeps it replaces. The module doc says why
+/// this one body is written in intrinsics.
+#[cfg(target_arch = "x86_64")]
+mod rx_block {
+    use super::RunBody;
+    use crate::exec::Isa;
+    use std::arch::x86_64::*;
+
+    /// The qubits one block holds.
+    pub(super) const BLOCK_QUBITS: usize = 6;
+    const BLOCK: usize = 1 << BLOCK_QUBITS;
+
+    /// The pass as the body of one run spanning the planes. Only
+    /// [`RxBlocks::new`] builds one, so one exists only on a CPU that has
+    /// AVX-512F.
+    pub(super) struct RxBlocks {
+        s: f64,
+        c: f64,
+    }
+
+    impl RxBlocks {
+        /// The pass for RX with `(s, c) = β.sin_cos()` on `n` qubits, if the
+        /// walk is [`Isa::Avx512`] and `n ≥ 6`; otherwise `None`.
+        pub(super) fn new(walk: Isa, n: usize, s: f64, c: f64) -> Option<RxBlocks> {
+            (walk == Isa::Avx512 && n >= BLOCK_QUBITS).then_some(RxBlocks { s, c })
+        }
+    }
+
+    impl RunBody<1> for RxBlocks {
+        const GRAIN: usize = BLOCK;
+
+        #[inline(always)]
+        fn run(&self, [r]: [&mut [f64]; 1], [i]: [&mut [f64]; 1]) {
+            // SAFETY: `rx_blocks` needs AVX-512F. An `RxBlocks` is only built
+            // by `RxBlocks::new` from `Isa::Avx512`, which only `Isa::detect`
+            // builds, after the CPU reported AVX-512F.
+            unsafe { rx_blocks(r, i, self.s, self.c) }
+        }
+    }
+
+    /// [`rx_amp`](super::rx_amp) on every lane: `x` from its partner `p`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn rx(s: __m512d, c: __m512d, x: [__m512d; 2], p: [__m512d; 2]) -> [__m512d; 2] {
+        let [xr, xi] = x;
+        let [pr, pi] = p;
+        [
+            _mm512_add_pd(_mm512_mul_pd(c, xr), _mm512_mul_pd(s, pi)),
+            _mm512_sub_pd(_mm512_mul_pd(c, xi), _mm512_mul_pd(s, pr)),
+        ]
+    }
+
+    /// Qubits 0–5 of every whole 64-amplitude block of the planes.
+    #[target_feature(enable = "avx512f")]
+    fn rx_blocks(re: &mut [f64], im: &mut [f64], s: f64, c: f64) {
+        let (s, c) = (_mm512_set1_pd(s), _mm512_set1_pd(c));
+        let (re, im) = (re.as_chunks_mut::<BLOCK>().0, im.as_chunks_mut::<BLOCK>().0);
+        for (rb, ib) in re.iter_mut().zip(im) {
+            let (rb, ib) = (rb.as_chunks_mut::<8>().0, ib.as_chunks_mut::<8>().0);
+            // Vector `v` of each plane, amplitudes `8v..8v + 8`, as `[re, im]`.
+            let mut x = [[_mm512_setzero_pd(); 2]; 8];
+            for (xv, (r, i)) in x.iter_mut().zip(rb.iter().zip(ib.iter())) {
+                // SAFETY: `r` and `i` each hold the 8 doubles a load reads.
+                *xv = unsafe { [r.as_ptr(), i.as_ptr()].map(|p| _mm512_loadu_pd(p)) };
+                // Qubits 0, 1 and 2: the partner is another lane of the vector.
+                *xv = rx(s, c, *xv, xv.map(|p| _mm512_permute_pd::<0x55>(p)));
+                *xv = rx(s, c, *xv, xv.map(|p| _mm512_permutex_pd::<0x4E>(p)));
+                *xv = rx(s, c, *xv, xv.map(|p| _mm512_shuffle_f64x2::<0x4E>(p, p)));
+            }
+            // Qubits 3, 4 and 5: the partner of vector `v` is vector `v ^ m`.
+            for m in [1, 2, 4] {
+                let x0 = x;
+                for v in 0..8 {
+                    x[v] = rx(s, c, x0[v], x0[v ^ m]);
+                }
+            }
+            for ([xr, xi], (r, i)) in x.into_iter().zip(rb.iter_mut().zip(ib.iter_mut())) {
+                // SAFETY: `r` and `i` each hold the 8 doubles a store writes.
+                unsafe {
+                    _mm512_storeu_pd(r.as_mut_ptr(), xr);
+                    _mm512_storeu_pd(i.as_mut_ptr(), xi);
+                }
+            }
+        }
+    }
+}
+
 /// The one block walk every split kernel shares, policy-dispatched: calls
 /// `body` on every `R·run` block of the planes, cut into its `R` runs, on
 /// `walk`'s compilation. A parallel walk hands each task whole blocks or,
-/// when one block spans the planes, the same `TILE`-aligned slice of all
-/// `R` runs (each run body is elementwise along its runs, the tile body
-/// tile by tile).
+/// when one block spans the planes, the same [`RunBody::GRAIN`]-aligned
+/// slice of all `R` runs (each run body is elementwise along its runs, the
+/// tile and register-block bodies tile by tile and block by block).
 fn split_pass<const R: usize, B: RunBody<R>>(
     re: &mut [f64],
     im: &mut [f64],
@@ -416,11 +522,11 @@ fn split_pass<const R: usize, B: RunBody<R>>(
                 .for_each(|(rc, ic)| walk_on(walk, Blocks::Planes(rc, ic, run), body));
             return;
         }
-        let chunk = policy.chunk_len(run, TILE.min(run));
+        let chunk = policy.chunk_len(run, B::GRAIN.min(run));
         let mut re_runs = runs::<R>(re, run).map(|r| r.chunks_mut(chunk));
         let mut im_runs = runs::<R>(im, run).map(|r| r.chunks_mut(chunk));
         // Equal runs cut alike: the short last chunks (a multiple of
-        // `TILE.min(run)`, like `chunk`) stay in lockstep.
+        // `B::GRAIN.min(run)`, like `chunk`) stay in lockstep.
         let mut tasks: Vec<_> = (0..run.div_ceil(chunk))
             .map(|_| {
                 let next = "every run has the same chunk count";
@@ -449,17 +555,8 @@ fn check_qubit(q: usize, len: usize) {
     assert!(q < n, "qubit {q} out of range for {n} qubits");
 }
 
-/// Serial split-plane Algorithm 1: applies `U` to qubit `q` of the
-/// `re`/`im` planes in place.
-///
-/// # Panics
-/// If plane lengths differ or are not a power of two, or `q` is out of
-/// range.
-pub fn apply_mat2_split_serial(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2) {
-    apply_mat2_split(re, im, q, u, ExecPolicy::serial());
-}
-
-/// Policy-dispatched split-plane Algorithm 1.
+/// Split-plane Algorithm 1: applies `U` to qubit `q` of the `re`/`im`
+/// planes in place, policy-dispatched.
 ///
 /// # Panics
 /// If plane lengths differ or are not a power of two, or `q` is out of
@@ -472,16 +569,19 @@ pub fn apply_mat2_split(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2, poli
 
 /// The transverse-field mixer `e^{-iβΣᵢXᵢ}` on the `re`/`im` planes:
 /// split-plane Algorithm 2 for `U = Mat2::rx(β)` with the RX-specialized
-/// body (QOKit's `furx`), in `⌈n/2⌉` sweeps over the planes instead of `n`
-/// (n = 10: 5). The first sweep applies qubits 0–1 to each 4-amplitude
-/// tile in registers; each further sweep applies a radix-4 qubit pair
-/// `(q, q+1)` to the four `2^q` runs of every `2^{q+2}` block; an odd top
-/// qubit gets a single pass. Every amplitude sees the same IEEE operations
-/// in the same qubit order as `n` calls of [`apply_mat2_split`] with
-/// `Mat2::rx(β)`, so the result has their bits, except the sign of an
-/// exactly-zero amplitude component. The sweeps run the block walk this
-/// CPU runs widest ([`kernel_isa`](crate::exec::kernel_isa)), with the
-/// same bits on either.
+/// body (QOKit's `furx`), in far fewer sweeps over the planes than `n`.
+/// On an AVX-512 CPU from n = 6, the first sweep applies qubits 0–5 to each
+/// 64-amplitude block in registers, so there are `1 + ⌈(n−6)/2⌉` sweeps
+/// (n = 10: 3, n = 14: 5). Elsewhere, and below n = 6, it applies qubits
+/// 0–1 to each 4-amplitude tile, so there are `⌈n/2⌉` (n = 10: 5). Each
+/// further sweep applies a radix-4 qubit pair `(q, q+1)` to the four `2^q`
+/// runs of every `2^{q+2}` block; an odd top qubit gets a single pass.
+/// Every amplitude sees the same IEEE operations in the same qubit order
+/// as `n` calls of [`apply_mat2_split`] with `Mat2::rx(β)`, so the result
+/// has their bits, except the sign of an exactly-zero amplitude component.
+/// The sweeps run the block walk this CPU runs widest
+/// ([`kernel_isa`](crate::exec::kernel_isa)), with the same bits on
+/// either.
 ///
 /// # Panics
 /// If plane lengths differ or are not a power of two.
@@ -501,8 +601,14 @@ fn x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, policy: ExecPolicy, 
     let (s, c) = beta.sin_cos();
     policy.install(|| {
         let mut q = 0;
-        if n >= TILE_QUBITS {
-            // One run spanning the planes: the walk cuts it into whole tiles.
+        // One run spanning the planes: the walk cuts it into whole blocks
+        // or, without the register-block pass, whole tiles.
+        #[cfg(target_arch = "x86_64")]
+        if let Some(body) = rx_block::RxBlocks::new(walk, n, s, c) {
+            split_pass(re, im, 1 << n, policy, walk, &body);
+            q = rx_block::BLOCK_QUBITS;
+        }
+        if q == 0 && n >= TILE_QUBITS {
             split_pass(re, im, 1 << n, policy, walk, &RxTiles { s, c });
             q = TILE_QUBITS;
         }
@@ -521,6 +627,7 @@ mod tests {
     use super::*;
     use crate::reference;
     use crate::state::StateVec;
+    use proptest::prelude::*;
 
     fn assert_close(a: &[C64], b: &[C64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -632,7 +739,7 @@ mod tests {
             apply_mat2_serial(interleaved.amplitudes_mut(), q, &u);
             let mut split = crate::split::SplitStateVec::from(&s);
             let (re, im) = split.planes_mut();
-            apply_mat2_split_serial(re, im, q, &u);
+            apply_mat2_split(re, im, q, &u, ExecPolicy::serial());
             assert!(
                 split.max_abs_diff_interleaved(interleaved.amplitudes()) < 1e-12,
                 "qubit {q}"
@@ -654,7 +761,7 @@ mod tests {
                 let mut b = a.clone();
                 {
                     let (re, im) = a.planes_mut();
-                    apply_mat2_split_serial(re, im, q, &u);
+                    apply_mat2_split(re, im, q, &u, ExecPolicy::serial());
                 }
                 {
                     let (re, im) = b.planes_mut();
@@ -827,6 +934,98 @@ mod tests {
                         assert_eq!(bits(&re_w), bits(&re_p), "re, {at}");
                         assert_eq!(bits(&im_w), bits(&im_p), "im, {at}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Strategy: a plane entry that is +0, −0 or a subnormal of either sign
+    /// an eighth of the time each, and uniform in [−1, 1) otherwise.
+    fn plane_entry() -> impl Strategy<Value = f64> {
+        (0usize..8, -1.0f64..1.0, 1u64..1 << 52).prop_map(|(k, x, m)| match k {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(m),
+            3 => -f64::from_bits(m),
+            _ => x,
+        })
+    }
+
+    /// Strategy: `re`/`im` planes on 1..=14 qubits. In a quarter of the
+    /// cases one entry is the NaN `0x7ff80000deadbeef`; the mixer carries
+    /// it to every amplitude, so one NaN per case is the most that shows.
+    fn x_mixer_planes() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+        (1usize..=14, 0usize..4, 0usize..1 << 14).prop_flat_map(|(n, nan, at)| {
+            let plane = || prop::collection::vec(plane_entry(), 1usize << n);
+            (plane(), plane()).prop_map(move |(mut re, im)| {
+                if nan == 0 {
+                    re[at % (1 << n)] = f64::from_bits(0x7ff8_0000_dead_beef);
+                }
+                (re, im)
+            })
+        })
+    }
+
+    /// Strategy: a mixer angle that is exactly 0, ±π/2 or π half the time
+    /// and uniform in [−4, 4) otherwise.
+    fn beta() -> impl Strategy<Value = f64> {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        (0usize..8, -4.0f64..4.0).prop_map(|(k, x)| match k {
+            0 => 0.0,
+            1 => FRAC_PI_2,
+            2 => -FRAC_PI_2,
+            3 => PI,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The X mixer's plan on every compilation this CPU runs (on an
+        /// AVX-512 CPU from n = 6, the register-block pass) has the
+        /// portable plan's bits: serial, on 2 workers with parallel slices
+        /// that must round up to whole 64-amplitude blocks, and with task
+        /// floors of 12 and 64 amplitudes.
+        #[test]
+        fn every_x_mixer_plan_has_the_portable_bits(
+            (re, im) in x_mixer_planes(),
+            beta in beta(),
+        ) {
+            let wide = Isa::wider();
+            static NAMED: std::sync::Once = std::sync::Once::new();
+            NAMED.call_once(|| {
+                // Past the harness's output capture, in one write so no
+                // progress output lands inside it: every test log names the
+                // plans that were compared.
+                use std::io::Write;
+                let names: Vec<&str> = wide.iter().map(|isa| isa.name()).collect();
+                let line = format!(
+                    "su2: X mixer plans compared with the portable plan: [{}]\n",
+                    names.join(", ")
+                );
+                let _ = std::io::stderr().write_all(line.as_bytes());
+            });
+            let forced = ExecPolicy::rayon()
+                .with_threads(2)
+                .with_min_len(1)
+                .with_min_chunk(1);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let n = re.len().trailing_zeros();
+            for policy in [
+                ExecPolicy::serial(),
+                forced,
+                forced.with_min_chunk(12),
+                forced.with_min_chunk(64),
+            ] {
+                let (mut re_p, mut im_p) = (re.clone(), im.clone());
+                x_mixer_split(&mut re_p, &mut im_p, beta, policy, Isa::Portable);
+                for &isa in &wide {
+                    let (mut re_w, mut im_w) = (re.clone(), im.clone());
+                    x_mixer_split(&mut re_w, &mut im_w, beta, policy, isa);
+                    let at = format!("{isa:?}, n = {n}, beta = {beta}, {policy:?}");
+                    prop_assert_eq!(bits(&re_w), bits(&re_p), "re, {}", at);
+                    prop_assert_eq!(bits(&im_w), bits(&im_p), "im, {}", at);
                 }
             }
         }

@@ -66,7 +66,7 @@ pub fn for_each_base(
 ///
 /// # Panics
 /// If `qa == qb` or either qubit is out of range.
-pub fn apply_mat4_serial(amps: &mut [C64], qa: usize, qb: usize, u: &Mat4) {
+fn apply_mat4_serial(amps: &mut [C64], qa: usize, qb: usize, u: &Mat4) {
     assert_ne!(qa, qb, "two-qubit gate needs distinct qubits");
     let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
     assert!(1usize << (qh + 1) <= amps.len(), "qubit {qh} out of range");
@@ -162,7 +162,7 @@ pub fn apply_mat4(amps: &mut [C64], qa: usize, qb: usize, u: &Mat4, policy: Exec
 
 /// Serial specialized XY gate `e^{-iβ(XX+YY)/2}` on `(qa, qb)`: rotates the
 /// |01⟩/|10⟩ pair, leaves |00⟩ and |11⟩ untouched.
-pub fn apply_xy_serial(amps: &mut [C64], qa: usize, qb: usize, beta: f64) {
+fn apply_xy_serial(amps: &mut [C64], qa: usize, qb: usize, beta: f64) {
     assert_ne!(qa, qb, "XY gate needs distinct qubits");
     let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
     assert!(1usize << (qh + 1) <= amps.len(), "qubit {qh} out of range");
@@ -270,7 +270,7 @@ fn xy_split_chunk(re: &mut [f64], im: &mut [f64], ql: usize, qh: usize, qa: usiz
 ///
 /// # Panics
 /// If plane lengths differ, `qa == qb`, or a qubit is out of range.
-pub fn apply_xy_split_serial(re: &mut [f64], im: &mut [f64], qa: usize, qb: usize, beta: f64) {
+fn apply_xy_split_serial(re: &mut [f64], im: &mut [f64], qa: usize, qb: usize, beta: f64) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     assert_ne!(qa, qb, "XY gate needs distinct qubits");
     let (ql, qh) = if qa < qb { (qa, qb) } else { (qb, qa) };
