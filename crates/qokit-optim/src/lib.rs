@@ -42,7 +42,7 @@ pub mod schedules;
 pub mod search;
 pub mod spsa;
 
-pub use multistart::{MultiStart, MultiStartError, MultiStartRun, RestartMethod};
+pub use multistart::{MultiStart, MultiStartError, MultiStartRun, RestartMethod, RestartSet};
 pub use nelder_mead::NelderMead;
 pub use search::{
     grid_points_2d, grid_search_2d, grid_search_2d_batched, random_search, random_search_batched,

@@ -3,7 +3,9 @@
 //! QAOA landscapes are multi-modal: a single Nelder–Mead or SPSA run
 //! converges to whichever basin its starting point fell into. The standard
 //! cure is restarts from many starting points — embarrassingly parallel
-//! work that [`MultiStart`] runs as pool tasks, one restart per task.
+//! work that [`MultiStart`] hands to the pool's workers through a
+//! [`RestartSet`]: each worker claims the next unrun restart until none
+//! is left, and a server can share one set between several lanes.
 //!
 //! Determinism contract: starting points are drawn *up front* from one
 //! seeded RNG, each restart derives its own RNG from `(seed, restart
@@ -44,6 +46,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The local optimizer each restart runs.
 #[derive(Clone, Debug)]
@@ -60,7 +64,7 @@ pub enum RestartMethod {
 pub struct MultiStart {
     /// Optimizer to run from every starting point.
     pub method: RestartMethod,
-    /// Number of restarts (pool tasks).
+    /// Number of restarts.
     pub restarts: usize,
     /// Master seed: starting points and per-restart RNGs derive from it.
     pub seed: u64,
@@ -215,66 +219,32 @@ impl MultiStart {
     where
         F: Fn(&[f64]) -> f64 + Sync,
     {
-        assert!(self.restarts > 0, "need at least one restart");
-        let mut slots = self.restart_slots()?;
-        let starts = self.try_starting_points()?;
-        // Slot i is written by restart i's task alone.
-        slots
-            .par_iter_mut()
-            .with_min_len(1)
-            .zip(starts.par_iter())
-            .enumerate()
-            .for_each(|(i, (slot, x0))| {
-                *slot = Some(
-                    panic::catch_unwind(AssertUnwindSafe(|| self.run_one(i, x0, f)))
-                        .map_err(panic_message),
-                );
-            });
-        Self::collect_run(slots.into_iter().flatten().collect())
+        self.try_minimize_cancellable(f, &AtomicBool::new(false))
     }
 
     /// [`try_minimize`](Self::try_minimize) with a cooperative cancellation
-    /// checkpoint before each restart: a restart whose task starts after
-    /// `cancel` is set (`Relaxed` load) is skipped, and the driver returns
+    /// checkpoint before each restart: a restart claimed after `cancel` is
+    /// set (`Relaxed` load) is skipped, and the driver returns
     /// [`MultiStartError::Cancelled`] counting the restarts that did run.
     /// Restarts already executing finish normally — cancellation
     /// granularity is one restart — and the pool stays reusable. With the
     /// flag never set the result is bit-identical to
     /// [`try_minimize`](Self::try_minimize) (same trajectories, same
     /// winner).
+    ///
+    /// This is one [`RestartSet`] drained by [`RestartSet::run`] on the
+    /// calling thread's pool.
     pub fn try_minimize_cancellable<F>(
         &self,
         f: &F,
-        cancel: &std::sync::atomic::AtomicBool,
+        cancel: &AtomicBool,
     ) -> Result<MultiStartRun, MultiStartError>
     where
         F: Fn(&[f64]) -> f64 + Sync,
     {
-        use std::sync::atomic::Ordering;
-        assert!(self.restarts > 0, "need at least one restart");
-        let mut slots = self.restart_slots()?;
-        let starts = self.try_starting_points()?;
-        // A slot left `None` marks a restart skipped by the flag; completed
-        // slots stay keyed by restart index exactly as in the plain driver.
-        slots
-            .par_iter_mut()
-            .with_min_len(1)
-            .zip(starts.par_iter())
-            .enumerate()
-            .for_each(|(i, (slot, x0))| {
-                if cancel.load(Ordering::Relaxed) {
-                    return;
-                }
-                *slot = Some(
-                    panic::catch_unwind(AssertUnwindSafe(|| self.run_one(i, x0, f)))
-                        .map_err(panic_message),
-                );
-            });
-        if slots.iter().any(|s| s.is_none()) {
-            let completed = slots.iter().filter(|s| s.is_some()).count();
-            return Err(MultiStartError::Cancelled { completed });
-        }
-        Self::collect_run(slots.into_iter().flatten().collect())
+        RestartSet::new(self.clone())?
+            .run(f, cancel)
+            .expect("a set's only run finishes its last restart")
     }
 
     /// As [`minimize`](Self::minimize), but each restart drives a *batch*
@@ -329,6 +299,20 @@ impl MultiStart {
                 .map_err(panic_message)
         });
         Self::collect_run(slots)
+    }
+
+    /// Folds the slots of a drained [`RestartSet`] into its outcome: a
+    /// slot left `None` marks a restart skipped by the cancel flag, and
+    /// any such slot makes the run [`MultiStartError::Cancelled`];
+    /// otherwise the slots fold through [`collect_run`](Self::collect_run).
+    fn finish_run(
+        slots: Vec<Option<Result<OptimizeResult, String>>>,
+    ) -> Result<MultiStartRun, MultiStartError> {
+        if slots.iter().any(|s| s.is_none()) {
+            let completed = slots.iter().filter(|s| s.is_some()).count();
+            return Err(MultiStartError::Cancelled { completed });
+        }
+        Self::collect_run(slots.into_iter().flatten().collect())
     }
 
     /// Folds per-restart slots (keyed by restart index) into a
@@ -401,6 +385,121 @@ impl MultiStart {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+}
+
+/// A multi-start run split into restarts that any number of threads can
+/// claim: an atomic cursor hands out restart indices, each result lands
+/// in the slot of its index, and a remaining-count tells the thread that
+/// records the last restart that the run is over — that thread alone gets
+/// the [`MultiStartRun`]. No caller waits for another: a call that finds
+/// the cursor used up returns at once, even while other callers still run
+/// restarts.
+///
+/// [`MultiStart::try_minimize_cancellable`] is one set drained by
+/// [`run`](Self::run); a server can instead share one set between
+/// several lanes, each calling [`run`](Self::run) inside its own worker
+/// subset. Whoever ran which restart, the outcome has the bits of
+/// [`MultiStart::try_minimize`]: starting points and per-restart RNGs
+/// depend only on the seed and the restart index, results stay keyed by
+/// index, and the winner, the cancel and the panic rules are applied once
+/// to the full slot vector.
+pub struct RestartSet {
+    driver: MultiStart,
+    starts: Vec<Vec<f64>>,
+    /// The next unclaimed restart index; claims past the end find the
+    /// set used up. `Relaxed` suffices: the read-modify-write alone makes
+    /// each index go to one claimer, and results are handed over through
+    /// `progress`'s lock, not through the cursor.
+    cursor: AtomicUsize,
+    progress: Mutex<Progress>,
+}
+
+/// The recorded part of a [`RestartSet`].
+struct Progress {
+    /// One slot per restart, keyed by index; still `None` once the set
+    /// is drained means the cancel flag skipped that restart.
+    slots: Vec<Option<Result<OptimizeResult, String>>>,
+    /// Restarts not yet recorded (run, panicked or skipped).
+    remaining: usize,
+}
+
+impl RestartSet {
+    /// Draws `driver`'s starting points and makes one empty slot per
+    /// restart. A restart count too large for memory is
+    /// [`MultiStartError::TooManyRestarts`], and nothing runs.
+    ///
+    /// # Panics
+    /// If `driver.restarts` is zero or `driver.bounds` is empty.
+    pub fn new(driver: MultiStart) -> Result<RestartSet, MultiStartError> {
+        assert!(driver.restarts > 0, "need at least one restart");
+        let slots = driver.restart_slots()?;
+        let starts = driver.try_starting_points()?;
+        Ok(RestartSet {
+            progress: Mutex::new(Progress {
+                slots,
+                remaining: driver.restarts,
+            }),
+            driver,
+            starts,
+            cursor: AtomicUsize::new(0),
+        })
+    }
+
+    /// Claims and runs restarts on the calling thread until the cursor is
+    /// used up; the run's outcome if this call recorded the set's last
+    /// restart.
+    fn drain<F>(&self, f: &F, cancel: &AtomicBool) -> Option<Result<MultiStartRun, MultiStartError>>
+    where
+        F: Fn(&[f64]) -> f64 + Sync,
+    {
+        loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let x0 = self.starts.get(i)?;
+            let slot = (!cancel.load(Ordering::Relaxed)).then(|| {
+                panic::catch_unwind(AssertUnwindSafe(|| self.driver.run_one(i, x0, f)))
+                    .map_err(panic_message)
+            });
+            let mut progress = self
+                .progress
+                .lock()
+                .expect("nothing panics while the progress lock is held");
+            progress.slots[i] = slot;
+            progress.remaining -= 1;
+            if progress.remaining == 0 {
+                let slots = std::mem::take(&mut progress.slots);
+                drop(progress);
+                return Some(MultiStart::finish_run(slots));
+            }
+        }
+    }
+
+    /// Claims and runs restarts on every worker of the calling thread's
+    /// pool (at most one worker per restart) until the cursor is used up.
+    /// A restart claimed after `cancel` is set (`Relaxed` load) is
+    /// skipped; a panicking restart is caught and recorded as poisoned.
+    /// Returns the run's outcome if this call recorded the set's last
+    /// restart, and `None` otherwise — in particular when every restart
+    /// was already claimed on entry, or when another caller's workers
+    /// still run restarts this call no longer waits for.
+    pub fn run<F>(
+        &self,
+        f: &F,
+        cancel: &AtomicBool,
+    ) -> Option<Result<MultiStartRun, MultiStartError>>
+    where
+        F: Fn(&[f64]) -> f64 + Sync,
+    {
+        let drainers = rayon::current_num_threads().min(self.starts.len());
+        if drainers <= 1 {
+            return self.drain(f, cancel);
+        }
+        let outcomes: Vec<_> = vec![(); drainers]
+            .par_iter()
+            .with_min_len(1)
+            .map(|_| self.drain(f, cancel))
+            .collect();
+        outcomes.into_iter().flatten().next()
     }
 }
 
@@ -587,6 +686,105 @@ mod tests {
             assert_eq!(a.best_f.to_bits(), b.best_f.to_bits());
             assert_eq!(a.best_x, b.best_x);
             assert_eq!(a.n_evals, b.n_evals);
+        }
+    }
+
+    /// Both outcomes of two threads that start draining `set` together.
+    fn drain_from_two_threads<F>(
+        set: &RestartSet,
+        f: &F,
+        cancel: &AtomicBool,
+    ) -> Vec<Option<Result<MultiStartRun, MultiStartError>>>
+    where
+        F: Fn(&[f64]) -> f64 + Sync,
+    {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let drainers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        set.drain(f, cancel)
+                    })
+                })
+                .collect();
+            drainers.into_iter().map(|t| t.join().unwrap()).collect()
+        })
+    }
+
+    /// Two threads draining one set at once get `minimize`'s bits, and
+    /// exactly one of them is told it recorded the last restart.
+    #[test]
+    fn two_threads_draining_one_set_give_the_minimize_bits() {
+        let d = driver(7);
+        let oneshot = d.minimize(&two_basin);
+        let set = RestartSet::new(d).unwrap();
+        let cancel = AtomicBool::new(false);
+        let outcomes = drain_from_two_threads(&set, &two_basin, &cancel);
+        assert_eq!(outcomes.iter().filter(|o| o.is_some()).count(), 1);
+        let run = outcomes.into_iter().flatten().next().unwrap().unwrap();
+        assert_eq!(run.best_restart, oneshot.best_restart);
+        assert_eq!(run.restarts.len(), oneshot.restarts.len());
+        for (a, b) in run.restarts.iter().zip(&oneshot.restarts) {
+            assert_eq!(a.best_f.to_bits(), b.best_f.to_bits());
+            assert_eq!(a.best_x, b.best_x);
+            assert_eq!(a.n_evals, b.n_evals);
+            for (x, y) in a.history.iter().zip(&b.history) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        // A drainer that arrives after the cursor is used up does nothing.
+        assert!(set
+            .drain(
+                &|_: &[f64]| -> f64 { unreachable!("no restart is left") },
+                &cancel
+            )
+            .is_none());
+    }
+
+    /// A poisoned restart drained from two threads ends the run once, as
+    /// `RestartPanicked` for its index; a late drainer finds nothing.
+    #[test]
+    fn panicking_restart_in_a_shared_set_is_reported_once() {
+        let d = driver(6);
+        let poison = d.starting_points()[2].clone();
+        let f = move |x: &[f64]| {
+            assert!(
+                x != poison.as_slice(),
+                "injected failure at restart 2's start"
+            );
+            two_basin(x)
+        };
+        let set = RestartSet::new(d).unwrap();
+        let cancel = AtomicBool::new(false);
+        let outcomes = drain_from_two_threads(&set, &f, &cancel);
+        assert_eq!(outcomes.iter().filter(|o| o.is_some()).count(), 1);
+        let err = outcomes.into_iter().flatten().next().unwrap().unwrap_err();
+        assert!(matches!(
+            err,
+            MultiStartError::RestartPanicked { restart: 2, .. }
+        ));
+        assert!(set.drain(&f, &cancel).is_none());
+    }
+
+    /// A cancel raised mid-run skips every restart claimed afterwards,
+    /// whichever thread claims it, and the one outcome counts the
+    /// restarts that ran.
+    #[test]
+    fn cancel_in_a_shared_set_skips_later_claims() {
+        let cancel = AtomicBool::new(false);
+        let f = |x: &[f64]| {
+            cancel.store(true, Ordering::Relaxed);
+            two_basin(x)
+        };
+        let set = RestartSet::new(driver(8)).unwrap();
+        let outcomes = drain_from_two_threads(&set, &f, &cancel);
+        assert_eq!(outcomes.iter().filter(|o| o.is_some()).count(), 1);
+        match outcomes.into_iter().flatten().next().unwrap() {
+            Err(MultiStartError::Cancelled { completed }) => {
+                assert!((1..=2).contains(&completed), "completed = {completed}")
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
         }
     }
 

@@ -8,18 +8,20 @@
 //!           accept loop (non-blocking poll)
 //!                │ one thread per connection
 //!                ▼
-//!   connection handler ──admission──▶ bounded queue ──▶ lane workers
+//!   connection handler ──admission──▶ bounded queue ─────▶ lane workers
 //!     reads frames, answers           (outstanding ≤        │ each owns a
 //!     Ping/CacheStats inline,          QOKIT_SERVE_QUEUE,    │ disjoint
 //!     submits jobs, then polls         else Rejected)        │ SubsetPool
-//!     for Cancel / disconnect                                ▼
-//!                ▲                                   precompute cache
-//!                │                                   (diagonal / plan,
-//!                │                                    built on a miss)
-//!                │                                           ▼
-//!                │                                   run job (sweep /
-//!                └────── progress + terminal frames ─ multistart /
-//!                        through one shared writer    lightcone)
+//!     for Cancel / disconnect         helper entries ──────▶ │ (popped before
+//!                ▲                    (≤ lanes − 1 per       │  new jobs)
+//!                │                     multi-start job) ◀─┐  ▼
+//!                │                                        │ precompute cache
+//!                │                                        │ (diagonal / plan,
+//!                │                                        │  built on a miss)
+//!                │                                        │  ▼
+//!                │                                        └─ run job (sweep /
+//!                └────── progress + terminal frames ──────── multistart /
+//!                        through one shared writer           lightcone)
 //! ```
 //!
 //! Every job kind looks up its angle-independent part in the shared
@@ -31,15 +33,24 @@
 //! [`LightConeEvaluator::try_energy`](qokit_core::lightcone::LightConeEvaluator::try_energy),
 //! so served and one-shot energies have the same bits.
 //!
+//! A multi-start job does not hold its lane for all its restarts. Its
+//! owning lane wraps them in one [`RestartSet`], queues at most
+//! `lanes − 1` helper entries for it, and claims restarts itself; an idle
+//! lane pops a helper entry before any new job and claims restarts too,
+//! inside its own subset pool. Nobody waits: a lane that finds no restart
+//! left to claim moves on, and the lane that records the last restart
+//! writes the job's one terminal frame. Results stay keyed by restart
+//! index, so the served run has [`MultiStart::minimize`]'s bits whichever
+//! lanes ran it.
+//!
 //! Admission counts **outstanding** jobs (queued + running), so a
 //! saturated server answers `Rejected` deterministically and never
 //! hangs a client. Every job carries an `Arc<AtomicBool>` cancel token:
 //! an explicit `Cancel` frame, a deadline watchdog (checked in the
 //! energy sink / objective), or a write failure to a disconnected
 //! client all set it, and the compute layers stop at their next
-//! checkpoint ([`SweepRunner::scan_into_cancellable`],
-//! [`MultiStart::try_minimize_cancellable`]) — freeing the lane while
-//! sibling jobs finish bit-identically.
+//! checkpoint ([`SweepRunner::scan_into_cancellable`], the restart claim
+//! of a [`RestartSet`]) while sibling jobs finish bit-identically.
 
 use crate::cache::PrecomputeCache;
 use crate::proto::{
@@ -51,7 +62,7 @@ use qokit_core::landscape::{EnergySink, LandscapeAggregator};
 use qokit_core::panic_message;
 use qokit_dist::frame::{read_frame, write_frame, FrameReadError};
 use qokit_dist::PointSource;
-use qokit_optim::{MultiStart, MultiStartError, NelderMead, RestartMethod};
+use qokit_optim::{MultiStart, MultiStartError, NelderMead, RestartMethod, RestartSet};
 use qokit_statevec::exec::ExecPolicy;
 use std::collections::VecDeque;
 use std::io::ErrorKind;
@@ -67,6 +78,9 @@ pub const SERVE_ADDR_ENV: &str = "QOKIT_SERVE_ADDR";
 pub const SERVE_QUEUE_ENV: &str = "QOKIT_SERVE_QUEUE";
 /// Precompute-cache byte budget.
 pub const SERVE_CACHE_BYTES_ENV: &str = "QOKIT_SERVE_CACHE_BYTES";
+
+/// Why taking the queue lock cannot fail: no code panics while holding it.
+const QUEUE_LOCK: &str = "nothing panics while the job queue lock is held";
 
 /// Poll interval of the accept loop and the mid-job Cancel/disconnect
 /// poll — bounds how stale a shutdown or cancellation observation can be.
@@ -84,8 +98,10 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Lane worker threads. With `lanes > 1` and enough pool workers,
     /// each lane pins its jobs to a disjoint [`rayon::SubsetPool`] so
-    /// concurrent jobs do not steal each other's work. Defaults to 2
-    /// (clamped to the pool width).
+    /// concurrent jobs do not steal each other's work; a multi-start
+    /// job's restarts run on any lane that is free, the owning lane and
+    /// up to `lanes − 1` others. Defaults to 2 (clamped to the pool
+    /// width).
     pub lanes: usize,
 }
 
@@ -161,6 +177,11 @@ struct QueuedJob {
 
 struct Queue {
     jobs: VecDeque<QueuedJob>,
+    /// Helper entries of running multi-start jobs, popped before `jobs`:
+    /// each lets one more lane claim that job's restarts. A job queues at
+    /// most `lanes − 1` of them; one popped after its job's restarts are
+    /// all claimed does nothing and is dropped.
+    helpers: VecDeque<Arc<MultiStartWork>>,
     /// Queued + running jobs — the quantity admission control bounds.
     outstanding: usize,
 }
@@ -193,6 +214,7 @@ impl Server {
                 cache: PrecomputeCache::new(config.cache_bytes),
                 queue: Mutex::new(Queue {
                     jobs: VecDeque::new(),
+                    helpers: VecDeque::new(),
                     outstanding: 0,
                 }),
                 available: Condvar::new(),
@@ -226,7 +248,7 @@ impl Server {
         for lane in 0..lanes {
             let shared = Arc::clone(&self.shared);
             let subset = subsets.get(lane).cloned();
-            lane_threads.push(std::thread::spawn(move || lane_loop(shared, subset)));
+            lane_threads.push(std::thread::spawn(move || lane_loop(shared, subset, lanes)));
         }
 
         while !self.shared.shutdown.load(Ordering::Relaxed) {
@@ -421,58 +443,97 @@ fn send_on(stream: &Mutex<TcpStream>, resp: &ServeResponse) {
     write_frame(&mut *s, &payload).ok();
 }
 
-/// One lane worker: pop jobs, run them (inside this lane's subset pool
-/// when one was carved out), write the terminal frame, release the
-/// admission slot. Panics inside a job are contained per-job — the lane
-/// itself never dies.
-fn lane_loop(shared: Arc<Shared>, subset: Option<rayon::SubsetPool>) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                q = shared.available.wait(q).unwrap();
-            }
-        };
-        let run = || run_job(&shared, &job);
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| match &subset {
-            Some(s) => s.install(run),
-            None => run(),
-        }));
-        let resp = match outcome {
-            Ok(resp) => resp,
-            Err(payload) => {
-                ServeResponse::Error(format!("job panicked: {}", panic_message(payload)))
-            }
-        };
-        // Ordering matters, twice. `done` before the terminal write: the
-        // handler may then stop polling and block on the next request
-        // while the frame is still in flight (reads and writes are
-        // independent socket directions); set afterwards, a fast client's
-        // next request could race into the still-polling handler. The
-        // admission slot before the terminal write: a client that has
-        // seen a terminal frame must never have its follow-up submission
-        // rejected by a slot its own finished job still holds.
-        job.conn.done.store(true, Ordering::Relaxed);
-        shared.queue.lock().unwrap().outstanding -= 1;
-        job.conn.send(&resp);
+/// What a lane pops: a new job, or a helper entry of a running
+/// multi-start job.
+enum Task {
+    Job(QueuedJob),
+    Helper(Arc<MultiStartWork>),
+}
+
+/// One lane worker: pop tasks and run them (inside this lane's subset
+/// pool when one was carved out) until shutdown leaves the queue empty.
+/// Panics inside a task are contained per job — the lane itself never
+/// dies.
+fn lane_loop(shared: Arc<Shared>, subset: Option<rayon::SubsetPool>, lanes: usize) {
+    while let Some(task) = next_task(&shared) {
+        run_task(&shared, task, subset.as_ref(), lanes);
     }
+}
+
+/// Blocks for the next task — helper entries first, since each belongs
+/// to a job that is already running — or `None` once shutdown is set and
+/// nothing is queued.
+fn next_task(shared: &Shared) -> Option<Task> {
+    let mut q = shared.queue.lock().expect(QUEUE_LOCK);
+    loop {
+        if let Some(work) = q.helpers.pop_front() {
+            return Some(Task::Helper(work));
+        }
+        if let Some(job) = q.jobs.pop_front() {
+            return Some(Task::Job(job));
+        }
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return None;
+        }
+        q = shared.available.wait(q).expect(QUEUE_LOCK);
+    }
+}
+
+/// Runs one task and, if it ended its job, does the job's terminal
+/// steps. A job whose multi-start restarts other lanes are still running
+/// ends on whichever lane records its last restart; this lane moves on.
+fn run_task(shared: &Shared, task: Task, subset: Option<&rayon::SubsetPool>, lanes: usize) {
+    let conn = match &task {
+        Task::Job(job) => &job.conn,
+        Task::Helper(work) => &work.conn,
+    };
+    let run = || match &task {
+        Task::Job(job) => run_job(shared, job, lanes),
+        Task::Helper(work) => work.run(),
+    };
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| match subset {
+        Some(s) => s.install(run),
+        None => run(),
+    }));
+    let resp = match outcome {
+        Ok(Some(resp)) => resp,
+        Ok(None) => return,
+        Err(payload) => ServeResponse::Error(format!("job panicked: {}", panic_message(payload))),
+    };
+    finish_job(shared, conn, &resp);
+}
+
+/// A job's terminal steps, done at most once per job whichever lane gets
+/// here (the `done` swap decides). Ordering matters, twice. `done` before
+/// the terminal write: the handler may then stop polling and block on the
+/// next request while the frame is still in flight (reads and writes are
+/// independent socket directions); set afterwards, a fast client's next
+/// request could race into the still-polling handler. The admission slot
+/// before the terminal write: a client that has seen a terminal frame
+/// must never have its follow-up submission rejected by a slot its own
+/// finished job still holds.
+///
+/// `Relaxed` suffices for the swap: its atomicity alone picks one caller,
+/// and the slot count it guards is behind the queue lock.
+fn finish_job(shared: &Shared, conn: &JobConn, resp: &ServeResponse) {
+    if conn.done.swap(true, Ordering::Relaxed) {
+        return;
+    }
+    shared.queue.lock().expect(QUEUE_LOCK).outstanding -= 1;
+    conn.send(resp);
 }
 
 fn deadline_of(deadline_ms: u64) -> Option<Instant> {
     (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms))
 }
 
-fn run_job(shared: &Shared, job: &QueuedJob) -> ServeResponse {
+/// Runs a job on its owning lane: the terminal response, or `None` when
+/// a multi-start job's last restart is left to another lane.
+fn run_job(shared: &Shared, job: &QueuedJob, lanes: usize) -> Option<ServeResponse> {
     match &job.kind {
-        JobKind::Sweep(sweep) => run_sweep(shared, sweep, &job.conn),
-        JobKind::MultiStart(ms) => run_multistart(shared, ms, &job.conn),
-        JobKind::LightCone(lc) => run_lightcone(shared, lc, &job.conn),
+        JobKind::Sweep(sweep) => Some(run_sweep(shared, sweep, &job.conn)),
+        JobKind::MultiStart(ms) => run_multistart(shared, ms, &job.conn, lanes),
+        JobKind::LightCone(lc) => Some(run_lightcone(shared, lc, &job.conn)),
     }
 }
 
@@ -550,56 +611,116 @@ fn run_sweep(shared: &Shared, job: &SweepJob, conn: &JobConn) -> ServeResponse {
     }
 }
 
-fn run_multistart(shared: &Shared, job: &MultiStartJob, conn: &JobConn) -> ServeResponse {
+/// A running multi-start job: its [`RestartSet`] and what a restart's
+/// objective needs, shared by the owning lane and the helper entries it
+/// queued.
+struct MultiStartWork {
+    set: RestartSet,
+    runner: SweepRunner,
+    depth: usize,
+    deadline: Option<Instant>,
+    cache_hit: bool,
+    conn: Arc<JobConn>,
+}
+
+impl MultiStartWork {
+    /// One restart objective call: the served energy at `x = (γ, β)`,
+    /// after checking the deadline (an expired one sets the cancel token,
+    /// honored before the next restart is claimed).
+    fn objective(&self, x: &[f64]) -> f64 {
+        if let Some(d) = self.deadline {
+            if Instant::now() >= d {
+                self.conn.cancel.store(true, Ordering::Relaxed);
+            }
+        }
+        let p = self.depth;
+        let point = SweepPoint::new(x[..p].to_vec(), x[p..].to_vec());
+        self.runner.energies(std::slice::from_ref(&point))[0]
+    }
+
+    /// Runs restarts on the calling lane's pool until none is left to
+    /// claim; the terminal response if this call recorded the last one.
+    fn run(&self) -> Option<ServeResponse> {
+        let outcome = self
+            .set
+            .run(&|x: &[f64]| self.objective(x), &self.conn.cancel)?;
+        Some(match outcome {
+            Ok(run) => ServeResponse::MultiStartDone(MultiStartSummary {
+                best_restart: run.best_restart as u64,
+                best_f: run.best().best_f,
+                best_x: run.best().best_x.clone(),
+                restart_best_fs: run.restarts.iter().map(|r| r.best_f).collect(),
+                cache_hit: self.cache_hit,
+            }),
+            Err(MultiStartError::Cancelled { completed }) => ServeResponse::Cancelled {
+                evaluated: completed as u64,
+            },
+            Err(e) => ServeResponse::Error(e.to_string()),
+        })
+    }
+}
+
+/// Helper entries a multi-start job queues: one per other lane, and
+/// never more than the restarts left after the owning lane's first.
+fn helper_count(lanes: usize, restarts: usize) -> usize {
+    lanes.saturating_sub(1).min(restarts.saturating_sub(1))
+}
+
+/// Starts a multi-start job on its owning lane: queues its helper
+/// entries, then claims restarts itself without waiting for the helpers.
+fn run_multistart(
+    shared: &Shared,
+    job: &MultiStartJob,
+    conn: &Arc<JobConn>,
+    lanes: usize,
+) -> Option<ServeResponse> {
     if job.bounds.len() != 2 * job.depth || job.depth == 0 {
-        return ServeResponse::Error(format!(
+        return Some(ServeResponse::Error(format!(
             "multistart bounds must have length 2*depth (= {}), got {}",
             2 * job.depth,
             job.bounds.len()
-        ));
+        )));
     }
     if job.restarts == 0 {
-        return ServeResponse::Error("multistart needs at least one restart".into());
+        return Some(ServeResponse::Error(
+            "multistart needs at least one restart".into(),
+        ));
     }
-    let (sim, cache_hit) = shared.cache.get_or_build(&job.poly, job.spec);
-    let runner = SweepRunner::from_arc(
-        sim,
-        SweepOptions {
-            exec: ExecPolicy::serial(),
-            nested: SweepNesting::PointsParallel,
-        },
-    );
-    let driver = MultiStart {
+    let set = match RestartSet::new(MultiStart {
         method: RestartMethod::NelderMead(NelderMead::default()),
         restarts: job.restarts,
         seed: job.seed,
         bounds: job.bounds.clone(),
+    }) {
+        Ok(set) => set,
+        Err(e) => return Some(ServeResponse::Error(e.to_string())),
     };
-    let p = job.depth;
-    let deadline = deadline_of(job.deadline_ms);
-    let cancel = &conn.cancel;
-    let objective = move |x: &[f64]| {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                cancel.store(true, Ordering::Relaxed);
-            }
+    let (sim, cache_hit) = shared.cache.get_or_build(&job.poly, job.spec);
+    let work = Arc::new(MultiStartWork {
+        set,
+        runner: SweepRunner::from_arc(
+            sim,
+            SweepOptions {
+                exec: ExecPolicy::serial(),
+                nested: SweepNesting::PointsParallel,
+            },
+        ),
+        depth: job.depth,
+        deadline: deadline_of(job.deadline_ms),
+        cache_hit,
+        conn: Arc::clone(conn),
+    });
+    let helpers = helper_count(lanes, job.restarts);
+    if helpers > 0 {
+        let mut q = shared.queue.lock().expect(QUEUE_LOCK);
+        q.helpers
+            .extend(std::iter::repeat_with(|| Arc::clone(&work)).take(helpers));
+        drop(q);
+        for _ in 0..helpers {
+            shared.available.notify_one();
         }
-        let point = SweepPoint::new(x[..p].to_vec(), x[p..].to_vec());
-        runner.energies(std::slice::from_ref(&point))[0]
-    };
-    match driver.try_minimize_cancellable(&objective, cancel) {
-        Ok(run) => ServeResponse::MultiStartDone(MultiStartSummary {
-            best_restart: run.best_restart as u64,
-            best_f: run.best().best_f,
-            best_x: run.best().best_x.clone(),
-            restart_best_fs: run.restarts.iter().map(|r| r.best_f).collect(),
-            cache_hit,
-        }),
-        Err(MultiStartError::Cancelled { completed }) => ServeResponse::Cancelled {
-            evaluated: completed as u64,
-        },
-        Err(e) => ServeResponse::Error(e.to_string()),
     }
+    work.run()
 }
 
 fn run_lightcone(shared: &Shared, job: &LightConeJob, conn: &JobConn) -> ServeResponse {
@@ -627,5 +748,138 @@ fn run_lightcone(shared: &Shared, job: &LightConeJob, conn: &JobConn) -> ServeRe
             cache_hits: run.stats.cache_hits as u64,
         }),
         Err(e) => ServeResponse::Error(e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::decode_response;
+    use qokit_costvec::PrecomputeMethod;
+    use qokit_dist::wire::SweepSimSpec;
+    use qokit_statevec::exec::Layout;
+    use qokit_terms::labs::labs_terms;
+
+    fn shared() -> Shared {
+        Shared {
+            cache: PrecomputeCache::new(1 << 20),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                helpers: VecDeque::new(),
+                outstanding: 0,
+            }),
+            available: Condvar::new(),
+            capacity: 1,
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    /// A job connection on loopback, and the client end of its socket.
+    fn job_conn() -> (Arc<JobConn>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        let conn = Arc::new(JobConn {
+            stream: Mutex::new(server_end),
+            cancel: Arc::new(AtomicBool::new(false)),
+            done: Arc::new(AtomicBool::new(false)),
+        });
+        (conn, client)
+    }
+
+    /// Every frame that reaches the client end within a short wait.
+    fn frames(client: &mut TcpStream) -> Vec<ServeResponse> {
+        client
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut out = Vec::new();
+        while let Ok((payload, _)) = read_frame(client) {
+            out.push(decode_response(&payload).unwrap());
+        }
+        out
+    }
+
+    fn multistart_job(restarts: usize) -> MultiStartJob {
+        MultiStartJob {
+            poly: labs_terms(5),
+            spec: SweepSimSpec {
+                precompute: PrecomputeMethod::Direct,
+                quantize_u16: false,
+                layout: Layout::Split,
+            },
+            depth: 1,
+            restarts,
+            seed: 5,
+            bounds: vec![(-0.5, 0.5), (-0.4, 0.4)],
+            deadline_ms: 0,
+        }
+    }
+
+    /// A job admitted the way the connection handler admits it.
+    fn admit(shared: &Shared, kind: JobKind, conn: &Arc<JobConn>) {
+        let mut q = shared.queue.lock().unwrap();
+        q.outstanding += 1;
+        q.jobs.push_back(QueuedJob {
+            kind,
+            conn: Arc::clone(conn),
+        });
+    }
+
+    /// The owning lane queues at most `lanes − 1` helper entries per
+    /// multi-start job, whatever the restart count. With no other lane
+    /// to pop them it runs every restart itself and ends the job; each
+    /// helper entry popped afterwards finds the cursor used up, does
+    /// nothing, and neither writes a second terminal frame nor releases
+    /// the admission slot again.
+    #[test]
+    fn a_job_queues_at_most_lanes_minus_one_helpers_and_used_up_ones_do_nothing() {
+        for lanes in 1..=4 {
+            for restarts in [1, 2, 3, 16] {
+                let shared = shared();
+                let (conn, mut client) = job_conn();
+                admit(
+                    &shared,
+                    JobKind::MultiStart(multistart_job(restarts)),
+                    &conn,
+                );
+                let Some(owner @ Task::Job(_)) = next_task(&shared) else {
+                    panic!("the job is the only task")
+                };
+                run_task(&shared, owner, None, lanes);
+                let helpers = shared.queue.lock().unwrap().helpers.len();
+                assert_eq!(helpers, helper_count(lanes, restarts));
+                assert!(helpers < lanes, "lanes {lanes}, restarts {restarts}");
+                assert!(conn.done.load(Ordering::Relaxed));
+
+                while let Some(task) = {
+                    let mut q = shared.queue.lock().unwrap();
+                    q.helpers.pop_front().map(Task::Helper)
+                } {
+                    run_task(&shared, task, None, lanes);
+                }
+                assert_eq!(shared.queue.lock().unwrap().outstanding, 0);
+                match frames(&mut client).as_slice() {
+                    [ServeResponse::MultiStartDone(s)] => {
+                        assert_eq!(s.restart_best_fs.len(), restarts)
+                    }
+                    other => panic!("expected one MultiStartDone frame, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A job's terminal steps run once even when two lanes reach them.
+    #[test]
+    fn terminal_steps_run_once_per_job() {
+        let shared = shared();
+        let (conn, mut client) = job_conn();
+        shared.queue.lock().unwrap().outstanding = 1;
+        finish_job(&shared, &conn, &ServeResponse::Cancelled { evaluated: 1 });
+        finish_job(&shared, &conn, &ServeResponse::Error("second".into()));
+        assert_eq!(shared.queue.lock().unwrap().outstanding, 0);
+        assert_eq!(
+            frames(&mut client),
+            vec![ServeResponse::Cancelled { evaluated: 1 }]
+        );
     }
 }

@@ -627,6 +627,107 @@ fn huge_socket_chunk_is_a_normal_sweep_not_an_abort() {
     handle.join();
 }
 
+/// Submits a long multi-start job over a raw socket to a capacity-1,
+/// two-lane server, lets `stop` end it (an explicit `Cancel`, or a 1 ms
+/// deadline) while its restarts run on both lanes, and checks that it
+/// ends with exactly one `Cancelled` frame, that its admission slot is
+/// free for the next job, and that the server still answers a `Ping`.
+fn multistart_across_lanes_ends_once(deadline_ms: u64, send_cancel: bool) {
+    use qokit::dist::frame::{read_frame, write_frame};
+    use qokit::dist::wire::SweepSimSpec;
+    use qokit::serve::proto::{decode_response, encode_request, ServeRequest, ServeResponse};
+    use qokit::serve::{MultiStartJob, ServeClient, Server, ServerConfig, SweepJob};
+    use rand::SeedableRng;
+    use std::time::Duration;
+
+    let handle = Server::bind(ServerConfig {
+        queue_capacity: 1,
+        lanes: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn_thread()
+    .expect("spawn");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let poly = qokit::terms::maxcut::maxcut_polynomial(&Graph::random_regular(10, 3, &mut rng));
+    let spec = SweepSimSpec {
+        precompute: PrecomputeMethod::Direct,
+        quantize_u16: false,
+        layout: Layout::Split,
+    };
+    let restarts = 1024;
+    let job = MultiStartJob {
+        poly: poly.clone(),
+        spec,
+        depth: 1,
+        restarts,
+        seed: 8,
+        bounds: vec![(-0.5, 0.5), (-0.4, 0.4)],
+        deadline_ms,
+    };
+
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect raw");
+    let request = |raw: &mut std::net::TcpStream, req: &ServeRequest| {
+        write_frame(raw, &encode_request(req)).expect("send");
+    };
+    request(&mut raw, &ServeRequest::MultiStart(job));
+    if send_cancel {
+        // Long enough for the idle second lane to pick up its helper entry.
+        std::thread::sleep(Duration::from_millis(30));
+        request(&mut raw, &ServeRequest::Cancel);
+    }
+    let read = |raw: &mut std::net::TcpStream| {
+        read_frame(raw).map(|(payload, _)| decode_response(&payload).expect("decode"))
+    };
+    match read(&mut raw).expect("terminal frame") {
+        ServeResponse::Cancelled { evaluated } => {
+            assert!(evaluated < restarts as u64, "evaluated = {evaluated}")
+        }
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    raw.set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("timeout");
+    if let Ok(extra) = read(&mut raw) {
+        panic!("a second frame followed the terminal one: {extra:?}");
+    }
+    raw.set_read_timeout(None).expect("timeout");
+
+    // Capacity 1: the next job is admitted only if the slot was released,
+    // and released once (a second release would wrap the count).
+    let small = SweepJob {
+        poly,
+        spec,
+        grid: Grid2d::new(Axis::new(-0.5, 0.5, 3), Axis::new(-0.4, 0.4, 3)),
+        top_k: 1,
+        chunk: 3,
+        deadline_ms: 0,
+        progress_every: 0,
+    };
+    for _ in 0..2 {
+        request(&mut raw, &ServeRequest::Sweep(small.clone()));
+        match read(&mut raw).expect("sweep frame") {
+            ServeResponse::SweepDone(s) => assert_eq!(s.evaluated, 9),
+            other => panic!("expected SweepDone, got {other:?}"),
+        }
+    }
+    request(&mut raw, &ServeRequest::Ping);
+    assert_eq!(read(&mut raw).expect("pong"), ServeResponse::Pong);
+
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn cancelled_multistart_across_lanes_ends_once_and_frees_its_slot() {
+    multistart_across_lanes_ends_once(0, true);
+}
+
+#[test]
+fn expired_multistart_deadline_across_lanes_ends_once_and_frees_its_slot() {
+    multistart_across_lanes_ends_once(1, false);
+}
+
 #[test]
 fn huge_restart_count_is_an_error_not_an_abort() {
     use qokit::dist::wire::SweepSimSpec;

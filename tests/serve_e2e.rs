@@ -182,6 +182,74 @@ fn served_multistart_is_bit_identical_to_oneshot() {
     handle.join();
 }
 
+/// A multi-start job whose restarts the server spreads over both lanes
+/// (the owning lane and a helper entry) while a second client keeps
+/// sweeps in flight: the served result is still `MultiStart::minimize`'s,
+/// bit for bit.
+#[test]
+fn multistart_spread_over_lanes_is_bit_identical_to_oneshot() {
+    let handle = start_server(4);
+    let addr = handle.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let sweeper = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let poly = test_poly(21);
+            let mut client = ServeClient::connect(addr).expect("connect sweeper");
+            let mut sweeps = 0;
+            while !stop.load(Ordering::Relaxed) || sweeps == 0 {
+                client
+                    .submit_sweep(&sweep_job(&poly), |_| ProgressAction::Continue)
+                    .expect("rpc")
+                    .done()
+                    .expect("sweep completed");
+                sweeps += 1;
+            }
+        })
+    };
+
+    let poly = test_poly(20);
+    let bounds = vec![(-0.5, 0.5), (-0.4, 0.4)];
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let served = client
+        .submit_multistart(&MultiStartJob {
+            poly: poly.clone(),
+            spec: spec(),
+            depth: 1,
+            restarts: 4,
+            seed: 23,
+            bounds: bounds.clone(),
+            deadline_ms: 0,
+        })
+        .expect("rpc")
+        .done()
+        .expect("job completed");
+    stop.store(true, Ordering::Relaxed);
+    sweeper.join().expect("sweeper thread");
+
+    let runner = oneshot_runner(&poly);
+    let oracle = MultiStart {
+        method: RestartMethod::NelderMead(NelderMead::default()),
+        restarts: 4,
+        seed: 23,
+        bounds,
+    }
+    .minimize(&|x: &[f64]| {
+        let pt = SweepPoint::new(x[..1].to_vec(), x[1..].to_vec());
+        runner.energies(std::slice::from_ref(&pt))[0]
+    });
+
+    assert_eq!(served.best_restart as usize, oracle.best_restart);
+    assert_eq!(served.best_f.to_bits(), oracle.best().best_f.to_bits());
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&served.best_x), bits(&oracle.best().best_x));
+    let oracle_fs: Vec<f64> = oracle.restarts.iter().map(|r| r.best_f).collect();
+    assert_eq!(bits(&served.restart_best_fs), bits(&oracle_fs));
+
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
 #[test]
 fn served_lightcone_is_bit_identical_to_oneshot() {
     let handle = start_server(4);
