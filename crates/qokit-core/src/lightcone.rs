@@ -25,9 +25,10 @@
 //!    on one (measured on a 2-core x86-64 host, `docs/PARALLELISM.md`).
 //! 2. **Simulate** ([`ConePlan::try_zz_values_with`]): run the small
 //!    QAOA subcircuit on each *unique* cone with [`FurSimulator`] and read
-//!    off `⟨Z_u Z_v⟩`. Unique cones fan out across the pool through
-//!    [`rayon::strided_lanes`]; each cone runs with strictly serial kernels
-//!    so its value is bit-identical wherever it is computed.
+//!    off `⟨Z_u Z_v⟩`. Unique cones fan out across the pool as an indexed
+//!    parallel iterator, one task per cone, with results keyed by cone
+//!    index; each cone runs with strictly serial kernels so its value is
+//!    bit-identical wherever it is computed.
 //! 3. **Accumulate** ([`ConePlan::accumulate`]): fold
 //!    `Σ_e ½·w_e·⟨Z_u Z_v⟩ − W/2` sequentially in edge order — the same
 //!    convention as [`maxcut_polynomial`], so the result matches the exact
@@ -70,6 +71,7 @@ use qokit_costvec::PrecomputeMethod;
 use qokit_statevec::exec::ExecPolicy;
 use qokit_terms::graphs::{Adjacency, EgoKey, EgoNet, EgoScratch, Graph};
 use qokit_terms::{SpinPolynomial, Term};
+use rayon::prelude::*;
 
 /// Configuration for [`LightConeEvaluator`].
 #[derive(Clone, Debug)]
@@ -251,8 +253,8 @@ impl ConePlan {
 
     /// Runs `f(unique_index, ego) → ⟨ZZ⟩` on every unique cone and
     /// returns the values indexed like [`cones`](Self::cones): one after
-    /// another in the calling thread when `exec.threads == 1`, through
-    /// [`rayon::strided_lanes`] on the (possibly sized) pool otherwise.
+    /// another in the calling thread when `exec.threads == 1`, one pool
+    /// task per cone on the (possibly sized) pool otherwise.
     /// A panicking cone poisons only this call
     /// ([`LightConeError::ConePanicked`] with the cone's representative
     /// edge); sibling cones still complete.
@@ -273,7 +275,8 @@ impl ConePlan {
         if exec.threads == 1 {
             (0..n).map(run).collect()
         } else {
-            let slots = exec.install(|| rayon::strided_lanes(n, run));
+            let slots: Vec<_> =
+                exec.install(|| (0..n).into_par_iter().with_min_len(1).map(run).collect());
             slots.into_iter().collect()
         }
     }

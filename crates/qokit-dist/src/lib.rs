@@ -33,7 +33,7 @@
 //! its cost slice by the single-node `CostVec::from_f64` rule: level-coded
 //! at 2 B/amp (§V-B) when the slice has few distinct costs, `f64`
 //! otherwise. See `docs/PARALLELISM.md` at the repository root for how the
-//! BSP layer composes with the pool, subset pools, and sweep nesting.
+//! BSP layer composes with the pool, item fan-outs, and sweep nesting.
 //!
 //! ```
 //! use qokit_dist::DistSimulator;

@@ -17,9 +17,9 @@
 //! `tests/sweep_determinism.rs`.
 //!
 //! [`MultiStart::minimize_batched`] composes both batching levels: the
-//! restarts run as lanes on sibling subset pools while each restart's
-//! Nelder–Mead evaluates its candidate sets through a *batch* objective —
-//! with a trajectory bit-identical to the sequential driver.
+//! restarts fan out over the pool while each restart's Nelder–Mead
+//! evaluates its candidate sets through a *batch* objective — with a
+//! trajectory bit-identical to the sequential driver.
 //!
 //! ```
 //! use qokit_optim::{MultiStart, NelderMead, RestartMethod};
@@ -252,19 +252,18 @@ impl MultiStart {
     /// (initial simplex, speculative reflection+expansion pairs, shrink
     /// rows) arrive as single calls, the shape a points-parallel
     /// `SweepRunner` evaluates in one pool dispatch. The restarts
-    /// themselves run as **lanes on sibling subset pools**
-    /// ([`rayon::strided_lanes`]): with `R` restarts on a `W`-worker pool,
-    /// `min(R, W)` lanes each own `W / lanes` workers, and a lane's batch
-    /// evaluations execute inside its own subset — restart-level ×
-    /// candidate-level parallelism with no cross-lane stealing.
+    /// themselves fan out as one pool task each (an indexed parallel
+    /// iterator over the restart indices), and each restart's batch
+    /// evaluations split across the same pool — restart-level ×
+    /// candidate-level parallelism, balanced by work stealing.
     ///
     /// Determinism: given a batch objective that agrees pointwise with a
     /// sequential objective, the returned [`MultiStartRun`] — every
     /// restart's trajectory, `n_evals`, history, and the winning index —
     /// is **bit-identical** to [`minimize`](Self::minimize) for any pool
-    /// size and lane count (each restart's trajectory is independent and
-    /// results stay keyed by restart index). [`RestartMethod::Spsa`]
-    /// restarts evaluate the batch objective one candidate at a time.
+    /// size (each restart's trajectory is independent and results stay
+    /// keyed by restart index). [`RestartMethod::Spsa`] restarts evaluate
+    /// the batch objective one candidate at a time.
     ///
     /// # Panics
     /// If a restart panicked; use
@@ -280,24 +279,22 @@ impl MultiStart {
 
     /// Recoverable form of [`minimize_batched`](Self::minimize_batched): a
     /// panicking restart yields a clean error naming the lowest poisoned
-    /// index while the other lanes complete and the pool stays reusable.
+    /// index while the other restarts complete and the pool stays reusable.
     pub fn try_minimize_batched<F>(&self, f: &F) -> Result<MultiStartRun, MultiStartError>
     where
         F: Fn(&[Vec<f64>]) -> Vec<f64> + Sync,
     {
         assert!(self.restarts > 0, "need at least one restart");
         let starts = self.try_starting_points()?;
-        // Restart lanes × candidate batches ([`rayon::strided_lanes`]):
-        // `lanes = min(restarts, width)`, and lane l owns restarts
-        // l, l + lanes, … and a disjoint `width / lanes`-worker subset;
-        // leftover workers (when lanes ∤ width) help via ordinary stealing
-        // of the lane spawn tasks themselves, and a single lane
-        // degenerates to a sequential restart loop whose batch calls still
-        // parallelize inside.
-        let slots = rayon::strided_lanes(self.restarts, |i| {
-            panic::catch_unwind(AssertUnwindSafe(|| self.run_one_batched(i, &starts[i], f)))
-                .map_err(panic_message)
-        });
+        // One task per restart, results keyed by restart index.
+        let slots = (0..self.restarts)
+            .into_par_iter()
+            .with_min_len(1)
+            .map(|i| {
+                panic::catch_unwind(AssertUnwindSafe(|| self.run_one_batched(i, &starts[i], f)))
+                    .map_err(panic_message)
+            })
+            .collect();
         Self::collect_run(slots)
     }
 
@@ -317,7 +314,7 @@ impl MultiStart {
 
     /// Folds per-restart slots (keyed by restart index) into a
     /// [`MultiStartRun`], surfacing the lowest poisoned index — the one
-    /// reduction the sequential, pool-parallel, and lane-batched drivers
+    /// reduction the sequential, pool-parallel, and batched drivers
     /// all share, so winner tie-breaking cannot drift between them.
     fn collect_run(
         slots: Vec<Result<OptimizeResult, String>>,
@@ -398,8 +395,8 @@ impl MultiStart {
 ///
 /// [`MultiStart::try_minimize_cancellable`] is one set drained by
 /// [`run`](Self::run); a server can instead share one set between
-/// several lanes, each calling [`run`](Self::run) inside its own worker
-/// subset. Whoever ran which restart, the outcome has the bits of
+/// several lanes, each calling [`run`](Self::run) inside its own thread
+/// pool. Whoever ran which restart, the outcome has the bits of
 /// [`MultiStart::try_minimize`]: starting points and per-restart RNGs
 /// depend only on the seed and the restart index, results stay keyed by
 /// index, and the winner, the cancel and the panic rules are applied once
@@ -494,8 +491,8 @@ impl RestartSet {
         if drainers <= 1 {
             return self.drain(f, cancel);
         }
-        let outcomes: Vec<_> = vec![(); drainers]
-            .par_iter()
+        let outcomes: Vec<_> = (0..drainers)
+            .into_par_iter()
             .with_min_len(1)
             .map(|_| self.drain(f, cancel))
             .collect();
@@ -600,7 +597,7 @@ mod tests {
 
     #[test]
     fn batched_driver_is_bit_identical_to_sequential() {
-        // Restart lanes × candidate batches must walk exactly the
+        // Restart tasks × candidate batches must walk exactly the
         // trajectories the plain driver walks — winner index included.
         for restarts in [1usize, 3, 6] {
             let d = driver(restarts);

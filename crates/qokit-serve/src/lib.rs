@@ -14,9 +14,9 @@
 //!   submission skips straight to the evolution kernels.
 //! * **Bounded job queue** ([`server::Server`]) — admission control on
 //!   outstanding (queued + running) jobs; overload answers an explicit
-//!   [`Rejected`](proto::ServeResponse::Rejected), never a hang. Lane
-//!   workers optionally pin jobs to disjoint
-//!   [`SubsetPool`](rayon::SubsetPool)s.
+//!   [`Rejected`](proto::ServeResponse::Rejected), never a hang. With
+//!   more than one lane, each lane worker runs its jobs inside a
+//!   [`ThreadPool`](rayon::ThreadPool) of its own, built for the run.
 //! * **Deadlines + cancellation** — every job carries a cooperative
 //!   cancel token; `Cancel` frames, deadline expiry, and client
 //!   disconnects all stop the job at its next checkpoint and free the

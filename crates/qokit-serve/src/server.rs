@@ -1,5 +1,5 @@
 //! The long-lived serve loop: loopback-TCP accept loop, bounded job
-//! queue with admission control, subset-pool lane workers, per-job
+//! queue with admission control, lane workers on pools of their own, per-job
 //! deadlines + cooperative cancellation, and progress streaming.
 //!
 //! # Architecture
@@ -9,9 +9,9 @@
 //!                │ one thread per connection
 //!                ▼
 //!   connection handler ──admission──▶ bounded queue ─────▶ lane workers
-//!     reads frames, answers           (outstanding ≤        │ each owns a
-//!     Ping/CacheStats inline,          QOKIT_SERVE_QUEUE,    │ disjoint
-//!     submits jobs, then polls         else Rejected)        │ SubsetPool
+//!     reads frames, answers           (outstanding ≤        │ each installs
+//!     Ping/CacheStats inline,          QOKIT_SERVE_QUEUE,    │ into its own
+//!     submits jobs, then polls         else Rejected)        │ ThreadPool
 //!     for Cancel / disconnect         helper entries ──────▶ │ (popped before
 //!                ▲                    (≤ lanes − 1 per       │  new jobs)
 //!                │                     multi-start job) ◀─┐  ▼
@@ -37,7 +37,7 @@
 //! owning lane wraps them in one [`RestartSet`], queues at most
 //! `lanes − 1` helper entries for it, and claims restarts itself; an idle
 //! lane pops a helper entry before any new job and claims restarts too,
-//! inside its own subset pool. Nobody waits: a lane that finds no restart
+//! inside its own pool. Nobody waits: a lane that finds no restart
 //! left to claim moves on, and the lane that records the last restart
 //! writes the job's one terminal frame. Results stay keyed by restart
 //! index, so the served run has [`MultiStart::minimize`]'s bits whichever
@@ -96,12 +96,12 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Precompute-cache byte budget. Defaults to 256 MiB.
     pub cache_bytes: usize,
-    /// Lane worker threads. With `lanes > 1` and enough pool workers,
-    /// each lane pins its jobs to a disjoint [`rayon::SubsetPool`] so
-    /// concurrent jobs do not steal each other's work; a multi-start
-    /// job's restarts run on any lane that is free, the owning lane and
-    /// up to `lanes − 1` others. Defaults to 2 (clamped to the pool
-    /// width).
+    /// Lane worker threads. With `lanes > 1` (clamped to the pool width
+    /// `W`), the server builds one [`rayon::ThreadPool`] of `W / lanes`
+    /// workers per lane for the run, so concurrent jobs do not steal each
+    /// other's work; a single lane runs its jobs on the ambient pool. A
+    /// multi-start job's restarts run on any lane that is free, the
+    /// owning lane and up to `lanes − 1` others. Defaults to 2.
     pub lanes: usize,
 }
 
@@ -236,40 +236,36 @@ impl Server {
     pub fn run(self) {
         let width = rayon::current_num_threads().max(1);
         let lanes = self.lanes.clamp(1, width);
-        // Disjoint worker subsets, one per lane, when the pool is wide
-        // enough to give every lane at least one worker. A single lane
-        // (or a 1-worker pool) runs jobs on the ambient pool instead.
-        let subsets = if lanes > 1 {
-            rayon::split_current(&vec![width / lanes; lanes])
-        } else {
-            Vec::new()
-        };
-        let mut lane_threads = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            let shared = Arc::clone(&self.shared);
-            let subset = subsets.get(lane).cloned();
-            lane_threads.push(std::thread::spawn(move || lane_loop(shared, subset, lanes)));
-        }
+        // Owned for the run, dropped only after every lane has joined.
+        let pools = lane_pools(width, lanes);
+        std::thread::scope(|scope| {
+            let lane_threads: Vec<_> = (0..lanes)
+                .map(|lane| {
+                    let (shared, pool) = (&*self.shared, pools.get(lane));
+                    scope.spawn(move || lane_loop(shared, pool, lanes))
+                })
+                .collect();
 
-        while !self.shared.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    // Handler threads exit with their connection; they are
-                    // not joined (a lingering idle client must not block
-                    // shutdown).
-                    std::thread::spawn(move || handle_connection(stream, shared));
+            while !self.shared.shutdown.load(Ordering::Relaxed) {
+                match self.listener.accept() {
+                    Ok((stream, _)) => {
+                        let shared = Arc::clone(&self.shared);
+                        // Handler threads exit with their connection; they
+                        // are not joined (a lingering idle client must not
+                        // block shutdown).
+                        std::thread::spawn(move || handle_connection(stream, shared));
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                    Err(_) => break,
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                Err(_) => break,
             }
-        }
-        // Wake idle lanes so they can observe the shutdown flag; they
-        // drain any queued jobs first.
-        self.shared.available.notify_all();
-        for t in lane_threads {
-            t.join().ok();
-        }
+            // Wake idle lanes so they can observe the shutdown flag; they
+            // drain any queued jobs first.
+            self.shared.available.notify_all();
+            for t in lane_threads {
+                t.join().ok();
+            }
+        });
     }
 
     /// Runs the server on a background thread, returning its address and
@@ -450,13 +446,30 @@ enum Task {
     Helper(Arc<MultiStartWork>),
 }
 
-/// One lane worker: pop tasks and run them (inside this lane's subset
-/// pool when one was carved out) until shutdown leaves the queue empty.
-/// Panics inside a task are contained per job — the lane itself never
-/// dies.
-fn lane_loop(shared: Arc<Shared>, subset: Option<rayon::SubsetPool>, lanes: usize) {
-    while let Some(task) = next_task(&shared) {
-        run_task(&shared, task, subset.as_ref(), lanes);
+/// One plain pool of `width / lanes` workers per lane, with `lanes`
+/// clamped to `width`; none when that leaves a single lane, which runs its
+/// jobs on the ambient pool.
+fn lane_pools(width: usize, lanes: usize) -> Vec<rayon::ThreadPool> {
+    let lanes = lanes.clamp(1, width.max(1));
+    if lanes == 1 {
+        return Vec::new();
+    }
+    (0..lanes)
+        .map(|_| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(width / lanes)
+                .build()
+                .expect("thread pool construction never fails")
+        })
+        .collect()
+}
+
+/// One lane worker: pop tasks and run them (inside this lane's pool when
+/// it has one) until shutdown leaves the queue empty. Panics inside a task
+/// are contained per job — the lane itself never dies.
+fn lane_loop(shared: &Shared, pool: Option<&rayon::ThreadPool>, lanes: usize) {
+    while let Some(task) = next_task(shared) {
+        run_task(shared, task, pool, lanes);
     }
 }
 
@@ -482,7 +495,7 @@ fn next_task(shared: &Shared) -> Option<Task> {
 /// Runs one task and, if it ended its job, does the job's terminal
 /// steps. A job whose multi-start restarts other lanes are still running
 /// ends on whichever lane records its last restart; this lane moves on.
-fn run_task(shared: &Shared, task: Task, subset: Option<&rayon::SubsetPool>, lanes: usize) {
+fn run_task(shared: &Shared, task: Task, pool: Option<&rayon::ThreadPool>, lanes: usize) {
     let conn = match &task {
         Task::Job(job) => &job.conn,
         Task::Helper(work) => &work.conn,
@@ -491,8 +504,8 @@ fn run_task(shared: &Shared, task: Task, subset: Option<&rayon::SubsetPool>, lan
         Task::Job(job) => run_job(shared, job, lanes),
         Task::Helper(work) => work.run(),
     };
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| match subset {
-        Some(s) => s.install(run),
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| match pool {
+        Some(p) => p.install(run),
         None => run(),
     }));
     let resp = match outcome {
@@ -759,6 +772,10 @@ mod tests {
     use qokit_dist::wire::SweepSimSpec;
     use qokit_statevec::exec::Layout;
     use qokit_terms::labs::labs_terms;
+    use rayon::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     fn shared() -> Shared {
         Shared {
@@ -866,6 +883,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A lane pool per lane of `width / lanes` workers, none for one lane;
+    /// two lanes installing at once each see their own width and run on
+    /// disjoint threads.
+    #[test]
+    fn lane_pools_split_the_width_and_run_side_by_side() {
+        let widths = |width, lanes| -> Vec<usize> {
+            lane_pools(width, lanes)
+                .iter()
+                .map(|p| p.current_num_threads())
+                .collect()
+        };
+        assert_eq!(widths(4, 2), [2, 2]);
+        assert_eq!(widths(3, 2), [1, 1]);
+        assert_eq!(widths(1, 2), [0usize; 0]);
+        assert_eq!(widths(2, 1), [0usize; 0]);
+
+        let pools = lane_pools(4, 2);
+        let barrier = &Barrier::new(2);
+        let seen: Vec<(usize, HashSet<ThreadId>)> = std::thread::scope(|scope| {
+            let lanes: Vec<_> = pools
+                .iter()
+                .map(|pool| {
+                    scope.spawn(move || {
+                        pool.install(|| {
+                            // Both lanes are inside their pools from here on.
+                            barrier.wait();
+                            let ids: Vec<ThreadId> = (0..64)
+                                .into_par_iter()
+                                .with_min_len(1)
+                                .map(|_| std::thread::current().id())
+                                .collect();
+                            (rayon::current_num_threads(), ids.into_iter().collect())
+                        })
+                    })
+                })
+                .collect();
+            lanes.into_iter().map(|l| l.join().unwrap()).collect()
+        });
+        assert_eq!(seen[0].0, 2);
+        assert_eq!(seen[1].0, 2);
+        assert!(seen[0].1.is_disjoint(&seen[1].1));
     }
 
     /// A job's terminal steps run once even when two lanes reach them.

@@ -106,9 +106,10 @@ impl ExecPolicy {
     /// Picks the executor the way QOKit's `choose_simulator(name='auto')`
     /// does: [`ExecPolicy::rayon`] when the pool runtime would split over
     /// more than one worker, [`ExecPolicy::serial`] otherwise. The worker
-    /// count is asked of the runtime itself (`rayon::current_num_threads`,
-    /// which resolves `QOKIT_THREADS` → `RAYON_NUM_THREADS` → hardware
-    /// threads, or an already-latched pool size), so `auto()` can never
+    /// count is asked of the runtime itself (`rayon::current_num_threads`:
+    /// the current pool's size on a worker, else the global pool's, which
+    /// resolves `QOKIT_THREADS` → `RAYON_NUM_THREADS` → hardware threads
+    /// once, when the first such call creates it), so `auto()` can never
     /// pick the pool when the environment pinned it to one worker.
     pub fn auto() -> ExecPolicy {
         if rayon::current_num_threads() > 1 {

@@ -8,8 +8,8 @@
 //! in the widest intermediate), at the price of redundant work across
 //! slices — the classic memory-for-FLOPs trade.
 //!
-//! Slices are embarrassingly parallel, so they fan out as pool tasks
-//! (`rayon::strided_lanes`, keyed by slice index) and are accumulated
+//! Slices are embarrassingly parallel, so they fan out as pool tasks (an
+//! indexed parallel iterator, keyed by slice index) and are accumulated
 //! **sequentially in slice order** — results are bit-identical at any pool
 //! width. Stronger still, slicing itself is exact at the bit level:
 //! [`crate::tensor::Tensor::project`] performs no arithmetic, so the
@@ -21,6 +21,7 @@ use crate::network::TnError;
 use crate::plan::ContractionPlan;
 use crate::tensor::Tensor;
 use qokit_statevec::{ExecPolicy, C64};
+use rayon::prelude::*;
 
 /// Upper bound on slice legs tried before giving up with
 /// [`TnError::WidthExceeded`] (2^8 = 256 slices).
@@ -191,7 +192,13 @@ impl SlicePlan {
                 .map(|s| self.plan.execute(one(s)).into_scalar())
                 .collect()
         } else {
-            exec.install(|| rayon::strided_lanes(n, |s| self.plan.execute(one(s)).into_scalar()))
+            exec.install(|| {
+                (0..n)
+                    .into_par_iter()
+                    .with_min_len(1)
+                    .map(|s| self.plan.execute(one(s)).into_scalar())
+                    .collect()
+            })
         };
         parts.into_iter().fold(C64::ZERO, |acc, v| acc + v)
     }

@@ -54,8 +54,8 @@
 //! buffers and a `nested` knob choosing points-parallel vs
 //! kernels-parallel execution), [`optim::MultiStart`] runs
 //! Nelder–Mead/SPSA restarts as pool tasks keyed by restart index (and
-//! [`optim::MultiStart::minimize_batched`] runs them as *lanes* on
-//! sibling subset pools, each restart evaluating candidate batches), and
+//! [`optim::MultiStart::minimize_batched`] fans them out the same way,
+//! each restart evaluating candidate batches), and
 //! [`optim::grid_search_2d_batched`] / [`optim::random_search_batched`]
 //! drive whole search grids through one batched call.
 //!
@@ -65,7 +65,7 @@
 //! [`core::landscape::LandscapeAggregator`]s (running min/argmin, top-k,
 //! optional 2-D histogram) — `O(ranks · top_k)` memory at any scan size.
 //! The architecture guide for how these four parallel layers compose —
-//! the work-stealing pool, subset pools, `SweepNesting`, and BSP ranks —
+//! the work-stealing pool, item fan-outs, `SweepNesting`, and BSP ranks —
 //! is `docs/PARALLELISM.md` at the repository root.
 //!
 //! ```

@@ -312,8 +312,8 @@ fn poisoned_point_in_a_dist_scan_names_rank_and_global_index() {
 #[test]
 fn panicking_batched_restart_poisons_only_itself() {
     // The lane-batched multi-start driver matches try_minimize's
-    // containment: the lowest poisoned restart is named, sibling lanes
-    // complete, and the subset pools are reusable.
+    // containment: the lowest poisoned restart is named, sibling
+    // restarts complete, and the pool is reusable.
     let driver = MultiStart {
         method: RestartMethod::NelderMead(NelderMead {
             max_evals: 40,

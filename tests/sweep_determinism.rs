@@ -202,7 +202,7 @@ fn batched_random_search_reproduces_sequential_stream() {
 #[test]
 fn lane_batched_multistart_is_pool_size_invariant_and_equals_plain_driver() {
     // `minimize_batched` adds two layers the plain driver lacks — restart
-    // lanes on sibling subset pools and candidate-batch objective calls —
+    // pool tasks and candidate-batch objective calls —
     // and must change nothing observable: for a pointwise-equal objective
     // it is bit-identical to `minimize`, at every pool size.
     let driver = MultiStart {
