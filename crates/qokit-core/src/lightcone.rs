@@ -29,7 +29,7 @@
 //!    parallel iterator, one task per cone, with results keyed by cone
 //!    index; each cone runs with strictly serial kernels so its value is
 //!    bit-identical wherever it is computed.
-//! 3. **Accumulate** ([`ConePlan::accumulate`]): fold
+//! 3. **Accumulate** (inside [`ConePlan::try_evaluate`]): fold
 //!    `Σ_e ½·w_e·⟨Z_u Z_v⟩ − W/2` sequentially in edge order — the same
 //!    convention as [`maxcut_polynomial`], so the result matches the exact
 //!    full-statevector objective to floating-point accuracy, and is
@@ -218,7 +218,7 @@ impl ConePlan {
     }
 
     /// The evaluate step: simulates every unique cone under `exec` and
-    /// folds the values over `edges` ([`accumulate`](Self::accumulate)).
+    /// folds the values over `edges` in edge order.
     /// It reads only the plan and the edge weights, so a plan built once
     /// (and kept, as a server keeps it) gives the one-shot
     /// [`LightConeEvaluator::try_energy`] bits on every call.
@@ -289,7 +289,7 @@ impl ConePlan {
     /// # Panics
     /// If `zz.len()` does not match the unique-cone count, or `edges` the
     /// edge count.
-    pub fn accumulate(&self, edges: &[(usize, usize, f64)], zz: &[f64]) -> f64 {
+    fn accumulate(&self, edges: &[(usize, usize, f64)], zz: &[f64]) -> f64 {
         assert_eq!(zz.len(), self.cones.len(), "one ⟨ZZ⟩ value per unique cone");
         assert_eq!(
             edges.len(),

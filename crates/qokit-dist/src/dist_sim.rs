@@ -27,7 +27,7 @@ use crate::comm::{BspComm, CommStats};
 use crate::transport::{self, Transport, TransportError};
 use crate::wire::Request;
 use crate::worker::SimRank;
-use qokit_statevec::{StateVec, C64};
+use qokit_statevec::{StateVec, C64, MAX_QUBITS};
 use qokit_terms::SpinPolynomial;
 
 /// Construction errors for the distributed simulator.
@@ -43,6 +43,11 @@ pub enum DistError {
         /// Requested rank count.
         ranks: usize,
     },
+    /// The whole state would exceed `2^MAX_QUBITS` amplitudes.
+    TooManyQubits {
+        /// Qubits in the simulation.
+        n: usize,
+    },
 }
 
 impl std::fmt::Display for DistError {
@@ -53,6 +58,9 @@ impl std::fmt::Display for DistError {
                 f,
                 "{ranks} ranks need 2·log2({ranks}) ≤ {n} qubits (paper's 2k ≤ n constraint)"
             ),
+            DistError::TooManyQubits { n } => {
+                write!(f, "n = {n} exceeds MAX_QUBITS = {MAX_QUBITS}")
+            }
         }
     }
 }
@@ -60,11 +68,14 @@ impl std::fmt::Display for DistError {
 impl std::error::Error for DistError {}
 
 /// Checks the Algorithm-4 rank shape for an `n`-qubit state over `n_ranks`
-/// ranks and returns `k = log2(n_ranks)`: `n_ranks` must be a power of two
-/// and `2k ≤ n`. Shared by [`DistSimulator::new`] and the worker's
-/// `SimInit` arm, so a shape the driver would refuse is refused on the
-/// wire too.
+/// ranks and returns `k = log2(n_ranks)`: `n ≤ MAX_QUBITS`, `n_ranks`
+/// must be a power of two and `2k ≤ n`. Shared by [`DistSimulator::new`]
+/// and the worker's `SimInit` arm, so a shape the driver would refuse is
+/// refused on the wire too.
 pub(crate) fn rank_bits(n: usize, n_ranks: usize) -> Result<usize, DistError> {
+    if n > MAX_QUBITS {
+        return Err(DistError::TooManyQubits { n });
+    }
     if !n_ranks.is_power_of_two() {
         return Err(DistError::RanksNotPowerOfTwo(n_ranks));
     }
@@ -446,6 +457,11 @@ mod tests {
         assert_eq!(
             DistSimulator::new(poly, 16).unwrap_err(),
             DistError::TooManyRanks { n: 6, ranks: 16 }
+        );
+        // Past MAX_QUBITS no rank count makes the slices allocatable.
+        assert_eq!(
+            DistSimulator::new(SpinPolynomial::new(41, Vec::new()), 4).unwrap_err(),
+            DistError::TooManyQubits { n: 41 }
         );
     }
 

@@ -18,22 +18,21 @@
 //! energies into a
 //! [`LandscapeAggregator`](qokit_core::landscape::LandscapeAggregator)
 //! merged in rank order, so `>2^20`-point scans run in `O(ranks · top_k)`
-//! memory. A [`DistLightCone`] shards the unique cones of a light-cone
-//! MaxCut evaluation the same way.
+//! memory.
 //!
 //! On a [`Transport`], every rank step is one [`wire::Request`] handled by
 //! [`worker::handle`], whether the rank is a pool task behind an
 //! [`InProcessTransport`] or a worker process behind a [`TcpTransport`],
-//! so the two give the same bits. `DistLightCone` and `DistSweepRunner`
-//! always run this way; [`DistSweepRunner::try_scan`]'s in-process ranks
-//! share the runner's one cost vector instead of rebuilding it.
+//! so the two give the same bits. `DistSweepRunner` always runs this
+//! way; [`DistSweepRunner::try_scan`]'s in-process ranks share the
+//! runner's one cost vector instead of rebuilding it.
 //! [`DistSimulator::simulate_qaoa`] (in-place alltoall with modeled MPI
 //! byte counts, for Fig. 5) also has a direct in-process engine with the
-//! same outputs. Each Algorithm-4 rank stores
-//! its cost slice by the single-node `CostVec::from_f64` rule: level-coded
-//! at 2 B/amp (§V-B) when the slice has few distinct costs, `f64`
-//! otherwise. See `docs/PARALLELISM.md` at the repository root for how the
-//! BSP layer composes with the pool, item fan-outs, and sweep nesting.
+//! same outputs. Each Algorithm-4 rank stores its cost slice by the
+//! single-node `CostVec::from_f64` rule: level-coded at 2 B/amp (§V-B)
+//! when the slice has few distinct costs, `f64` otherwise. See
+//! `docs/PARALLELISM.md` at the repository root for how the BSP layer
+//! composes with the pool, item fan-outs, and sweep nesting.
 //!
 //! ```
 //! use qokit_dist::DistSimulator;
@@ -55,7 +54,6 @@ pub mod comm;
 pub mod dist_sim;
 pub mod dist_sweep;
 pub mod frame;
-pub mod lightcone;
 pub mod model;
 pub mod transport;
 pub mod wire;
@@ -66,7 +64,6 @@ pub use dist_sim::{DistError, DistResult, DistSimulator};
 pub use dist_sweep::{
     Axis, DistScan, DistSweepError, DistSweepOptions, DistSweepRunner, Grid2d, PointSource,
 };
-pub use lightcone::{DistLightCone, DistLightConeError, DistLightConeRun};
 pub use model::{ClusterModel, CommBackend, ModeledLayerTime};
 pub use transport::{
     InProcessTransport, TcpTransport, Transport, TransportError, TransportErrorKind, TransportKind,

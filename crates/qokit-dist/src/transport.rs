@@ -8,8 +8,7 @@
 //!
 //! - [`InProcessTransport`] — ranks are work-stealing-pool tasks in this
 //!   process (the schedule of the direct `dist_sim` engine;
-//!   [`DistSweepRunner::try_scan`](crate::DistSweepRunner::try_scan) and
-//!   [`DistLightCone::try_energy`](crate::DistLightCone::try_energy) run
+//!   [`DistSweepRunner::try_scan`](crate::DistSweepRunner::try_scan) runs
 //!   on it); requests and responses are passed by value, nothing is
 //!   serialized.
 //! - [`TcpTransport`] — ranks are **spawned worker processes** connected
@@ -20,8 +19,7 @@
 //!
 //! Both transports run identical per-rank code, and `f64` values cross the
 //! wire as exact bit patterns, so results are **bit-identical** between
-//! them (pinned by `tests/dist_sweep_equivalence.rs` and
-//! `tests/lightcone_equivalence.rs`).
+//! them (pinned by `tests/dist_sweep_equivalence.rs`).
 //!
 //! # Failure semantics
 //!
@@ -488,16 +486,6 @@ pub(crate) fn expect_energies(
     match resp {
         Response::Energies(v) => Ok(v),
         other => Err(protocol_error(rank, &other, "Energies")),
-    }
-}
-
-pub(crate) fn expect_zz(
-    rank: usize,
-    resp: Response,
-) -> Result<Result<Vec<f64>, (u64, String)>, TransportError> {
-    match resp {
-        Response::ZzValues(v) => Ok(v),
-        other => Err(protocol_error(rank, &other, "ZzValues")),
     }
 }
 

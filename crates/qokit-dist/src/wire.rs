@@ -3,7 +3,7 @@
 //! length + word-wise checksum; see that module for the byte layout).
 //! This module owns only the *messages*: the [`Request`]/[`Response`]
 //! enums and the domain value codecs (polynomials, sweep points,
-//! amplitude slices, ego nets) they are built from. The serve layer
+//! amplitude slices) they are built from. The serve layer
 //! (`qokit-serve`) reuses the same frames and domain codecs for its own
 //! message set.
 
@@ -11,7 +11,6 @@ use qokit_core::batch::SweepPoint;
 use qokit_costvec::PrecomputeMethod;
 use qokit_statevec::exec::Layout;
 use qokit_statevec::C64;
-use qokit_terms::graphs::{EgoNet, Graph};
 use qokit_terms::{SpinPolynomial, Term};
 
 pub use crate::frame::{
@@ -75,39 +74,6 @@ fn get_amps(r: &mut ByteReader<'_>) -> Result<Vec<C64>, WireError> {
     Ok(v)
 }
 
-fn put_ego(w: &mut ByteWriter, e: &EgoNet) {
-    let g = e.graph();
-    w.usize(g.n_vertices());
-    w.usize(g.n_edges());
-    for &(u, v, weight) in g.edges() {
-        w.usize(u);
-        w.usize(v);
-        w.f64(weight);
-    }
-    w.usizes(e.vertices());
-    w.usizes(e.distances());
-    w.usize(e.radius());
-}
-
-/// Decodes an [`EgoNet`] written by [`put_ego`]. A bad edge list or
-/// mismatched vertex/distance maps are [`WireError::Invalid`], not panics.
-fn get_ego(r: &mut ByteReader<'_>) -> Result<EgoNet, WireError> {
-    let n = r.usize()?;
-    let n_edges = r.len_prefix(24)?;
-    let mut edges = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        let u = r.usize()?;
-        let v = r.usize()?;
-        let w = r.f64()?;
-        edges.push((u, v, w));
-    }
-    let graph = Graph::try_new(n, edges).map_err(WireError::Invalid)?;
-    let vertices = r.usizes()?;
-    let dist = r.usizes()?;
-    let radius = r.usize()?;
-    EgoNet::try_from_parts(graph, vertices, dist, radius).map_err(WireError::Invalid)
-}
-
 /// How the worker should quantize/precompute the cost diagonal of a sweep
 /// simulator — the subset of `SimOptions` that crosses the wire. Only the
 /// X mixer and the `Auto` initial state are supported over transports
@@ -142,15 +108,6 @@ pub enum Request {
     SweepChunk {
         /// The points of this superstep, in global-index order.
         points: Vec<SweepPoint>,
-    },
-    /// Simulate a shard of light cones, returning `⟨ZZ⟩` per cone.
-    ConeShard {
-        /// `(representative edge, cone)` pairs in plan order.
-        cones: Vec<(u64, EgoNet)>,
-        /// Per-layer γ.
-        gammas: Vec<f64>,
-        /// Per-layer β.
-        betas: Vec<f64>,
     },
     /// Initialize this rank's Algorithm-4 state slice for `poly`.
     SimInit {
@@ -200,9 +157,6 @@ pub enum Response {
     /// Per-point sweep energies; `Err` carries a poisoned point's panic
     /// message (slot order matches the request's point order).
     Energies(Vec<Result<f64, String>>),
-    /// Cone-shard `⟨ZZ⟩` values, or the first poisoned cone as
-    /// `(representative edge, panic message)`.
-    ZzValues(Result<Vec<f64>, (u64, String)>),
     /// An amplitude slice.
     Amps(Vec<C64>),
     /// The worker rejected the request (protocol misuse, e.g. a chunk
@@ -214,10 +168,10 @@ const REQ_NOP: u8 = 0;
 const REQ_SHUTDOWN: u8 = 1;
 const REQ_SWEEP_INIT: u8 = 2;
 const REQ_SWEEP_CHUNK: u8 = 3;
-const REQ_CONE_SHARD: u8 = 4;
 const REQ_SIM_INIT: u8 = 5;
-// Tags 6–8 and 15 are retired. Never reuse them: a request from an older
-// driver must fail as `BadTag`, not decode as a different message.
+// Request tags 4, 6–8 and 15 and response tag 4 are retired. Never reuse
+// them: a message from an older peer must fail as `BadTag`, not decode as
+// a different message.
 const REQ_SIM_LAYER_LOCAL: u8 = 9;
 const REQ_SIM_MIX_HIGH: u8 = 10;
 const REQ_SIM_TAKE_SLICE: u8 = 11;
@@ -229,7 +183,6 @@ const RESP_OK: u8 = 0;
 const RESP_SCALAR: u8 = 1;
 const RESP_SCALAR2: u8 = 2;
 const RESP_ENERGIES: u8 = 3;
-const RESP_ZZ: u8 = 4;
 const RESP_AMPS: u8 = 5;
 const RESP_ERROR: u8 = 6;
 
@@ -285,20 +238,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 put_point(&mut w, p);
             }
         }
-        Request::ConeShard {
-            cones,
-            gammas,
-            betas,
-        } => {
-            w.u8(REQ_CONE_SHARD);
-            w.usize(cones.len());
-            for (edge, ego) in cones {
-                w.u64(*edge);
-                put_ego(&mut w, ego);
-            }
-            w.f64s(gammas);
-            w.f64s(betas);
-        }
         Request::SimInit { poly, n_ranks } => {
             w.u8(REQ_SIM_INIT);
             w.usize(*n_ranks);
@@ -344,22 +283,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                 .map(|_| get_point(&mut r))
                 .collect::<Result<_, _>>()?;
             Request::SweepChunk { points }
-        }
-        REQ_CONE_SHARD => {
-            let n = r.len_prefix(8)?;
-            let mut cones = Vec::with_capacity(n);
-            for _ in 0..n {
-                let edge = r.u64()?;
-                let ego = get_ego(&mut r)?;
-                cones.push((edge, ego));
-            }
-            let gammas = r.f64s()?;
-            let betas = r.f64s()?;
-            Request::ConeShard {
-                cones,
-                gammas,
-                betas,
-            }
         }
         REQ_SIM_INIT => {
             let n_ranks = r.usize()?;
@@ -416,20 +339,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 }
             }
         }
-        Response::ZzValues(result) => {
-            w.u8(RESP_ZZ);
-            match result {
-                Ok(values) => {
-                    w.u8(0);
-                    w.f64s(values);
-                }
-                Err((edge, msg)) => {
-                    w.u8(1);
-                    w.u64(*edge);
-                    w.string(msg);
-                }
-            }
-        }
         Response::Amps(amps) => {
             w.u8(RESP_AMPS);
             put_amps(&mut w, amps);
@@ -464,14 +373,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             }
             Response::Energies(slots)
         }
-        RESP_ZZ => Response::ZzValues(match r.u8()? {
-            0 => Ok(r.f64s()?),
-            _ => {
-                let edge = r.u64()?;
-                let msg = r.string()?;
-                Err((edge, msg))
-            }
-        }),
         RESP_AMPS => Response::Amps(get_amps(&mut r)?),
         RESP_ERROR => Response::Error(r.string()?),
         t => return Err(WireError::BadTag(t)),
@@ -485,6 +386,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qokit_terms::graphs::Graph;
     use qokit_terms::labs::labs_terms;
     use qokit_terms::maxcut;
 
@@ -516,14 +418,6 @@ mod tests {
                 SweepPoint::new(vec![0.1, 0.2], vec![0.3, -0.4]),
             ],
         });
-        let g = Graph::ring(8, 1.0);
-        let adj = g.adjacency();
-        let ego = adj.edge_ego(0, 1, 2);
-        roundtrip_req(Request::ConeShard {
-            cones: vec![(0, ego.clone()), (3, ego)],
-            gammas: vec![0.3, 0.1],
-            betas: vec![0.5, -0.2],
-        });
         roundtrip_req(Request::SimInit {
             poly: maxcut::maxcut_polynomial(&Graph::ring(6, 1.0)),
             n_ranks: 4,
@@ -540,6 +434,7 @@ mod tests {
     #[test]
     fn retired_sim_tags_are_bad_tags() {
         // Each retired request as it used to be encoded: tag, then body.
+        let mut payloads = Vec::new();
         for (tag, body_f64s, body_u8s) in [(6u8, 0, 0), (7, 1, 1), (8, 1, 0), (15, 0, 0)] {
             let mut w = ByteWriter::new();
             w.u8(tag);
@@ -549,8 +444,35 @@ mod tests {
             for _ in 0..body_u8s {
                 w.u8(1);
             }
-            assert_eq!(decode_request(&w.into_vec()), Err(WireError::BadTag(tag)));
+            payloads.push((tag, w.into_vec()));
         }
+        // Tag 4 shipped light cones: a cone count, then per cone its
+        // representative edge and ego net (vertex count, edge list,
+        // vertex map, distances, radius), then the γ and β schedules.
+        let mut w = ByteWriter::new();
+        w.u8(4);
+        w.usize(1);
+        w.u64(0);
+        w.usize(2);
+        w.usize(1);
+        w.usize(0);
+        w.usize(1);
+        w.f64(1.0);
+        w.usizes(&[0, 1]);
+        w.usizes(&[0, 0]);
+        w.usize(1);
+        w.f64s(&[0.3]);
+        w.f64s(&[0.5]);
+        payloads.push((4, w.into_vec()));
+        for (tag, payload) in payloads {
+            assert_eq!(decode_request(&payload), Err(WireError::BadTag(tag)));
+        }
+        // Response tag 4 carried the cones' `⟨ZZ⟩` values (ok flag, list).
+        let mut w = ByteWriter::new();
+        w.u8(4);
+        w.u8(0);
+        w.f64s(&[0.5, -0.5]);
+        assert_eq!(decode_response(&w.into_vec()), Err(WireError::BadTag(4)));
     }
 
     #[test]
@@ -563,8 +485,6 @@ mod tests {
             Err("point panicked".into()),
             Ok(-3.5),
         ]));
-        roundtrip_resp(Response::ZzValues(Ok(vec![0.5, -0.5])));
-        roundtrip_resp(Response::ZzValues(Err((7, "cone panicked".into()))));
         roundtrip_resp(Response::Amps(vec![C64::new(0.0, -0.0)]));
         roundtrip_resp(Response::Error("no runner".into()));
     }
@@ -610,45 +530,6 @@ mod tests {
                 matches!(got, Err(WireError::Invalid(_))),
                 "n = {n_vars}, mask = {mask:#b}: {got:?}"
             );
-        }
-    }
-
-    #[test]
-    fn invalid_ego_net_is_an_error_not_a_panic() {
-        let ego = Graph::ring(8, 1.0).adjacency().edge_ego(0, 1, 1);
-        let (n, edges) = (ego.graph().n_vertices(), ego.graph().edges().to_vec());
-        let shard = |n: usize, edges: &[(usize, usize, f64)], vertices: &[usize]| {
-            let mut w = ByteWriter::new();
-            w.u8(super::REQ_CONE_SHARD);
-            w.usize(1);
-            w.u64(0);
-            w.usize(n);
-            w.usize(edges.len());
-            for &(u, v, weight) in edges {
-                w.usize(u);
-                w.usize(v);
-                w.f64(weight);
-            }
-            w.usizes(vertices);
-            w.usizes(ego.distances());
-            w.usize(ego.radius());
-            w.f64s(&[0.3]);
-            w.f64s(&[0.5]);
-            decode_request(&w.into_vec())
-        };
-        // The honest encoding decodes.
-        assert!(shard(n, &edges, ego.vertices()).is_ok());
-        let mut out_of_range = edges.clone();
-        out_of_range[0].1 = n;
-        let mut duplicated = edges.clone();
-        duplicated.push(edges[0]);
-        let short_map = &ego.vertices()[1..];
-        for (what, got) in [
-            ("edge out of range", shard(n, &out_of_range, ego.vertices())),
-            ("duplicate edge", shard(n, &duplicated, ego.vertices())),
-            ("vertex map too short", shard(n, &edges, short_map)),
-        ] {
-            assert!(matches!(got, Err(WireError::Invalid(_))), "{what}: {got:?}");
         }
     }
 

@@ -19,18 +19,16 @@
 //! the driver spawns them with `--exact <that test name>` filter args, so
 //! the child runs only the worker loop, never the rest of the suite.
 
-use crate::dist_sim::rank_bits;
+use crate::dist_sim::{rank_bits, DistError};
 use crate::wire::{self, read_frame, write_frame, Request, Response, SweepSimSpec, WireError};
 use qokit_core::batch::{SweepError, SweepNesting, SweepOptions, SweepRunner};
-use qokit_core::lightcone::cone_zz;
 use qokit_core::simulator::{FurSimulator, InitialState, SimOptions};
-use qokit_core::{panic_message, Mixer};
+use qokit_core::Mixer;
 use qokit_costvec::{fill_direct_slice, CostVec};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::su2::apply_mat2_serial;
-use qokit_statevec::{Mat2, C64};
+use qokit_statevec::{Mat2, C64, MAX_QUBITS};
 use qokit_terms::SpinPolynomial;
-use std::panic::{self, AssertUnwindSafe};
 use std::time::Duration;
 
 /// Driver address a spawned worker connects back to.
@@ -164,12 +162,17 @@ fn sweep_runner_for(poly: &SpinPolynomial, spec: SweepSimSpec) -> SweepRunner {
 
 /// Executes one request against a rank's state — the single dispatch both
 /// transports share. Protocol misuse (a chunk before its init, a sim step
-/// on the wrong workload) returns [`Response::Error`]; per-point and
-/// per-cone panics are contained and reported in-band.
+/// on the wrong workload) and a polynomial over `MAX_QUBITS` return
+/// [`Response::Error`]; per-point panics are contained and reported
+/// in-band.
 pub fn handle(state: &mut WorkerState, req: Request) -> Response {
     match req {
         Request::Nop | Request::Shutdown => Response::Ok,
         Request::SweepInit { poly, spec } => {
+            let n = poly.n_vars();
+            if n > MAX_QUBITS {
+                return Response::Error(DistError::TooManyQubits { n }.to_string());
+            }
             state.sweep = Some(sweep_runner_for(&poly, spec));
             Response::Ok
         }
@@ -188,24 +191,6 @@ pub fn handle(state: &mut WorkerState, req: Request) -> Response {
                     .collect(),
             ),
         },
-        Request::ConeShard {
-            cones,
-            gammas,
-            betas,
-        } => {
-            let mut values = Vec::with_capacity(cones.len());
-            for (edge, ego) in &cones {
-                let outcome =
-                    panic::catch_unwind(AssertUnwindSafe(|| cone_zz(ego, &gammas, &betas)));
-                match outcome {
-                    Ok(zz) => values.push(zz),
-                    Err(payload) => {
-                        return Response::ZzValues(Err((*edge, panic_message(payload))))
-                    }
-                }
-            }
-            Response::ZzValues(Ok(values))
-        }
         Request::SimInit { poly, n_ranks } => {
             if let Err(e) = rank_bits(poly.n_vars(), n_ranks) {
                 return Response::Error(e.to_string());
@@ -321,11 +306,24 @@ fn io_error(e: wire::FrameReadError) -> std::io::Error {
 mod tests {
     use super::*;
     use qokit_terms::labs::labs_terms;
+    use qokit_terms::Term;
 
     fn sim_init(rank: usize, n_ranks: usize) -> Response {
         let mut state = WorkerState::new(rank);
         let poly = labs_terms(6);
         handle(&mut state, Request::SimInit { poly, n_ranks })
+    }
+
+    /// An `n`-variable polynomial with one `Z_0 Z_1` term: valid on the
+    /// wire for every `n ≤ 64`, whatever `MAX_QUBITS` allows.
+    fn wide_poly(n: usize) -> SpinPolynomial {
+        SpinPolynomial::new(
+            n,
+            vec![Term {
+                weight: 1.0,
+                mask: 0b11,
+            }],
+        )
     }
 
     #[test]
@@ -339,5 +337,32 @@ mod tests {
         assert!(matches!(sim_init(0, 16), Response::Error(e) if e.contains("2k ≤ n")));
         // Rank outside [0, n_ranks).
         assert!(matches!(sim_init(4, 4), Response::Error(e) if e.contains("out of range")));
+        // More qubits than any state may hold: n = 41 would try to
+        // allocate a 2^39-amplitude slice, and at n = 64 `1 << local_n`
+        // would wrap. Each frame is refused before anything is built, and
+        // the same state then takes a valid init.
+        let request = |poly: SpinPolynomial, sweep: bool| match sweep {
+            true => Request::SweepInit {
+                poly,
+                spec: wire::spec_from_byte(0),
+            },
+            false => Request::SimInit { poly, n_ranks: 4 },
+        };
+        let mut state = WorkerState::new(0);
+        for (n, sweep) in [(41usize, false), (64, false), (41, true)] {
+            let want = format!("n = {n} exceeds MAX_QUBITS");
+            let got = handle(&mut state, request(wide_poly(n), sweep));
+            assert!(
+                matches!(&got, Response::Error(e) if e.contains(&want)),
+                "n = {n}, sweep = {sweep}: {got:?}"
+            );
+            assert!(state.sim.is_none() && state.sweep.is_none(), "n = {n}");
+            let ok = handle(&mut state, request(labs_terms(6), sweep));
+            assert!(
+                matches!(ok, Response::Ok),
+                "n = {n}, sweep = {sweep}: {ok:?}"
+            );
+            (state.sim, state.sweep) = (None, None);
+        }
     }
 }

@@ -482,6 +482,34 @@ mod tests {
     }
 
     #[test]
+    fn invalid_edge_lists_are_errors_and_never_cached() {
+        let cache = PrecomputeCache::new(1 << 20);
+        let edges = ring_job(20).edges;
+        let mut out_of_range = ring_job(20);
+        out_of_range.edges[0].1 = 20;
+        let mut duplicated = ring_job(20);
+        duplicated.edges.push(edges[3]);
+        let mut self_loop = ring_job(20);
+        self_loop.edges[5] = (7, 7, 1.0);
+        for (i, (what, job)) in [
+            ("out of range", out_of_range),
+            ("duplicate edge", duplicated),
+            ("self-loop", self_loop),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            match cache.get_or_plan(&job) {
+                Err(e) => assert!(e.contains(what), "{what}: {e}"),
+                Ok((_, hit)) => panic!("{what}: planned (hit = {hit})"),
+            }
+            let s = cache.stats();
+            assert_eq!((s.plan_misses, s.plan_hits), (i as u64 + 1, 0), "{what}");
+            assert_eq!((cache.len(), s.bytes), (0, 0), "{what}");
+        }
+    }
+
+    #[test]
     fn plans_and_diagonals_share_one_lru() {
         let (a, b) = (labs_terms(6), labs_terms(5));
         let plan = ring_job(20);

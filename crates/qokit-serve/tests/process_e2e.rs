@@ -200,8 +200,10 @@ fn binary_serves_all_job_kinds_with_cache_and_admission_control() {
     let addr = server.addr.clone();
     let a_started = Arc::new(AtomicBool::new(false));
     let b_decided = Arc::new(AtomicBool::new(false));
+    // 4096 × 4096 single-point chunks run for minutes, so A is still
+    // outstanding when B's submit is decided; the cancel below ends it.
     let slow = SweepJob {
-        grid: Grid2d::new(Axis::new(-0.5, 0.5, 48), Axis::new(-0.4, 0.4, 48)),
+        grid: Grid2d::new(Axis::new(-0.5, 0.5, 4096), Axis::new(-0.4, 0.4, 4096)),
         chunk: 1,
         progress_every: 1,
         ..sweep_job()

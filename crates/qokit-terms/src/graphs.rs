@@ -458,47 +458,6 @@ pub struct EgoNet {
 }
 
 impl EgoNet {
-    /// Reassembles a cone from its accessor parts — the inverse of
-    /// `graph()`/`vertices()`/`distances()`/`radius()`, used to rebuild
-    /// cones that crossed a process boundary (qokit-dist's transport layer
-    /// ships cone shards to worker processes). The parts must come from a
-    /// real extraction: `vertices` and `dist` are per-compact-vertex maps,
-    /// and the seed endpoints sit at compact indices `0` and `1`.
-    ///
-    /// # Panics
-    /// If `vertices`/`dist` lengths disagree with the graph's vertex count
-    /// or the graph has fewer than two vertices (no seed edge).
-    pub fn from_parts(graph: Graph, vertices: Vec<usize>, dist: Vec<usize>, radius: usize) -> Self {
-        EgoNet::try_from_parts(graph, vertices, dist, radius).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// As [`EgoNet::from_parts`], but reports mismatched parts as an error
-    /// instead of panicking — for cones decoded from untrusted bytes.
-    pub fn try_from_parts(
-        graph: Graph,
-        vertices: Vec<usize>,
-        dist: Vec<usize>,
-        radius: usize,
-    ) -> Result<Self, String> {
-        let n = graph.n_vertices();
-        if n < 2 {
-            return Err("an ego net needs its two seed vertices".into());
-        }
-        if vertices.len() != n || dist.len() != n {
-            return Err(format!(
-                "vertex and distance maps ({}, {}) must match the {n}-vertex compact graph",
-                vertices.len(),
-                dist.len()
-            ));
-        }
-        Ok(EgoNet {
-            graph,
-            vertices,
-            dist,
-            radius,
-        })
-    }
-
     /// The compact subgraph (seed endpoints at vertices `0` and `1`).
     pub fn graph(&self) -> &Graph {
         &self.graph

@@ -7,18 +7,15 @@
 //! the ego-graph dedup cache turns 150k edges into a few dozen unique
 //! cone simulations. The run cross-checks the evaluator against the exact
 //! full-statevector objective on a small instance first, then evaluates
-//! the 10⁵-node graph at p = 1 and p = 2 and prints the cache economics,
-//! and finally confirms the distributed sharded evaluator reproduces the
-//! same bits.
+//! the 10⁵-node graph at p = 1 and p = 2 and prints the cache economics.
 //!
 //! Run with: `cargo run --release --example lightcone_maxcut`
 //!
-//! Expected output: a small-graph cross-check agreeing to ≤ 1e-9, two
+//! Expected output: a small-graph cross-check agreeing to ≤ 1e-9, and two
 //! large-graph energies in well under a second each with > 90 % dedup
-//! cache hit rates, and a bit-identical 4-rank distributed evaluation.
+//! cache hit rates.
 
 use qokit::core::lightcone::LightConeEvaluator;
-use qokit::dist::DistLightCone;
 use qokit::prelude::*;
 use qokit::terms::maxcut::maxcut_polynomial;
 use rand::rngs::StdRng;
@@ -51,7 +48,7 @@ fn main() {
         g.n_edges(),
         t.elapsed()
     );
-    let evaluator = LightConeEvaluator::new(g.clone());
+    let evaluator = LightConeEvaluator::new(g);
     for p in [1usize, 2] {
         let (gammas, betas) = (vec![0.4; p], vec![0.6; p]);
         let t = Instant::now();
@@ -72,23 +69,4 @@ fn main() {
             run.stats.hit_rate()
         );
     }
-
-    // --- Sharded across 4 BSP ranks: identical bits --------------------
-    let reference = evaluator.try_energy(&[0.4], &[0.6]).unwrap();
-    let t = Instant::now();
-    let dist = DistLightCone::new(evaluator, 4)
-        .try_energy(&[0.4], &[0.6])
-        .unwrap();
-    println!(
-        "\n4-rank sharded evaluation in {:.2?}: <C> = {:.4}, {} bytes moved",
-        t.elapsed(),
-        dist.energy,
-        dist.comm.total_bytes()
-    );
-    assert_eq!(
-        dist.energy.to_bits(),
-        reference.energy.to_bits(),
-        "rank sharding must not change a single bit"
-    );
-    println!("single-process evaluator agrees bit for bit");
 }

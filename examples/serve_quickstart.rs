@@ -187,7 +187,8 @@ fn main() {
         "cache: {} entries, {} bytes, {} hits / {} misses",
         stats.entries, stats.bytes, stats.hits, stats.misses
     );
-    assert_eq!(stats.entries, 1);
+    // One cost diagonal and one light-cone plan share the cache.
+    assert_eq!((stats.entries, stats.plan_misses), (2, 1));
     assert!(stats.hits >= 2);
 
     client.shutdown_server().expect("shutdown");
@@ -202,11 +203,15 @@ fn main() {
     .spawn_thread()
     .expect("spawn");
     let addr = handle.addr();
+    // B is connected and served first, so its submit waits on no accept
+    // poll; A's 4096 × 4096 grid is still running when B is decided.
+    let mut b = ServeClient::connect(addr).expect("connect B");
+    b.ping().expect("ping B");
 
     let a_started = Arc::new(AtomicBool::new(false));
     let b_decided = Arc::new(AtomicBool::new(false));
     let slow_job = SweepJob {
-        grid: Grid2d::new(Axis::new(-0.6, 0.6, 64), Axis::new(-0.4, 0.4, 64)),
+        grid: Grid2d::new(Axis::new(-0.6, 0.6, 4096), Axis::new(-0.4, 0.4, 4096)),
         chunk: 1,
         progress_every: 1, // stream every point: a responsive cancel path
         ..job.clone()
@@ -230,7 +235,6 @@ fn main() {
         std::thread::yield_now();
     }
     // A is mid-sweep and holds the only admission slot: B must be refused.
-    let mut b = ServeClient::connect(addr).expect("connect B");
     let refused = b
         .submit_sweep(&job, |_| ProgressAction::Continue)
         .expect("sweep B rpc");

@@ -6,7 +6,7 @@
 //! random byte vectors, every strict prefix of each round-trip fixture, and
 //! every single-byte mutation of each fixture. The fixtures are the
 //! variable-length messages: length prefixes and validated domain values
-//! (polynomials, ego nets, grid axes) are where a bad byte could bite.
+//! (polynomials, edge lists, grid axes) are where a bad byte could bite.
 
 use proptest::prelude::*;
 use qokit::core::batch::SweepPoint;
@@ -16,7 +16,6 @@ use qokit::serve::proto::{self, LightConeJob, MultiStartJob, ServeRequest, Serve
 use qokit::serve::proto::{MultiStartSummary, SweepJob, SweepSummary};
 use qokit::statevec::C64;
 use qokit::terms::labs::labs_terms;
-use qokit::terms::Graph;
 
 /// Runs every decoder on `payload`; a panic fails the calling test.
 fn decode_all(payload: &[u8]) {
@@ -28,7 +27,6 @@ fn decode_all(payload: &[u8]) {
 
 fn fixtures() -> Vec<Vec<u8>> {
     let spec = wire::spec_from_byte(0b111);
-    let ego = Graph::ring(8, 1.0).adjacency().edge_ego(0, 1, 2);
     let dist_requests = [
         Request::SweepInit {
             poly: labs_terms(5),
@@ -36,11 +34,6 @@ fn fixtures() -> Vec<Vec<u8>> {
         },
         Request::SweepChunk {
             points: vec![SweepPoint::new(vec![0.1, 0.2], vec![0.3, -0.4])],
-        },
-        Request::ConeShard {
-            cones: vec![(3, ego)],
-            gammas: vec![0.3, 0.1],
-            betas: vec![0.5, -0.2],
         },
         Request::SimInit {
             poly: labs_terms(6),
@@ -52,7 +45,6 @@ fn fixtures() -> Vec<Vec<u8>> {
     ];
     let dist_responses = [
         Response::Energies(vec![Ok(1.25), Err("point panicked".into())]),
-        Response::ZzValues(Err((7, "cone panicked".into()))),
         Response::Amps(vec![C64::new(0.5, -0.5)]),
     ];
     let serve_requests = [

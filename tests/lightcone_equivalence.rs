@@ -4,12 +4,10 @@
 //! For every random Erdős–Rényi and random-regular instance small enough
 //! to simulate exactly (`n ≤ 16`, `p ∈ {1, 2}`), the light-cone energy
 //! must match `FurSimulator::objective` on `maxcut_polynomial` to
-//! `≤ 1e-9`, and must be **bit-identical** across pool sizes 1/2/4 and
-//! across 1/2/4 distributed ranks.
+//! `≤ 1e-9`, and must be **bit-identical** across pool sizes 1/2/4.
 
 use proptest::prelude::*;
 use qokit::core::lightcone::{LightConeEvaluator, LightConeOptions};
-use qokit::dist::DistLightCone;
 use qokit::prelude::*;
 use qokit::terms::maxcut::maxcut_polynomial;
 use rand::rngs::StdRng;
@@ -89,9 +87,9 @@ proptest! {
         prop_assert_eq!(undeduped.stats.cache_hits, 0);
     }
 
-    /// The same bits come out of every pool size and every rank count.
+    /// The same bits come out of every pool size.
     #[test]
-    fn energy_is_bit_identical_across_pools_and_ranks(
+    fn energy_is_bit_identical_across_pools(
         g in instance(),
         p in 1usize..=2,
         g1 in -1.5f64..1.5, g2 in -1.5f64..1.5,
@@ -108,13 +106,6 @@ proptest! {
             );
             prop_assert_eq!(pooled.to_bits(), reference.to_bits(), "threads = {}", threads);
         }
-        for ranks in [1usize, 2, 4] {
-            let dist = DistLightCone::new(LightConeEvaluator::new(g.clone()), ranks)
-                .try_energy(gammas, betas)
-                .unwrap();
-            prop_assert_eq!(dist.energy.to_bits(), reference.to_bits(), "ranks = {}", ranks);
-            prop_assert_eq!(dist.comm.total_bytes(), 0);
-        }
     }
 }
 
@@ -129,51 +120,6 @@ fn depth_zero_is_minus_half_total_weight() {
         .unwrap();
     assert!((run.energy + 0.5 * g.total_weight()).abs() < 1e-12);
     assert!((run.energy - exact_energy(&g, &[], &[])).abs() < 1e-9);
-}
-
-/// Spawn-self worker entry: a no-op in a normal test run, the worker
-/// loop when the TCP transport launches this binary with
-/// `QOKIT_WORKER_ADDR` set.
-#[test]
-fn tcp_worker_entry() {
-    qokit::dist::worker::maybe_run_from_env();
-}
-
-/// Cone shards evaluated in worker processes over loopback TCP come back
-/// bit-identical to the in-process transport and to the serial evaluator,
-/// at 2 and 4 ranks.
-#[test]
-fn tcp_energy_matches_in_process_energy_bit_for_bit() {
-    use qokit::dist::{InProcessTransport, TcpTransport, Transport, WorkerSpawn};
-
-    let mut rng = StdRng::seed_from_u64(17);
-    let g = Graph::random_regular(18, 3, &mut rng);
-    let (gammas, betas) = (&[0.4, -0.8][..], &[0.7, 0.3][..]);
-    let reference = lightcone_energy(&g, ExecPolicy::serial(), gammas, betas);
-
-    let spawn = WorkerSpawn::test_entry("tcp_worker_entry").expect("current_exe");
-    for ranks in [2usize, 4] {
-        let dist = DistLightCone::new(LightConeEvaluator::new(g.clone()), ranks);
-        let mut inproc = InProcessTransport::new(ranks);
-        let ip = dist.try_energy_on(&mut inproc, gammas, betas).unwrap();
-        assert_eq!(
-            ip.energy.to_bits(),
-            reference.to_bits(),
-            "in-process K={ranks}"
-        );
-        assert_eq!(inproc.stats().total_bytes(), 0);
-
-        let mut tcp = TcpTransport::spawn(ranks, &spawn).expect("spawn workers");
-        let over_tcp = dist.try_energy_on(&mut tcp, gammas, betas).unwrap();
-        assert_eq!(
-            over_tcp.energy.to_bits(),
-            reference.to_bits(),
-            "tcp K={ranks}"
-        );
-        assert_eq!(over_tcp.stats.edges, g.n_edges());
-        // Ego graphs and gamma/beta schedules really crossed the wire.
-        assert!(tcp.stats().total_bytes() > 0, "K={ranks}");
-    }
 }
 
 /// The ≥90 % cache-hit economics the evaluator exists for: on a

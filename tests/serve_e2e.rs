@@ -511,9 +511,16 @@ fn saturated_queue_rejects_deterministically() {
     let handle = start_server(1);
     let addr = handle.addr();
 
+    // B is connected and served before A is submitted, so B's submit
+    // waits on no accept poll.
+    let mut b = ServeClient::connect(addr).expect("connect B");
+    b.ping().expect("ping B");
+
     let poly = test_poly(5);
+    // 4096 × 4096 single-point chunks run for minutes, so A is still
+    // outstanding when B's submit is decided; the cancel below ends it.
     let slow = SweepJob {
-        grid: Grid2d::new(Axis::new(-0.5, 0.5, 48), Axis::new(-0.4, 0.4, 48)),
+        grid: Grid2d::new(Axis::new(-0.5, 0.5, 4096), Axis::new(-0.4, 0.4, 4096)),
         chunk: 1,
         progress_every: 1,
         ..sweep_job(&poly)
@@ -540,7 +547,6 @@ fn saturated_queue_rejects_deterministically() {
         std::thread::yield_now();
     }
 
-    let mut b = ServeClient::connect(addr).expect("connect B");
     match b
         .submit_sweep(&sweep_job(&poly), |_| ProgressAction::Continue)
         .expect("rpc B")
