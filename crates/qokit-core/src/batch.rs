@@ -20,6 +20,13 @@
 //! copied. Every point sees the same IEEE operations in the same order
 //! either way, so sharing a start never changes a bit.
 //!
+//! The engine reads a batch through one private accessor, a point's
+//! `(γ, β)` schedules by index, so a slice of [`SweepPoint`]s, a slice of
+//! depth-1 pairs and a scan chunk run the same code. A scan chunk holds
+//! per point only its angles, copied into one flat vector, and one result
+//! slot; both vectors are reused from chunk to chunk of a scan, and each
+//! caller point is dropped as soon as its angles are copied.
+//!
 //! The [`SweepNesting`] knob picks where the parallelism goes:
 //!
 //! * [`SweepNesting::PointsParallel`] — one point per pool task, kernels
@@ -51,6 +58,7 @@ use crate::simulator::{FurSimulator, QaoaSimulator, Start};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::{SplitStateVec, StateVec};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -223,14 +231,121 @@ impl std::error::Error for SweepError {}
 
 /// One point's result slot in a batch; `None` until the point is
 /// evaluated. The error is boxed, so an energy slot is 16 bytes, not the
-/// 32 of `Result<f64, SweepError>`: a scan chunk's result vector is the
-/// largest block a batch allocates on the calling thread, and it sets the
-/// scan's peak memory.
+/// 32 of `Result<f64, SweepError>`: with the chunk's angles, a scan's
+/// result slots set its peak memory.
 type Slot<R> = Option<Result<R, Box<SweepError>>>;
 
 /// A filled slot's result.
 fn filled<R>(slot: Slot<R>) -> Result<R, SweepError> {
     slot.expect("every point fills its slot").map_err(|e| *e)
+}
+
+/// The one accessor the engine reads a batch through: each point's angle
+/// schedules by index.
+trait Batch: Sync {
+    /// Number of points.
+    fn len(&self) -> usize;
+    /// Point `i`'s `(γ, β)` schedules.
+    fn schedule(&self, i: usize) -> (&[f64], &[f64]);
+}
+
+impl Batch for [SweepPoint] {
+    fn len(&self) -> usize {
+        <[SweepPoint]>::len(self)
+    }
+
+    fn schedule(&self, i: usize) -> (&[f64], &[f64]) {
+        (&self[i].gammas, &self[i].betas)
+    }
+}
+
+/// Depth-1 `(γ, β)` pairs, read in place.
+impl Batch for [(f64, f64)] {
+    fn len(&self) -> usize {
+        <[(f64, f64)]>::len(self)
+    }
+
+    fn schedule(&self, i: usize) -> (&[f64], &[f64]) {
+        let (gamma, beta) = &self[i];
+        (std::slice::from_ref(gamma), std::slice::from_ref(beta))
+    }
+}
+
+/// A scan chunk's angles, flat: each point's γ then its β, point after
+/// point, in one vector a scan reuses from chunk to chunk. While every
+/// point has its γ and β lengths from the chunk's first point, a point's
+/// place follows from its index; after the first that differs, `ends`
+/// holds where each point's γ and β end.
+#[derive(Default)]
+struct FlatChunk {
+    angles: Vec<f64>,
+    len: usize,
+    /// The γ and β lengths of the chunk's first point.
+    shape: (usize, usize),
+    /// Per point, the ends of its γ and its β in `angles`; empty while
+    /// every point has `shape`.
+    ends: Vec<(usize, usize)>,
+}
+
+impl FlatChunk {
+    /// Refills the chunk from `points`. Room is reserved by what `points`
+    /// says it yields, never by the caller's chunk size alone, which may be
+    /// far larger than the scan (or memory).
+    fn refill(&mut self, mut points: impl Iterator<Item = SweepPoint>) {
+        self.angles.clear();
+        self.ends.clear();
+        self.len = 0;
+        let Some(first) = points.next() else {
+            return;
+        };
+        let count = points.size_hint().0.saturating_add(1);
+        self.angles
+            .reserve(count.saturating_mul(first.gammas.len() + first.betas.len()));
+        self.push(first);
+        points.for_each(|point| self.push(point));
+    }
+
+    /// Appends a point's angles. The point is dropped here, so its two
+    /// vectors are freed before the next point is made.
+    fn push(&mut self, point: SweepPoint) {
+        let shape = (point.gammas.len(), point.betas.len());
+        if self.len == 0 {
+            self.shape = shape;
+        } else if self.ends.is_empty() && shape != self.shape {
+            // Every earlier point has `shape`.
+            let (g, b) = self.shape;
+            let ends = (1..=self.len).map(|k| (k * (g + b) - b, k * (g + b)));
+            self.ends.extend(ends);
+        }
+        self.angles.extend_from_slice(&point.gammas);
+        let gammas_end = self.angles.len();
+        self.angles.extend_from_slice(&point.betas);
+        if !self.ends.is_empty() {
+            self.ends.push((gammas_end, self.angles.len()));
+        }
+        self.len += 1;
+    }
+}
+
+impl Batch for FlatChunk {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn schedule(&self, i: usize) -> (&[f64], &[f64]) {
+        let (start, gammas_end, end) = if self.ends.is_empty() {
+            let (g, b) = self.shape;
+            let start = i * (g + b);
+            (start, start + g, start + g + b)
+        } else {
+            let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev].1);
+            (start, self.ends[i].0, self.ends[i].1)
+        };
+        (
+            &self.angles[start..gammas_end],
+            &self.angles[gammas_end..end],
+        )
+    }
 }
 
 /// The QAOA energy of an evolved state: the `eval` of energy sweeps.
@@ -408,24 +523,26 @@ impl SweepRunner {
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        self.evaluate_slots(points, eval)
-            .into_iter()
-            .map(filled)
-            .collect()
+        let mut slots = Vec::new();
+        self.evaluate_slots(points, &mut slots, eval);
+        slots.into_iter().map(filled).collect()
     }
 
-    /// The engine every batched evaluation runs. Every result goes straight
-    /// into its slot of the one output vector (slot `i` = point `i`), so a
-    /// batch never holds its results twice.
-    fn evaluate_slots<R, F>(&self, points: &[SweepPoint], eval: F) -> Vec<Slot<R>>
+    /// The engine every batched evaluation runs. `slots` is refilled with
+    /// one slot per point, and every result goes straight into its slot
+    /// (slot `i` = point `i`), so a batch never holds its results twice and
+    /// a scan reuses one slot vector for all its chunks.
+    fn evaluate_slots<B, R, F>(&self, batch: &B, slots: &mut Vec<Slot<R>>, eval: F)
     where
+        B: Batch + ?Sized,
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
-        let mut slots: Vec<Slot<R>> = std::iter::repeat_with(|| None).take(points.len()).collect();
+        slots.clear();
+        slots.resize_with(batch.len(), || None);
         let policy = self.opts.exec;
         if policy.threads == 1 {
-            self.run_sequential(points, &mut slots, policy, &eval);
+            self.run_sequential(batch, slots, policy, &eval);
         } else {
             // Kernels-parallel points keep the policy's thresholds and run
             // on the pool `install` entered; `threads: 0` stops each kernel
@@ -434,12 +551,18 @@ impl SweepRunner {
                 threads: 0,
                 ..policy
             };
-            policy.install(|| match self.resolve_nesting(points.len()) {
-                SweepNesting::PointsParallel => self.run_points_parallel(points, &mut slots, &eval),
-                _ => self.run_sequential(points, &mut slots, sequential, &eval),
+            policy.install(|| match self.resolve_nesting(batch.len()) {
+                SweepNesting::PointsParallel => self.run_points_parallel(batch, slots, &eval),
+                _ => self.run_sequential(batch, slots, sequential, &eval),
             });
         }
-        slots
+    }
+
+    /// Batched energies of any batch, or its lowest-index failure.
+    fn try_energies_of<B: Batch + ?Sized>(&self, batch: &B) -> Result<Vec<f64>, SweepError> {
+        let mut slots = Vec::new();
+        self.evaluate_slots(batch, &mut slots, energy);
+        slots.into_iter().map(filled).collect()
     }
 
     /// Batched QAOA energies `⟨ψ(γ,β)|Ĉ|ψ(γ,β)⟩`, one per point, keyed by
@@ -456,10 +579,7 @@ impl SweepRunner {
     /// error. The remaining points still evaluate and the pool remains
     /// reusable afterwards.
     pub fn try_energies(&self, points: &[SweepPoint]) -> Result<Vec<f64>, SweepError> {
-        self.evaluate_slots(points, energy)
-            .into_iter()
-            .map(filled)
-            .collect()
+        self.try_energies_of(points)
     }
 
     /// Per-point energies with per-point failure: slot `i` is `Err` iff
@@ -469,10 +589,11 @@ impl SweepRunner {
     }
 
     /// Depth-1 convenience: energies over `(γ, β)` pairs — the shape grid
-    /// and random searches consume.
+    /// and random searches consume. The pairs are read in place, with no
+    /// allocation per point.
     pub fn energies_p1(&self, points: &[(f64, f64)]) -> Vec<f64> {
-        let points: Vec<SweepPoint> = points.iter().map(|&(g, b)| SweepPoint::p1(g, b)).collect();
-        self.energies(&points)
+        self.try_energies_of(points)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Evaluates one batch and folds every energy into `sink` in
@@ -488,8 +609,25 @@ impl SweepRunner {
         points: &[SweepPoint],
         sink: &mut S,
     ) -> Result<(), SweepError> {
+        self.fold_into(base, points, &mut Vec::new(), sink)
+    }
+
+    /// [`fold_energies_into`](Self::fold_energies_into) of any batch,
+    /// through the caller's slot vector.
+    fn fold_into<B, S>(
+        &self,
+        base: u64,
+        batch: &B,
+        slots: &mut Vec<Slot<f64>>,
+        sink: &mut S,
+    ) -> Result<(), SweepError>
+    where
+        B: Batch + ?Sized,
+        S: EnergySink,
+    {
+        self.evaluate_slots(batch, slots, energy);
         let mut first_err = None;
-        for (i, slot) in self.evaluate_slots(points, energy).into_iter().enumerate() {
+        for (i, slot) in slots.drain(..).enumerate() {
             match filled(slot) {
                 Ok(e) => sink.observe(base + i as u64, e),
                 Err(SweepError::PointPanicked { message, .. }) => {
@@ -516,11 +654,14 @@ impl SweepRunner {
     }
 
     /// Streams an arbitrarily long point sequence through `sink`, `chunk`
-    /// points per batched dispatch, reusing one chunk buffer — peak memory
-    /// is O(`chunk`) regardless of scan length, and the observation order
-    /// (strict point-index order) is independent of `chunk`. Returns the
-    /// number of points evaluated, or the first poisoned point's error
-    /// (with its global index; later chunks are not started).
+    /// points per batched dispatch. A chunk holds per point only its
+    /// angles (copied out of the [`SweepPoint`], which is dropped at once)
+    /// and one 16-byte result slot, in two vectors reused for every chunk
+    /// of the scan, so peak memory is O(`chunk`) regardless of scan length;
+    /// the observation order (strict point-index order) is independent of
+    /// `chunk`. Returns the number of points evaluated, or the first
+    /// poisoned point's error (with its global index; later chunks are not
+    /// started).
     ///
     /// ```
     /// use qokit_core::batch::{SweepPoint, SweepRunner};
@@ -558,7 +699,9 @@ impl SweepRunner {
     /// multiple of `chunk` boundaries, so every observed point was folded
     /// completely and in order. The runner, its buffers, and the pool stay
     /// fully reusable afterwards; a scan that was never cancelled is
-    /// bit-identical to [`scan_into`](Self::scan_into).
+    /// bit-identical to [`scan_into`](Self::scan_into). A chunk holds what
+    /// a [`scan_into`](Self::scan_into) chunk holds: each point's angles
+    /// and one result slot.
     ///
     /// Deadlines compose on top: a watchdog (or the sink itself) sets the
     /// flag and the scan stops within one chunk of work.
@@ -595,21 +738,19 @@ impl SweepRunner {
     {
         assert!(chunk > 0, "chunk size must be at least 1");
         let mut iter = points.into_iter();
-        // Sized by what the iterator yields, never by `chunk` alone: a
-        // caller-chosen chunk may be far larger than the scan (or memory).
-        let mut buf: Vec<SweepPoint> = Vec::with_capacity(chunk.min(iter.size_hint().0));
+        let mut batch = FlatChunk::default();
+        let mut slots = Vec::new();
         let mut base = 0u64;
         loop {
             if cancel.load(Ordering::Relaxed) {
                 return Err(SweepError::Cancelled { evaluated: base });
             }
-            buf.clear();
-            buf.extend(iter.by_ref().take(chunk));
-            if buf.is_empty() {
+            batch.refill(iter.by_ref().take(chunk));
+            if batch.len() == 0 {
                 return Ok(base);
             }
-            self.fold_energies_into(base, &buf, sink)?;
-            base += buf.len() as u64;
+            self.fold_into(base, &batch, &mut slots, sink)?;
+            base += batch.len() as u64;
         }
     }
 
@@ -638,25 +779,25 @@ impl SweepRunner {
     /// One run per pool task and, inside a run, one point per pool task;
     /// kernels serial throughout. Runs are the outer tasks, so only the
     /// runs in flight hold a start.
-    fn run_points_parallel<R, F>(&self, points: &[SweepPoint], slots: &mut [Slot<R>], eval: &F)
+    fn run_points_parallel<B, R, F>(&self, batch: &B, slots: &mut [Slot<R>], eval: &F)
     where
+        B: Batch + ?Sized,
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let start = self.sim.start();
         let inner = ExecPolicy::serial();
         let mut runs = Vec::new();
-        let (mut base, mut free) = (0, slots);
-        for run in gamma_runs(points) {
+        let mut free = slots;
+        for run in gamma_runs(batch) {
             let (run_slots, rest) = std::mem::take(&mut free).split_at_mut(run.len());
-            runs.push((base, run, run_slots));
-            base += run.len();
+            runs.push((run, run_slots));
             free = rest;
         }
         runs.par_iter_mut()
             .with_min_len(1)
-            .for_each(|(base, run, slots)| {
-                self.eval_run(*base, run, &start, inner, eval, |point| {
+            .for_each(|(run, slots)| {
+                self.eval_run(batch, run.clone(), &start, inner, eval, |point| {
                     slots
                         .par_iter_mut()
                         .with_min_len(1)
@@ -668,80 +809,77 @@ impl SweepRunner {
 
     /// Sequential outer loop; kernels run under `inner` (parallel in
     /// kernels-parallel mode, serial when the whole runner is serial).
-    fn run_sequential<R, F>(
-        &self,
-        points: &[SweepPoint],
-        slots: &mut [Slot<R>],
-        inner: ExecPolicy,
-        eval: &F,
-    ) where
+    fn run_sequential<B, R, F>(&self, batch: &B, slots: &mut [Slot<R>], inner: ExecPolicy, eval: &F)
+    where
+        B: Batch + ?Sized,
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let start = self.sim.start();
-        let mut base = 0;
-        for run in gamma_runs(points) {
-            self.eval_run(base, run, &start, inner, eval, |point| {
-                for (k, slot) in slots[base..base + run.len()].iter_mut().enumerate() {
+        for run in gamma_runs(batch) {
+            let slots = &mut slots[run.clone()];
+            self.eval_run(batch, run, &start, inner, eval, |point| {
+                for (k, slot) in slots.iter_mut().enumerate() {
                     *slot = Some(point(k).map_err(Box::new));
                 }
             });
-            base += run.len();
         }
     }
 
-    /// Evaluates one run of [`gamma_runs`] (global indices from `base`).
-    /// A run of two or more points writes one shared start phased by `γ₁`
-    /// — the state after the first phase depends on `γ₁` alone — and each
-    /// point copies it and evolves the rest of its schedule; a lone point
-    /// runs its whole schedule from `start`. Either way a point sees the
-    /// same IEEE operations in the same order, so the energies have the
-    /// bits of one-at-a-time objective calls. `each` receives the
-    /// per-point evaluation (argument: offset in the run) and drives it
-    /// serially or in parallel.
-    fn eval_run<R, F>(
+    /// Evaluates one run of [`gamma_runs`] (batch indices `run`). A run of
+    /// two or more points writes one shared start phased by `γ₁` — the
+    /// state after the first phase depends on `γ₁` alone — and each point
+    /// copies it and evolves the rest of its schedule; a lone point runs
+    /// its whole schedule from `start`. Either way a point sees the same
+    /// IEEE operations in the same order, so the energies have the bits of
+    /// one-at-a-time objective calls. `each` receives the per-point
+    /// evaluation (argument: offset in the run) and drives it serially or
+    /// in parallel.
+    fn eval_run<B, R, F>(
         &self,
-        base: usize,
-        run: &[SweepPoint],
+        batch: &B,
+        run: Range<usize>,
         start: &Start,
         inner: ExecPolicy,
         eval: &F,
         each: impl FnOnce(&(dyn Fn(usize) -> Result<R, SweepError> + Sync)),
     ) where
+        B: Batch + ?Sized,
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let shared = (run.len() > 1).then(|| {
             let mut phased = self.buffers.checkout(self.sim.n_qubits());
-            let gamma = run[0].gammas[0];
+            let gamma = batch.schedule(run.start).0[0];
             self.sim.write_start(start, &mut phased, Some(gamma), inner);
             phased
         });
         let phased = shared.as_ref();
-        each(&|k| self.eval_one(base + k, &run[k], start, phased, inner, eval));
+        each(&|k| self.eval_one(batch, run.start + k, start, phased, inner, eval));
         if let Some(phased) = shared {
             self.buffers.checkin(phased);
         }
     }
 
-    /// Evaluates one point: from its run's state after the first phase
-    /// when `phased` holds one, else from `start`.
-    fn eval_one<R, F>(
+    /// Evaluates point `index` of `batch`: from its run's state after the
+    /// first phase when `phased` holds one, else from `start`.
+    fn eval_one<B, R, F>(
         &self,
+        batch: &B,
         index: usize,
-        point: &SweepPoint,
         start: &Start,
         phased: Option<&SplitStateVec>,
         inner: ExecPolicy,
         eval: &F,
     ) -> Result<R, SweepError>
     where
+        B: Batch + ?Sized,
         R: Send,
         F: Fn(&FurSimulator, &SplitStateVec, ExecPolicy) -> R + Sync,
     {
         let mut buf = self.buffers.checkout(self.sim.n_qubits());
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            let (gammas, betas) = (&point.gammas, &point.betas);
+            let (gammas, betas) = batch.schedule(index);
             match phased {
                 Some(phased) => {
                     buf.copy_from(phased);
@@ -765,10 +903,20 @@ impl SweepRunner {
 /// Splits a batch into runs: maximal stretches of consecutive points whose
 /// first γ has the same bits (`+0.0` and `-0.0` differ; NaNs with equal
 /// bits match). A point with an empty schedule is a run of its own.
-fn gamma_runs(points: &[SweepPoint]) -> impl Iterator<Item = &[SweepPoint]> {
-    points.chunk_by(|a, b| match (a.gammas.first(), b.gammas.first()) {
-        (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
-        _ => false,
+fn gamma_runs<B: Batch + ?Sized>(batch: &B) -> impl Iterator<Item = Range<usize>> + '_ {
+    let first_gamma = |i| batch.schedule(i).0.first().map(|g| g.to_bits());
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        let start = next;
+        if start == batch.len() {
+            return None;
+        }
+        let key = first_gamma(start);
+        next += 1;
+        while key.is_some() && next < batch.len() && first_gamma(next) == key {
+            next += 1;
+        }
+        Some(start..next)
     })
 }
 
@@ -1104,7 +1252,7 @@ mod tests {
     }
 
     fn run_lengths(points: &[SweepPoint]) -> Vec<usize> {
-        gamma_runs(points).map(<[SweepPoint]>::len).collect()
+        gamma_runs(points).map(|run| run.len()).collect()
     }
 
     #[test]

@@ -96,6 +96,11 @@ impl SimRank {
         }
     }
 
+    /// Amplitudes in this rank's slice, `2^{n-k}`.
+    fn slice_len(&self) -> usize {
+        1 << (self.n - self.k_bits)
+    }
+
     /// The local half of a layer: phase, then the mixer on local qubits.
     pub(crate) fn layer_local(&mut self, gamma: f64, beta: f64) {
         let local_n = self.n - self.k_bits;
@@ -162,7 +167,8 @@ fn sweep_runner_for(poly: &SpinPolynomial, spec: SweepSimSpec) -> SweepRunner {
 
 /// Executes one request against a rank's state — the single dispatch both
 /// transports share. Protocol misuse (a chunk before its init, a sim step
-/// on the wrong workload) and a polynomial over `MAX_QUBITS` return
+/// on the wrong workload, a slice of the wrong length, a step on a taken
+/// slice) and a polynomial over `MAX_QUBITS` return
 /// [`Response::Error`]; per-point panics are contained and reported
 /// in-band.
 pub fn handle(state: &mut WorkerState, req: Request) -> Response {
@@ -204,42 +210,52 @@ pub fn handle(state: &mut WorkerState, req: Request) -> Response {
             state.sim = Some(SimRank::init(&poly, state.rank, n_ranks));
             Response::Ok
         }
-        Request::SimLayerLocal { gamma, beta } => match &mut state.sim {
-            None => Response::Error("SimLayerLocal before SimInit".into()),
-            Some(sim) => {
-                sim.layer_local(gamma, beta);
-                Response::Ok
-            }
-        },
-        Request::SimMixHigh { beta } => match &mut state.sim {
-            None => Response::Error("SimMixHigh before SimInit".into()),
-            Some(sim) => {
-                sim.mix_high(beta);
-                Response::Ok
-            }
-        },
-        Request::SimTakeSlice => match &mut state.sim {
-            None => Response::Error("SimTakeSlice before SimInit".into()),
-            Some(sim) => Response::Amps(std::mem::take(&mut sim.amps)),
-        },
+        Request::SimLayerLocal { gamma, beta } => with_slice(state, "SimLayerLocal", |sim| {
+            sim.layer_local(gamma, beta);
+            Response::Ok
+        }),
+        Request::SimMixHigh { beta } => with_slice(state, "SimMixHigh", |sim| {
+            sim.mix_high(beta);
+            Response::Ok
+        }),
+        Request::SimTakeSlice => with_slice(state, "SimTakeSlice", |sim| {
+            Response::Amps(std::mem::take(&mut sim.amps))
+        }),
         Request::SimSetSlice { amps } => match &mut state.sim {
             None => Response::Error("SimSetSlice before SimInit".into()),
+            Some(sim) if amps.len() != sim.slice_len() => Response::Error(format!(
+                "SimSetSlice of {} amplitudes; this rank's slice holds 2^(n-k) = {}",
+                amps.len(),
+                sim.slice_len()
+            )),
             Some(sim) => {
                 sim.amps = amps;
                 Response::Ok
             }
         },
-        Request::SimReduce => match &state.sim {
-            None => Response::Error("SimReduce before SimInit".into()),
-            Some(sim) => {
-                let (exp, lmin) = sim.reduce();
-                Response::Scalar2(exp, lmin)
-            }
-        },
-        Request::SimOverlap { min_cost } => match &state.sim {
-            None => Response::Error("SimOverlap before SimInit".into()),
-            Some(sim) => Response::Scalar(sim.overlap(min_cost)),
-        },
+        Request::SimReduce => with_slice(state, "SimReduce", |sim| {
+            let (exp, lmin) = sim.reduce();
+            Response::Scalar2(exp, lmin)
+        }),
+        Request::SimOverlap { min_cost } => with_slice(state, "SimOverlap", |sim| {
+            Response::Scalar(sim.overlap(min_cost))
+        }),
+    }
+}
+
+/// Runs `step` on the rank's amplitude slice, or answers an error before
+/// `SimInit` and while the slice is taken (after `SimTakeSlice`, until
+/// `SimSetSlice`): the step's kernels would panic on a slice of the wrong
+/// length, and a worker process would die of it.
+fn with_slice(
+    state: &mut WorkerState,
+    name: &str,
+    step: impl FnOnce(&mut SimRank) -> Response,
+) -> Response {
+    match &mut state.sim {
+        None => Response::Error(format!("{name} before SimInit")),
+        Some(sim) if sim.amps.is_empty() => Response::Error(format!("{name} on a taken slice")),
+        Some(sim) => step(sim),
     }
 }
 
@@ -364,5 +380,57 @@ mod tests {
             );
             (state.sim, state.sweep) = (None, None);
         }
+    }
+
+    #[test]
+    fn bad_slice_frames_are_errors_not_panics() {
+        // labs(6) at 4 ranks: every slice holds 2^(6-2) = 16 amplitudes.
+        let mut state = WorkerState::new(0);
+        let init = Request::SimInit {
+            poly: labs_terms(6),
+            n_ranks: 4,
+        };
+        assert!(matches!(handle(&mut state, init), Response::Ok));
+        let layer = || Request::SimLayerLocal {
+            gamma: 0.3,
+            beta: 0.2,
+        };
+        let set = |len: usize| Request::SimSetSlice {
+            amps: vec![C64::from_re(0.25); len],
+        };
+        // A one-amplitude slice is refused and the rank keeps its own.
+        let got = handle(&mut state, set(1));
+        assert!(
+            matches!(&got, Response::Error(e) if e.contains("SimSetSlice of 1 amplitudes")),
+            "{got:?}"
+        );
+        assert!(matches!(handle(&mut state, layer()), Response::Ok));
+        // After a take, every step that reads the slice is refused until a
+        // slice of the right length is set again.
+        assert!(
+            matches!(handle(&mut state, Request::SimTakeSlice), Response::Amps(a) if a.len() == 16)
+        );
+        for (name, req) in [
+            ("SimLayerLocal", layer()),
+            ("SimMixHigh", Request::SimMixHigh { beta: 0.2 }),
+            ("SimReduce", Request::SimReduce),
+            ("SimOverlap", Request::SimOverlap { min_cost: 0.0 }),
+            ("SimTakeSlice", Request::SimTakeSlice),
+        ] {
+            let got = handle(&mut state, req);
+            let want = format!("{name} on a taken slice");
+            assert!(matches!(&got, Response::Error(e) if *e == want), "{got:?}");
+        }
+        assert!(matches!(handle(&mut state, set(17)), Response::Error(_)));
+        assert!(matches!(handle(&mut state, set(16)), Response::Ok));
+        assert!(matches!(handle(&mut state, layer()), Response::Ok));
+        assert!(matches!(
+            handle(&mut state, Request::SimMixHigh { beta: 0.2 }),
+            Response::Ok
+        ));
+        assert!(matches!(
+            handle(&mut state, Request::SimReduce),
+            Response::Scalar2(..)
+        ));
     }
 }
